@@ -104,12 +104,108 @@ def init_layer(rng: Rng, d: int, k: int, r: int, init_std: float,
                        alpha_min=alpha_min, alpha_max=alpha_max, seed=rng.seed)
 
 
+def adapted_linear(layer: BaLoRALayer, x: Tensor, bias: Optional[Tensor] = None,
+                   alphas: Optional[Tensor] = None, col: int = 0,
+                   eps: Optional[np.ndarray] = None) -> Tensor:
+    """The adapted layer as one tape node.
+
+    Computes ``W0 x + b + lora_scale * WB (WA x + sqrt(alpha * (WA**2)(x**2)) * eps)``
+    for a vector ``x`` of shape ``(d,)`` or a batch ``(n, d)``. With
+    ``eps=None`` the noise term is absent and the result is the
+    deterministic (posterior-mean) forward. In stochastic mode ``eps`` holds
+    one standard-normal row per draw, ``(r,)`` or ``(n, r)``; a batch input
+    needs one row per input, while a vector input is shared by every draw.
+    ``alpha`` is column ``col`` of ``alphas``, which has shape ``()``,
+    ``(L,)`` (one scale for every row) or ``(n, L)`` (one per row); its
+    cotangent is scattered back into that column. ``eps`` is a constant, so
+    gradients flow through the noise scale, ``WA`` and ``WB``, and reach only
+    the parents that require grad.
+    """
+    xd = x.data
+    if x.ndim not in (1, 2) or xd.shape[-1] != layer.d:
+        raise ShapeError(f"adapter expects input (d,) or (n, d) with d={layer.d}, "
+                         f"got {x.shape}")
+    if bias is not None and bias.shape != (layer.k,):
+        raise ShapeError(f"bias {bias.shape} does not fit output width {layer.k}")
+    stochastic = eps is not None
+    if stochastic != (alphas is not None):
+        raise DomainError("stochastic mode needs both alphas and eps")
+    w0, wa, wb, s = layer.W0.data, layer.WA.data, layer.WB.data, layer.lora_scale
+    z = xd @ wa.T
+    if stochastic:
+        eps = np.asarray(eps, dtype=np.float64)
+        if eps.ndim not in (1, 2) or eps.shape[-1] != layer.rank or \
+                (x.ndim == 2 and eps.shape != z.shape):
+            raise ShapeError(f"eps of shape {eps.shape} for input {x.shape} at rank "
+                             f"{layer.rank}")
+        a = alphas.data if alphas.ndim == 0 else alphas.data[..., col]
+        if a.ndim and (eps.ndim != 2 or a.shape != eps.shape[:1]):
+            raise ShapeError(f"alphas {alphas.shape} do not fit eps {eps.shape}")
+        if (a < 0.0).any():
+            raise DomainError("alpha must be non-negative")
+        if a.ndim:
+            a = a[:, None]
+        x2, wa2 = xd * xd, wa * wa
+        q = x2 @ wa2.T
+        sd = np.sqrt(a * q)
+        z = z + sd * eps
+    base = xd @ w0.T
+    if bias is not None:
+        base += bias.data
+    out = z @ wb.T
+    out *= s
+    out += base
+
+    def to_input_rows(t):
+        # A vector input shared by a batch of draws sums its cotangents over draws.
+        return t.sum(axis=0) if t.ndim > xd.ndim else t
+
+    def outer(g, v):
+        return g.T @ v if v.ndim == 2 else np.outer(g, v)
+
+    def vjp(g):
+        gu = g * s
+        gz = gu @ wb
+        gx = gw0 = gwa = gwb = gb = galpha = None
+        g_in = to_input_rows(g)
+        if layer.W0.requires_grad:
+            gw0 = outer(g_in, xd)
+        if bias is not None and bias.requires_grad:
+            gb = g_in if g_in.ndim == 1 else g_in.sum(axis=0)
+        if layer.WB.requires_grad:
+            gwb = outer(gu, z)
+        gz_in = to_input_rows(gz)
+        if stochastic:
+            # Subgradient 0 where the latent variance is exactly zero keeps
+            # zero-variance directions noise-free instead of Inf * 0.
+            inv = np.divide(0.5, sd, out=np.zeros_like(sd), where=sd > 0.0)
+            gv = gz * eps * inv
+            if alphas.requires_grad:
+                per = gv * q
+                ga = per.sum() if a.ndim == 0 else per.sum(axis=-1)
+                galpha = np.asarray(ga) if alphas.ndim == 0 else np.zeros(alphas.shape)
+                if alphas.ndim:
+                    galpha[..., col] = ga
+            gq = to_input_rows(gv * a)
+        if layer.WA.requires_grad:
+            gwa = outer(gz_in, xd)
+            if stochastic:
+                gwa += 2.0 * wa * outer(gq, x2)
+        if x.requires_grad:
+            gx = g_in @ w0 + gz_in @ wa
+            if stochastic:
+                gx += 2.0 * xd * (gq @ wa2)
+        grads = (gx, gw0, gwa, gwb, gb, galpha)
+        return tuple(gr for p, gr in zip(slots, grads) if p is not None)
+
+    slots = (x, layer.W0, layer.WA, layer.WB, bias, alphas)
+    parents = tuple(p for p in slots if p is not None)
+    return Tensor._from_op(out, parents, vjp, "adapted_linear")
+
+
 def forward_deterministic(layer: BaLoRALayer, x: Tensor) -> Tensor:
     """Mean-path forward ``W0 x + lora_scale * WB WA x`` (vector or batch)."""
-    base = T.linear(x, layer.W0)
-    z = T.linear(x, layer.WA)
-    update = T.linear(z, layer.WB)
-    return T.add(base, T.mul(update, Tensor(layer.lora_scale)))
+    return adapted_linear(layer, x)
 
 
 def _latent_variance(layer: BaLoRALayer, x: np.ndarray, alpha: float) -> np.ndarray:
@@ -145,18 +241,9 @@ def sample_lowrank(layer: BaLoRALayer, x: Tensor, alpha, rng: Rng,
     if float(np.min(alpha_t.data)) <= 0:
         raise DomainError("alpha must be positive")
     if n is None:
-        mean = forward_deterministic(layer, x)
-        z2 = T.matmul(T.square(layer.WA), T.square(x))
-        d_over_s2 = T.mul(alpha_t, z2)
-        eps = T.randn(rng, (layer.rank,))
-        noise = T.matmul(layer.WB, T.mul(T.sqrt(d_over_s2), eps))
-        return T.add(mean, T.mul(noise, Tensor(layer.lora_scale)))
+        return adapted_linear(layer, x, alphas=alpha_t, eps=rng.normal((layer.rank,)))
     with T.no_grad():
-        mean = forward_deterministic(layer, x).data
-    d_vec = _latent_variance(layer, x.data, float(alpha_t.data))
-    eps = rng.normal((int(n), layer.rank))
-    samples = mean + (np.sqrt(d_vec) * eps) @ layer.WB.data.T
-    return Tensor(samples)
+        return adapted_linear(layer, x, alphas=alpha_t, eps=rng.normal((int(n), layer.rank)))
 
 
 def sample_full_cov_oracle(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng,

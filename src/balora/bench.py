@@ -4,13 +4,16 @@ Times a fixed batch of draws per output dimension ``k`` and fits log-log
 slopes. The low-rank sampler should scale roughly linearly in ``k`` at
 fixed rank; the dense oracle pays for materializing and factorizing a
 k-by-k matrix and grows at least quadratically. BLAS threading is pinned
-to one thread during timing when threadpoolctl is available.
+to one thread during timing when threadpoolctl is available; without it,
+only the BLAS thread variables can pin it, and :func:`blas_pinned` says
+whether either held.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import os
 import time
 from dataclasses import dataclass
 
@@ -34,6 +37,20 @@ class BenchRow:
     median_ns: float
     p10_ns: float
     p90_ns: float
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_pinned() -> bool:
+    """Whether timing runs on a single BLAS thread.
+
+    threadpoolctl caps the pools at run time. Without it the pools follow
+    the thread variables, which the BLAS reads once when numpy loads, so
+    they pin only when every one of them was 1 in the environment.
+    """
+    return threadpool_limits is not None or all(
+        os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
 
 
 def _single_thread():

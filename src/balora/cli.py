@@ -248,8 +248,11 @@ def cmd_bench(args) -> int:
                                    reps=args.reps, seed=args.seed)
         csv_path = out / "bench.csv"
         B.write_csv(csv_path, rows)
+        pinned = B.blas_pinned()
         slopes_path = out / "slopes.json"
-        slopes_path.write_text(json.dumps(slopes, sort_keys=True) + "\n")
+        slopes_path.write_text(json.dumps({**slopes, "blas_pinned": pinned},
+                                          sort_keys=True) + "\n")
+        manifest.data["blas_pinned"] = pinned
         manifest.add_output(csv_path)
         manifest.add_output(slopes_path)
         manifest.finish("ok")

@@ -125,18 +125,6 @@ def load_config(path) -> dict:
     return parse_config(path.read_text())
 
 
-def format_config(cfg: dict) -> str:
-    lines = []
-    for key in SCHEMA:
-        value = cfg[key]
-        if value is None:
-            value = "all"
-        elif isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 # -- dataclass builders -----------------------------------------------------
 
 

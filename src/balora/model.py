@@ -176,37 +176,20 @@ class AdaptedModel:
             raise DomainError("stochastic forward needs an rng")
         if stochastic and alphas is None:
             alphas = self.alphas(x.data)
-        n = x.shape[0]
         h = x
         last = self.backbone.n_layers - 1
         for i, (w, b) in enumerate(zip(self.backbone.weights, self.backbone.biases)):
             layer = self.adapters.get(i)
             if layer is None:
                 h = T.linear(h, w, b)
+            elif stochastic:
+                eps = rng.normal((x.shape[0], layer.rank))
+                h = A.adapted_linear(layer, h, b, alphas, self.adapted_layers.index(i), eps)
             else:
-                base = T.linear(h, w, b)
-                z = T.matmul(h, T.transpose(layer.WA))
-                if stochastic:
-                    zsq = T.matmul(T.square(h), T.transpose(T.square(layer.WA)))
-                    a_col = self._alpha_column(alphas, self.adapted_layers.index(i), n)
-                    d_over_s2 = T.mul(a_col, zsq)
-                    eps = T.randn(rng, (n, layer.rank))
-                    z = T.add(z, T.mul(T.sqrt(d_over_s2), eps))
-                update = T.matmul(z, T.transpose(layer.WB))
-                h = T.add(base, T.mul(update, Tensor(layer.lora_scale)))
+                h = A.adapted_linear(layer, h, b)
             if i != last:
                 h = T.gelu(h)
         return h
-
-    def _alpha_column(self, alphas: Tensor, col: int, n: int) -> Tensor:
-        """Broadcast one AlphaNet output column to (n, rank-width) via taped ops."""
-        L = self.alphanet.num_layers
-        onehot = np.zeros(L)
-        onehot[col] = 1.0
-        a = T.matmul(alphas, Tensor(onehot)) if alphas.ndim == 2 else \
-            T.matmul(T.reshape(alphas, (1, L)), Tensor(onehot))
-        rank = self.adapters[self.adapted_layers[col]].rank
-        return T.matmul(T.reshape(a, (n, 1)), Tensor(np.ones((1, rank))))
 
     def forward_deterministic(self, X) -> Tensor:
         """Mean-path (posterior-mean) forward, identical to merged weights."""

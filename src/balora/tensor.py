@@ -9,11 +9,20 @@ Broadcasting is deliberately restricted to scalar-with-tensor and
 equal-shape operands so every gradient rule stays auditable. Every
 completed operation is checked for NaN/Inf and raises instead of
 propagating poison values.
+
+The vector-Jacobian closures that cost real work (matmul, mul, div,
+linear and the adapter kernel) form a cotangent only for parents that
+require grad, so frozen weights and raw inputs cost nothing in the
+backward pass.
+:func:`linear` and the adapter kernel (``balora.adapter.adapted_linear``)
+are single tape nodes with hand-written vector-Jacobian products, each
+checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -75,7 +84,10 @@ def no_grad():
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if arr.size and not np.all(np.isfinite(arr)):
+    # NaN and Inf propagate through a sum, so a finite sum proves every
+    # entry finite at the cost of one reduction. A non-finite sum may be
+    # mere overflow of finite entries; only then look at each entry.
+    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values produced by {what}")
 
 
@@ -327,7 +339,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return (_unbroadcast(g * bd, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * ad, b.shape) if b.requires_grad else None)
 
     return Tensor._from_op(ad * bd, (a, b), vjp, "mul")
 
@@ -337,8 +350,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return (_unbroadcast(g / bd, a.shape),
-                _unbroadcast(-g * ad / (bd * bd), b.shape))
+        return (_unbroadcast(g / bd, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         out = ad / bd
@@ -501,12 +514,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, np.outer(ad, g)
-        return float(g) * bd, float(g) * ad
+            rules = (lambda: g @ bd.T, lambda: ad.T @ g)
+        elif ad.ndim == 2:
+            rules = (lambda: np.outer(g, bd), lambda: ad.T @ g)
+        elif bd.ndim == 2:
+            rules = (lambda: bd @ g, lambda: np.outer(ad, g))
+        else:
+            rules = (lambda: float(g) * bd, lambda: float(g) * ad)
+        return tuple(rule() if p.requires_grad else None for p, rule in zip((a, b), rules))
 
     return Tensor._from_op(out, (a, b), vjp, "matmul")
 
@@ -531,23 +546,34 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` for single inputs or batches.
+    """Affine map ``x @ weight.T + bias`` for a single input or a batch.
 
-    The bias broadcast is expressed with explicit ops (ones-vector outer
-    product) so the gradient path stays within the audited rules.
+    One tape node: the bias cotangent is the row sum of the output
+    cotangent, and only parents that require grad get a cotangent.
     """
-    if x.ndim == 1:
-        out = matmul(weight, x)
-        if bias is not None:
-            out = add(out, bias)
-        return out
-    if x.ndim == 2:
-        out = matmul(x, transpose(weight))
-        if bias is not None:
-            rows = Tensor(np.ones((x.shape[0], 1)))
-            out = add(out, matmul(rows, reshape(bias, (1, bias.size))))
-        return out
-    raise ShapeError(f"linear expects vector or batch matrix, got {x.shape}")
+    xd, wd = x.data, weight.data
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"linear expects vector or batch matrix, got {x.shape}")
+    if weight.ndim != 2 or wd.shape[1] != xd.shape[-1]:
+        raise ShapeError(f"linear weight {weight.shape} does not fit input {x.shape}")
+    if bias is not None and bias.shape != (wd.shape[0],):
+        raise ShapeError(f"linear bias {bias.shape} does not fit weight {weight.shape}")
+    out = wd @ xd if x.ndim == 1 else xd @ wd.T
+    if bias is not None:
+        out += bias.data
+
+    def vjp(g):
+        gx = g @ wd if x.requires_grad else None
+        gw = None
+        if weight.requires_grad:
+            gw = np.outer(g, xd) if x.ndim == 1 else g.T @ xd
+        gb = None
+        if bias is not None and bias.requires_grad:
+            gb = g if x.ndim == 1 else g.sum(axis=0)
+        return gx, gw, gb
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._from_op(out, parents, vjp, "linear")
 
 
 def randn(rng: Rng, shape) -> Tensor:

@@ -10,6 +10,7 @@ every seed. Each test prints a [PASS]/[FAIL]/[WARN] line (visible with
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -219,7 +220,12 @@ def test_criterion_7_complexity_scaling(tmp_path):
     code = ("import sys; from balora.cli import main; "
             f"sys.exit(main(['bench', '--k-range', '64,128,256,512,1024,2048', "
             f"'--r', '8', '--out', r'{out}']))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # The BLAS reads its thread variables when numpy loads, so they pin the
+    # child to one thread even without threadpoolctl.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stderr
     slopes = json.loads((out / "slopes.json").read_text())
@@ -227,7 +233,8 @@ def test_criterion_7_complexity_scaling(tmp_path):
         and elapsed < 300.0
     _report("criterion 7 (complexity scaling)", ok,
             f"low-rank slope {slopes['lowrank']:.3f} (in [0.75, 1.25]), dense slope "
-            f"{slopes['full_cov']:.3f} (>= 1.7), runtime {elapsed:.1f}s (< 300s)")
+            f"{slopes['full_cov']:.3f} (>= 1.7), runtime {elapsed:.1f}s (< 300s), "
+            f"BLAS pinned {slopes['blas_pinned']}")
 
 
 def test_criterion_8_desk_scale_directional():

@@ -7,7 +7,7 @@ import pytest
 from balora import adapter as A
 from balora import tensor as T
 from balora.rng import Rng
-from balora.tensor import DomainError, Tensor, backward
+from balora.tensor import DomainError, ShapeError, Tensor, backward
 from balora.verify import (_cov_z_scores, _empirical_moments, _random_layer,
                            _two_sample_z, finite_difference_grads,
                            scaled_gradient_error)
@@ -108,6 +108,98 @@ class TestDeterministicForward:
             direct = A.forward_deterministic(layer, Tensor(x)).data
             scale = max(1.0, np.max(np.abs(direct)))
             assert np.max(np.abs(merged @ x - direct)) < 1e-12 * scale
+
+
+class TestAdaptedLinearKernel:
+    """The one-node adapter kernel against central finite differences."""
+
+    N, L, COL = 5, 3, 1
+
+    @staticmethod
+    def _case(seed, x_rows, eps_rows, alpha_shape, x_grad, base_grad=False):
+        rng = Rng(seed)
+        layer = _random_layer(rng.stream_of(0), d=4, k=3, r=2)
+        if base_grad:
+            layer.W0 = Tensor(layer.W0.data, requires_grad=True)
+        x = Tensor(rng.stream_of(1).normal((*x_rows, 4)), requires_grad=x_grad)
+        bias = Tensor(rng.stream_of(2).normal((3,)), requires_grad=True)
+        alphas = eps = None
+        if alpha_shape is not None:
+            alphas = Tensor(rng.stream_of(3).uniform(0.2, 2.0, alpha_shape),
+                            requires_grad=True)
+            eps = rng.stream_of(4).normal((*eps_rows, 2))
+        proj = Tensor(rng.stream_of(5).normal((*(eps_rows or x_rows), 3)))
+        return layer, x, bias, alphas, eps, proj
+
+    CASES = [
+        # (name, x rows, eps rows, alpha shape)
+        ("deterministic-vector", (), None, None),
+        ("deterministic-batch", (N,), None, None),
+        ("vector-scalar-alpha", (), (), ()),
+        ("vector-1d-alphas", (), (), (L,)),
+        ("batch-1d-alphas", (N,), (N,), (L,)),
+        ("batch-2d-alphas", (N,), (N,), (N, L)),
+        ("shared-vector-1d-alphas", (), (N,), (L,)),
+        ("shared-vector-2d-alphas", (), (N,), (N, L)),
+    ]
+
+    @pytest.mark.parametrize("x_grad", [False, True], ids=["x-const", "x-grad"])
+    @pytest.mark.parametrize("name,x_rows,eps_rows,alpha_shape", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_vjp_matches_finite_differences(self, name, x_rows, eps_rows, alpha_shape,
+                                            x_grad):
+        layer, x, bias, alphas, eps, proj = self._case(
+            len(name) + 7 * x_grad, x_rows, eps_rows, alpha_shape, x_grad,
+            base_grad=not x_grad)
+
+        def loss_fn():
+            out = A.adapted_linear(layer, x, bias, alphas, self.COL, eps)
+            return T.tsum(T.mul(out, proj))
+
+        backward(loss_fn())
+        parents = [x, layer.W0, layer.WA, layer.WB, bias] + \
+            ([alphas] if alphas is not None else [])
+        trained = [p for p in parents if p.requires_grad]
+        numeric = finite_difference_grads(lambda: loss_fn().item(), trained)
+        for p, g in zip(trained, numeric):
+            assert scaled_gradient_error(p.grad, g, rtol=1e-4, atol=1e-7) <= 1.0, name
+        for p in parents:
+            if not p.requires_grad:
+                assert p.grad is None
+        if alphas is not None and alphas.ndim:
+            others = np.delete(alphas.grad, self.COL, axis=-1)
+            assert np.all(others == 0.0)
+
+    def test_zero_latent_variance_has_zero_subgradient(self):
+        # Input supported only where WA's columns vanish: the latent variance
+        # is exactly zero, so the noise path contributes nothing, not NaN.
+        layer, x, bias, alphas, eps, proj = self._case(3, (), (), (), False)
+        wa = layer.WA.data.copy()
+        wa[:, :2] = 0.0
+        layer.WA = Tensor(wa, requires_grad=True)
+        x = Tensor(np.array([0.7, -1.3, 0.0, 0.0]))
+        grads = []
+        for stochastic in (True, False):
+            out = A.adapted_linear(layer, x, bias, alphas if stochastic else None,
+                                   eps=eps if stochastic else None)
+            backward(T.tsum(T.mul(out, proj)))
+            grads.append([p.grad for p in (layer.WA, layer.WB, bias)])
+            for p in (layer.WA, layer.WB, bias):
+                p.zero_grad()
+        assert alphas.grad == 0.0
+        for g_stoch, g_det in zip(*grads):
+            assert np.array_equal(g_stoch, g_det)
+
+    def test_mismatched_shapes_rejected(self):
+        layer, x, bias, alphas, eps, _ = self._case(4, (self.N,), (self.N,), (self.N, self.L), False)
+        with pytest.raises(ShapeError):
+            A.adapted_linear(layer, x, bias, alphas, eps=eps[:, :1])
+        with pytest.raises(ShapeError):
+            A.adapted_linear(layer, x, bias, alphas, eps=eps[:1])
+        with pytest.raises(ShapeError):
+            A.adapted_linear(layer, Tensor(x.data[:, :3]), bias)
+        with pytest.raises(DomainError):
+            A.adapted_linear(layer, x, bias, alphas)
 
 
 class TestAnalyticPredictive:

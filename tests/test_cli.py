@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from balora import bench as B
 from balora import variational
 from balora.cli import main
 from balora.config import ConfigError, load_config, parse_config
@@ -180,7 +181,21 @@ class TestBench:
         assert lines[0] == "k,r,method,median_ns,p10_ns,p90_ns"
         assert len(lines) == 1 + 3 * 2
         slopes = json.loads((out / "slopes.json").read_text())
-        assert set(slopes) == {"lowrank", "full_cov"}
+        assert set(slopes) == {"lowrank", "full_cov", "blas_pinned"}
+
+    @pytest.mark.parametrize("thread_var", [None, "1", "2"])
+    def test_pinning_is_reported(self, tmp_path, monkeypatch, thread_var):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            if thread_var is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, thread_var)
+        out = tmp_path / "bench"
+        assert main(["bench", "--k-range", "16,32", "--r", "2", "--samples", "8",
+                     "--reps", "1", "--out", str(out)]) == 0
+        expected = thread_var == "1" or B.threadpool_limits is not None
+        assert json.loads((out / "slopes.json").read_text())["blas_pinned"] is expected
+        assert json.loads((out / "manifest.json").read_text())["blas_pinned"] is expected
 
 
 class TestVerify:

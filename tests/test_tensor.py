@@ -220,7 +220,59 @@ class TestFiniteDifferenceSweep:
                 p.zero_grad()
 
 
+class TestFiniteness:
+    def test_finite_array_whose_sum_overflows_passes(self):
+        with np.errstate(over="ignore"):
+            t = Tensor([1e308, 1e308])
+            halved = T.mul(t, Tensor(0.5))
+            flipped = T.neg(t)
+        assert halved.data.tolist() == [5e307, 5e307]
+        assert flipped.data.tolist() == [-1e308, -1e308]
+
+    @pytest.mark.parametrize("bad,numerator", [(np.nan, 0.0), (np.inf, 1.0),
+                                               (-np.inf, -1.0)])
+    @pytest.mark.parametrize("background", [1.0, 1e308])
+    def test_poison_at_any_position_raises(self, bad, numerator, background):
+        # The huge background overflows the sum, so the elementwise fallback
+        # has to find the poison.
+        with np.errstate(all="ignore"):
+            for pos in range(4):
+                vals = np.full(4, background)
+                vals[pos] = bad
+                with pytest.raises(NonFiniteError):
+                    Tensor(vals)
+                num, den = np.full(4, background), np.ones(4)
+                num[pos], den[pos] = numerator, 0.0
+                with pytest.raises(NonFiniteError):
+                    T.div(Tensor(num), Tensor(den))
+
+
 class TestLinearHelper:
+    @pytest.mark.parametrize("batch", [False, True], ids=["vector", "batch"])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["nobias", "bias"])
+    def test_vjp_matches_finite_differences(self, batch, with_bias):
+        rng = Rng(33 + 2 * batch + with_bias)
+        # Every non-empty subset of {x, W, b} requiring grad.
+        for mask in range(1, 8 if with_bias else 4):
+            r = rng.stream_of(mask)
+            x = Tensor(r.normal((5, 4) if batch else (4,)), requires_grad=bool(mask & 1))
+            w = Tensor(r.normal((3, 4)), requires_grad=bool(mask & 2))
+            b = Tensor(r.normal((3,)), requires_grad=bool(mask & 4)) if with_bias else None
+            proj = Tensor(r.normal((5, 3) if batch else (3,)))
+
+            def loss_fn():
+                return T.tsum(T.mul(T.linear(x, w, b), proj))
+
+            backward(loss_fn())
+            parents = [p for p in (x, w, b) if p is not None]
+            trained = [p for p in parents if p.requires_grad]
+            numeric = finite_difference_grads(lambda: loss_fn().item(), trained)
+            for p, g in zip(trained, numeric):
+                assert scaled_gradient_error(p.grad, g, rtol=1e-4, atol=1e-7) <= 1.0
+            for p in parents:
+                if not p.requires_grad:
+                    assert p.grad is None
+
     def test_batch_matches_per_row(self):
         rng = Rng(31)
         w = Tensor(rng.normal((4, 6)), requires_grad=True)

@@ -1,9 +1,13 @@
 """Objective and optimizer checks: quadrature oracle for the KL, frozen-noise
 finite differences for the ELBO, and closed-form first-step behavior for AdamW."""
 
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from balora import config as C
 from balora import tensor as T
 from balora import variational as V
 from balora.model import AdapterSpec, BackboneSpec, ToyBackbone, attach_adapters
@@ -278,3 +282,34 @@ class TestConfigs:
             V.TrainConfig(lr=-1.0)
         with pytest.raises(DomainError):
             V.TrainConfig(warmup_fraction=1.5)
+
+
+class TestTapeSize:
+    def test_one_node_per_adapted_layer(self):
+        # A refactor that splits the adapted layer back into generic ops
+        # doubles the per-step cost; this pins the graph of one ELBO step.
+        cfg = C.load_config(Path(__file__).resolve().parents[1] / "configs" / "toy_hetero.cfg")
+        backbone = ToyBackbone(BackboneSpec(d_in=cfg["d_in"], d_out=cfg["d_out"],
+                                            hidden=cfg["hidden"]), Rng(0))
+        backbone.freeze()
+        model = attach_adapters(backbone, C.adapter_spec_from_config(cfg), cfg["adapter"],
+                                Rng(1))
+        _, adapt_cfg, prior = C.train_configs_from_config(cfg)
+        X = Rng(2).normal((cfg["batch_size"], cfg["d_in"]))
+        y = Rng(3).normal((cfg["batch_size"], cfg["d_out"]))
+        loss, _ = V.elbo_step(model, (X, y), prior, adapt_cfg, Rng(4))
+
+        ops: Counter = Counter()
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node._vjp is not None:
+                ops[node._vjp.__qualname__.split(".")[0]] += 1
+                stack.extend(node._parents)
+        assert len(model.adapters) == backbone.n_layers == 3
+        assert ops["adapted_linear"] == len(model.adapters)
+        assert ops["linear"] == len(model.alphanet.weights)
+        assert ops["matmul"] == ops["transpose"] == ops["reshape"] == 0
