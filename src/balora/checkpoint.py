@@ -5,11 +5,17 @@ arrays back to back in the order declared by the header's ``arrays``
 manifest. Layer checkpoints carry {d, k, r, lora_scale, alpha_min,
 alpha_max, seed} and the arrays W0, WA, WB, then AlphaNet parameters;
 model checkpoints describe a full backbone + adapters + head.
+
+Loading checks the header against this schema (required keys, their JSON
+types, and every array's name and shape against the declared widths and
+ranks) before reading any array or building any object; every violation
+raises ``CheckpointError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Optional
 
@@ -39,7 +45,8 @@ def _write(path, header: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read(path) -> tuple[dict, dict[str, np.ndarray]]:
+def _read(path) -> tuple[dict, bytes]:
+    """The JSON header (an object) and the array bytes that follow it."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -55,19 +62,120 @@ def _read(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[start:start + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"corrupt checkpoint header: {err}") from err
-    offset = start + hlen
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint header must be a JSON object, "
+                              f"got {type(header).__name__}")
+    return header, raw[start + hlen:]
+
+
+def _arrays(header: dict, payload: bytes, expected: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Slice ``payload`` into the arrays the header's manifest declares.
+
+    The manifest must name exactly the arrays in ``expected``, each with
+    its expected shape; this is checked before any bytes are read.
+    """
+    entries = header.get("arrays")
+    if type(entries) is not list or not all(
+            isinstance(e, dict) and type(e.get("name")) is str and type(e.get("shape")) is list
+            for e in entries):
+        raise CheckpointError("header arrays must be a list of {name, shape} objects")
+    declared = {e["name"]: e["shape"] for e in entries}
+    if len(declared) != len(entries):
+        raise CheckpointError("header arrays declare a name twice")
+    if declared.keys() != expected.keys():
+        missing = sorted(expected.keys() - declared.keys())
+        unexpected = sorted(declared.keys() - expected.keys())
+        raise CheckpointError(f"checkpoint arrays do not match the header: "
+                              f"missing {missing}, unexpected {unexpected}")
+    for name, shape in declared.items():
+        if not (all(type(s) is int for s in shape) and tuple(shape) == expected[name]):
+            raise CheckpointError(f"array {name} has shape {shape!r:.60}, "
+                                  f"expected {list(expected[name])}")
     arrays: dict[str, np.ndarray] = {}
-    for entry in header.get("arrays", []):
-        shape = tuple(int(s) for s in entry["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
-        chunk = raw[offset:offset + nbytes]
+    offset = 0
+    for name, shape in declared.items():
+        nbytes = math.prod(shape) * 8
+        chunk = payload[offset:offset + nbytes]
         if len(chunk) != nbytes:
-            raise CheckpointError(f"truncated array data for {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).astype(np.float64)
+            raise CheckpointError(f"truncated array data for {name}")
+        arr = np.frombuffer(chunk, dtype="<f8").reshape(shape).astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"array {name} holds non-finite values")
+        arrays[name] = arr
         offset += nbytes
-    if offset != len(raw):
+    if offset != len(payload):
         raise CheckpointError("trailing bytes after declared arrays")
-    return header, arrays
+    return arrays
+
+
+# -- header schema --------------------------------------------------------------
+# Each field kind is (predicate, description). ``type(v) is int`` keeps JSON
+# booleans out of integer fields.
+
+_COUNT = (lambda v: type(v) is int and v >= 1, "a positive integer")
+_COUNTS = (lambda v: type(v) is list and all(type(x) is int and x >= 1 for x in v),
+           "a list of positive integers")
+_INT = (lambda v: type(v) is int, "an integer")
+_NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
+_BOOL = (lambda v: type(v) is bool, "true or false")
+_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+
+
+def _one_of(*options):
+    return (lambda v: type(v) is str and v in options, f"one of {options}")
+
+
+def _field(meta: dict, key: str, kind, where: str):
+    if key not in meta:
+        raise CheckpointError(f"{where}: missing {key}")
+    ok, what = kind
+    if not ok(meta[key]):
+        raise CheckpointError(f"{where}: {key} must be {what}, got {meta[key]!r:.60}")
+    return meta[key]
+
+
+def _check_kind(header: dict, kind: str) -> None:
+    if header.get("kind") != kind:
+        raise CheckpointError(f"expected a {kind} checkpoint, got kind={header.get('kind')!r:.60}")
+
+
+def _alpha_bounds(meta: dict, where: str) -> tuple[float, float]:
+    lo = float(_field(meta, "alpha_min", _NUMBER, where))
+    hi = float(_field(meta, "alpha_max", _NUMBER, where))
+    if not 0.0 < lo <= hi:
+        raise CheckpointError(f"{where}: need 0 < alpha_min <= alpha_max, got {lo}, {hi}")
+    return lo, hi
+
+
+def _layer_meta(meta: dict, where: str) -> tuple[int, int, dict]:
+    """Validated ``(d, k, BaLoRALayer keyword arguments)``."""
+    d, k, r = (_field(meta, key, _COUNT, where) for key in ("d", "k", "r"))
+    if r > min(d, k):
+        raise CheckpointError(f"{where}: rank {r} exceeds min(d, k) = {min(d, k)}")
+    lo, hi = _alpha_bounds(meta, where)
+    return d, k, {"rank": r, "lora_scale": float(_field(meta, "lora_scale", _NUMBER, where)),
+                  "alpha_min": lo, "alpha_max": hi, "seed": _field(meta, "seed", _INT, where)}
+
+
+def _dense_shapes(prefix: str, widths: list) -> dict[str, tuple]:
+    """Shapes of the weights ``{prefix}.w<i>`` and biases ``{prefix}.b<i>`` of
+    an MLP with the given layer widths."""
+    shapes = {}
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        shapes[f"{prefix}.w{i}"] = (fan_out, fan_in)
+        shapes[f"{prefix}.b{i}"] = (fan_out,)
+    return shapes
+
+
+def _alphanet_meta_checked(header: dict) -> tuple[dict, dict[str, tuple]]:
+    """Validated AlphaNet keyword arguments and the shapes of its arrays."""
+    meta = _field(header, "alphanet", _OBJECT, "header")
+    lo, hi = _alpha_bounds(meta, "alphanet")
+    f, n = (_field(meta, key, _COUNT, "alphanet") for key in ("feature_dim", "num_layers"))
+    hidden = _field(meta, "hidden_dims", _COUNTS, "alphanet")
+    kwargs = {"feature_dim": f, "num_layers": n, "hidden_dims": tuple(hidden),
+              "alpha_min": lo, "alpha_max": hi}
+    return kwargs, _dense_shapes("alphanet", [f, *hidden, n])
 
 
 def _alphanet_arrays(net: AlphaNet, prefix: str = "alphanet") -> list[tuple[str, np.ndarray]]:
@@ -84,15 +192,11 @@ def _alphanet_meta(net: AlphaNet) -> dict:
             "alpha_max": net.alpha_max}
 
 
-def _load_alphanet(meta: dict, arrays: dict, prefix: str = "alphanet") -> AlphaNet:
-    net = AlphaNet(feature_dim=int(meta["feature_dim"]), num_layers=int(meta["num_layers"]),
-                   hidden_dims=tuple(int(h) for h in meta["hidden_dims"]),
-                   alpha_min=float(meta["alpha_min"]), alpha_max=float(meta["alpha_max"]))
-    i = 0
-    while f"{prefix}.w{i}" in arrays:
-        net.weights.append(Tensor(arrays[f"{prefix}.w{i}"], requires_grad=True))
-        net.biases.append(Tensor(arrays[f"{prefix}.b{i}"], requires_grad=True))
-        i += 1
+def _load_alphanet(kwargs: dict, arrays: dict) -> AlphaNet:
+    net = AlphaNet(**kwargs)
+    for i in range(len(net.hidden_dims) + 1):
+        net.weights.append(Tensor(arrays[f"alphanet.w{i}"], requires_grad=True))
+        net.biases.append(Tensor(arrays[f"alphanet.b{i}"], requires_grad=True))
     return net
 
 
@@ -111,20 +215,19 @@ def save_layer(path, layer: BaLoRALayer, alphanet: Optional[AlphaNet] = None) ->
 
 
 def load_layer(path) -> tuple[BaLoRALayer, Optional[AlphaNet]]:
-    header, arrays = _read(path)
-    if header.get("kind") != "layer":
-        raise CheckpointError(f"expected a layer checkpoint, got kind={header.get('kind')}")
-    for name in ("W0", "WA", "WB"):
-        if name not in arrays:
-            raise CheckpointError(f"layer checkpoint missing array {name}")
-    layer = BaLoRALayer(
-        W0=Tensor(arrays["W0"]),
-        WA=Tensor(arrays["WA"], requires_grad=True),
-        WB=Tensor(arrays["WB"], requires_grad=True),
-        rank=int(header["r"]), lora_scale=float(header["lora_scale"]),
-        alpha_min=float(header["alpha_min"]), alpha_max=float(header["alpha_max"]),
-        seed=int(header["seed"]))
-    net = _load_alphanet(header["alphanet"], arrays) if "alphanet" in header else None
+    header, payload = _read(path)
+    _check_kind(header, "layer")
+    d, k, kwargs = _layer_meta(header, "layer")
+    shapes = {"W0": (k, d), "WA": (kwargs["rank"], d), "WB": (k, kwargs["rank"])}
+    net_kwargs = None
+    if "alphanet" in header:
+        net_kwargs, net_shapes = _alphanet_meta_checked(header)
+        shapes.update(net_shapes)
+    arrays = _arrays(header, payload, shapes)
+    layer = BaLoRALayer(W0=Tensor(arrays["W0"]),
+                        WA=Tensor(arrays["WA"], requires_grad=True),
+                        WB=Tensor(arrays["WB"], requires_grad=True), **kwargs)
+    net = _load_alphanet(net_kwargs, arrays) if net_kwargs is not None else None
     return layer, net
 
 
@@ -161,35 +264,61 @@ def save_model(path, model: AdaptedModel, extra: Optional[dict] = None) -> None:
 
 
 def load_model(path) -> tuple[AdaptedModel, dict]:
-    header, arrays = _read(path)
-    if header.get("kind") != "model":
-        raise CheckpointError(f"expected a model checkpoint, got kind={header.get('kind')}")
-    meta = header["backbone"]
-    spec = BackboneSpec(d_in=int(meta["d_in"]), d_out=int(meta["d_out"]),
-                        hidden=tuple(int(h) for h in meta["hidden"]), head=meta["head"])
-    backbone = ToyBackbone(spec, Rng(0))
-    n_layers = backbone.n_layers
-    backbone.weights = []
-    backbone.biases = []
-    for i in range(n_layers):
-        try:
-            backbone.weights.append(Tensor(arrays[f"backbone.w{i}"]))
-            backbone.biases.append(Tensor(arrays[f"backbone.b{i}"]))
-        except KeyError as err:
-            raise CheckpointError(f"model checkpoint missing array {err}") from None
-    backbone.frozen = True
-    adapters = {}
-    for key, ameta in header.get("adapters", {}).items():
+    header, payload = _read(path)
+    _check_kind(header, "model")
+    kind = _field(header, "adapter_kind", _one_of("balora", "lora"), "header")
+    meta = _field(header, "backbone", _OBJECT, "header")
+    spec = BackboneSpec(d_in=_field(meta, "d_in", _COUNT, "backbone"),
+                        d_out=_field(meta, "d_out", _COUNT, "backbone"),
+                        hidden=tuple(_field(meta, "hidden", _COUNTS, "backbone")),
+                        head=_field(meta, "head", _one_of("regression", "classification"),
+                                    "backbone"))
+    widths = spec.widths()
+    shapes = _dense_shapes("backbone", widths)
+    layer_kwargs = {}
+    for key, ameta in _field(header, "adapters", _OBJECT, "header").items():
+        where = f"adapters[{key!r}]"
+        if key not in {str(i) for i in range(len(widths) - 1)}:
+            raise CheckpointError(f"{where}: not a backbone layer index")
+        if not isinstance(ameta, dict):
+            raise CheckpointError(f"{where} must be a JSON object")
         i = int(key)
-        adapters[i] = BaLoRALayer(
-            W0=backbone.weights[i],
-            WA=Tensor(arrays[f"adapter{i}.WA"], requires_grad=True),
-            WB=Tensor(arrays[f"adapter{i}.WB"], requires_grad=True),
-            rank=int(ameta["r"]), lora_scale=float(ameta["lora_scale"]),
-            alpha_min=float(ameta["alpha_min"]), alpha_max=float(ameta["alpha_max"]),
-            seed=int(ameta["seed"]))
-    alphanet = _load_alphanet(header["alphanet"], arrays) if "alphanet" in header else None
-    model = AdaptedModel(backbone, adapters, alphanet, header["adapter_kind"])
-    if header.get("has_log_sigma") and "log_sigma" in arrays:
+        d, k, kwargs = _layer_meta(ameta, where)
+        if (d, k) != (widths[i], widths[i + 1]):
+            raise CheckpointError(f"{where}: (d, k) = ({d}, {k}) does not match backbone "
+                                  f"layer {i} ({widths[i]}, {widths[i + 1]})")
+        shapes[f"adapter{i}.WA"] = (kwargs["rank"], d)
+        shapes[f"adapter{i}.WB"] = (k, kwargs["rank"])
+        layer_kwargs[i] = kwargs
+    if _field(header, "has_log_sigma", _BOOL, "header") != (spec.head == "regression"):
+        raise CheckpointError("has_log_sigma must be true exactly for regression heads")
+    if spec.head == "regression":
+        shapes["log_sigma"] = ()
+    net_kwargs = None
+    if "alphanet" in header or kind == "balora":
+        net_kwargs, net_shapes = _alphanet_meta_checked(header)
+        feature_dim = spec.d_in if spec.head == "regression" else widths[-2]
+        if (net_kwargs["feature_dim"], net_kwargs["num_layers"]) != (feature_dim,
+                                                                      len(layer_kwargs)):
+            raise CheckpointError(
+                f"alphanet maps {net_kwargs['feature_dim']} features to "
+                f"{net_kwargs['num_layers']} scales; the model needs {feature_dim} "
+                f"features and {len(layer_kwargs)} scales")
+        shapes.update(net_shapes)
+    extra = _field(header, "extra", _OBJECT, "header") if "extra" in header else {}
+    arrays = _arrays(header, payload, shapes)
+
+    backbone = ToyBackbone(spec, Rng(0))
+    backbone.weights = [Tensor(arrays[f"backbone.w{i}"]) for i in range(len(widths) - 1)]
+    backbone.biases = [Tensor(arrays[f"backbone.b{i}"]) for i in range(len(widths) - 1)]
+    backbone.frozen = True
+    adapters = {i: BaLoRALayer(W0=backbone.weights[i],
+                               WA=Tensor(arrays[f"adapter{i}.WA"], requires_grad=True),
+                               WB=Tensor(arrays[f"adapter{i}.WB"], requires_grad=True),
+                               **kwargs)
+                for i, kwargs in layer_kwargs.items()}
+    alphanet = _load_alphanet(net_kwargs, arrays) if net_kwargs is not None else None
+    model = AdaptedModel(backbone, adapters, alphanet, kind)
+    if spec.head == "regression":
         model.log_sigma = Tensor(arrays["log_sigma"], requires_grad=True)
-    return model, header.get("extra", {})
+    return model, extra

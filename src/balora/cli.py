@@ -12,7 +12,9 @@ import contextlib
 import csv
 import json
 import os
+import resource
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,7 +26,6 @@ from . import checkpoint as CK
 from . import config as C
 from . import tasks as TK
 from . import uncertainty as U
-from . import verify as VF
 from .rng import Rng
 from .tensor import TensorError
 
@@ -52,11 +53,24 @@ def _thread_cap():
     return B.threadpool_limits(limits=limit)
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size (``ru_maxrss`` is KiB on Linux,
+    bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+
 class _Manifest:
-    """Run manifest written before work starts and finalized on exit."""
+    """Run manifest written before work starts and finalized on exit.
+
+    ``finish`` records ``wall_s`` (seconds since the manifest was created)
+    and ``peak_rss_mb``; they live only here, so every other artifact stays
+    byte-identical across reruns.
+    """
 
     def __init__(self, out_dir: Path, command: str, config_path, seed):
         self.path = out_dir / "manifest.json"
+        self._t0 = time.perf_counter()
         self.data = {
             "command": command,
             "config_path": str(config_path) if config_path else None,
@@ -77,6 +91,8 @@ class _Manifest:
         self.data["status"] = status
         self.data["error"] = error
         self.data["finished"] = _now()
+        self.data["wall_s"] = time.perf_counter() - self._t0
+        self.data["peak_rss_mb"] = _peak_rss_mb()
         self._flush()
 
     def _flush(self) -> None:
@@ -98,10 +114,6 @@ def _write_split_csv(path: Path, split: TK.Split) -> None:
                         + [f"y{i}" for i in range(y.shape[1])])
         for xi, yi in zip(X, y):
             writer.writerow([repr(v) for v in xi] + [repr(v) for v in yi])
-
-
-def _config_echo(cfg: dict) -> dict:
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()}
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -130,7 +142,7 @@ def cmd_train(args) -> int:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         manifest.add_output(metrics_path)
         ckpt_path = out / "checkpoint.bin"
-        CK.save_model(ckpt_path, trained.model, extra={"config": _config_echo(cfg)})
+        CK.save_model(ckpt_path, trained.model, extra={"config": C.config_to_json(cfg)})
         manifest.add_output(ckpt_path)
         manifest.finish("ok")
         final = trained.adapt_records[-1]
@@ -148,21 +160,27 @@ def _eval_splits(cfg: dict):
     return task, TK.generate(task, shifted=True)
 
 
+def _eval_config(config_path, extra: dict) -> dict:
+    """The ``--config`` file if given, else the config stored in the
+    checkpoint, else the defaults. A malformed stored config is a corrupt
+    checkpoint, not a user configuration error."""
+    if config_path:
+        return C.load_config(config_path)
+    if "config" not in extra:
+        return C.parse_config("")
+    try:
+        return C.config_from_json(extra["config"])
+    except C.ConfigError as err:
+        raise CK.CheckpointError(f"stored config: {err}") from err
+
+
 def cmd_eval(args) -> int:
     out = _prepare_out(args.out)
+    manifest = _Manifest(out, "eval", args.config, None)
     try:
         model, extra = CK.load_model(args.checkpoint)
-    except CK.CheckpointError:
-        _Manifest(out, "eval", args.config, None).finish("error", "corrupt checkpoint")
-        raise
-    cfg = C.load_config(args.config) if args.config else C.parse_config("")
-    if not args.config and "config" in extra:
-        stored = {k: (tuple(v) if isinstance(v, list) else v) for k, v in extra["config"].items()}
-        cfg.update(stored)
-        cfg["adapt_layers"] = None if stored.get("adapt_layers") in (None, "all") \
-            else tuple(stored["adapt_layers"])
-    manifest = _Manifest(out, "eval", args.config, cfg["seed"])
-    try:
+        cfg = _eval_config(args.config, extra)
+        manifest.data["seed"] = cfg["seed"]
         task, splits = _eval_splits(cfg)
         X, y = splits.test.X, splits.test.y
         if args.mode == "deterministic":
@@ -185,9 +203,10 @@ def cmd_eval(args) -> int:
             report_path = out / "eval.json"
             report_path.write_text(json.dumps(payload, sort_keys=True) + "\n")
         else:
-            if args.mc_steps < 2:
+            mc_steps = cfg["mc_steps"] if args.mc_steps is None else args.mc_steps
+            if mc_steps < 2:
                 raise C.ConfigError("mc mode needs --mc-steps >= 2", key="mc_steps")
-            report = U.uq_report(model, X, y, args.mc_steps, Rng(cfg["seed"]).stream_of(7))
+            report = U.uq_report(model, X, y, mc_steps, Rng(cfg["seed"]).stream_of(7))
             report_path = out / "eval.json"
             report_path.write_text(report.to_json() + "\n")
             if args.csv:
@@ -265,9 +284,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Imported here so that no other command pays for the oracle suite and
+    # scipy.integrate at start-up.
+    from . import verify as VF
+    seed = VF.DEFAULT_SEED if args.seed is None else args.seed
     out = _prepare_out(args.out) if args.out else None
-    manifest = _Manifest(out, "verify", None, args.seed) if out else None
-    results = VF.run_oracles(args.filter or "", seed=args.seed)
+    manifest = _Manifest(out, "verify", None, seed) if out else None
+    results = VF.run_oracles(args.filter or "", seed=seed)
     failures = [r for r in results if not r.passed]
     for r in results:
         flag = "PASS" if r.passed else "FAIL"
@@ -275,8 +298,8 @@ def cmd_verify(args) -> int:
               f"vs tolerance {r.tolerance:.3e}")
     if out:
         path = out / "verify.json"
-        path.write_text(json.dumps([r.as_dict() for r in results], indent=2,
-                                   sort_keys=True) + "\n")
+        path.write_text(json.dumps([{**r.as_dict(), "seed": seed} for r in results],
+                                   indent=2, sort_keys=True) + "\n")
         manifest.add_output(path)
         manifest.finish("ok" if not failures else "failed")
         print(f"summary written to {path}")
@@ -306,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", default=None,
                         help="task config; defaults to the one stored in the checkpoint")
     p_eval.add_argument("--mode", choices=("deterministic", "mc"), default="mc")
-    p_eval.add_argument("--mc-steps", type=int, default=100)
+    p_eval.add_argument("--mc-steps", type=int, default=None,
+                        help="MC draws; defaults to mc_steps of the config in use")
     p_eval.add_argument("--csv", action="store_true")
     p_eval.add_argument("--out", required=True)
 
@@ -329,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the brute-force oracle suite")
     p_verify.add_argument("--filter", default="")
-    p_verify.add_argument("--seed", type=int, default=VF.DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="oracle seed (default: balora.verify.DEFAULT_SEED)")
     p_verify.add_argument("--out", default=None)
     return parser
 

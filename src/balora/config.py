@@ -30,10 +30,6 @@ def _float(s: str) -> float:
     return float(s)
 
 
-def _str(s: str) -> str:
-    return s
-
-
 def _choice(*options):
     def parse(s: str) -> str:
         if s not in options:
@@ -125,6 +121,38 @@ def load_config(path) -> dict:
     return parse_config(path.read_text())
 
 
+def config_to_json(cfg: dict) -> dict:
+    """JSON-ready copy of a parsed config (tuples become lists)."""
+    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()}
+
+
+# JSON types each value parser accepts; the choice parsers take strings.
+_JSON_TYPES = {_int: (int,), _float: (int, float), _int_list: (list,),
+               _layers: (list, type(None))}
+
+
+def config_from_json(stored) -> dict:
+    """Inverse of :func:`config_to_json`, as strict as :func:`parse_config`:
+    unknown keys and values of the wrong JSON type raise ``ConfigError``."""
+    if not isinstance(stored, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(stored).__name__}")
+    cfg = parse_config("")
+    for key, value in stored.items():
+        if key not in SCHEMA:
+            raise ConfigError(f"unknown config key: {key}", key=key)
+        parser, _ = SCHEMA[key]
+        if type(value) not in _JSON_TYPES.get(parser, (str,)) or (
+                type(value) is list and any(type(v) is not int for v in value)):
+            raise ConfigError(f"invalid value for {key}: {value!r}", key=key)
+        text = "all" if value is None else \
+            ",".join(map(str, value)) if type(value) is list else str(value)
+        try:
+            cfg[key] = parser(text)
+        except ValueError as err:
+            raise ConfigError(f"invalid value for {key}: {value!r} ({err})", key=key) from err
+    return cfg
+
+
 # -- dataclass builders -----------------------------------------------------
 
 
@@ -150,12 +178,10 @@ def train_configs_from_config(cfg: dict):
     pretrain = TrainConfig(lr=cfg["pretrain_lr"], epochs=cfg["pretrain_epochs"],
                            batch_size=cfg["pretrain_batch_size"], kl_weight=0.0,
                            warmup_fraction=0.0, weight_decay=0.0,
-                           grad_clip_norm=cfg["grad_clip_norm"], seed=cfg["seed"],
-                           nll=cfg["nll"])
+                           grad_clip_norm=cfg["grad_clip_norm"], nll=cfg["nll"])
     adapt = TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
                         kl_weight=cfg["kl_weight"], warmup_fraction=cfg["warmup_fraction"],
                         weight_decay=cfg["weight_decay"],
-                        grad_clip_norm=cfg["grad_clip_norm"], seed=cfg["seed"],
-                        nll=cfg["nll"])
+                        grad_clip_norm=cfg["grad_clip_norm"], nll=cfg["nll"])
     prior = PriorConfig(p=cfg["prior_p"])
     return pretrain, adapt, prior

@@ -60,7 +60,6 @@ class TrainConfig:
     warmup_fraction: float = 0.0
     weight_decay: float = 0.0
     grad_clip_norm: float = 1.0
-    seed: int = 0
     nll: str = "gaussian"  # regression: "gaussian" or "l1"; classification uses CE
 
     def __post_init__(self):

@@ -1,14 +1,21 @@
 """Round-trip and corruption checks for the binary/JSON checkpoint format."""
 
+import contextlib
+import copy
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from balora import adapter as A
 from balora import checkpoint as CK
+from balora import tasks as TK
 from balora import uncertainty as U
+from balora.cli import main
 from balora.rng import Rng
 from balora.tensor import Tensor
 from balora.verify import _tiny_model
@@ -107,3 +114,167 @@ class TestCorruption:
         CK.save_layer(path, layer)
         with pytest.raises(CK.CheckpointError):
             CK.load_model(path)
+
+
+def _split(raw: bytes) -> tuple[dict, bytes]:
+    hlen = struct.unpack("<Q", raw[8:16])[0]
+    return json.loads(raw[16:16 + hlen]), raw[16 + hlen:]
+
+
+def _join(header, payload: bytes) -> bytes:
+    blob = json.dumps(header).encode("utf-8")
+    return CK.MAGIC + struct.pack("<Q", len(blob)) + blob + payload
+
+
+class TestLayerHeaderSchema:
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h.update(r="2"),
+        lambda h: h.update(r=3),                      # exceeds min(d, k)
+        lambda h: h.update(k=5),                      # disagrees with W0's shape
+        lambda h: h.update(alpha_min=-1.0),
+        lambda h: h.pop("seed"),
+        lambda h: h["arrays"][0].update(name="W1"),
+        lambda h: h["alphanet"].update(hidden_dims=[7]),
+    ])
+    def test_violation_is_checkpoint_error(self, tmp_path, mutate):
+        layer = A.init_layer(Rng(9), d=3, k=2, r=1, init_std=0.1)
+        net = A.init_alphanet(Rng(10), feature_dim=3, num_layers=1, hidden_dims=(6,))
+        path = tmp_path / "layer.bin"
+        CK.save_layer(path, layer, net)
+        header, payload = _split(path.read_bytes())
+        mutate(header)
+        path.write_bytes(_join(header, payload))
+        with pytest.raises(CK.CheckpointError):
+            CK.load_layer(path)
+
+
+# -- malformed model checkpoints through ``balora eval`` ---------------------------
+
+TINY_CONFIG = """
+d_in = 3
+n_train = 32
+n_val = 8
+n_test = 16
+hidden = 5,4
+rank = 2
+alphanet_hidden = 4
+epochs = 1
+pretrain_epochs = 1
+batch_size = 16
+pretrain_batch_size = 16
+seed = 5
+"""
+
+# Every string a valid header or stored config may hold in a choice field.
+VALID_STRINGS = {"model", "layer", "balora", "lora", "regression", "classification",
+                 "gaussian", "l1", *TK.KINDS}
+
+
+@pytest.fixture(scope="module")
+def model_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = root / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--config", str(cfg), "--out", str(root / "train")]) == 0
+    return root, (root / "train" / "checkpoint.bin").read_bytes()
+
+
+def _eval(root, data: bytes) -> int:
+    path = root / "mutated.bin"
+    path.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(["eval", "--checkpoint", str(path), "--mode", "deterministic",
+                     "--out", str(root / "eval")])
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into a JSON value."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _wrong_value(current):
+    """JSON values a field holding ``current`` must reject: another type (an
+    int is a valid float), or a string that no choice field accepts."""
+    values = st.one_of(st.none(), st.booleans(), st.integers(-3, 300),
+                       st.floats(allow_nan=False, allow_infinity=False),
+                       st.text(max_size=8), st.lists(st.integers(0, 9), max_size=3),
+                       st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2))
+
+    def wrong(v):
+        if isinstance(current, str) and isinstance(v, str):
+            return v != current and v not in VALID_STRINGS
+        if type(current) is float:
+            return type(v) not in (int, float)
+        if current is None:                           # adapt_layers = all
+            return type(v) not in (type(None), list)
+        return type(v) is not type(current)
+    return values.filter(wrong)
+
+
+class TestModelHeaderSchema:
+    @pytest.mark.parametrize("mutate", [
+        lambda h: next(a for a in h["arrays"] if a["name"] == "adapter0.WA")
+        .update(name="adapter0.WX"),
+        lambda h: h.pop("backbone"),
+        lambda h: h["adapters"]["0"].update(r="x"),
+        lambda h: [1, 2],
+        lambda h: h.update(adapter_kind="nope"),
+        lambda h: h["extra"]["config"].update(hidden="x"),
+        lambda h: h["adapters"]["1"].update(r=3),     # disagrees with WA's shape
+        lambda h: h["adapters"].update({"7": h["adapters"]["0"]}),
+        lambda h: h.update(has_log_sigma=False),
+        lambda h: h["alphanet"].update(num_layers=1),
+    ])
+    def test_eval_exits_3(self, model_checkpoint, mutate):
+        root, raw = model_checkpoint
+        header, payload = _split(raw)
+        mutated = mutate(header)
+        assert _eval(root, _join(header if mutated is None else mutated, payload)) == 3
+        manifest = json.loads((root / "eval" / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+
+    def test_unmutated_checkpoint_evaluates(self, model_checkpoint):
+        root, raw = model_checkpoint
+        header, payload = _split(raw)
+        assert _eval(root, _join(header, payload)) == 0
+
+
+@st.composite
+def _malformed(draw, raw: bytes) -> bytes:
+    header, payload = _split(raw)
+    action = draw(st.sampled_from(("drop", "replace", "truncate")))
+    if action == "truncate":
+        ends = [0, len(CK.MAGIC), 16, len(raw) - len(payload)]
+        for entry in header["arrays"]:
+            ends.append(ends[-1] + 8 * int(np.prod(entry["shape"], dtype=np.int64)))
+        cut = draw(st.sampled_from(ends[:-1])) + draw(st.integers(-1, 1))
+        return raw[:min(max(cut, 0), len(raw) - 1)]
+    header = copy.deepcopy(header)
+    # The stored config and ``extra`` itself are optional: only a wrong type
+    # is malformed there.
+    paths = [p for p in _paths(header)
+             if action == "replace" or p[0] != "extra"]
+    path = draw(st.sampled_from(paths))
+    parent = header
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_wrong_value(parent[path[-1]]))
+    return _join(header, payload)
+
+
+class TestHeaderFuzz:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(data=st.data())
+    def test_every_malformation_exits_3(self, model_checkpoint, data):
+        root, raw = model_checkpoint
+        assert _eval(root, data.draw(_malformed(raw))) == 3

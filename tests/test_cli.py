@@ -1,14 +1,17 @@
 """CLI contract tests: exit codes, determinism, manifests, and fault injection."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from balora import bench as B
 from balora import variational
+from balora import verify as VF
 from balora.cli import main
 from balora.config import ConfigError, load_config, parse_config
 
@@ -153,11 +156,72 @@ class TestEval:
                      "--mode", "mc", "--mc-steps", "1", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, via_config, expected", [
+        ((), False, 8), ((), True, 8), (("--mc-steps", "4"), False, 4),
+        (("--mc-steps", "4"), True, 4)])
+    def test_mc_steps_from_config(self, tmp_path, flag, via_config, expected):
+        cfg = tmp_path / "mc8.cfg"
+        cfg.write_text(FAST_CONFIG + "mc_steps = 8\n")
+        _, out = _train(tmp_path, cfg)
+        argv = ["eval", "--checkpoint", str(out / "checkpoint.bin"), "--mode", "mc",
+                "--out", str(tmp_path / "mc"), *flag]
+        if via_config:
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "mc" / "eval.json").read_text())
+        assert report["mc_steps"] == expected
+
+    def test_mc_steps_below_two_in_config_exits_2(self, tmp_path, fast_config):
+        _, out = _train(tmp_path, fast_config)
+        cfg = tmp_path / "mc1.cfg"
+        cfg.write_text(FAST_CONFIG + "mc_steps = 1\n")
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.bin"), "--mode", "mc",
+                     "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 2
+
     def test_corrupt_checkpoint_exits_3(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage bytes that are not a checkpoint")
         code = main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "x")])
         assert code == 3
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["wall_s"] > 0.0 and manifest["peak_rss_mb"] > 0.0
+
+
+class TestManifestTiming:
+    def test_wall_and_peak_rss_recorded(self, tmp_path, fast_config):
+        _, out1 = _train(tmp_path, fast_config, "a")
+        _, out2 = _train(tmp_path, fast_config, "b")
+        ckpt = str(out1 / "checkpoint.bin")
+        commands = {"det": ["eval", "--checkpoint", ckpt, "--mode", "deterministic"],
+                    "mc": ["eval", "--checkpoint", ckpt, "--mc-steps", "4"],
+                    "sample": ["sample", "--checkpoint", ckpt, "--n", "2"],
+                    "verify": ["verify", "--filter", "merge"]}
+        for name, argv in commands.items():
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        for run in (out1, out2, *(tmp_path / name for name in commands)):
+            manifest = json.loads((run / "manifest.json").read_text())
+            assert manifest["wall_s"] > 0.0
+            assert manifest["peak_rss_mb"] > 0.0
+        for name in ("checkpoint.bin", "metrics.jsonl"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestImportBudget:
+    def test_cli_import_leaves_oracle_suite_unloaded(self):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        code = ("import json, sys, balora.cli; print(json.dumps({m: m in sys.modules for m in "
+                "('balora.verify', 'scipy.integrate', 'scipy.special')}))")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert not loaded["balora.verify"] and not loaded["scipy.integrate"]
+        # erf behind tensor.gelu stays a start-up import, paid once per process.
+        assert loaded["scipy.special"]
 
 
 class TestSample:
@@ -223,6 +287,17 @@ class TestVerify:
         results = json.loads((tmp_path / "full" / "verify.json").read_text())
         assert all(r["passed"] for r in results)
         assert len(results) == 9
+        assert VF.DEFAULT_SEED == 20250801
+        assert {r["seed"] for r in results} == {VF.DEFAULT_SEED}
+        manifest = json.loads((tmp_path / "full" / "manifest.json").read_text())
+        assert manifest["seed"] == VF.DEFAULT_SEED
+
+    def test_explicit_seed_recorded(self, tmp_path):
+        assert main(["verify", "--filter", "merge", "--seed", "5",
+                     "--out", str(tmp_path / "v")]) == 0
+        results = json.loads((tmp_path / "v" / "verify.json").read_text())
+        assert [r["seed"] for r in results] == [5]
+        assert json.loads((tmp_path / "v" / "manifest.json").read_text())["seed"] == 5
 
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.setenv("BALORA_THREADS", "1")
