@@ -46,9 +46,6 @@ class BaLoRALayer:
     WB: Tensor
     rank: int
     lora_scale: float = 1.0
-    alpha_min: float = ALPHA_MIN
-    alpha_max: float = ALPHA_MAX
-    seed: int = 0
 
     @property
     def d(self) -> int:
@@ -82,8 +79,7 @@ class PredictiveGaussian:
 
 
 def init_layer(rng: Rng, d: int, k: int, r: int, init_std: float,
-               w0: Optional[Tensor] = None, lora_scale: float = 1.0,
-               alpha_min: float = ALPHA_MIN, alpha_max: float = ALPHA_MAX) -> BaLoRALayer:
+               w0: Optional[Tensor] = None, lora_scale: float = 1.0) -> BaLoRALayer:
     """Fresh adapter: ``WA ~ N(0, init_std**2)``, ``WB = 0``, ``W0`` frozen.
 
     ``w0`` defaults to a random frozen matrix with 1/sqrt(d) column scaling.
@@ -100,8 +96,7 @@ def init_layer(rng: Rng, d: int, k: int, r: int, init_std: float,
         raise ShapeError(f"W0 shape {w0.shape} does not match (k, d) = ({k}, {d})")
     wa = Tensor(init_std * rng.normal((r, d)), requires_grad=True)
     wb = Tensor(np.zeros((k, r)), requires_grad=True)
-    return BaLoRALayer(W0=w0.detach(), WA=wa, WB=wb, rank=r, lora_scale=float(lora_scale),
-                       alpha_min=alpha_min, alpha_max=alpha_max, seed=rng.seed)
+    return BaLoRALayer(W0=w0.detach(), WA=wa, WB=wb, rank=r, lora_scale=float(lora_scale))
 
 
 def adapted_linear(layer: BaLoRALayer, x: Tensor, bias: Optional[Tensor] = None,

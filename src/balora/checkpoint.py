@@ -2,9 +2,14 @@
 
 Layout: 8-byte magic, uint64-LE header length, UTF-8 JSON header, then the
 arrays back to back in the order declared by the header's ``arrays``
-manifest. Layer checkpoints carry {d, k, r, lora_scale, alpha_min,
-alpha_max, seed} and the arrays W0, WA, WB, then AlphaNet parameters;
-model checkpoints describe a full backbone + adapters + head.
+manifest. The one kind, ``model``, describes a full backbone + adapters +
+head: the backbone's widths and head, {d, k, r, lora_scale} per adapted
+layer, the AlphaNet's shape and clamp, and the run's ``extra`` (its
+config). Its arrays are the backbone's weights and biases, each adapter's
+WA and WB, the AlphaNet's weights and biases, and ``log_sigma`` for
+regression heads. Headers written before the adapters dropped their
+per-layer clamp and seed still carry ``alpha_min``, ``alpha_max`` and
+``seed`` in each adapter entry; loading ignores them.
 
 Loading checks the header against this schema (required keys, their JSON
 types, and every array's name and shape against the declared widths and
@@ -115,7 +120,6 @@ def _arrays(header: dict, payload: bytes, expected: dict[str, tuple]) -> dict[st
 _COUNT = (lambda v: type(v) is int and v >= 1, "a positive integer")
 _COUNTS = (lambda v: type(v) is list and all(type(x) is int and x >= 1 for x in v),
            "a list of positive integers")
-_INT = (lambda v: type(v) is int, "an integer")
 _NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
 _BOOL = (lambda v: type(v) is bool, "true or false")
 _OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
@@ -139,22 +143,12 @@ def _check_kind(header: dict, kind: str) -> None:
         raise CheckpointError(f"expected a {kind} checkpoint, got kind={header.get('kind')!r:.60}")
 
 
-def _alpha_bounds(meta: dict, where: str) -> tuple[float, float]:
-    lo = float(_field(meta, "alpha_min", _NUMBER, where))
-    hi = float(_field(meta, "alpha_max", _NUMBER, where))
-    if not 0.0 < lo <= hi:
-        raise CheckpointError(f"{where}: need 0 < alpha_min <= alpha_max, got {lo}, {hi}")
-    return lo, hi
-
-
 def _layer_meta(meta: dict, where: str) -> tuple[int, int, dict]:
     """Validated ``(d, k, BaLoRALayer keyword arguments)``."""
     d, k, r = (_field(meta, key, _COUNT, where) for key in ("d", "k", "r"))
     if r > min(d, k):
         raise CheckpointError(f"{where}: rank {r} exceeds min(d, k) = {min(d, k)}")
-    lo, hi = _alpha_bounds(meta, where)
-    return d, k, {"rank": r, "lora_scale": float(_field(meta, "lora_scale", _NUMBER, where)),
-                  "alpha_min": lo, "alpha_max": hi, "seed": _field(meta, "seed", _INT, where)}
+    return d, k, {"rank": r, "lora_scale": float(_field(meta, "lora_scale", _NUMBER, where))}
 
 
 def _dense_shapes(prefix: str, widths: list) -> dict[str, tuple]:
@@ -167,10 +161,31 @@ def _dense_shapes(prefix: str, widths: list) -> dict[str, tuple]:
     return shapes
 
 
+def _dense_arrays(prefix: str, weights: list, biases: list) -> list[tuple[str, np.ndarray]]:
+    """The arrays ``{prefix}.w<i>`` and ``{prefix}.b<i>`` of an MLP, in file order."""
+    arrays = []
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        arrays += [(f"{prefix}.w{i}", w.data), (f"{prefix}.b{i}", b.data)]
+    return arrays
+
+
+def _dense_tensors(prefix: str, arrays: dict, n_layers: int,
+                   requires_grad: bool) -> tuple[list, list]:
+    """Inverse of :func:`_dense_arrays`: the weight tensors and the bias tensors."""
+    weights = [Tensor(arrays[f"{prefix}.w{i}"], requires_grad=requires_grad)
+               for i in range(n_layers)]
+    biases = [Tensor(arrays[f"{prefix}.b{i}"], requires_grad=requires_grad)
+              for i in range(n_layers)]
+    return weights, biases
+
+
 def _alphanet_meta_checked(header: dict) -> tuple[dict, dict[str, tuple]]:
     """Validated AlphaNet keyword arguments and the shapes of its arrays."""
     meta = _field(header, "alphanet", _OBJECT, "header")
-    lo, hi = _alpha_bounds(meta, "alphanet")
+    lo = float(_field(meta, "alpha_min", _NUMBER, "alphanet"))
+    hi = float(_field(meta, "alpha_max", _NUMBER, "alphanet"))
+    if not 0.0 < lo <= hi:
+        raise CheckpointError(f"alphanet: need 0 < alpha_min <= alpha_max, got {lo}, {hi}")
     f, n = (_field(meta, key, _COUNT, "alphanet") for key in ("feature_dim", "num_layers"))
     hidden = _field(meta, "hidden_dims", _COUNTS, "alphanet")
     kwargs = {"feature_dim": f, "num_layers": n, "hidden_dims": tuple(hidden),
@@ -178,57 +193,10 @@ def _alphanet_meta_checked(header: dict) -> tuple[dict, dict[str, tuple]]:
     return kwargs, _dense_shapes("alphanet", [f, *hidden, n])
 
 
-def _alphanet_arrays(net: AlphaNet, prefix: str = "alphanet") -> list[tuple[str, np.ndarray]]:
-    out = []
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        out.append((f"{prefix}.w{i}", w.data))
-        out.append((f"{prefix}.b{i}", b.data))
-    return out
-
-
-def _alphanet_meta(net: AlphaNet) -> dict:
-    return {"feature_dim": net.feature_dim, "num_layers": net.num_layers,
-            "hidden_dims": list(net.hidden_dims), "alpha_min": net.alpha_min,
-            "alpha_max": net.alpha_max}
-
-
 def _load_alphanet(kwargs: dict, arrays: dict) -> AlphaNet:
-    net = AlphaNet(**kwargs)
-    for i in range(len(net.hidden_dims) + 1):
-        net.weights.append(Tensor(arrays[f"alphanet.w{i}"], requires_grad=True))
-        net.biases.append(Tensor(arrays[f"alphanet.b{i}"], requires_grad=True))
-    return net
-
-
-# -- single layer ---------------------------------------------------------------
-
-
-def save_layer(path, layer: BaLoRALayer, alphanet: Optional[AlphaNet] = None) -> None:
-    header = {"kind": "layer", "d": layer.d, "k": layer.k, "r": layer.rank,
-              "lora_scale": layer.lora_scale, "alpha_min": layer.alpha_min,
-              "alpha_max": layer.alpha_max, "seed": layer.seed}
-    arrays = [("W0", layer.W0.data), ("WA", layer.WA.data), ("WB", layer.WB.data)]
-    if alphanet is not None:
-        header["alphanet"] = _alphanet_meta(alphanet)
-        arrays.extend(_alphanet_arrays(alphanet))
-    _write(path, header, arrays)
-
-
-def load_layer(path) -> tuple[BaLoRALayer, Optional[AlphaNet]]:
-    header, payload = _read(path)
-    _check_kind(header, "layer")
-    d, k, kwargs = _layer_meta(header, "layer")
-    shapes = {"W0": (k, d), "WA": (kwargs["rank"], d), "WB": (k, kwargs["rank"])}
-    net_kwargs = None
-    if "alphanet" in header:
-        net_kwargs, net_shapes = _alphanet_meta_checked(header)
-        shapes.update(net_shapes)
-    arrays = _arrays(header, payload, shapes)
-    layer = BaLoRALayer(W0=Tensor(arrays["W0"]),
-                        WA=Tensor(arrays["WA"], requires_grad=True),
-                        WB=Tensor(arrays["WB"], requires_grad=True), **kwargs)
-    net = _load_alphanet(net_kwargs, arrays) if net_kwargs is not None else None
-    return layer, net
+    weights, biases = _dense_tensors("alphanet", arrays, len(kwargs["hidden_dims"]) + 1,
+                                     requires_grad=True)
+    return AlphaNet(**kwargs, weights=weights, biases=biases)
 
 
 # -- full model -------------------------------------------------------------------
@@ -241,23 +209,21 @@ def save_model(path, model: AdaptedModel, extra: Optional[dict] = None) -> None:
         "adapter_kind": model.kind,
         "backbone": {"d_in": spec.d_in, "d_out": spec.d_out,
                      "hidden": list(spec.hidden), "head": spec.head},
-        "adapters": {str(i): {"d": l.d, "k": l.k, "r": l.rank,
-                              "lora_scale": l.lora_scale, "alpha_min": l.alpha_min,
-                              "alpha_max": l.alpha_max, "seed": l.seed}
+        "adapters": {str(i): {"d": l.d, "k": l.k, "r": l.rank, "lora_scale": l.lora_scale}
                      for i, l in model.adapters.items()},
         "has_log_sigma": model.log_sigma is not None,
         "extra": extra or {},
     }
-    arrays: list[tuple[str, np.ndarray]] = []
-    for i, (w, b) in enumerate(zip(model.backbone.weights, model.backbone.biases)):
-        arrays.append((f"backbone.w{i}", w.data))
-        arrays.append((f"backbone.b{i}", b.data))
+    arrays = _dense_arrays("backbone", model.backbone.weights, model.backbone.biases)
     for i, layer in model.adapters.items():
         arrays.append((f"adapter{i}.WA", layer.WA.data))
         arrays.append((f"adapter{i}.WB", layer.WB.data))
-    if model.alphanet is not None:
-        header["alphanet"] = _alphanet_meta(model.alphanet)
-        arrays.extend(_alphanet_arrays(model.alphanet))
+    net = model.alphanet
+    if net is not None:
+        header["alphanet"] = {"feature_dim": net.feature_dim, "num_layers": net.num_layers,
+                              "hidden_dims": list(net.hidden_dims),
+                              "alpha_min": net.alpha_min, "alpha_max": net.alpha_max}
+        arrays += _dense_arrays("alphanet", net.weights, net.biases)
     if model.log_sigma is not None:
         arrays.append(("log_sigma", model.log_sigma.data))
     _write(path, header, arrays)
@@ -309,8 +275,8 @@ def load_model(path) -> tuple[AdaptedModel, dict]:
     arrays = _arrays(header, payload, shapes)
 
     backbone = ToyBackbone(spec, Rng(0))
-    backbone.weights = [Tensor(arrays[f"backbone.w{i}"]) for i in range(len(widths) - 1)]
-    backbone.biases = [Tensor(arrays[f"backbone.b{i}"]) for i in range(len(widths) - 1)]
+    backbone.weights, backbone.biases = _dense_tensors("backbone", arrays, len(widths) - 1,
+                                                       requires_grad=False)
     backbone.frozen = True
     adapters = {i: BaLoRALayer(W0=backbone.weights[i],
                                WA=Tensor(arrays[f"adapter{i}.WA"], requires_grad=True),

@@ -65,7 +65,9 @@ class _Manifest:
 
     ``finish`` records ``wall_s`` (seconds since the manifest was created)
     and ``peak_rss_mb``; they live only here, so every other artifact stays
-    byte-identical across reruns.
+    byte-identical across reruns. Used as a context manager, an exception
+    finishes it as "error" with the exception's text, and a normal exit
+    finishes it as "ok" unless the block already finished it.
     """
 
     def __init__(self, out_dir: Path, command: str, config_path, seed):
@@ -83,6 +85,15 @@ class _Manifest:
             "error": None,
         }
         self._flush()
+
+    def __enter__(self) -> "_Manifest":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc is not None:
+            self.finish("error", str(exc))
+        elif self.data["status"] == "running":
+            self.finish("ok")
 
     def add_output(self, path) -> None:
         self.data["outputs"].append(str(path))
@@ -124,8 +135,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     out = _prepare_out(args.out)
-    manifest = _Manifest(out, "train", args.config, cfg["seed"])
-    try:
+    with _Manifest(out, "train", args.config, cfg["seed"]) as manifest:
         task = C.task_from_config(cfg)
         aspec = C.adapter_spec_from_config(cfg)
         pre_cfg, adapt_cfg, prior = C.train_configs_from_config(cfg)
@@ -144,44 +154,46 @@ def cmd_train(args) -> int:
         ckpt_path = out / "checkpoint.bin"
         CK.save_model(ckpt_path, trained.model, extra={"config": C.config_to_json(cfg)})
         manifest.add_output(ckpt_path)
-        manifest.finish("ok")
-        final = trained.adapt_records[-1]
-        print(f"trained {cfg['adapter']} on {task.kind}: "
-              f"final loss {final['loss']:.6f} (nll {final['nll']:.6f}, "
-              f"kl {final['kl_normalized']:.6f}) -> {ckpt_path}")
-        return EXIT_OK
-    except Exception as err:
-        manifest.finish("error", str(err))
-        raise
+    final = trained.adapt_records[-1]
+    print(f"trained {cfg['adapter']} on {task.kind}: "
+          f"final loss {final['loss']:.6f} (nll {final['nll']:.6f}, "
+          f"kl {final['kl_normalized']:.6f}) -> {ckpt_path}")
+    return EXIT_OK
 
 
-def _eval_splits(cfg: dict):
+def _fitting_task(cfg: dict, spec) -> TK.SyntheticTask:
+    """The config's task, which must have the model's input width, output
+    width and head."""
     task = C.task_from_config(cfg)
-    return task, TK.generate(task, shifted=True)
+    if TK._backbone_spec(task, spec.hidden) != spec:
+        raise C.ConfigError(
+            f"task {task.kind} (d_in {task.d_in}, output width {task.output_dim}) does not "
+            f"fit the model (d_in {spec.d_in}, d_out {spec.d_out}, {spec.head} head)")
+    return task
 
 
-def _eval_config(config_path, extra: dict) -> dict:
-    """The ``--config`` file if given, else the config stored in the
-    checkpoint, else the defaults. A malformed stored config is a corrupt
+def _eval_task(config_path, extra: dict, spec) -> tuple[dict, TK.SyntheticTask]:
+    """The config and task to evaluate on: the ``--config`` file if given,
+    else the config stored in the checkpoint, else the defaults. A stored
+    config that is malformed or does not fit the model is a corrupt
     checkpoint, not a user configuration error."""
     if config_path:
-        return C.load_config(config_path)
-    if "config" not in extra:
-        return C.parse_config("")
+        cfg = C.load_config(config_path)
+        return cfg, _fitting_task(cfg, spec)
     try:
-        return C.config_from_json(extra["config"])
+        cfg = C.config_from_json(extra["config"]) if "config" in extra else C.parse_config("")
+        return cfg, _fitting_task(cfg, spec)
     except C.ConfigError as err:
         raise CK.CheckpointError(f"stored config: {err}") from err
 
 
 def cmd_eval(args) -> int:
     out = _prepare_out(args.out)
-    manifest = _Manifest(out, "eval", args.config, None)
-    try:
+    with _Manifest(out, "eval", args.config, None) as manifest:
         model, extra = CK.load_model(args.checkpoint)
-        cfg = _eval_config(args.config, extra)
+        cfg, task = _eval_task(args.config, extra, model.backbone.spec)
         manifest.data["seed"] = cfg["seed"]
-        task, splits = _eval_splits(cfg)
+        splits = TK.generate(task, shifted=True)
         X, y = splits.test.X, splits.test.y
         if args.mode == "deterministic":
             layered = model.predict(X)
@@ -218,18 +230,13 @@ def cmd_eval(args) -> int:
                     writer.writerows(report.csv_rows())
                 manifest.add_output(csv_path)
         manifest.add_output(report_path)
-        manifest.finish("ok")
-        print(f"eval ({args.mode}) written to {report_path}")
-        return EXIT_OK
-    except Exception as err:
-        manifest.finish("error", str(err))
-        raise
+    print(f"eval ({args.mode}) written to {report_path}")
+    return EXIT_OK
 
 
 def cmd_sample(args) -> int:
     out = _prepare_out(args.out)
-    manifest = _Manifest(out, "sample", None, args.seed)
-    try:
+    with _Manifest(out, "sample", None, args.seed) as manifest:
         model, extra = CK.load_model(args.checkpoint)
         d_in = model.backbone.spec.d_in
         if args.input:
@@ -248,18 +255,13 @@ def cmd_sample(args) -> int:
         path = out / "samples.json"
         path.write_text(json.dumps(payload, sort_keys=True) + "\n")
         manifest.add_output(path)
-        manifest.finish("ok")
-        print(f"{args.n} samples written to {path}")
-        return EXIT_OK
-    except Exception as err:
-        manifest.finish("error", str(err))
-        raise
+    print(f"{args.n} samples written to {path}")
+    return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     out = _prepare_out(args.out)
-    manifest = _Manifest(out, "bench", None, args.seed)
-    try:
+    with _Manifest(out, "bench", None, args.seed) as manifest:
         k_values = [int(v) for v in args.k_range.split(",")]
         if any(k < 1 for k in k_values):
             raise C.ConfigError("--k-range values must be positive")
@@ -274,13 +276,9 @@ def cmd_bench(args) -> int:
         manifest.data["blas_pinned"] = pinned
         manifest.add_output(csv_path)
         manifest.add_output(slopes_path)
-        manifest.finish("ok")
-        for method, slope in slopes.items():
-            print(f"{method}: log-log slope vs k = {slope:.3f}")
-        return EXIT_OK
-    except Exception as err:
-        manifest.finish("error", str(err))
-        raise
+    for method, slope in slopes.items():
+        print(f"{method}: log-log slope vs k = {slope:.3f}")
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from .model import AdapterSpec
 from .tasks import KINDS, SyntheticTask
+from .tensor import DomainError
 from .variational import PriorConfig, TrainConfig
 
 
@@ -156,8 +157,18 @@ def config_from_json(stored) -> dict:
 # -- dataclass builders -----------------------------------------------------
 
 
+def _build(cls, **kwargs):
+    """``cls(**kwargs)``, reporting a value the dataclass rejects as out of
+    range as a ``ConfigError`` (exit 2)."""
+    try:
+        return cls(**kwargs)
+    except DomainError as err:
+        raise ConfigError(f"out-of-range config value: {err}") from err
+
+
 def task_from_config(cfg: dict) -> SyntheticTask:
-    return SyntheticTask(
+    return _build(
+        SyntheticTask,
         kind=cfg["task"], d_in=cfg["d_in"], d_out=cfg["d_out"],
         n_train=cfg["n_train"], n_val=cfg["n_val"], n_test=cfg["n_test"],
         n_classes=cfg["n_classes"], noise_std=cfg["noise_std"],
@@ -167,7 +178,8 @@ def task_from_config(cfg: dict) -> SyntheticTask:
 
 
 def adapter_spec_from_config(cfg: dict) -> AdapterSpec:
-    return AdapterSpec(
+    return _build(
+        AdapterSpec,
         rank=cfg["rank"], lora_alpha=cfg["lora_alpha"], init_std=cfg["init_std"],
         adapt_layers=cfg["adapt_layers"], alphanet_hidden=cfg["alphanet_hidden"],
         alpha_min=cfg["alpha_min"], alpha_max=cfg["alpha_max"],
@@ -175,13 +187,14 @@ def adapter_spec_from_config(cfg: dict) -> AdapterSpec:
 
 
 def train_configs_from_config(cfg: dict):
-    pretrain = TrainConfig(lr=cfg["pretrain_lr"], epochs=cfg["pretrain_epochs"],
-                           batch_size=cfg["pretrain_batch_size"], kl_weight=0.0,
-                           warmup_fraction=0.0, weight_decay=0.0,
-                           grad_clip_norm=cfg["grad_clip_norm"], nll=cfg["nll"])
-    adapt = TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                        kl_weight=cfg["kl_weight"], warmup_fraction=cfg["warmup_fraction"],
-                        weight_decay=cfg["weight_decay"],
-                        grad_clip_norm=cfg["grad_clip_norm"], nll=cfg["nll"])
-    prior = PriorConfig(p=cfg["prior_p"])
+    pretrain = _build(TrainConfig, lr=cfg["pretrain_lr"], epochs=cfg["pretrain_epochs"],
+                      batch_size=cfg["pretrain_batch_size"], kl_weight=0.0,
+                      warmup_fraction=0.0, weight_decay=0.0,
+                      grad_clip_norm=cfg["grad_clip_norm"], nll=cfg["nll"])
+    adapt = _build(TrainConfig, lr=cfg["lr"], epochs=cfg["epochs"],
+                   batch_size=cfg["batch_size"], kl_weight=cfg["kl_weight"],
+                   warmup_fraction=cfg["warmup_fraction"],
+                   weight_decay=cfg["weight_decay"],
+                   grad_clip_norm=cfg["grad_clip_norm"], nll=cfg["nll"])
+    prior = _build(PriorConfig, p=cfg["prior_p"])
     return pretrain, adapt, prior

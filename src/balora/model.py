@@ -45,6 +45,13 @@ class AdapterSpec:
     alpha_max: float = ALPHA_MAX
     init_alpha: float = 0.05
 
+    def __post_init__(self):
+        if self.rank < 1 or self.init_std <= 0:
+            raise DomainError("rank and init_std must be positive")
+        if not 0.0 < self.alpha_min <= self.alpha_max:
+            raise DomainError(f"need 0 < alpha_min <= alpha_max, got "
+                              f"{self.alpha_min}, {self.alpha_max}")
+
     @property
     def lora_scale(self) -> float:
         # Conventional update scaling lora_alpha / r.
@@ -80,15 +87,6 @@ class ToyBackbone:
         self.weights = [w.detach() for w in self.weights]
         self.biases = [b.detach() for b in self.biases]
         self.frozen = True
-
-    def forward(self, x: Tensor) -> Tensor:
-        h = x
-        last = self.n_layers - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = T.linear(h, w, b)
-            if i != last:
-                h = T.gelu(h)
-        return h
 
     def hidden(self, x: Tensor) -> Tensor:
         """Representation entering the output layer (AlphaNet features)."""
@@ -245,8 +243,7 @@ def attach_adapters(backbone: ToyBackbone, aspec: AdapterSpec, kind: str,
         r = min(aspec.rank, min(d, k))
         adapters[idx] = A.init_layer(
             rng.stream_of(j), d=d, k=k, r=r, init_std=aspec.init_std,
-            w0=backbone.weights[idx], lora_scale=aspec.lora_alpha / r,
-            alpha_min=aspec.alpha_min, alpha_max=aspec.alpha_max)
+            w0=backbone.weights[idx], lora_scale=aspec.lora_alpha / r)
     alphanet = None
     if kind == "balora":
         feature_dim = backbone.spec.d_in if backbone.spec.head == "regression" \

@@ -104,23 +104,16 @@ def kl_max(p: float, alpha_min: float = ALPHA_MIN, alpha_max: float = ALPHA_MAX)
                kl_per_entry(alpha_max, p, alpha_min, alpha_max))
 
 
-def kl_normalized(alpha_per_layer, p: float, ranks_dims,
+def kl_normalized(alpha_per_layer, p: float,
                   alpha_min: float = ALPHA_MIN, alpha_max: float = ALPHA_MAX) -> float:
     """Mean over layers of per-entry KL divided by the clamp-endpoint maximum.
 
     Every entry of one layer shares the same alpha, so the per-parameter
-    average over the r*d entries equals the per-entry value; the rank/dim
-    list is validated but cancels out of the arithmetic.
+    average over the layer's r*d entries equals the per-entry value.
     """
     alphas = [float(a) for a in np.atleast_1d(np.asarray(alpha_per_layer, dtype=np.float64))]
     if len(alphas) == 0:
         raise DomainError("kl_normalized needs at least one layer")
-    ranks_dims = list(ranks_dims)
-    if len(ranks_dims) != len(alphas):
-        raise DomainError("one (rank, dim) pair per layer is required")
-    for r, d in ranks_dims:
-        if r < 1 or d < 1:
-            raise DomainError("ranks and dims must be positive")
     norm = kl_max(p, alpha_min, alpha_max)
     return float(np.mean([kl_per_entry(a, p, alpha_min, alpha_max) / norm for a in alphas]))
 
@@ -201,7 +194,6 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
         if alphas is not None:
             a = np.atleast_2d(alphas.data)
             kl_value = kl_normalized(a.mean(axis=0), prior.p,
-                                     [(l.rank, l.d) for l in model.adapters.values()],
                                      model.alphanet.alpha_min, model.alphanet.alpha_max)
             metrics["alpha_per_layer"] = [float(v) for v in a.mean(axis=0)]
         else:

@@ -11,53 +11,62 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from balora import adapter as A
 from balora import checkpoint as CK
 from balora import tasks as TK
 from balora import uncertainty as U
 from balora.cli import main
 from balora.rng import Rng
-from balora.tensor import Tensor
 from balora.verify import _tiny_model
 
 
+def _saved(tmp_path, seed: int):
+    model, X, _ = _tiny_model(seed)
+    path = tmp_path / "model.bin"
+    CK.save_model(path, model)
+    return model, X, path
+
+
 class TestLayerRoundTrip:
+    """Adapted layers are stored inside model checkpoints."""
+
     def test_exact_bits_preserved(self, tmp_path):
-        rng = Rng(1)
-        layer = A.init_layer(rng, d=5, k=4, r=2, init_std=0.3, lora_scale=2.5)
-        layer.WB = Tensor(rng.normal((4, 2)), requires_grad=True)
-        net = A.init_alphanet(rng.stream_of(1), feature_dim=5, num_layers=1,
-                              hidden_dims=(6,))
-        path = tmp_path / "layer.bin"
-        CK.save_layer(path, layer, net)
-        loaded, loaded_net = CK.load_layer(path)
-        assert np.array_equal(loaded.W0.data, layer.W0.data)
-        assert np.array_equal(loaded.WA.data, layer.WA.data)
-        assert np.array_equal(loaded.WB.data, layer.WB.data)
-        assert loaded.rank == layer.rank
-        assert loaded.lora_scale == layer.lora_scale
-        assert loaded.seed == layer.seed
-        for w_new, w_old in zip(loaded_net.weights, net.weights):
-            assert np.array_equal(w_new.data, w_old.data)
+        model, _, path = _saved(tmp_path, 1)
+        loaded, _ = CK.load_model(path)
+        assert loaded.adapters.keys() == model.adapters.keys()
+        for i, layer in model.adapters.items():
+            got = loaded.adapters[i]
+            for name in ("W0", "WA", "WB"):
+                assert np.array_equal(getattr(got, name).data, getattr(layer, name).data)
+            assert (got.rank, got.lora_scale) == (layer.rank, layer.lora_scale)
+        pairs = [(loaded.backbone, model.backbone), (loaded.alphanet, model.alphanet)]
+        for new, old in pairs:
+            for t_new, t_old in zip(new.weights + new.biases, old.weights + old.biases):
+                assert np.array_equal(t_new.data, t_old.data)
+        assert np.array_equal(loaded.log_sigma.data, model.log_sigma.data)
 
     def test_header_carries_declared_keys(self, tmp_path):
-        layer = A.init_layer(Rng(2), d=3, k=3, r=1, init_std=0.1)
-        path = tmp_path / "layer.bin"
-        CK.save_layer(path, layer)
-        raw = path.read_bytes()
-        hlen = struct.unpack("<Q", raw[8:16])[0]
-        header = json.loads(raw[16:16 + hlen])
-        for key in ("d", "k", "r", "lora_scale", "alpha_min", "alpha_max", "seed"):
-            assert key in header
+        _, _, path = _saved(tmp_path, 2)
+        header, _ = _split(path.read_bytes())
+        assert len(header["adapters"]) == 2
+        for entry in header["adapters"].values():
+            assert set(entry) == {"d", "k", "r", "lora_scale"}
 
     def test_arrays_are_little_endian_float64(self, tmp_path):
-        layer = A.init_layer(Rng(3), d=2, k=2, r=1, init_std=0.1)
-        path = tmp_path / "layer.bin"
-        CK.save_layer(path, layer)
-        raw = path.read_bytes()
-        hlen = struct.unpack("<Q", raw[8:16])[0]
-        w0 = np.frombuffer(raw[16 + hlen:16 + hlen + 4 * 8], dtype="<f8").reshape(2, 2)
-        assert np.array_equal(w0, layer.W0.data)
+        model, _, path = _saved(tmp_path, 3)
+        header, payload = _split(path.read_bytes())
+        assert header["arrays"][0] == {"name": "backbone.w0", "shape": [5, 3]}
+        w0 = np.frombuffer(payload[:15 * 8], dtype="<f8").reshape(5, 3)
+        assert np.array_equal(w0, model.backbone.weights[0].data)
+
+    def test_dropped_adapter_keys_still_load(self, tmp_path):
+        # Older headers carried a clamp and a seed per adapter entry.
+        model, X, path = _saved(tmp_path, 4)
+        header, payload = _split(path.read_bytes())
+        for entry in header["adapters"].values():
+            entry.update(alpha_min=1e-6, alpha_max=1e3, seed=4)
+        path.write_bytes(_join(header, payload))
+        loaded, _ = CK.load_model(path)
+        assert np.array_equal(loaded.predict(X), model.predict(X))
 
 
 class TestModelRoundTrip:
@@ -109,10 +118,11 @@ class TestCorruption:
             CK.load_model(tmp_path / "absent.bin")
 
     def test_wrong_kind(self, tmp_path):
-        layer = A.init_layer(Rng(8), d=2, k=2, r=1, init_std=0.1)
-        path = tmp_path / "layer.bin"
-        CK.save_layer(path, layer)
-        with pytest.raises(CK.CheckpointError):
+        _, _, path = _saved(tmp_path, 8)
+        header, payload = _split(path.read_bytes())
+        header["kind"] = "layer"
+        path.write_bytes(_join(header, payload))
+        with pytest.raises(CK.CheckpointError, match="kind='layer'"):
             CK.load_model(path)
 
 
@@ -127,25 +137,24 @@ def _join(header, payload: bytes) -> bytes:
 
 
 class TestLayerHeaderSchema:
+    """The adapter entries and the AlphaNet entry of a model header."""
+
     @pytest.mark.parametrize("mutate", [
-        lambda h: h.update(r="2"),
-        lambda h: h.update(r=3),                      # exceeds min(d, k)
-        lambda h: h.update(k=5),                      # disagrees with W0's shape
-        lambda h: h.update(alpha_min=-1.0),
-        lambda h: h.pop("seed"),
+        lambda h: h["adapters"]["0"].update(r="2"),
+        lambda h: h["adapters"]["1"].update(r=3),     # exceeds min(d, k)
+        lambda h: h["adapters"]["1"].update(k=5),     # disagrees with the backbone
+        lambda h: h["alphanet"].update(alpha_min=-1.0),
+        lambda h: h["adapters"]["0"].pop("lora_scale"),
         lambda h: h["arrays"][0].update(name="W1"),
         lambda h: h["alphanet"].update(hidden_dims=[7]),
     ])
     def test_violation_is_checkpoint_error(self, tmp_path, mutate):
-        layer = A.init_layer(Rng(9), d=3, k=2, r=1, init_std=0.1)
-        net = A.init_alphanet(Rng(10), feature_dim=3, num_layers=1, hidden_dims=(6,))
-        path = tmp_path / "layer.bin"
-        CK.save_layer(path, layer, net)
+        _, _, path = _saved(tmp_path, 9)
         header, payload = _split(path.read_bytes())
         mutate(header)
         path.write_bytes(_join(header, payload))
         with pytest.raises(CK.CheckpointError):
-            CK.load_layer(path)
+            CK.load_model(path)
 
 
 # -- malformed model checkpoints through ``balora eval`` ---------------------------
@@ -230,6 +239,11 @@ class TestModelHeaderSchema:
         lambda h: h["adapters"].update({"7": h["adapters"]["0"]}),
         lambda h: h.update(has_log_sigma=False),
         lambda h: h["alphanet"].update(num_layers=1),
+        lambda h: h.update(kind="layer"),
+        lambda h: h["extra"]["config"].update(d_in=4),          # the model has d_in 3
+        lambda h: h["extra"]["config"].update(d_out=2),
+        lambda h: h["extra"]["config"].update(task="multiclass-gaussian-blobs"),
+        lambda h: h["extra"]["config"].update(n_test=0),
     ])
     def test_eval_exits_3(self, model_checkpoint, mutate):
         root, raw = model_checkpoint

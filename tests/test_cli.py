@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 from balora import bench as B
-from balora import variational
+from balora import tasks, variational
 from balora import verify as VF
 from balora.cli import main
 from balora.config import ConfigError, load_config, parse_config
+from balora.model import AdaptedModel
 
 FAST_CONFIG = """
 task = heteroscedastic-regression
@@ -120,6 +122,22 @@ class TestTrain:
         for key in ("loss", "nll", "kl_normalized", "alpha_per_layer", "lr"):
             assert key in record
 
+    @pytest.mark.parametrize("line", [
+        "n_test = 0", "prior_p = 1.0",                                  # task, prior
+        "rank = 0", "init_std = 0", "alpha_min = 0", "alpha_min = 2e3",  # adapter
+        "lr = 0", "pretrain_batch_size = 0"])                           # training
+    def test_out_of_range_value_exits_2_before_work(self, tmp_path, fast_config, line,
+                                                     monkeypatch, capsys):
+        monkeypatch.setattr(tasks, "pretrain_then_adapt",
+                            lambda *a, **k: pytest.fail("training started"))
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(FAST_CONFIG + line + "\n")
+        code, out = _train(tmp_path, cfg)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: out-of-range")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["outputs"] == []
+
     def test_kl_weight_zero_logged_but_excluded(self, tmp_path, fast_config):
         cfg = tmp_path / "klzero.cfg"
         cfg.write_text(FAST_CONFIG + "kl_weight = 0.0\n")
@@ -178,6 +196,39 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(out / "checkpoint.bin"), "--mode", "mc",
                      "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 2
+
+    def test_task_that_does_not_fit_the_model(self, tmp_path, fast_config):
+        d6 = tmp_path / "d6.cfg"
+        d6.write_text(FAST_CONFIG + "d_in = 6\n")
+        _, out = _train(tmp_path, d6)
+        ckpt = out / "checkpoint.bin"
+        argv = ["eval", "--checkpoint", str(ckpt), "--mode", "deterministic",
+                "--out", str(tmp_path / "x")]
+        # A user --config whose task has d_in 4 is a configuration error.
+        assert main([*argv, "--config", str(fast_config)]) == 2
+        # The same disagreement in the stored config is a corrupt checkpoint.
+        raw = ckpt.read_bytes()
+        hlen = struct.unpack("<Q", raw[8:16])[0]
+        header = json.loads(raw[16:16 + hlen])
+        header["extra"]["config"]["d_in"] = 4
+        blob = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen:])
+        assert main(argv) == 3
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and "d_in" in manifest["error"]
+
+    def test_merge_gap_keeps_error_manifest(self, tmp_path, fast_config, monkeypatch):
+        _, out = _train(tmp_path, fast_config)
+        merged_forward = AdaptedModel.merged_forward
+        monkeypatch.setattr(AdaptedModel, "merged_forward",
+                            lambda self, X: merged_forward(self, X) + 1e-6)
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--mode", "deterministic", "--out", str(tmp_path / "x")])
+        assert code == 1
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("merge equivalence violated")
+        assert manifest["outputs"] == []
 
     def test_corrupt_checkpoint_exits_3(self, tmp_path):
         bad = tmp_path / "bad.bin"

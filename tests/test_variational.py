@@ -75,31 +75,31 @@ class TestKlNormalized:
     def test_minimum_value(self):
         p = 0.5
         a_star = V.alpha_star(p)
-        got = V.kl_normalized([a_star, a_star], p, [(2, 8), (4, 16)])
+        got = V.kl_normalized([a_star, a_star], p)
         expect = ((1 - p) / (2 * p)) / V.kl_max(p)
         assert abs(got - expect) < 1e-12
 
     def test_endpoint_is_one(self):
         p = 0.4
         assert V.kl_max(p) == V.kl_per_entry(1e3, p)  # upper clamp dominates
-        assert abs(V.kl_normalized([1e3], p, [(2, 4)]) - 1.0) < 1e-12
+        assert abs(V.kl_normalized([1e3], p) - 1.0) < 1e-12
 
     def test_bounded_in_unit_interval(self):
         rng = Rng(1)
         p = 0.25
         alphas = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), (100,)))
         for a in alphas:
-            val = V.kl_normalized([float(a)], p, [(3, 5)])
+            val = V.kl_normalized([float(a)], p)
             assert 0.0 <= val <= 1.0
 
     def test_empty_layer_list_rejected(self):
         with pytest.raises(DomainError):
-            V.kl_normalized([], 0.5, [])
+            V.kl_normalized([], 0.5)
 
     def test_tensor_path_matches_scalar_path(self):
         alphas = np.array([0.3, 1.7, 42.0])
         got = V.kl_normalized_tensor(Tensor(alphas), 0.3, 1e-6, 1e3).item()
-        expect = V.kl_normalized(alphas, 0.3, [(1, 1)] * 3)
+        expect = V.kl_normalized(alphas, 0.3)
         assert abs(got - expect) < 1e-12
 
 
