@@ -287,20 +287,20 @@ def cmd_verify(args) -> int:
     from . import verify as VF
     seed = VF.DEFAULT_SEED if args.seed is None else args.seed
     out = _prepare_out(args.out) if args.out else None
-    manifest = _Manifest(out, "verify", None, seed) if out else None
-    results = VF.run_oracles(args.filter or "", seed=seed)
-    failures = [r for r in results if not r.passed]
-    for r in results:
-        flag = "PASS" if r.passed else "FAIL"
-        print(f"[{flag}] {r.name} ({r.family}): measured {r.measured:.3e} "
-              f"vs tolerance {r.tolerance:.3e}")
-    if out:
-        path = out / "verify.json"
-        path.write_text(json.dumps([{**r.as_dict(), "seed": seed} for r in results],
-                                   indent=2, sort_keys=True) + "\n")
-        manifest.add_output(path)
-        manifest.finish("ok" if not failures else "failed")
-        print(f"summary written to {path}")
+    with _Manifest(out, "verify", None, seed) if out else contextlib.nullcontext() as manifest:
+        results = VF.run_oracles(args.filter or "", seed=seed)
+        failures = [r for r in results if not r.passed]
+        for r in results:
+            flag = "PASS" if r.passed else "FAIL"
+            print(f"[{flag}] {r.name} ({r.family}): measured {r.measured:.3e} "
+                  f"vs tolerance {r.tolerance:.3e}")
+        if out:
+            path = out / "verify.json"
+            path.write_text(json.dumps([{**r.as_dict(), "seed": seed} for r in results],
+                                       indent=2, sort_keys=True) + "\n")
+            manifest.add_output(path)
+            manifest.finish("ok" if not failures else "failed")
+            print(f"summary written to {path}")
     if failures:
         print("failed oracles: " + ", ".join(r.name for r in failures), file=sys.stderr)
         return EXIT_VERIFY

@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .model import AdapterSpec
-from .tasks import KINDS, SyntheticTask
+from .tasks import KINDS, SyntheticTask, _backbone_spec
 from .tensor import DomainError
 from .variational import PriorConfig, TrainConfig
 
@@ -167,7 +167,9 @@ def _build(cls, **kwargs):
 
 
 def task_from_config(cfg: dict) -> SyntheticTask:
-    return _build(
+    """The task, after checking that it and ``hidden`` give every backbone
+    layer a positive width."""
+    task = _build(
         SyntheticTask,
         kind=cfg["task"], d_in=cfg["d_in"], d_out=cfg["d_out"],
         n_train=cfg["n_train"], n_val=cfg["n_val"], n_test=cfg["n_test"],
@@ -175,9 +177,17 @@ def task_from_config(cfg: dict) -> SyntheticTask:
         noise_base=cfg["noise_base"], noise_slope=cfg["noise_slope"],
         shift_rank=cfg["shift_rank"], shift_scale=cfg["shift_scale"],
         seed=cfg["seed"])
+    _build(_backbone_spec, task=task, hidden=cfg["hidden"])
+    return task
 
 
 def adapter_spec_from_config(cfg: dict) -> AdapterSpec:
+    """The adapter spec, after checking that ``adapt_layers`` names layers of
+    the ``len(hidden) + 1``-layer backbone."""
+    n_layers = len(cfg["hidden"]) + 1
+    if any(not 0 <= i < n_layers for i in cfg["adapt_layers"] or ()):
+        raise ConfigError(f"out-of-range config value: adapt_layers {cfg['adapt_layers']} "
+                          f"outside the {n_layers} backbone layers", key="adapt_layers")
     return _build(
         AdapterSpec,
         rank=cfg["rank"], lora_alpha=cfg["lora_alpha"], init_std=cfg["init_std"],

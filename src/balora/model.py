@@ -30,6 +30,10 @@ class BackboneSpec:
     hidden: tuple = (32, 32)
     head: str = "regression"  # or "classification"
 
+    def __post_init__(self):
+        if min(self.widths()) < 1:
+            raise DomainError(f"layer widths must be positive, got {self.widths()}")
+
     def widths(self) -> list[int]:
         return [self.d_in, *self.hidden, self.d_out]
 
@@ -46,8 +50,8 @@ class AdapterSpec:
     init_alpha: float = 0.05
 
     def __post_init__(self):
-        if self.rank < 1 or self.init_std <= 0:
-            raise DomainError("rank and init_std must be positive")
+        if self.rank < 1 or self.init_std <= 0 or min(self.alphanet_hidden, default=1) < 1:
+            raise DomainError("rank, init_std and alphanet_hidden widths must be positive")
         if not 0.0 < self.alpha_min <= self.alpha_max:
             raise DomainError(f"need 0 < alpha_min <= alpha_max, got "
                               f"{self.alpha_min}, {self.alpha_max}")

@@ -10,13 +10,14 @@ equal-shape operands so every gradient rule stays auditable. Every
 completed operation is checked for NaN/Inf and raises instead of
 propagating poison values.
 
-The vector-Jacobian closures that cost real work (matmul, mul, div,
-linear and the adapter kernel) form a cotangent only for parents that
-require grad, so frozen weights and raw inputs cost nothing in the
+The vector-Jacobian closures that cost real work (matmul, mul, linear,
+the adapter kernel and the loss terms) form a cotangent only for parents
+that require grad, so frozen weights and raw inputs cost nothing in the
 backward pass.
-:func:`linear` and the adapter kernel (``balora.adapter.adapted_linear``)
-are single tape nodes with hand-written vector-Jacobian products, each
-checked against central finite differences in the test suite.
+:func:`linear`, the adapter kernel (``balora.adapter.adapted_linear``) and
+each ELBO term (``balora.variational``) are single tape nodes with
+hand-written vector-Jacobian products, each checked against central finite
+differences in the test suite.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import erf as _erf
 
-from .rng import Rng
-
 __all__ = [
     "Tensor",
     "TensorError",
@@ -39,7 +38,6 @@ __all__ = [
     "TapeError",
     "no_grad",
     "backward",
-    "randn",
     "matmul",
     "linear",
 ]
@@ -276,15 +274,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(a.data + b.data, (a, b), vjp, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_out_shape(a, b, "sub")
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return Tensor._from_op(a.data - b.data, (a, b), vjp, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_out_shape(a, b, "mul")
     ad, bd = a.data, b.data
@@ -294,26 +283,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                 _unbroadcast(g * ad, b.shape) if b.requires_grad else None)
 
     return Tensor._from_op(ad * bd, (a, b), vjp, "mul")
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _binary_out_shape(a, b, "div")
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        return (_unbroadcast(g / bd, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = ad / bd
-    return Tensor._from_op(out, (a, b), vjp, "div")
-
-
-def neg(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (-g,)
-
-    return Tensor._from_op(-a.data, (a,), vjp, "neg")
 
 
 def square(a: Tensor) -> Tensor:
@@ -338,27 +307,6 @@ def sqrt(a: Tensor) -> Tensor:
     return Tensor._from_op(out, (a,), vjp, "sqrt")
 
 
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-
-    def vjp(g):
-        return (out * g,)
-
-    return Tensor._from_op(out, (a,), vjp, "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    if a.data.size and np.any(a.data <= 0.0):
-        raise DomainError("log of non-positive input")
-    ad = a.data
-
-    def vjp(g):
-        return (g / ad,)
-
-    return Tensor._from_op(np.log(ad), (a,), vjp, "log")
-
-
 def softplus(a: Tensor) -> Tensor:
     z = a.data
     # Stable form: log1p(exp(-|z|)) + max(z, 0) never overflows.
@@ -370,15 +318,6 @@ def softplus(a: Tensor) -> Tensor:
         return (sig * g,)
 
     return Tensor._from_op(out, (a,), vjp, "softplus")
-
-
-def absval(a: Tensor) -> Tensor:
-    ad = a.data
-
-    def vjp(g):
-        return (np.sign(ad) * g,)
-
-    return Tensor._from_op(np.abs(ad), (a,), vjp, "abs")
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -414,17 +353,6 @@ def tsum(a: Tensor) -> Tensor:
         return (np.full(shape, float(g), dtype=np.float64),)
 
     return Tensor._from_op(np.asarray(a.data.sum()), (a,), vjp, "sum")
-
-
-def tmean(a: Tensor) -> Tensor:
-    if a.size == 0:
-        raise ShapeError("mean of empty tensor")
-    shape, n = a.shape, a.size
-
-    def vjp(g):
-        return (np.full(shape, float(g) / n, dtype=np.float64),)
-
-    return Tensor._from_op(np.asarray(a.data.mean()), (a,), vjp, "mean")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -477,22 +405,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out, (a, b), vjp, "matmul")
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if a.ndim not in (1, 2):
-        raise ShapeError(f"log_softmax expects vector or matrix, got {a.shape}")
-    z = a.data
-    zmax = z.max(axis=axis, keepdims=True)
-    shifted = z - zmax
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-
-    def vjp(g):
-        soft = np.exp(out)
-        return (g - soft * g.sum(axis=axis, keepdims=True),)
-
-    return Tensor._from_op(out, (a,), vjp, "log_softmax")
-
-
 # -- composites -----------------------------------------------------------------
 
 
@@ -525,8 +437,3 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._from_op(out, parents, vjp, "linear")
-
-
-def randn(rng: Rng, shape) -> Tensor:
-    """Standard-normal tensor from the seeded stream (never on the tape)."""
-    return Tensor(rng.normal(tuple(int(s) for s in shape)))

@@ -78,15 +78,18 @@ class TrainConfig:
 # -- closed-form KL ---------------------------------------------------------
 
 
-def kl_per_entry(alpha: float, p: float, alpha_min: float = ALPHA_MIN,
-                 alpha_max: float = ALPHA_MAX) -> float:
-    """Per-entry KL between posterior and dropout prior (W-independent)."""
+def kl_per_entry(alpha, p: float, alpha_min: float = ALPHA_MIN,
+                 alpha_max: float = ALPHA_MAX):
+    """Per-entry KL between posterior and dropout prior (W-independent),
+    elementwise over a scalar or array ``alpha``."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie strictly in (0, 1), got {p}")
-    if not alpha_min <= alpha <= alpha_max:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if not np.all((alpha_min <= alpha) & (alpha <= alpha_max)):
         raise DomainError(f"alpha {alpha} outside clamp range [{alpha_min}, {alpha_max}]")
     c = (1.0 - p) / p
-    return 0.5 * ((alpha + 1.0) * c - 1.0 - math.log(c) - math.log(alpha))
+    kl = 0.5 * ((alpha + 1.0) * c - 1.0 - math.log(c) - np.log(alpha))
+    return float(kl) if kl.ndim == 0 else kl
 
 
 def alpha_star(p: float) -> float:
@@ -104,58 +107,81 @@ def kl_max(p: float, alpha_min: float = ALPHA_MIN, alpha_max: float = ALPHA_MAX)
                kl_per_entry(alpha_max, p, alpha_min, alpha_max))
 
 
-def kl_normalized(alpha_per_layer, p: float,
-                  alpha_min: float = ALPHA_MIN, alpha_max: float = ALPHA_MAX) -> float:
-    """Mean over layers of per-entry KL divided by the clamp-endpoint maximum.
+def kl_normalized(alphas, p: float, alpha_min: float = ALPHA_MIN,
+                  alpha_max: float = ALPHA_MAX) -> Tensor:
+    """Mean per-entry KL divided by the clamp-endpoint maximum, as one tape node.
 
-    Every entry of one layer shares the same alpha, so the per-parameter
-    average over the layer's r*d entries equals the per-entry value.
+    ``alphas`` holds one noise scale per layer, ``(L,)``, or per batch row
+    and layer, ``(n, L)``; an array is taken as a constant. Every entry of
+    one layer shares the same alpha, so the per-parameter average over the
+    layer's r*d entries equals the per-entry value.
     """
-    alphas = [float(a) for a in np.atleast_1d(np.asarray(alpha_per_layer, dtype=np.float64))]
-    if len(alphas) == 0:
+    if not isinstance(alphas, Tensor):
+        alphas = Tensor(alphas)
+    a = alphas.data
+    if a.size == 0:
         raise DomainError("kl_normalized needs at least one layer")
-    norm = kl_max(p, alpha_min, alpha_max)
-    return float(np.mean([kl_per_entry(a, p, alpha_min, alpha_max) / norm for a in alphas]))
-
-
-def kl_normalized_tensor(alphas: Tensor, p: float, alpha_min: float,
-                         alpha_max: float) -> Tensor:
-    """Taped normalized KL, averaged over layers (and batch rows if present)."""
+    scale = 1.0 / kl_max(p, alpha_min, alpha_max)
+    kl = kl_per_entry(a, p, alpha_min, alpha_max)
     c = (1.0 - p) / p
-    const = -1.0 - math.log(c)
-    kl = T.mul(T.sub(T.add(T.mul(T.add(alphas, Tensor(1.0)), Tensor(c)), Tensor(const)),
-                     T.log(alphas)), Tensor(0.5))
-    return T.mul(T.tmean(kl), Tensor(1.0 / kl_max(p, alpha_min, alpha_max)))
+
+    def vjp(g):
+        return ((0.5 * scale / a.size) * (c - 1.0 / a) * g,)
+
+    return Tensor._from_op(np.asarray(np.mean(kl) * scale), (alphas,), vjp, "kl_normalized")
 
 
 # -- likelihoods -------------------------------------------------------------
 
 
 def gaussian_nll(pred: Tensor, target: np.ndarray, log_sigma: Tensor) -> Tensor:
-    """Mean Gaussian negative log-likelihood with homoscedastic learned noise."""
-    y = Tensor(np.asarray(target, dtype=np.float64).reshape(pred.shape))
-    sq = T.square(T.sub(y, pred))
-    inv_var = T.exp(T.mul(log_sigma, Tensor(-2.0)))
-    per = T.add(T.mul(sq, inv_var), T.add(T.mul(log_sigma, Tensor(2.0)), Tensor(_LOG_2PI)))
-    return T.mul(T.tmean(per), Tensor(0.5))
+    """Mean Gaussian negative log-likelihood with homoscedastic learned noise,
+    as one tape node."""
+    resid = np.asarray(target, dtype=np.float64).reshape(pred.shape) - pred.data
+    ls = log_sigma.data
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_var = np.exp(ls * -2.0)
+        scaled = resid * resid * inv_var
+        out = (scaled + (ls * 2.0 + _LOG_2PI)).mean() * 0.5
+
+    def vjp(g):
+        return ((-g / resid.size) * resid * inv_var if pred.requires_grad else None,
+                np.asarray(g * np.mean(1.0 - scaled)) if log_sigma.requires_grad else None)
+
+    return Tensor._from_op(np.asarray(out), (pred, log_sigma), vjp, "gaussian_nll")
 
 
 def l1_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    y = Tensor(np.asarray(target, dtype=np.float64).reshape(pred.shape))
-    return T.tmean(T.absval(T.sub(y, pred)))
+    """Mean absolute error, as one tape node."""
+    resid = np.asarray(target, dtype=np.float64).reshape(pred.shape) - pred.data
+
+    def vjp(g):
+        return ((-g / resid.size) * np.sign(resid),)
+
+    return Tensor._from_op(np.asarray(np.abs(resid).mean()), (pred,), vjp, "l1_loss")
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-softmax of the labelled class, as one tape node."""
     labels = np.asarray(labels)
     n, c = logits.shape
     if labels.shape != (n,):
         raise DomainError(f"labels of shape {labels.shape} for logits {logits.shape}")
     if labels.min() < 0 or labels.max() >= c:
         raise DomainError("label index out of range")
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels.astype(int)] = 1.0
-    logp = T.log_softmax(logits)
-    return T.mul(T.tsum(T.mul(logp, Tensor(onehot))), Tensor(-1.0 / n))
+    rows, labels = np.arange(n), labels.astype(int)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    total = expd.sum(axis=1)
+    picked = shifted[rows, labels] - np.log(total)
+
+    def vjp(g):
+        grad = expd / total[:, None]
+        grad[rows, labels] -= 1.0
+        return (grad * (g / n),)
+
+    return Tensor._from_op(np.asarray(picked.sum() * (-1.0 / n)), (logits,), vjp,
+                           "cross_entropy")
 
 
 # -- ELBO step -----------------------------------------------------------------
@@ -191,21 +217,17 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
             nll = gaussian_nll(pred, y, model.log_sigma)
 
         metrics = {"nll": nll.item()}
+        loss = nll
         if alphas is not None:
-            a = np.atleast_2d(alphas.data)
-            kl_value = kl_normalized(a.mean(axis=0), prior.p,
-                                     model.alphanet.alpha_min, model.alphanet.alpha_max)
-            metrics["alpha_per_layer"] = [float(v) for v in a.mean(axis=0)]
+            kl = kl_normalized(alphas, prior.p, model.alphanet.alpha_min,
+                               model.alphanet.alpha_max)
+            metrics["alpha_per_layer"] = [float(v) for v in
+                                          np.atleast_2d(alphas.data).mean(axis=0)]
+            metrics["kl_normalized"] = kl.item()
+            if cfg.kl_weight > 0:
+                loss = T.add(nll, T.mul(kl, Tensor(cfg.kl_weight)))
         else:
-            kl_value = 0.0
-        metrics["kl_normalized"] = kl_value
-
-        if alphas is not None and cfg.kl_weight > 0:
-            kl_t = kl_normalized_tensor(alphas, prior.p, model.alphanet.alpha_min,
-                                        model.alphanet.alpha_max)
-            loss = T.add(nll, T.mul(kl_t, Tensor(cfg.kl_weight)))
-        else:
-            loss = nll
+            metrics["kl_normalized"] = 0.0
         metrics["loss"] = loss.item()
     except NonFiniteError as err:
         raise TrainingDivergence(

@@ -237,31 +237,22 @@ def _tiny_model(seed: int):
 def check_gradient_fd(seed: int) -> OracleResult:
     model, X, y = _tiny_model(seed)
     prior = V.PriorConfig(0.4)
-    cfg = V.TrainConfig(lr=1e-3, epochs=1, batch_size=4, kl_weight=0.7)
     params = model.trainables()
     worst = 0.0
 
-    def nll_value() -> float:
+    def nll() -> Tensor:
         alphas = model.alphas(X)
         pred = model.forward(X, rng=Rng(seed + 9), alphas=alphas, stochastic=True)
-        return V.gaussian_nll(pred, y, model.log_sigma).item()
+        return V.gaussian_nll(pred, y, model.log_sigma)
 
-    def kl_value() -> float:
-        alphas = model.alphas(X)
-        return V.kl_normalized_tensor(alphas, prior.p, model.alphanet.alpha_min,
-                                      model.alphanet.alpha_max).item()
+    def kl() -> Tensor:
+        return V.kl_normalized(model.alphas(X), prior.p, model.alphanet.alpha_min,
+                               model.alphanet.alpha_max)
 
-    for loss_fn, term in ((nll_value, "nll"), (kl_value, "kl")):
-        alphas = model.alphas(X)
-        if term == "nll":
-            pred = model.forward(X, rng=Rng(seed + 9), alphas=alphas, stochastic=True)
-            loss = V.gaussian_nll(pred, y, model.log_sigma)
-        else:
-            loss = V.kl_normalized_tensor(alphas, prior.p, model.alphanet.alpha_min,
-                                          model.alphanet.alpha_max)
+    for term in (nll, kl):
         V.zero_grad(params)
-        backward(loss)
-        numeric = finite_difference_grads(loss_fn, params)
+        backward(term())
+        numeric = finite_difference_grads(lambda: term().item(), params)
         for p, g_num in zip(params, numeric):
             g_ana = p.grad if p.grad is not None else np.zeros(p.shape)
             worst = max(worst, scaled_gradient_error(np.asarray(g_ana), g_num))

@@ -26,10 +26,10 @@ from balora import variational as V
 from balora.cli import main
 from balora.model import AdapterSpec
 from balora.rng import Rng
-from balora.tensor import Tensor, backward
+from balora.tensor import Tensor
 from balora.verify import (_cov_z_scores, _empirical_moments, _random_layer,
-                           _tiny_model, _two_sample_z, finite_difference_grads,
-                           kl_quadrature, scaled_gradient_error)
+                           _tiny_model, _two_sample_z, check_gradient_fd,
+                           check_merge_equivalence, kl_quadrature)
 
 N_DRAWS = 100_000
 N_CONFIGS = 50
@@ -109,54 +109,16 @@ def test_criterion_3_kl_correctness():
 
 
 def test_criterion_4_gradient_fidelity():
-    model, X, y = _tiny_model(79)
+    model, _, _ = _tiny_model(79)
     assert len(model.adapters) == 2  # two adapted layers
-    prior = V.PriorConfig(0.4)
-    params = model.trainables()
-    worst = 0.0
-    for term in ("nll", "kl"):
-        def loss_fn(term=term):
-            alphas = model.alphas(X)
-            if term == "nll":
-                pred = model.forward(X, rng=Rng(88), alphas=alphas, stochastic=True)
-                return V.gaussian_nll(pred, y, model.log_sigma).item()
-            return V.kl_normalized_tensor(alphas, prior.p, model.alphanet.alpha_min,
-                                          model.alphanet.alpha_max).item()
-
-        alphas = model.alphas(X)
-        if term == "nll":
-            pred = model.forward(X, rng=Rng(88), alphas=alphas, stochastic=True)
-            loss = V.gaussian_nll(pred, y, model.log_sigma)
-        else:
-            loss = V.kl_normalized_tensor(alphas, prior.p, model.alphanet.alpha_min,
-                                          model.alphanet.alpha_max)
-        V.zero_grad(params)
-        backward(loss)
-        numeric = finite_difference_grads(loss_fn, params)
-        for p, g_num in zip(params, numeric):
-            g_ana = np.asarray(p.grad) if p.grad is not None else np.zeros(p.shape)
-            worst = max(worst, scaled_gradient_error(g_ana, g_num))
-    V.zero_grad(params)
-    _report("criterion 4 (gradient fidelity)", worst < 1.0,
-            f"max scaled error {worst:.3f} over all trainables on both objective "
+    result = check_gradient_fd(79)  # frozen noise from Rng(88)
+    _report("criterion 4 (gradient fidelity)", result.passed,
+            f"max scaled error {result.measured:.3f} over all trainables on both objective "
             "terms (frozen noise, rtol 1e-4, atol 1e-7)")
 
 
 def test_criterion_5_merge_deterministic_equivalence():
-    worst_merge = 0.0
-    rng = Rng(42)
-    for c in range(100):
-        crng = rng.stream_of(c)
-        dims = crng.integers(2, 12, (2,))
-        d, k = int(dims[0]), int(dims[1])
-        r = int(crng.integers(1, min(d, k) + 1, ()))
-        layer = _random_layer(crng.stream_of(1), d, k, r,
-                              scale=float(crng.uniform(0.25, 4.0, ())))
-        merged = A.merge_weights(layer).data
-        x = crng.stream_of(2).normal((d,))
-        direct = A.forward_deterministic(layer, Tensor(x)).data
-        scale = max(1.0, float(np.max(np.abs(direct))))
-        worst_merge = max(worst_merge, float(np.max(np.abs(merged @ x - direct))) / scale)
+    merge = check_merge_equivalence(40)  # 100 layers from Rng(42)
     worst_z = 0.0
     for c in range(10):
         layer, x, alpha, crng = _random_config(0, c)
@@ -174,9 +136,9 @@ def test_criterion_5_merge_deterministic_equivalence():
     se_model = np.sqrt(np.maximum(mc_var, 1e-300) / N_DRAWS)
     z_model = float(np.max(np.abs(mc_mean - model.predict(x[None, :])[0]) / se_model))
     worst_z = max(worst_z, z_model)
-    ok = worst_merge < 1e-12 and worst_z < 3.0
+    ok = merge.passed and worst_z < 3.0
     _report("criterion 5 (merge/deterministic equivalence)", ok,
-            f"merged-forward gap {worst_merge:.2e} over 100 layers (tol 1e-12), "
+            f"merged-forward gap {merge.measured:.2e} over 100 layers (tol 1e-12), "
             f"MC-mean max |z| = {worst_z:.3f} at S={N_DRAWS} (tol 3.0)")
 
 

@@ -16,6 +16,7 @@ from balora import verify as VF
 from balora.cli import main
 from balora.config import ConfigError, load_config, parse_config
 from balora.model import AdaptedModel
+from balora.tensor import DomainError
 
 FAST_CONFIG = """
 task = heteroscedastic-regression
@@ -125,7 +126,9 @@ class TestTrain:
     @pytest.mark.parametrize("line", [
         "n_test = 0", "prior_p = 1.0",                                  # task, prior
         "rank = 0", "init_std = 0", "alpha_min = 0", "alpha_min = 2e3",  # adapter
-        "lr = 0", "pretrain_batch_size = 0"])                           # training
+        "lr = 0", "pretrain_batch_size = 0",                            # training
+        "hidden = 0", "hidden = 12,0", "alphanet_hidden = 0",           # widths
+        "adapt_layers = 3", "adapt_layers = -1"])                       # layer indices
     def test_out_of_range_value_exits_2_before_work(self, tmp_path, fast_config, line,
                                                      monkeypatch, capsys):
         monkeypatch.setattr(tasks, "pretrain_then_adapt",
@@ -137,6 +140,23 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("config error: out-of-range")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error" and manifest["outputs"] == []
+
+    @pytest.mark.parametrize("lines", [
+        "", "kl_weight = 0.3", "nll = l1",
+        "task = two-moons-classification\nd_in = 2"], ids=["gaussian", "weighted", "l1", "moons"])
+    def test_logged_terms_add_up_to_the_loss(self, tmp_path, lines):
+        # metrics.jsonl logs the KL term that enters the loss, not a KL at
+        # some other alpha.
+        cfg = tmp_path / "terms.cfg"
+        cfg.write_text(FAST_CONFIG + lines + "\n")
+        code, out = _train(tmp_path, cfg)
+        assert code == 0
+        weight = parse_config(cfg.read_text())["kl_weight"]
+        for line in (out / "metrics.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            assert record["kl_normalized"] > 0.0
+            expect = record["nll"] + weight * record["kl_normalized"]
+            assert abs(record["loss"] - expect) <= 1e-12
 
     def test_kl_weight_zero_logged_but_excluded(self, tmp_path, fast_config):
         cfg = tmp_path / "klzero.cfg"
@@ -355,6 +375,20 @@ class TestVerify:
         assert main(["verify", "--filter", "kl_minimum"]) == 0
         monkeypatch.setenv("BALORA_THREADS", "lots")
         assert main(["verify", "--filter", "kl_minimum"]) == 2
+
+    @pytest.mark.parametrize("outcome", ["raises", "fails"])
+    def test_manifest_finished_when_an_oracle_goes_wrong(self, tmp_path, monkeypatch,
+                                                          outcome):
+        def oracle(seed):
+            if outcome == "raises":
+                raise DomainError("injected")
+            return VF.OracleResult("injected", "kl", False, 1.0, 0.0)
+
+        monkeypatch.setattr(VF, "ORACLES", (("injected", "kl", oracle),))
+        assert main(["verify", "--out", str(tmp_path / "v")]) == 1
+        manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
+        assert manifest["status"] == ("error" if outcome == "raises" else "failed")
+        assert manifest["finished"] is not None
 
     def test_sign_flip_in_kl_caught(self, monkeypatch, capsys):
         real = variational.kl_per_entry

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 
 from balora.rng import Rng
-from balora.tensor import randn
+from balora.tensor import Tensor
 
 
 class TestDeterminism:
@@ -16,8 +16,8 @@ class TestDeterminism:
         assert np.array_equal(a, b)
 
     def test_same_seed_same_tensor(self):
-        t1 = randn(Rng(9), (3, 4))
-        t2 = randn(Rng(9), (3, 4))
+        t1 = Tensor(Rng(9).normal((3, 4)))
+        t2 = Tensor(Rng(9).normal((3, 4)))
         assert np.array_equal(t1.data, t2.data)
 
     def test_streams_are_independent_of_consumption(self):
@@ -50,6 +50,6 @@ class TestDistribution:
         assert abs(draws.var() - 1.0) < 0.01
 
     def test_empty_shape(self):
-        t = randn(Rng(0), (0,))
+        t = Tensor(Rng(0).normal((0,)))
         assert t.shape == (0,)
         assert t.data.size == 0

@@ -95,17 +95,9 @@ class TestElementwise:
         with pytest.raises(DomainError):
             T.sqrt(Tensor([-1.0]))
 
-    def test_log_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
-            T.log(Tensor([0.0]))
-
     def test_overflow_raises(self):
-        with pytest.raises(NonFiniteError):
-            T.exp(Tensor([1000.0]))
-
-    def test_division_by_zero_raises(self):
-        with pytest.raises(NonFiniteError):
-            T.div(Tensor([1.0]), Tensor([0.0]))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            T.mul(Tensor([1e308]), Tensor([10.0]))
 
     def test_clip(self):
         out = T.clip(Tensor([-5.0, 0.3, 5.0]), 0.0, 1.0)
@@ -169,51 +161,33 @@ class TestFiniteDifferenceSweep:
     """Every differentiable op agrees with central differences at random points."""
 
     CASES = [
-        ("add", lambda a, b: T.add(a, b), 2, None),
-        ("sub", lambda a, b: T.sub(a, b), 2, None),
-        ("mul", lambda a, b: T.mul(a, b), 2, None),
-        ("div", lambda a, b: T.div(a, T.add(T.square(b), Tensor(0.5))), 2, None),
-        ("square", lambda a: T.square(a), 1, None),
-        ("sqrt", lambda a: T.sqrt(T.add(T.square(a), Tensor(0.1))), 1, None),
-        ("exp", lambda a: T.exp(a), 1, None),
-        ("log", lambda a: T.log(T.add(T.square(a), Tensor(0.1))), 1, None),
-        ("softplus", lambda a: T.softplus(a), 1, None),
-        ("abs", lambda a: T.absval(a), 1, None),
-        ("gelu", lambda a: T.gelu(a), 1, None),
-        ("mean", lambda a: a, 1, "mean"),
-        ("log_softmax", lambda a: T.log_softmax(T.reshape(a, (4, 5))), 1, None),
-        ("transpose", lambda a: T.transpose(T.reshape(a, (4, 5))), 1, None),
+        ("add", lambda a, b: T.add(a, b), 2),
+        ("mul", lambda a, b: T.mul(a, b), 2),
+        ("square", lambda a: T.square(a), 1),
+        ("sqrt", lambda a: T.sqrt(T.add(T.square(a), Tensor(0.1))), 1),
+        ("softplus", lambda a: T.softplus(a), 1),
+        ("gelu", lambda a: T.gelu(a), 1),
+        ("transpose", lambda a: T.transpose(T.reshape(a, (4, 5))), 1),
     ]
 
-    @pytest.mark.parametrize("name,fn,arity,reduction", CASES, ids=[c[0] for c in CASES])
-    def test_op_gradient(self, name, fn, arity, reduction):
+    @pytest.mark.parametrize("name,fn,arity", CASES, ids=[c[0] for c in CASES])
+    def test_op_gradient(self, name, fn, arity):
         rng = Rng(zlib.crc32(name.encode()))
         for trial in range(20):
             r = rng.stream_of(trial)
             params = [Tensor(r.normal((20,)), requires_grad=True) for _ in range(arity)]
-            weights = Tensor(r.stream_of(99).normal((20,)))
 
             def loss_fn():
                 out = fn(*params)
-                if reduction == "mean":
-                    return T.tmean(T.mul(out, weights)).item()
                 flat = T.reshape(out, (out.size,))
                 w = Tensor(r.stream_of(7).normal((out.size,)))
-                return T.tsum(T.mul(flat, w)).item()
+                return T.tsum(T.mul(flat, w))
 
             # The random projection inside loss_fn must be identical across
             # calls; stream_of is stateless so this holds by construction.
-            loss_val = loss_fn()
-            assert np.isfinite(loss_val)
-            out = fn(*params)
-            if reduction == "mean":
-                loss = T.tmean(T.mul(out, weights))
-            else:
-                flat = T.reshape(out, (out.size,))
-                w = Tensor(r.stream_of(7).normal((out.size,)))
-                loss = T.tsum(T.mul(flat, w))
-            backward(loss)
-            numeric = finite_difference_grads(loss_fn, params)
+            assert np.isfinite(loss_fn().item())
+            backward(loss_fn())
+            numeric = finite_difference_grads(lambda: loss_fn().item(), params)
             for p, g in zip(params, numeric):
                 assert scaled_gradient_error(p.grad, g, rtol=1e-4, atol=1e-7) <= 1.0, name
             for p in params:
@@ -225,14 +199,13 @@ class TestFiniteness:
         with np.errstate(over="ignore"):
             t = Tensor([1e308, 1e308])
             halved = T.mul(t, Tensor(0.5))
-            flipped = T.neg(t)
+            flipped = T.mul(t, Tensor(-1.0))
         assert halved.data.tolist() == [5e307, 5e307]
         assert flipped.data.tolist() == [-1e308, -1e308]
 
-    @pytest.mark.parametrize("bad,numerator", [(np.nan, 0.0), (np.inf, 1.0),
-                                               (-np.inf, -1.0)])
+    @pytest.mark.parametrize("bad,sign", [(np.nan, 0.0), (np.inf, 1.0), (-np.inf, -1.0)])
     @pytest.mark.parametrize("background", [1.0, 1e308])
-    def test_poison_at_any_position_raises(self, bad, numerator, background):
+    def test_poison_at_any_position_raises(self, bad, sign, background):
         # The huge background overflows the sum, so the elementwise fallback
         # has to find the poison.
         with np.errstate(all="ignore"):
@@ -241,10 +214,14 @@ class TestFiniteness:
                 vals[pos] = bad
                 with pytest.raises(NonFiniteError):
                     Tensor(vals)
-                num, den = np.full(4, background), np.ones(4)
-                num[pos], den[pos] = numerator, 0.0
                 with pytest.raises(NonFiniteError):
-                    T.div(Tensor(num), Tensor(den))
+                    if np.isnan(bad):
+                        Tensor._from_op(vals, (), None, "poison")
+                    else:
+                        # Only the entry at pos overflows to +-Inf.
+                        base, factor = np.full(4, background), np.ones(4)
+                        base[pos], factor[pos] = sign * 1e308, 10.0
+                        T.mul(Tensor(base), Tensor(factor))
 
 
 class TestLinearHelper:
@@ -301,8 +278,3 @@ class TestInvariants:
     def test_nan_construction_rejected(self):
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
-
-    def test_log_softmax_normalizes(self):
-        rng = Rng(41)
-        out = T.log_softmax(Tensor(rng.normal((6, 4)))).data
-        assert np.allclose(np.exp(out).sum(axis=1), 1.0, atol=1e-12)

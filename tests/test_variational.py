@@ -75,21 +75,21 @@ class TestKlNormalized:
     def test_minimum_value(self):
         p = 0.5
         a_star = V.alpha_star(p)
-        got = V.kl_normalized([a_star, a_star], p)
+        got = V.kl_normalized([a_star, a_star], p).item()
         expect = ((1 - p) / (2 * p)) / V.kl_max(p)
         assert abs(got - expect) < 1e-12
 
     def test_endpoint_is_one(self):
         p = 0.4
         assert V.kl_max(p) == V.kl_per_entry(1e3, p)  # upper clamp dominates
-        assert abs(V.kl_normalized([1e3], p) - 1.0) < 1e-12
+        assert abs(V.kl_normalized([1e3], p).item() - 1.0) < 1e-12
 
     def test_bounded_in_unit_interval(self):
         rng = Rng(1)
         p = 0.25
         alphas = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), (100,)))
         for a in alphas:
-            val = V.kl_normalized([float(a)], p)
+            val = V.kl_normalized([float(a)], p).item()
             assert 0.0 <= val <= 1.0
 
     def test_empty_layer_list_rejected(self):
@@ -98,9 +98,89 @@ class TestKlNormalized:
 
     def test_tensor_path_matches_scalar_path(self):
         alphas = np.array([0.3, 1.7, 42.0])
-        got = V.kl_normalized_tensor(Tensor(alphas), 0.3, 1e-6, 1e3).item()
-        expect = V.kl_normalized(alphas, 0.3)
+        got = V.kl_normalized(Tensor(alphas), 0.3, 1e-6, 1e3).item()
+        expect = np.mean([V.kl_per_entry(a, 0.3) / V.kl_max(0.3) for a in alphas])
         assert abs(got - expect) < 1e-12
+
+
+class TestLossNodes:
+    """Each loss term is one tape node with a hand-written VJP: values
+    against the textbook formulas, gradients against central differences."""
+
+    @staticmethod
+    def _fd_check(loss_fn, params):
+        loss = loss_fn()
+        backward(loss)
+        numeric = finite_difference_grads(lambda: loss_fn().item(), params)
+        for p, g in zip(params, numeric):
+            assert scaled_gradient_error(p.grad, g, rtol=1e-4, atol=1e-7) <= 1.0
+        return loss
+
+    def test_gaussian_nll_value(self):
+        r = Rng(60)
+        pred, y = r.stream_of(0).normal((7, 2)), r.stream_of(1).normal((7, 2))
+        ls = 0.3
+        got = V.gaussian_nll(Tensor(pred), y, Tensor(ls)).item()
+        expect = 0.5 * np.mean((y - pred) ** 2 * np.exp(-2 * ls) + 2 * ls + np.log(2 * np.pi))
+        assert abs(got - expect) < 1e-14
+
+    def test_l1_loss_value(self):
+        pred = np.array([[0.5, -1.0], [2.0, 0.25]])
+        y = np.array([1.5, -3.0, 2.0, 0.0])  # reshaped to pred's shape
+        assert V.l1_loss(Tensor(pred), y).item() == (1.0 + 2.0 + 0.0 + 0.25) / 4
+
+    def test_cross_entropy_value(self):
+        logits = np.array([[1000.0, 0.0, -1000.0], [0.0, 1000.0, 0.0], [1.0, 2.0, 3.0]])
+        labels = np.array([0, 0, 2])
+        got = V.cross_entropy(Tensor(logits), labels).item()
+        last = -(3.0 - np.log(np.exp(1.0) + np.exp(2.0) + np.exp(3.0)))
+        assert abs(got - (0.0 + 1000.0 + last) / 3) < 1e-12
+
+    def test_cross_entropy_log_softmax_normalizes(self):
+        # Summed over every label, the per-row likelihoods exp(-CE) are one.
+        logits = Rng(41).normal((6, 4))
+        for row in logits:
+            probs = [np.exp(-V.cross_entropy(Tensor(row[None, :]), np.array([c])).item())
+                     for c in range(4)]
+            assert abs(sum(probs) - 1.0) < 1e-12
+
+    def test_cross_entropy_rejects_bad_labels(self):
+        logits = Tensor(np.zeros((2, 3)))
+        for labels in ([0, 3], [-1, 0], [0]):
+            with pytest.raises(DomainError):
+                V.cross_entropy(logits, np.array(labels))
+
+    def test_gaussian_nll_gradient(self):
+        r = Rng(61)
+        for trial in range(5):
+            rt = r.stream_of(trial)
+            pred = Tensor(rt.normal((6, 2)), requires_grad=True)
+            ls = Tensor(rt.uniform(-1.0, 1.0, ()), requires_grad=True)
+            y = rt.stream_of(1).normal((6, 2))
+            self._fd_check(lambda: V.gaussian_nll(pred, y, ls), [pred, ls])
+
+    def test_l1_loss_gradient_away_from_kinks(self):
+        r = Rng(62)
+        pred = Tensor(r.normal((5, 3)), requires_grad=True)
+        gap = r.stream_of(1).uniform(0.1, 1.0, (5, 3)) * np.where(
+            r.stream_of(2).uniform(0.0, 1.0, (5, 3)) < 0.5, -1.0, 1.0)
+        y = pred.data + gap
+        self._fd_check(lambda: V.l1_loss(pred, y), [pred])
+
+    def test_cross_entropy_gradient(self):
+        r = Rng(63)
+        logits = Tensor(3.0 * r.normal((6, 4)), requires_grad=True)
+        labels = r.stream_of(1).integers(0, 4, (6,))
+        self._fd_check(lambda: V.cross_entropy(logits, labels), [logits])
+
+    @pytest.mark.parametrize("shape", [(), (3,), (5, 3)], ids=["one", "layers", "rows-by-layers"])
+    def test_kl_normalized_value_and_gradient(self, shape):
+        r = Rng(64)
+        alphas = Tensor(np.exp(r.uniform(np.log(1e-3), np.log(1e2), shape)),
+                        requires_grad=True)
+        loss = self._fd_check(lambda: V.kl_normalized(alphas, 0.3), [alphas])
+        per = [V.kl_per_entry(float(a), 0.3) / V.kl_max(0.3) for a in alphas.data.ravel()]
+        assert abs(loss.item() - np.mean(per)) < 1e-12
 
 
 class TestElboStep:
@@ -286,8 +366,9 @@ class TestConfigs:
 
 class TestTapeSize:
     def test_one_node_per_adapted_layer(self):
-        # A refactor that splits the adapted layer back into generic ops
-        # doubles the per-step cost; this pins the graph of one ELBO step.
+        # A refactor that splits the adapted layer or a loss term back into
+        # generic ops doubles the per-step cost; this pins the graph of one
+        # ELBO step.
         cfg = C.load_config(Path(__file__).resolve().parents[1] / "configs" / "toy_hetero.cfg")
         backbone = ToyBackbone(BackboneSpec(d_in=cfg["d_in"], d_out=cfg["d_out"],
                                             hidden=cfg["hidden"]), Rng(0))
@@ -313,3 +394,5 @@ class TestTapeSize:
         assert ops["adapted_linear"] == len(model.adapters)
         assert ops["linear"] == len(model.alphanet.weights)
         assert ops["matmul"] == ops["transpose"] == ops["reshape"] == 0
+        assert ops["gaussian_nll"] == ops["kl_normalized"] == 1
+        assert sum(ops.values()) <= 14
