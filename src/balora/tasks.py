@@ -168,7 +168,6 @@ def true_map(task: SyntheticTask, shifted: bool = True) -> np.ndarray:
 @dataclass
 class TrainedModel:
     model: AdaptedModel
-    pretrain_records: list
     adapt_records: list
     wall_seconds: float
     task: SyntheticTask
@@ -204,14 +203,12 @@ def pretrain_then_adapt(task: SyntheticTask, hidden, aspec: AdapterSpec,
     rng = Rng(seed)
     source = generate(task, shifted=False)
     target = generate(task, shifted=True)
-    pre_records: list = []
     if backbone is None:
         backbone = pretrain_backbone(task, hidden, pretrain_cfg, rng, source)
     model = attach_adapters(backbone, aspec, adapter_kind, rng.stream_of(3))
     adapt_records = V.train_model(model, (target.train.X, target.train.y), prior,
                                   adapt_cfg, rng.stream_of(4))
-    return TrainedModel(model=model, pretrain_records=pre_records,
-                        adapt_records=adapt_records,
+    return TrainedModel(model=model, adapt_records=adapt_records,
                         wall_seconds=time.perf_counter() - t0,
                         task=task, source=source, target=target)
 
@@ -233,13 +230,17 @@ class EnsembleBaseline:
 
 def train_ensemble(task: SyntheticTask, hidden, aspec: AdapterSpec,
                    pretrain_cfg: V.TrainConfig, adapt_cfg: V.TrainConfig,
-                   prior: V.PriorConfig, seed: int, m: int) -> EnsembleBaseline:
-    """Train ``m`` plain-LoRA members differing only by training seed."""
+                   prior: V.PriorConfig, seed: int, m: int,
+                   backbone: Optional[ToyBackbone] = None) -> EnsembleBaseline:
+    """Train ``m`` plain-LoRA members differing only by training seed.
+
+    A passed-in ``backbone`` must be the frozen one that pretraining from
+    ``seed`` gives; it is reused instead of pretrained again.
+    """
     if m < 2:
         raise DomainError("an ensemble needs at least 2 members")
-    rng = Rng(seed)
-    source = generate(task, shifted=False)
-    backbone = pretrain_backbone(task, hidden, pretrain_cfg, rng, source)
+    if backbone is None:
+        backbone = pretrain_backbone(task, hidden, pretrain_cfg, Rng(seed))
     target = generate(task, shifted=True)
     ensemble = EnsembleBaseline()
     for i in range(m):

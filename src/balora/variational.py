@@ -17,6 +17,7 @@ KL divides by the clamp-endpoint maximum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -97,11 +98,14 @@ def alpha_star(p: float) -> float:
     return p / (1.0 - p)
 
 
+@functools.lru_cache
 def kl_max(p: float, alpha_min: float = ALPHA_MIN, alpha_max: float = ALPHA_MAX) -> float:
     """Largest attainable per-entry KL on the clamp interval.
 
     The KL is convex with an interior minimum, so the maximum sits at one
-    of the clamp endpoints.
+    of the clamp endpoints. It is a per-run constant that every training
+    step divides by, so it is memoized; a bad ``p`` or clamp raises on
+    every call, because exceptions are not cached.
     """
     return max(kl_per_entry(alpha_min, p, alpha_min, alpha_max),
                kl_per_entry(alpha_max, p, alpha_min, alpha_max))
@@ -258,7 +262,15 @@ class AdamW:
     Uses beta1=0.9, beta2=0.999, eps=1e-8, gradient clipping at
     ``cfg.grad_clip_norm`` on the global norm, and a linear
     warmup-then-decay learning-rate schedule over ``total_steps``.
-    Parameters without gradients (frozen or unused) are left untouched.
+    Parameters without gradients (frozen or unused) are left untouched,
+    moments included.
+
+    The state is four flat float64 buffers: the moments ``m`` and ``v``, a
+    gradient buffer and a scratch buffer. Each parameter owns a fixed span
+    of them, so one step is one multi-tensor update over every parameter
+    with the per-element arithmetic of the textbook per-tensor loop. Each
+    updated parameter gets a read-only view of that step's fresh result
+    array, which is never written again.
     """
 
     BETA1 = 0.9
@@ -271,8 +283,14 @@ class AdamW:
         self.total_steps = max(1, int(total_steps))
         self.warmup_steps = int(round(cfg.warmup_fraction * self.total_steps))
         self.t = 0
-        self._m = [np.zeros(p.shape) for p in self.params]
-        self._v = [np.zeros(p.shape) for p in self.params]
+        self._spans, size = [], 0
+        for p in self.params:
+            self._spans.append((size, size + p.data.size))
+            size += p.data.size
+        self._m, self._v, self._g, self._s = (np.zeros(size) for _ in range(4))
+        self._g_views = [self._g[a:b].reshape(p.shape)
+                         for p, (a, b) in zip(self.params, self._spans)]
+        self._s_views = [self._s[a:b] for a, b in self._spans]
 
     def lr_at(self, step: int) -> float:
         if step < self.warmup_steps:
@@ -282,28 +300,58 @@ class AdamW:
 
     def step(self) -> dict:
         lr = self.lr_at(self.t)
-        raw_norm = global_grad_norm(self.params)
+        m, v, g, s = self._m, self._v, self._g, self._s
+        live = [i for i, p in enumerate(self.params) if p.grad is not None]
+        # Spans of parameters without a gradient are masked out of every
+        # update, so their moments stay as they were.
+        if len(live) == len(self.params):
+            where = True
+        else:
+            where = np.zeros(g.size, dtype=bool)
+            for i in live:
+                where[slice(*self._spans[i])] = True
+        for i in live:
+            np.copyto(self._g_views[i], self.params[i].grad)
+        # Span by span in parameter order: the summation order of
+        # global_grad_norm, so the norm is bit-identical to it.
+        np.multiply(g, g, out=s, where=where)
+        total = 0.0
+        for i in live:
+            total += float(np.add.reduce(self._s_views[i]))
+        raw_norm = math.sqrt(total)
         clip = self.cfg.grad_clip_norm
         scale = clip / raw_norm if raw_norm > clip else 1.0
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad * scale
-            self._m[i] = self.BETA1 * self._m[i] + (1.0 - self.BETA1) * g
-            self._v[i] = self.BETA2 * self._v[i] + (1.0 - self.BETA2) * (g * g)
-            m_hat = self._m[i] / bc1
-            v_hat = self._v[i] / bc2
-            new = p.data - lr * m_hat / (np.sqrt(v_hat) + self.EPS)
-            if self.cfg.weight_decay > 0:
-                new = new - lr * self.cfg.weight_decay * p.data
-            # 0-d arrays decay to numpy scalars under arithmetic; rewrap.
-            new = np.array(new, dtype=np.float64)
-            new.flags.writeable = False
-            p.data = new
-        return {"lr": lr, "grad_norm": raw_norm, "applied_norm": min(raw_norm, clip)}
+        np.multiply(g, scale, out=g, where=where)
+        np.multiply(m, self.BETA1, out=m, where=where)
+        np.multiply(g, 1.0 - self.BETA1, out=s, where=where)
+        np.add(m, s, out=m, where=where)
+        np.multiply(g, g, out=s, where=where)
+        np.multiply(s, 1.0 - self.BETA2, out=s, where=where)
+        np.multiply(v, self.BETA2, out=v, where=where)
+        np.add(v, s, out=v, where=where)
+        # The gradients are spent: g now holds the current parameter values.
+        for i in live:
+            np.copyto(self._g_views[i], self.params[i].data)
+        np.divide(v, bc2, out=s, where=where)
+        np.sqrt(s, out=s, where=where)
+        np.add(s, self.EPS, out=s, where=where)
+        new = np.empty(g.size)
+        np.divide(m, bc1, out=new, where=where)
+        np.multiply(new, lr, out=new, where=where)
+        np.divide(new, s, out=new, where=where)
+        np.subtract(g, new, out=new, where=where)
+        if self.cfg.weight_decay > 0:
+            np.multiply(g, lr * self.cfg.weight_decay, out=s, where=where)
+            np.subtract(new, s, out=new, where=where)
+        new.flags.writeable = False
+        for i in live:
+            a, b = self._spans[i]
+            self.params[i].data = new[a:b].reshape(self.params[i].shape)
+        return {"lr": lr, "grad_norm": raw_norm, "applied_norm": min(raw_norm, clip),
+                "clipped": raw_norm > clip}
 
 
 def train_model(model: AdaptedModel, train_xy, prior: PriorConfig, cfg: TrainConfig,

@@ -213,7 +213,7 @@ def test_criterion_8_desk_scale_directional():
         bal = TK.pretrain_then_adapt(task, (32, 32), aspec, "balora", pre, ad,
                                      prior, seed=2000 + seed)
         lor = TK.pretrain_then_adapt(task, (32, 32), aspec, "lora", pre, ad,
-                                     prior, seed=2000 + seed)
+                                     prior, seed=2000 + seed, backbone=bal.model.backbone)
         Xte, yte = bal.target.test.X, bal.target.test.y
         r100 = U.uq_report(bal.model, Xte, yte, 100, Rng(31_000 + seed))
         r10 = U.uq_report(bal.model, Xte, yte, 10, Rng(32_000 + seed))

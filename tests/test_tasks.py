@@ -156,7 +156,7 @@ class TestEnsemble:
             bal = TK.pretrain_then_adapt(task, (32, 32), aspec, "balora", pre, ad,
                                          prior, seed=5000 + seed)
             ens = TK.train_ensemble(task, (32, 32), aspec, pre, ad, prior,
-                                    seed=5000 + seed, m=5)
+                                    seed=5000 + seed, m=5, backbone=bal.model.backbone)
             Xte, yte = bal.target.test.X, bal.target.test.y
             rep = U.uq_report(bal.model, Xte, yte, 100, Rng(61_000 + seed))
             bal_rhos.append(rep.metrics["spearman_var_err"])
@@ -201,6 +201,18 @@ class TestEnsemble:
                                 seed=23, m=3)
         assert len(ens.member_seconds) == 3
         assert all(t > 0 for t in ens.member_seconds)
+
+    def test_passed_in_backbone_gives_identical_members(self):
+        task, aspec, pre, ad = self._small_setup()
+        prior = V.PriorConfig(0.5)
+        backbone = TK.pretrain_backbone(task, (16,), pre, Rng(25))
+        own = TK.train_ensemble(task, (16,), aspec, pre, ad, prior, seed=25, m=2)
+        shared = TK.train_ensemble(task, (16,), aspec, pre, ad, prior, seed=25, m=2,
+                                   backbone=backbone)
+        X = TK.generate(task).test.X
+        for a, b in zip(own.members, shared.members):
+            assert b.backbone is backbone
+            assert a.predict(X).tobytes() == b.predict(X).tobytes()
 
     def test_single_member_rejected(self):
         task, aspec, pre, ad = self._small_setup()

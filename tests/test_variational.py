@@ -84,6 +84,18 @@ class TestKlNormalized:
         assert V.kl_max(p) == V.kl_per_entry(1e3, p)  # upper clamp dominates
         assert abs(V.kl_normalized([1e3], p).item() - 1.0) < 1e-12
 
+    def test_memoized_kl_max_keeps_values_and_errors(self):
+        for p, lo, hi in ((0.4, 1e-6, 1e3), (0.1, 1e-3, 10.0), (0.9, 1e-2, 2.0)):
+            expect = max(V.kl_per_entry(lo, p, lo, hi), V.kl_per_entry(hi, p, lo, hi))
+            assert V.kl_max(p, lo, hi) == V.kl_max(p, lo, hi) == expect
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                V.kl_max(1.0)
+            with pytest.raises(DomainError):
+                V.kl_max(0.5, 2.0, 1.0)
+            with pytest.raises(DomainError):
+                V.kl_normalized([0.5], 0.0)
+
     def test_bounded_in_unit_interval(self):
         rng = Rng(1)
         p = 0.25
@@ -304,7 +316,128 @@ class TestAlphaDrift:
                   f"over 10 seeds (reported, not gated)")
 
 
+class _ReferenceAdamW:
+    """The per-tensor AdamW loop the fused optimizer must match bit for bit."""
+
+    def __init__(self, params, cfg, total_steps):
+        self.params = [p for p in params if p.requires_grad]
+        self.cfg = cfg
+        self.schedule = V.AdamW([], cfg, total_steps)
+        self.t = 0
+        self._m = [np.zeros(p.shape) for p in self.params]
+        self._v = [np.zeros(p.shape) for p in self.params]
+
+    def step(self) -> dict:
+        b1, b2, eps = V.AdamW.BETA1, V.AdamW.BETA2, V.AdamW.EPS
+        lr = self.schedule.lr_at(self.t)
+        raw_norm = V.global_grad_norm(self.params)
+        clip = self.cfg.grad_clip_norm
+        scale = clip / raw_norm if raw_norm > clip else 1.0
+        self.t += 1
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                continue
+            g = p.grad * scale
+            self._m[i] = b1 * self._m[i] + (1.0 - b1) * g
+            self._v[i] = b2 * self._v[i] + (1.0 - b2) * (g * g)
+            m_hat = self._m[i] / bc1
+            v_hat = self._v[i] / bc2
+            new = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+            if self.cfg.weight_decay > 0:
+                new = new - lr * self.cfg.weight_decay * p.data
+            p.data = np.array(new, dtype=np.float64)
+        return {"lr": lr, "grad_norm": raw_norm, "applied_norm": min(raw_norm, clip),
+                "clipped": raw_norm > clip}
+
+
+def _shadowed_params(seed):
+    """Two identical sets of 0-d, 1-d and 2-d parameters plus a frozen one."""
+    rng = np.random.default_rng(seed)
+    shapes = [(), (7,), (5, 3), (1,), (4, 9)]
+    values = [rng.normal(size=shape) for shape in shapes]
+
+    def make():
+        return [Tensor(v, requires_grad=True) for v in values] + [Tensor(np.ones(3))]
+
+    return make(), make(), rng
+
+
 class TestAdamW:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("sometimes_missing", [False, True])
+    def test_fused_step_matches_per_tensor_loop(self, weight_decay, sometimes_missing):
+        fused_params, ref_params, rng = _shadowed_params(7)
+        cfg = V.TrainConfig(lr=0.05, epochs=1, batch_size=1, warmup_fraction=0.1,
+                            weight_decay=weight_decay, grad_clip_norm=4.0)
+        fused = V.AdamW(fused_params, cfg, total_steps=200)
+        ref = _ReferenceAdamW(ref_params, cfg, total_steps=200)
+        clipped = 0
+        for step in range(200):
+            # Gradient scales straddle the clip norm, so clipping engages on
+            # some steps and not on others.
+            gscale = 10.0 ** rng.uniform(-1.5, 1.0)
+            for i, (a, b) in enumerate(zip(fused_params[:-1], ref_params[:-1])):
+                if sometimes_missing and i == 2 and step % 3:
+                    a.grad = b.grad = None
+                    continue
+                grad = gscale * rng.normal(size=a.shape)
+                a.grad, b.grad = grad.copy(), grad.copy()
+            got, want = fused.step(), ref.step()
+            assert got == want
+            clipped += got["clipped"]
+            for a, b in zip(fused_params, ref_params):
+                assert a.data.shape == b.data.shape
+                assert a.data.tobytes() == b.data.tobytes()
+        assert 0 < clipped < 200
+        for (a, b), m, v in zip(fused._spans, ref._m, ref._v):
+            assert fused._m[a:b].tobytes() == m.tobytes()
+            assert fused._v[a:b].tobytes() == v.tobytes()
+
+    def test_missing_gradient_leaves_data_and_moments_untouched(self):
+        params, _, _ = _shadowed_params(8)
+        cfg = V.TrainConfig(lr=0.05, epochs=1, batch_size=1, weight_decay=0.1)
+        opt = V.AdamW(params, cfg, total_steps=10)
+        for p in params[:-1]:
+            p.grad = np.ones(p.shape)
+        opt.step()
+        a, b = opt._spans[1]
+        before_data, before_m, before_v = params[1].data, opt._m[a:b].copy(), opt._v[a:b].copy()
+        for p in params[:-1]:
+            p.grad = np.ones(p.shape)
+        params[1].grad = None
+        opt.step()
+        assert params[1].data is before_data
+        assert np.array_equal(opt._m[a:b], before_m)
+        assert np.array_equal(opt._v[a:b], before_v)
+
+    def test_empty_optimizer_steps(self):
+        cfg = V.TrainConfig(lr=0.1, epochs=1, batch_size=1)
+        opt, ref = V.AdamW([], cfg, total_steps=5), _ReferenceAdamW([], cfg, total_steps=5)
+        for _ in range(5):
+            stats = opt.step()
+            assert stats == ref.step()
+            assert (stats["grad_norm"], stats["applied_norm"], stats["clipped"]) == (0.0, 0.0, False)
+
+    def test_handed_out_arrays_are_never_written(self):
+        params, _, rng = _shadowed_params(9)
+        cfg = V.TrainConfig(lr=0.1, epochs=1, batch_size=1, weight_decay=0.1)
+        opt = V.AdamW(params, cfg, total_steps=20)
+        taken = []
+        for _ in range(20):
+            taken.append([(p.data, p.data.copy()) for p in params])
+            for p in params[:-1]:
+                p.grad = rng.normal(size=p.shape)
+            opt.step()
+            for p in params:
+                assert not p.data.flags.writeable
+                assert p.data.flags.c_contiguous
+                assert p.data.dtype == np.float64
+        for held in taken:
+            for array, snapshot in held:
+                assert array.tobytes() == snapshot.tobytes()
+
     def test_first_step_is_signed_lr(self):
         p = Tensor(np.array(1.0), requires_grad=True)
         cfg = V.TrainConfig(lr=0.1, epochs=1, batch_size=1, grad_clip_norm=1e9)
@@ -322,6 +455,9 @@ class TestAdamW:
         stats = opt.step()
         assert abs(stats["grad_norm"] - 10.0) < 1e-12
         assert abs(stats["applied_norm"] - 1.0) < 1e-12
+        assert stats["clipped"] is True
+        p.grad = np.full(4, 0.25)  # norm 0.5
+        assert opt.step()["clipped"] is False
 
     def test_decoupled_decay_shrinks_param(self):
         p = Tensor(np.array(2.0), requires_grad=True)
