@@ -198,11 +198,6 @@ def adapted_linear(layer: BaLoRALayer, x: Tensor, bias: Optional[Tensor] = None,
     return Tensor._from_op(out, parents, vjp, "adapted_linear")
 
 
-def forward_deterministic(layer: BaLoRALayer, x: Tensor) -> Tensor:
-    """Mean-path forward ``W0 x + lora_scale * WB WA x`` (vector or batch)."""
-    return adapted_linear(layer, x)
-
-
 def _latent_variance(layer: BaLoRALayer, x: np.ndarray, alpha: float) -> np.ndarray:
     # d_vec[i] = alpha * scale^2 * sum_j WA[i,j]^2 x[j]^2
     s2 = layer.lora_scale * layer.lora_scale
@@ -217,7 +212,7 @@ def analytic_predictive(layer: BaLoRALayer, x: Tensor, alpha: float) -> Predicti
     if xd.shape != (layer.d,):
         raise ShapeError(f"expected input of shape ({layer.d},), got {xd.shape}")
     with T.no_grad():
-        mean = forward_deterministic(layer, Tensor(xd))
+        mean = adapted_linear(layer, Tensor(xd))
     d_vec = _latent_variance(layer, xd, float(alpha))
     return PredictiveGaussian(mean=mean.detach(), d_vec=Tensor(d_vec), wb=layer.WB.detach())
 
@@ -256,7 +251,7 @@ def sample_full_cov_oracle(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng
         raise DomainError(
             f"oracle sampler refuses k={layer.k} > {_ORACLE_MAX_DIM} (dense covariance)")
     with T.no_grad():
-        mean = forward_deterministic(layer, x).data
+        mean = adapted_linear(layer, x).data
     d_vec = _latent_variance(layer, x.data, float(alpha))
     wb = layer.WB.data
     cov = (wb * d_vec) @ wb.T

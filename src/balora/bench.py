@@ -39,7 +39,10 @@ class BenchRow:
     p90_ns: float
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Input width of every benchmarked layer; the rank may not exceed it.
+D_IN = 64
 
 
 def blas_pinned() -> bool:
@@ -50,7 +53,7 @@ def blas_pinned() -> bool:
     they pin only when every one of them was 1 in the environment.
     """
     return threadpool_limits is not None or all(
-        os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
+        os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
 
 
 def _single_thread():
@@ -72,7 +75,7 @@ def _time_ns(fn, reps: int) -> tuple[float, float, float]:
 
 
 def run_bench(k_values, r: int = 8, n_samples: int = 4096, reps: int = 9,
-              seed: int = 0, d: int = 64, max_naive_k: int = 2048) -> tuple[list[BenchRow], dict]:
+              seed: int = 0, d: int = D_IN, max_naive_k: int = 2048) -> tuple[list[BenchRow], dict]:
     """Benchmark both samplers over ``k_values`` and fit log-log slopes.
 
     Each method is timed in its own pass so the dense oracle's large

@@ -49,6 +49,9 @@ def _thread_cap():
     except ValueError:
         raise C.ConfigError(f"BALORA_THREADS must be an integer, got {raw!r}")
     if B.threadpool_limits is None:
+        print(f"BALORA_THREADS ignored: threadpoolctl is not installed; set "
+              f"{', '.join(B.BLAS_THREAD_VARS)} before start-up to pin BLAS threads",
+              file=sys.stderr)
         return contextlib.nullcontext()
     return B.threadpool_limits(limits=limit)
 
@@ -154,11 +157,25 @@ def cmd_train(args) -> int:
         ckpt_path = out / "checkpoint.bin"
         CK.save_model(ckpt_path, trained.model, extra={"config": C.config_to_json(cfg)})
         manifest.add_output(ckpt_path)
-    final = trained.adapt_records[-1]
+    records = trained.adapt_records
+    final = records[-1]
+    clipped = sum(record["clipped"] for record in records)
     print(f"trained {cfg['adapter']} on {task.kind}: "
           f"final loss {final['loss']:.6f} (nll {final['nll']:.6f}, "
-          f"kl {final['kl_normalized']:.6f}) -> {ckpt_path}")
+          f"kl {final['kl_normalized']:.6f}), clipped {clipped}/{len(records)} "
+          f"-> {ckpt_path}")
     return EXIT_OK
+
+
+def _parse_numbers(text: str, kind, flag: str) -> list:
+    """Comma-separated finite values of ``kind``; anything else is a config error."""
+    try:
+        values = [kind(v) for v in text.split(",")]
+    except ValueError:
+        values = None
+    if values is None or not np.all(np.isfinite(values)):
+        raise C.ConfigError(f"{flag} takes comma-separated finite numbers, got {text!r}")
+    return values
 
 
 def _fitting_task(cfg: dict, spec) -> TK.SyntheticTask:
@@ -237,14 +254,15 @@ def cmd_eval(args) -> int:
 def cmd_sample(args) -> int:
     out = _prepare_out(args.out)
     with _Manifest(out, "sample", None, args.seed) as manifest:
+        if args.n < 1:
+            raise C.ConfigError(f"--n must be at least 1, got {args.n}")
+        x = np.asarray(_parse_numbers(args.input, float, "--input")) if args.input else None
         model, extra = CK.load_model(args.checkpoint)
         d_in = model.backbone.spec.d_in
-        if args.input:
-            x = np.asarray([float(v) for v in args.input.split(",")])
-            if x.shape != (d_in,):
-                raise C.ConfigError(f"--input needs {d_in} comma-separated floats")
-        else:
+        if x is None:
             x = Rng(args.seed).normal((d_in,))
+        elif x.shape != (d_in,):
+            raise C.ConfigError(f"--input needs {d_in} comma-separated floats")
         rng = Rng(args.seed).stream_of(11)
         draws = U._stochastic_draws(model, x, args.n, rng)[:, 0, :]
         payload = {
@@ -262,9 +280,15 @@ def cmd_sample(args) -> int:
 def cmd_bench(args) -> int:
     out = _prepare_out(args.out)
     with _Manifest(out, "bench", None, args.seed) as manifest:
-        k_values = [int(v) for v in args.k_range.split(",")]
+        k_values = _parse_numbers(args.k_range, int, "--k-range")
         if any(k < 1 for k in k_values):
             raise C.ConfigError("--k-range values must be positive")
+        r_max = min(*k_values, B.D_IN)
+        if not 1 <= args.r <= r_max:
+            raise C.ConfigError(f"--r must be between 1 and min(k, {B.D_IN}) = {r_max}, "
+                                f"got {args.r}")
+        if args.reps < 1 or args.samples < 1:
+            raise C.ConfigError("--reps and --samples must be at least 1")
         rows, slopes = B.run_bench(k_values, r=args.r, n_samples=args.samples,
                                    reps=args.reps, seed=args.seed)
         csv_path = out / "bench.csv"

@@ -166,9 +166,10 @@ class AdaptedModel:
 
     def forward(self, X, rng: Optional[Rng] = None, alphas: Optional[Tensor] = None,
                 stochastic: bool = False) -> Tensor:
-        """Batched forward. Stochastic mode draws one noise vector per sample
-        per adapted layer; eps enters as a constant so gradients flow through
-        the noise scale, WA, and WB only."""
+        """Batched forward. The default is the posterior-mean forward, identical
+        to the merged weights. Stochastic mode draws one noise vector per
+        sample per adapted layer; eps enters as a constant so gradients flow
+        through the noise scale, WA, and WB only."""
         x = X if isinstance(X, Tensor) else Tensor(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         if x.ndim != 2:
             raise ShapeError(f"model forward expects a batch matrix, got {x.shape}")
@@ -193,10 +194,6 @@ class AdaptedModel:
                 h = T.gelu(h)
         return h
 
-    def forward_deterministic(self, X) -> Tensor:
-        """Mean-path (posterior-mean) forward, identical to merged weights."""
-        return self.forward(X, stochastic=False)
-
     def merged_weights(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer (weight, bias) with adapters folded into the base weights."""
         merged = []
@@ -220,7 +217,7 @@ class AdaptedModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         with T.no_grad():
-            return self.forward_deterministic(np.asarray(X, dtype=np.float64)).data
+            return self.forward(np.asarray(X, dtype=np.float64)).data
 
     def predict_stochastic(self, X: np.ndarray, rng: Rng,
                            alphas: Optional[np.ndarray] = None) -> np.ndarray:

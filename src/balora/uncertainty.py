@@ -1,18 +1,19 @@
-"""Monte Carlo prediction, variance decomposition, and calibration metrics.
+"""Monte Carlo uncertainty report and calibration metrics.
 
-Variance estimators use the population (1/S) form throughout. The
-epistemic/aleatoric split follows the law of total variance: epistemic is
-the variance over weight draws of the conditional mean, aleatoric is the
-mean over draws of the conditional variance. For classification the
-conditional variance of a draw is taken as ``p * (1 - p)`` of that draw's
-winning class (a documented convention; the decomposition is only fully
-principled for regression heads).
+:func:`uq_report` is the one Monte Carlo evaluator; :func:`_stochastic_draws`
+is the draw primitive under it. Variance estimators use the population
+(1/S) form throughout. The epistemic/aleatoric split follows the law of
+total variance: epistemic is the variance over weight draws of the
+conditional mean, aleatoric is the mean over draws of the conditional
+variance. For classification the conditional variance of a draw is taken
+as ``p * (1 - p)`` of that draw's winning class (a documented convention;
+the decomposition is only fully principled for regression heads).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,90 +34,21 @@ def _stochastic_draws(model: AdaptedModel, X: np.ndarray, S: int, rng: Rng) -> n
     Draw chunks use substreams keyed by chunk index, so results depend
     only on (seed, S, B) and are reproducible regardless of memory limits.
     """
+    if model.kind != "balora":
+        raise DomainError("Monte Carlo draws need stochastic adapter weights")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     B = X.shape[0]
-    alphas = None
-    if model.kind == "balora":
-        with T.no_grad():
-            alphas = np.atleast_2d(model.alphas(X).data)
+    with T.no_grad():
+        alphas = np.atleast_2d(model.alphas(X).data)
     chunk = max(1, _MAX_ROWS // B)
     outs = []
     for c, start in enumerate(range(0, S, chunk)):
         s = min(chunk, S - start)
         X_rep = np.tile(X, (s, 1))
-        a_rep = np.tile(alphas, (s, 1)) if alphas is not None else None
+        a_rep = np.tile(alphas, (s, 1))
         pred = model.predict_stochastic(X_rep, rng.stream_of(c), alphas=a_rep)
         outs.append(pred.reshape(s, B, -1))
     return np.concatenate(outs, axis=0)
-
-
-def mc_predict(model: AdaptedModel, x, S: int, rng: Rng):
-    """Monte Carlo predictive mean and per-dimension variance.
-
-    mean = (1/S) sum_s y_s ; var = (1/S) sum_s (y_s - mean)^2.
-    Accepts a single input vector or a batch matrix; output shapes follow.
-    """
-    if S < 2:
-        raise DomainError(f"mc_predict needs S >= 2, got {S}")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    draws = _stochastic_draws(model, x, S, rng)
-    mean = draws.mean(axis=0)
-    var = np.mean((draws - mean) ** 2, axis=0)
-    if single:
-        return mean[0], var[0]
-    return mean, var
-
-
-@dataclass
-class VarianceDecomposition:
-    epistemic: float
-    aleatoric: float
-    total_joint: Optional[float] = None
-
-    @property
-    def total(self) -> float:
-        return self.epistemic + self.aleatoric
-
-
-def decompose_variance(model: AdaptedModel, x, S_outer: int, S_inner: int,
-                       rng: Rng) -> VarianceDecomposition:
-    """Epistemic/aleatoric split for a single input.
-
-    Regression: the scalar of interest is the output averaged over
-    dimensions; its conditional mean per weight draw is that average, and
-    its conditional variance is the learned observation noise. When
-    ``S_inner > 1`` the joint total variance is also estimated by
-    simulating observation noise per draw, for cross-checking against
-    epistemic + aleatoric. Classification uses the winning-class
-    probability per draw as the conditional summary.
-    """
-    if model.kind != "balora":
-        raise DomainError("variance decomposition needs stochastic adapter weights")
-    if S_outer < 2:
-        raise DomainError("S_outer must be at least 2")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError("decompose_variance takes a single input vector")
-    draws = _stochastic_draws(model, x, S_outer, rng)[:, 0, :]  # (S, k)
-    if model.head == "regression":
-        if model.log_sigma is None:
-            raise DomainError("regression model lacks an observation-noise head")
-        cond_means = draws.mean(axis=1)  # scalar summary per draw (mean over dims)
-        sigma2 = model.sigma_obs() ** 2
-        epistemic = float(np.mean((cond_means - cond_means.mean()) ** 2))
-        aleatoric = float(sigma2)
-        total_joint = None
-        if S_inner > 1:
-            eps = rng.stream_of(987_654_321).normal((S_outer, S_inner))
-            ys = cond_means[:, None] + np.sqrt(sigma2) * eps
-            total_joint = float(np.mean((ys - ys.mean()) ** 2))
-        return VarianceDecomposition(epistemic, aleatoric, total_joint)
-    probs = _softmax(draws)
-    win = probs.max(axis=1)
-    epistemic = float(np.mean((win - win.mean()) ** 2))
-    aleatoric = float(np.mean(win * (1.0 - win)))
-    return VarianceDecomposition(epistemic, aleatoric, None)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -220,13 +152,12 @@ class UQReport:
     (law of total variance, enforced by construction).
     """
 
-    per_sample: list = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
-    mc_steps: int = 0
-    mode: str = "mc"
+    per_sample: list
+    metrics: dict
+    mc_steps: int
 
     def to_json(self) -> str:
-        return json.dumps({"mode": self.mode, "mc_steps": self.mc_steps,
+        return json.dumps({"mode": "mc", "mc_steps": self.mc_steps,
                            "metrics": self.metrics, "per_sample": self.per_sample},
                           sort_keys=True)
 
@@ -241,66 +172,45 @@ class UQReport:
 
 def uq_report(model: AdaptedModel, X, y, S: int, rng: Rng,
               denorm: Optional[tuple] = None) -> UQReport:
-    """Full Monte Carlo evaluation of a test split."""
+    """Full Monte Carlo evaluation of a test split. Regression epistemic
+    variance is the mean over output dims of each dim's variance over draws."""
     if S < 2:
         raise DomainError(f"uq_report needs S >= 2, got {S}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
     draws = _stochastic_draws(model, X, S, rng)  # (S, B, k)
-    report = UQReport(mc_steps=S, mode="mc")
     if model.head == "regression":
-        y2 = y.reshape(X.shape[0], -1).astype(np.float64)
         mean = draws.mean(axis=0)
         epi = np.mean(np.mean((draws - mean) ** 2, axis=0), axis=1)
-        ale = model.sigma_obs() ** 2
+        ale = np.full_like(epi, model.sigma_obs() ** 2)
         preds = mean * denorm[1] + denorm[0] if denorm is not None else mean
-        targets = y2
-        err = preds - targets
-        sq_err = np.mean(err ** 2, axis=1)
-        for i in range(X.shape[0]):
-            report.per_sample.append({
-                "pred_mean": [float(v) for v in preds[i]],
-                "target": [float(v) for v in targets[i]],
-                "var_total": float(epi[i] + ale),
-                "var_epistemic": float(epi[i]),
-                "var_aleatoric": float(ale),
-                "sq_error": float(sq_err[i]),
-            })
-        var_tot = epi + ale
-        report.metrics = {
-            "mae": mae(preds.ravel(), targets.ravel()),
-            "mse": float(np.mean(sq_err)),
-            "spearman_var_err": _safe_spearman(var_tot, sq_err),
-        }
+        targets = y.reshape(X.shape[0], -1).astype(np.float64)
+        sq_err = np.mean((preds - targets) ** 2, axis=1)
+        metrics = {"mae": mae(preds.ravel(), targets.ravel()), "mse": float(np.mean(sq_err))}
     else:
         probs = _softmax(draws)  # (S, B, C)
-        mean_probs = probs.mean(axis=0)
-        mean_probs = mean_probs / mean_probs.sum(axis=1, keepdims=True)
+        preds = probs.mean(axis=0)
+        preds = preds / preds.sum(axis=1, keepdims=True)
         win = probs.max(axis=2)  # (S, B)
         epi = np.mean((win - win.mean(axis=0)) ** 2, axis=0)
         ale = np.mean(win * (1.0 - win), axis=0)
-        pred_class = mean_probs.argmax(axis=1)
-        correct = (pred_class == y).astype(np.float64)
-        p_true = mean_probs[np.arange(len(y)), y.astype(int)]
-        for i in range(X.shape[0]):
-            report.per_sample.append({
-                "pred_mean": [float(v) for v in mean_probs[i]],
-                "target": int(y[i]),
-                "var_total": float(epi[i] + ale[i]),
-                "var_epistemic": float(epi[i]),
-                "var_aleatoric": float(ale[i]),
-                "sq_error": float(1.0 - correct[i]),
-            })
-        report.metrics = {
-            "mae": float(np.mean(1.0 - p_true)),
-            "accuracy": accuracy(mean_probs, y),
-            "ece": ece(mean_probs, y),
-            "spearman_var_err": _safe_spearman(epi + ale, 1.0 - correct),
-        }
-    return report
+        targets = y.astype(int)
+        sq_err = (preds.argmax(axis=1) != targets).astype(np.float64)
+        metrics = {"mae": float(np.mean(1.0 - preds[np.arange(len(y)), targets])),
+                   "accuracy": accuracy(preds, y), "ece": ece(preds, y)}
+    var_tot = epi + ale
+    metrics["spearman_var_err"] = _safe_spearman(var_tot, sq_err)
+    keys = ("pred_mean", "target", "var_total", "var_epistemic", "var_aleatoric", "sq_error")
+    columns = (preds, targets, var_tot, epi, ale, sq_err)
+    per_sample = [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
+    return UQReport(per_sample=per_sample, metrics=metrics, mc_steps=S)
 
 
 def _safe_spearman(u, v) -> Optional[float]:
+    """Spearman correlation, or None where it is undefined: fewer than two
+    rows or constant input."""
+    if len(u) < 2:
+        return None
     try:
         return spearman(u, v)
     except DomainError:

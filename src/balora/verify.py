@@ -272,7 +272,7 @@ def check_merge_equivalence(seed: int, n_layers: int = 100) -> OracleResult:
         layer = _random_layer(crng.stream_of(1), d, k, r, scale=float(crng.uniform(0.25, 4.0, ())))
         merged = A.merge_weights(layer).data
         x = crng.stream_of(2).normal((d,))
-        direct = A.forward_deterministic(layer, Tensor(x)).data
+        direct = A.adapted_linear(layer, Tensor(x)).data
         scale = max(1.0, float(np.max(np.abs(direct))))
         worst = max(worst, float(np.max(np.abs(merged @ x - direct))) / scale)
     return OracleResult("merge_equivalence", "merge", worst < 1e-12, worst, 1e-12,
@@ -308,7 +308,7 @@ def check_nullspace_variance(seed: int) -> OracleResult:
     layer.WA = Tensor(wa, requires_grad=True)
     x = np.zeros(d)
     x[:3] = rng.stream_of(1).normal((3,))
-    det = A.forward_deterministic(layer, Tensor(x)).data
+    det = A.adapted_linear(layer, Tensor(x)).data
     worst = 0.0
     for s in range(20):
         y = A.sample_lowrank(layer, Tensor(x), 0.9, rng.stream_of(10 + s)).data

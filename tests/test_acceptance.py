@@ -122,7 +122,7 @@ def test_criterion_5_merge_deterministic_equivalence():
     worst_z = 0.0
     for c in range(10):
         layer, x, alpha, crng = _random_config(0, c)
-        det = A.forward_deterministic(layer, Tensor(x)).data
+        det = A.adapted_linear(layer, Tensor(x)).data
         draws = A.sample_lowrank(layer, Tensor(x), alpha, crng.stream_of(7),
                                  n=N_DRAWS).data
         cov = A.analytic_predictive(layer, Tensor(x), alpha).covariance()
@@ -132,7 +132,9 @@ def test_criterion_5_merge_deterministic_equivalence():
     # deterministic output is exactly the predictive mean.
     model = single_linear_model(40)
     x = Rng(41).normal((3,))
-    mc_mean, mc_var = U.mc_predict(model, x, N_DRAWS, Rng(43))
+    draws = U._stochastic_draws(model, x, N_DRAWS, Rng(43))[:, 0, :]
+    mc_mean = draws.mean(axis=0)
+    mc_var = np.mean((draws - mc_mean) ** 2, axis=0)
     se_model = np.sqrt(np.maximum(mc_var, 1e-300) / N_DRAWS)
     z_model = float(np.max(np.abs(mc_mean - model.predict(x[None, :])[0]) / se_model))
     worst_z = max(worst_z, z_model)
@@ -163,7 +165,7 @@ def test_criterion_6_subspace_confinement():
     x = np.zeros(6)
     x[:3] = rng.stream_of(1000).normal((3,))
     law = A.analytic_predictive(layer, Tensor(x), 1.0)
-    det = A.forward_deterministic(layer, Tensor(x)).data
+    det = A.adapted_linear(layer, Tensor(x)).data
     worst_null = 0.0
     for s in range(20):
         y = A.sample_lowrank(layer, Tensor(x), 1.0, rng.stream_of(2000 + s)).data

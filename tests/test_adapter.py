@@ -29,7 +29,7 @@ class TestInit:
         layer = A.init_layer(rng, d=6, k=4, r=3, init_std=0.1)
         for i in range(10):
             x = Tensor(rng.stream_of(i).normal((6,)))
-            out = A.forward_deterministic(layer, x).data
+            out = A.adapted_linear(layer, x).data
             assert np.allclose(out, layer.W0.data @ x.data, atol=1e-14)
 
     def test_full_rank_boundary_accepted(self):
@@ -76,7 +76,7 @@ class TestDeterministicForward:
     def test_zero_wb_gives_base(self):
         layer = A.init_layer(Rng(8), d=5, k=3, r=2, init_std=0.3)
         x = Tensor(Rng(9).normal((5,)))
-        assert np.allclose(A.forward_deterministic(layer, x).data,
+        assert np.allclose(A.adapted_linear(layer, x).data,
                            layer.W0.data @ x.data, atol=1e-14)
 
     def test_identity_composition(self):
@@ -86,12 +86,12 @@ class TestDeterministicForward:
                               WB=Tensor(np.eye(3)[:, :2], requires_grad=True),
                               rank=2, lora_scale=1.0)
         e1 = Tensor(np.array([1.0, 0.0, 0.0]))
-        assert A.forward_deterministic(layer, e1).data.tolist() == [1.0, 0.0, 0.0]
+        assert A.adapted_linear(layer, e1).data.tolist() == [1.0, 0.0, 0.0]
 
     def test_base_weights_never_reach_the_tape(self):
         layer = _random_layer(Rng(33), d=4, k=3, r=2)
         x = Tensor(Rng(34).normal((4,)))
-        backward(T.tsum(A.forward_deterministic(layer, x)))
+        backward(T.tsum(A.adapted_linear(layer, x)))
         assert not layer.W0.requires_grad
         assert layer.W0.grad is None
         assert layer.WA.grad is not None and layer.WB.grad is not None
@@ -105,7 +105,7 @@ class TestDeterministicForward:
             layer = _random_layer(r, d=6, k=5, r=3, scale=float(r.uniform(0.5, 3.0, ())))
             merged = A.merge_weights(layer).data
             x = r.normal((6,))
-            direct = A.forward_deterministic(layer, Tensor(x)).data
+            direct = A.adapted_linear(layer, Tensor(x)).data
             scale = max(1.0, np.max(np.abs(direct)))
             assert np.max(np.abs(merged @ x - direct)) < 1e-12 * scale
 
@@ -242,7 +242,7 @@ class TestLowRankSampler:
     def test_zero_noise_limit(self):
         layer = _random_layer(Rng(13), d=4, k=3, r=2)
         x = Tensor(Rng(14).normal((4,)))
-        det = A.forward_deterministic(layer, x).data
+        det = A.adapted_linear(layer, x).data
         sample = A.sample_lowrank(layer, x, 1e-12, Rng(15)).data
         assert np.max(np.abs(sample - det)) < 1e-5
 
@@ -290,7 +290,7 @@ class TestFullCovOracle:
         direction = direction / np.linalg.norm(direction)
         for s in range(50):
             y = A.sample_full_cov_oracle(layer, x, 1.0, Rng(20).stream_of(s)).data
-            resid = y - A.forward_deterministic(layer, x).data
+            resid = y - A.adapted_linear(layer, x).data
             ortho = resid - direction * (direction @ resid)
             # Ridge noise allows a tiny off-line component.
             assert np.linalg.norm(ortho) < 1e-4
@@ -326,7 +326,7 @@ class TestMerge:
         merged = A.merge_weights(layer).data
         for i in range(100):
             x = rng.stream_of(i).normal((6,))
-            direct = A.forward_deterministic(layer, Tensor(x)).data
+            direct = A.adapted_linear(layer, Tensor(x)).data
             scale = max(1.0, np.max(np.abs(direct)))
             assert np.max(np.abs(merged @ x - direct)) < 1e-12 * scale
 
@@ -358,7 +358,7 @@ class TestGeometry:
         x[:3] = rng.normal((3,))
         law = A.analytic_predictive(layer, Tensor(x), 1.0)
         assert np.array_equal(law.d_vec.data, np.zeros(2))
-        det = A.forward_deterministic(layer, Tensor(x)).data
+        det = A.adapted_linear(layer, Tensor(x)).data
         for s in range(20):
             y = A.sample_lowrank(layer, Tensor(x), 1.0, rng.stream_of(50 + s)).data
             assert np.max(np.abs(y - det)) < 1e-12

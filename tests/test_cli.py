@@ -123,6 +123,13 @@ class TestTrain:
         for key in ("loss", "nll", "kl_normalized", "alpha_per_layer", "lr"):
             assert key in record
 
+    def test_summary_counts_clipped_steps(self, tmp_path, fast_config, capsys):
+        _, out = _train(tmp_path, fast_config)
+        records = [json.loads(line) for line in
+                   (out / "metrics.jsonl").read_text().splitlines()]
+        clipped = sum(record["clipped"] for record in records)
+        assert f"clipped {clipped}/{len(records)} -> " in capsys.readouterr().out
+
     @pytest.mark.parametrize("line", [
         "n_test = 0", "prior_p = 1.0",                                  # task, prior
         "rank = 0", "init_std = 0", "alpha_min = 0", "alpha_min = 2e3",  # adapter
@@ -217,6 +224,18 @@ class TestEval:
                      "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_single_test_row(self, tmp_path):
+        # Spearman is undefined on one row: null, as for constant input.
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(FAST_CONFIG + "n_test = 1\n")
+        _, out = _train(tmp_path, cfg)
+        for mode in ("mc", "deterministic"):
+            assert main(["eval", "--checkpoint", str(out / "checkpoint.bin"), "--mode", mode,
+                         "--mc-steps", "4", "--out", str(tmp_path / mode)]) == 0
+        report = json.loads((tmp_path / "mc" / "eval.json").read_text())
+        assert len(report["per_sample"]) == 1
+        assert report["metrics"]["spearman_var_err"] is None
+
     def test_task_that_does_not_fit_the_model(self, tmp_path, fast_config):
         d6 = tmp_path / "d6.cfg"
         d6.write_text(FAST_CONFIG + "d_in = 6\n")
@@ -306,6 +325,22 @@ class TestSample:
         assert len(payload["input"]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "0"], ["sample", "--n", "-2"], ["sample", "--input", "a,b"],
+    ["sample", "--input", "nan,0,0,0"], ["bench", "--k-range", "16,abc"],
+    ["bench", "--r", "0"], ["bench", "--k-range", "16,32", "--r", "40"],
+    ["bench", "--reps", "0"], ["bench", "--samples", "0"]], ids=" ".join)
+def test_malformed_arguments_exit_2_before_work(tmp_path, monkeypatch, capsys, argv):
+    # An absent checkpoint would exit 3 and a started benchmark fails the
+    # test, so exit 2 means the arguments were rejected before any work.
+    monkeypatch.setattr(B, "run_bench", lambda *a, **k: pytest.fail("bench started"))
+    if argv[0] == "sample":
+        argv = [*argv, "--checkpoint", str(tmp_path / "absent.bin")]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["status"] == "error"
+
+
 class TestBench:
     def test_csv_schema_and_slopes(self, tmp_path):
         out = tmp_path / "bench"
@@ -373,6 +408,16 @@ class TestVerify:
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.setenv("BALORA_THREADS", "1")
         assert main(["verify", "--filter", "kl_minimum"]) == 0
+        monkeypatch.setenv("BALORA_THREADS", "lots")
+        assert main(["verify", "--filter", "kl_minimum"]) == 2
+
+    def test_thread_cap_says_when_it_is_ignored(self, monkeypatch, capsys):
+        monkeypatch.setattr(B, "threadpool_limits", None)
+        monkeypatch.setenv("BALORA_THREADS", "1")
+        assert main(["verify", "--filter", "kl_minimum"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("BALORA_THREADS ignored")
+        assert all(var in lines[0] for var in B.BLAS_THREAD_VARS)
         monkeypatch.setenv("BALORA_THREADS", "lots")
         assert main(["verify", "--filter", "kl_minimum"]) == 2
 

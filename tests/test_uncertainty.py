@@ -1,4 +1,7 @@
-"""Metric hand-values, Monte Carlo convergence, and decomposition identities."""
+"""Metric hand-values, Monte Carlo convergence, and decomposition identities.
+
+Monte Carlo properties are checked on ``uq_report`` and, for per-dim
+moments, on its draw primitive ``_stochastic_draws``."""
 
 import numpy as np
 import pytest
@@ -13,21 +16,35 @@ from balora.tensor import DomainError, ShapeError, Tensor
 from balora.verify import _tiny_model
 
 
+def _draw_moments(model, x, S, rng):
+    """Per-dim mean and population variance of S stochastic outputs at x."""
+    draws = U._stochastic_draws(model, x, S, rng)[:, 0, :]
+    mean = draws.mean(axis=0)
+    return mean, np.mean((draws - mean) ** 2, axis=0)
+
+
+def _single_report(model, x, S, rng):
+    """uq_report on the single input x (zero targets): its one per-sample row."""
+    report = U.uq_report(model, x[None, :], np.zeros((1, model.backbone.spec.d_out)), S, rng)
+    assert report.metrics["spearman_var_err"] is None  # undefined on one row
+    return report.per_sample[0]
+
+
 class TestMcPredict:
     def test_small_s_rejected(self):
         model = _single_linear_model(1)
         with pytest.raises(DomainError):
-            U.mc_predict(model, np.ones(3), 1, Rng(0))
+            U.uq_report(model, np.ones((1, 3)), np.zeros((1, 2)), 1, Rng(0))
 
     def test_zero_noise_limit(self):
         model = _single_linear_model(2)
         model.alphanet.alpha_min = 1e-12
         model.alphanet.alpha_max = 1e-12
         x = Rng(3).normal((3,))
-        mean, var = U.mc_predict(model, x, 200, Rng(4))
+        row = _single_report(model, x, 200, Rng(4))
         det = model.predict(x[None, :])[0]
-        assert np.max(var) < 1e-8
-        assert np.max(np.abs(mean - det)) < 1e-5
+        assert row["var_epistemic"] < 1e-8
+        assert np.max(np.abs(np.array(row["pred_mean"]) - det)) < 1e-5
 
     def test_variance_matches_analytic_diagonal(self):
         model = _single_linear_model(5)
@@ -36,7 +53,7 @@ class TestMcPredict:
             alpha = float(model.alphas(x[None, :]).data[0, 0])
         layer = model.adapters[0]
         law = A.analytic_predictive(layer, Tensor(x), alpha)
-        _, var = U.mc_predict(model, x, 100_000, Rng(7))
+        _, var = _draw_moments(model, x, 100_000, Rng(7))
         diag = np.diag(law.covariance())
         assert np.all(np.abs(var - diag) <= 0.05 * np.maximum(diag, 1e-12))
 
@@ -58,8 +75,8 @@ class TestMcPredict:
         diag = np.diag(A.analytic_predictive(model.adapters[0], Tensor(x), alpha).covariance())
         errs_small, errs_big = [], []
         for seed in range(20):
-            _, v_small = U.mc_predict(model, x, 10_000, Rng(100 + seed))
-            _, v_big = U.mc_predict(model, x, 40_000, Rng(200 + seed))
+            _, v_small = _draw_moments(model, x, 10_000, Rng(100 + seed))
+            _, v_big = _draw_moments(model, x, 40_000, Rng(200 + seed))
             errs_small.append(np.mean(np.abs(v_small - diag)))
             errs_big.append(np.mean(np.abs(v_big - diag)))
         assert np.median(errs_small) >= 2.0 * np.median(errs_big) * 0.9
@@ -71,26 +88,33 @@ class TestDecomposition:
         model.alphanet.alpha_min = 1e-12
         model.alphanet.alpha_max = 1e-12
         x = Rng(15).normal((3,))
-        dec = U.decompose_variance(model, x, 500, 1, Rng(16))
-        assert dec.epistemic < 1e-10
-        assert abs(dec.aleatoric - model.sigma_obs() ** 2) < 1e-12
+        row = _single_report(model, x, 500, Rng(16))
+        assert row["var_epistemic"] < 1e-10
+        assert abs(row["var_aleatoric"] - model.sigma_obs() ** 2) < 1e-12
 
     def test_zero_observation_noise(self):
         model = _single_linear_model(17)
         model.log_sigma = Tensor(np.log(1e-12), requires_grad=True)
         x = Rng(18).normal((3,))
-        dec = U.decompose_variance(model, x, 500, 1, Rng(19))
-        assert dec.aleatoric < 1e-20
-        assert dec.total == pytest.approx(dec.epistemic)
+        row = _single_report(model, x, 500, Rng(19))
+        assert row["var_aleatoric"] < 1e-20
+        assert row["var_total"] == pytest.approx(row["var_epistemic"])
 
     def test_law_of_total_variance(self):
+        # Simulate observation noise per weight draw and per output dim; the
+        # joint variance of y, averaged over dims, is the report's var_total
+        # within MC noise: the std error of the joint estimate is about
+        # total * sqrt(2 / (S_outer * S_inner)).
         model = _single_linear_model(20)
         x = Rng(21).normal((3,))
-        dec = U.decompose_variance(model, x, 10_000, 8, Rng(22))
-        # Joint simulation and the analytic split agree within MC noise:
-        # std error of the joint variance estimate is about total * sqrt(2/S).
-        se = dec.total * np.sqrt(2.0 / (10_000 * 8))
-        assert abs(dec.total_joint - dec.total) < 5 * se + 0.02 * dec.total
+        S_outer, S_inner = 10_000, 8
+        total = _single_report(model, x, S_outer, Rng(22))["var_total"]
+        draws = U._stochastic_draws(model, x, S_outer, Rng(22))[:, 0, :]  # same draws
+        eps = Rng(22).stream_of(987_654_321).normal((S_outer, S_inner, draws.shape[1]))
+        ys = (draws[:, None, :] + model.sigma_obs() * eps).reshape(-1, draws.shape[1])
+        joint = float(np.mean(np.mean((ys - ys.mean(axis=0)) ** 2, axis=0)))
+        se = total * np.sqrt(2.0 / (S_outer * S_inner))
+        assert abs(joint - total) < 5 * se + 0.02 * total
 
     def test_lora_model_rejected(self):
         rng = Rng(23)
@@ -99,7 +123,7 @@ class TestDecomposition:
         backbone.freeze()
         model = AdaptedModel(backbone, {}, None, "lora")
         with pytest.raises(DomainError):
-            U.decompose_variance(model, np.ones(3), 100, 1, Rng(0))
+            U.uq_report(model, np.ones((1, 3)), np.zeros((1, 2)), 100, Rng(0))
 
 
 class TestEce:

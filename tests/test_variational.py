@@ -205,7 +205,7 @@ class TestElboStep:
         model.alphanet.alpha_max = 1e-6
         cfg = V.TrainConfig(lr=1e-3, epochs=1, batch_size=4, kl_weight=0.0)
         loss, metrics = V.elbo_step(model, (X, y), V.PriorConfig(0.5), cfg, Rng(5))
-        det_pred = model.forward_deterministic(X)
+        det_pred = model.forward(X)
         det_nll = V.gaussian_nll(det_pred, y, model.log_sigma)
         assert abs(loss.item() - det_nll.item()) < 1e-2
         assert metrics["kl_normalized"] >= 0.0
@@ -271,7 +271,7 @@ class TestElboStep:
             opt = V.AdamW(model.trainables(), cfg, total_steps=50)
             for step in range(50):
                 with T.no_grad():
-                    det = model.forward_deterministic(X)
+                    det = model.forward(X)
                     losses.append(float(np.mean((det.data - y) ** 2)))
                 loss, _ = V.elbo_step(model, (X, y), V.PriorConfig(0.5), cfg,
                                       rng.stream_of(100 + step))
