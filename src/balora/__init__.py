@@ -8,9 +8,21 @@ posteriors (:mod:`balora.adapter`), the KL-regularized training objective
 (:mod:`balora.tasks`), and a CLI (:mod:`balora.cli`).
 """
 
+import os
+import re
+import sys
+
 __version__ = "0.1.0"
 
-from .rng import Rng
-from .tensor import Tensor, backward, no_grad
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# BALORA_THREADS=n pins the BLAS to n threads. The BLAS reads its thread
+# variables once, when numpy loads, so they are set before the imports below.
+_threads = os.environ.get("BALORA_THREADS", "")
+if re.fullmatch("[1-9][0-9]*", _threads) and "numpy" not in sys.modules:
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, _threads))
+
+from .rng import Rng  # noqa: E402
+from .tensor import Tensor, backward, no_grad  # noqa: E402
 
 __all__ = ["Rng", "Tensor", "backward", "no_grad", "__version__"]

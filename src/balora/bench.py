@@ -3,15 +3,14 @@
 Times a fixed batch of draws per output dimension ``k`` and fits log-log
 slopes. The low-rank sampler should scale roughly linearly in ``k`` at
 fixed rank; the dense oracle pays for materializing and factorizing a
-k-by-k matrix and grows at least quadratically. BLAS threading is pinned
-to one thread during timing when threadpoolctl is available; without it,
-only the BLAS thread variables can pin it, and :func:`blas_pinned` says
-whether either held.
+k-by-k matrix and grows at least quadratically. The slopes are reliable
+only on one BLAS thread: run with ``BALORA_THREADS=1`` (or the BLAS thread
+variables set to 1 before numpy loads); :func:`blas_pinned` says whether
+they were.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import os
 import time
@@ -19,14 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from . import adapter as A
 from .rng import Rng
 from .tensor import Tensor
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - soft dependency
-    threadpool_limits = None
 
 
 @dataclass
@@ -39,27 +34,14 @@ class BenchRow:
     p90_ns: float
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 # Input width of every benchmarked layer; the rank may not exceed it.
 D_IN = 64
 
 
 def blas_pinned() -> bool:
-    """Whether timing runs on a single BLAS thread.
-
-    threadpoolctl caps the pools at run time. Without it the pools follow
-    the thread variables, which the BLAS reads once when numpy loads, so
-    they pin only when every one of them was 1 in the environment.
-    """
-    return threadpool_limits is not None or all(
-        os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
-
-
-def _single_thread():
-    if threadpool_limits is None:
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=1)
+    """Whether timing runs on a single BLAS thread: every BLAS thread
+    variable is 1, as ``BALORA_THREADS=1`` sets them before numpy loads."""
+    return all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
 
 
 def _time_ns(fn, reps: int) -> tuple[float, float, float]:
@@ -96,20 +78,19 @@ def run_bench(k_values, r: int = 8, n_samples: int = 4096, reps: int = 9,
         layer.WB = Tensor(rng.stream_of(k + 1).normal((k, r)))
         x = Tensor(rng.stream_of(k + 2).normal((d,)))
         cases.append((k, layer, x, rng.stream_of(k + 3)))
-    with _single_thread():
-        for k, layer, x, draw_rng in cases:
-            def low(layer=layer, x=x, draw_rng=draw_rng):
-                A.sample_lowrank(layer, x, 0.7, draw_rng, n=n_samples)
+    for k, layer, x, draw_rng in cases:
+        def low(layer=layer, x=x, draw_rng=draw_rng):
+            A.sample_lowrank(layer, x, 0.7, draw_rng, n=n_samples)
 
-            rows.append(BenchRow(k, r, "lowrank", *_time_ns(low, reps)))
-        for k, layer, x, draw_rng in cases:
-            if k > max_naive_k:
-                continue
+        rows.append(BenchRow(k, r, "lowrank", *_time_ns(low, reps)))
+    for k, layer, x, draw_rng in cases:
+        if k > max_naive_k:
+            continue
 
-            def naive(layer=layer, x=x, draw_rng=draw_rng):
-                A.sample_full_cov_oracle(layer, x, 0.7, draw_rng, n=n_naive)
+        def naive(layer=layer, x=x, draw_rng=draw_rng):
+            A.sample_full_cov_oracle(layer, x, 0.7, draw_rng, n=n_naive)
 
-            rows.append(BenchRow(k, r, "full_cov", *_time_ns(naive, max(3, reps - 4))))
+        rows.append(BenchRow(k, r, "full_cov", *_time_ns(naive, max(3, reps - 4))))
     slopes = {}
     for method in ("lowrank", "full_cov"):
         pts = [(row.k, row.median_ns) for row in rows if row.method == method]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from . import bench as B
 from . import checkpoint as CK
 from . import config as C
@@ -28,6 +28,7 @@ from . import tasks as TK
 from . import uncertainty as U
 from .rng import Rng
 from .tensor import TensorError
+from .variational import TrainingDivergence
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -39,21 +40,14 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _thread_cap():
-    """Honor BALORA_THREADS by capping BLAS worker pools for the process."""
+def _check_threads() -> None:
+    """Reject a ``BALORA_THREADS`` that the BLAS thread variables do not hold:
+    importing balora copies only a positive integer, and only before numpy."""
     raw = os.environ.get("BALORA_THREADS", "")
-    if not raw:
-        return contextlib.nullcontext()
-    try:
-        limit = max(1, int(raw))
-    except ValueError:
-        raise C.ConfigError(f"BALORA_THREADS must be an integer, got {raw!r}")
-    if B.threadpool_limits is None:
-        print(f"BALORA_THREADS ignored: threadpoolctl is not installed; set "
-              f"{', '.join(B.BLAS_THREAD_VARS)} before start-up to pin BLAS threads",
-              file=sys.stderr)
-        return contextlib.nullcontext()
-    return B.threadpool_limits(limits=limit)
+    if raw and any(os.environ.get(var) != raw for var in BLAS_THREAD_VARS):
+        raise C.ConfigError(
+            f"BALORA_THREADS={raw!r} is not in effect: {', '.join(BLAS_THREAD_VARS)} "
+            f"differ from it; it must be a positive integer, set before numpy loads")
 
 
 def _peak_rss_mb() -> float:
@@ -81,6 +75,8 @@ class _Manifest:
             "config_path": str(config_path) if config_path else None,
             "seed": seed,
             "version": __version__,
+            "thread_env": {var: os.environ.get(var)
+                           for var in ("BALORA_THREADS", *BLAS_THREAD_VARS)},
             "started": _now(),
             "finished": None,
             "outputs": [],
@@ -283,6 +279,8 @@ def cmd_bench(args) -> int:
         k_values = _parse_numbers(args.k_range, int, "--k-range")
         if any(k < 1 for k in k_values):
             raise C.ConfigError("--k-range values must be positive")
+        if len(set(k_values)) < 2:
+            raise C.ConfigError("--k-range needs two distinct values to fit a slope")
         r_max = min(*k_values, B.D_IN)
         if not 1 <= args.r <= r_max:
             raise C.ConfigError(f"--r must be between 1 and min(k, {B.D_IN}) = {r_max}, "
@@ -389,8 +387,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _thread_cap():
-            return _HANDLERS[args.command](args)
+        _check_threads()
+        return _HANDLERS[args.command](args)
     except C.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -400,7 +398,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
-    except (TensorError, AssertionError) as err:
+    except (TensorError, AssertionError, TrainingDivergence) as err:
         print(f"verification error: {err}", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -7,6 +7,7 @@ onto the task, model, and training dataclasses.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .model import AdapterSpec
@@ -28,7 +29,10 @@ def _int(s: str) -> int:
 
 
 def _float(s: str) -> float:
-    return float(s)
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _choice(*options):

@@ -56,11 +56,6 @@ class AdapterSpec:
             raise DomainError(f"need 0 < alpha_min <= alpha_max, got "
                               f"{self.alpha_min}, {self.alpha_max}")
 
-    @property
-    def lora_scale(self) -> float:
-        # Conventional update scaling lora_alpha / r.
-        return float(self.lora_alpha) / float(self.rank)
-
 
 class ToyBackbone:
     """GELU MLP with explicit weight/bias tensors per linear layer."""

@@ -169,9 +169,6 @@ def true_map(task: SyntheticTask, shifted: bool = True) -> np.ndarray:
 class TrainedModel:
     model: AdaptedModel
     adapt_records: list
-    wall_seconds: float
-    task: SyntheticTask
-    source: Splits
     target: Splits
 
 
@@ -182,9 +179,9 @@ def _backbone_spec(task: SyntheticTask, hidden) -> BackboneSpec:
 
 
 def pretrain_backbone(task: SyntheticTask, hidden, cfg: V.TrainConfig,
-                      rng: Rng, source: Optional[Splits] = None) -> ToyBackbone:
+                      rng: Rng) -> ToyBackbone:
     """Train a fresh backbone on the source split, then freeze it."""
-    source = source or generate(task, shifted=False)
+    source = generate(task, shifted=False)
     backbone = ToyBackbone(_backbone_spec(task, hidden), rng.stream_of(1))
     shell = AdaptedModel(backbone, {}, None, kind="lora")
     V.train_model(shell, (source.train.X, source.train.y), V.PriorConfig(0.5),
@@ -199,18 +196,14 @@ def pretrain_then_adapt(task: SyntheticTask, hidden, aspec: AdapterSpec,
                         seed: int, backbone: Optional[ToyBackbone] = None) -> TrainedModel:
     """Full protocol: pretrain on the source distribution, freeze, attach
     adapters, and train them on the shifted target distribution."""
-    t0 = time.perf_counter()
     rng = Rng(seed)
-    source = generate(task, shifted=False)
     target = generate(task, shifted=True)
     if backbone is None:
-        backbone = pretrain_backbone(task, hidden, pretrain_cfg, rng, source)
+        backbone = pretrain_backbone(task, hidden, pretrain_cfg, rng)
     model = attach_adapters(backbone, aspec, adapter_kind, rng.stream_of(3))
     adapt_records = V.train_model(model, (target.train.X, target.train.y), prior,
                                   adapt_cfg, rng.stream_of(4))
-    return TrainedModel(model=model, adapt_records=adapt_records,
-                        wall_seconds=time.perf_counter() - t0,
-                        task=task, source=source, target=target)
+    return TrainedModel(model=model, adapt_records=adapt_records, target=target)
 
 
 # -- ensemble baseline ------------------------------------------------------------

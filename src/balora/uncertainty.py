@@ -128,16 +128,12 @@ def spearman(u, v) -> float:
     return float(np.dot(ru, rv) / np.sqrt(np.dot(ru, ru) * np.dot(rv, rv)))
 
 
-def mae(preds, targets, denorm: Optional[tuple] = None) -> float:
-    """Mean absolute error; ``denorm=(mu, sigma)`` maps normalized
-    predictions back to target units as ``pred * sigma + mu`` first."""
+def mae(preds, targets) -> float:
+    """Mean absolute error."""
     preds = np.asarray(preds, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if preds.shape != targets.shape or preds.size == 0:
         raise ShapeError("mae needs equal-shape, non-empty inputs")
-    if denorm is not None:
-        mu, sigma = denorm
-        preds = preds * sigma + mu
     return float(np.mean(np.abs(preds - targets)))
 
 
@@ -170,8 +166,7 @@ class UQReport:
                    row["sq_error"])
 
 
-def uq_report(model: AdaptedModel, X, y, S: int, rng: Rng,
-              denorm: Optional[tuple] = None) -> UQReport:
+def uq_report(model: AdaptedModel, X, y, S: int, rng: Rng) -> UQReport:
     """Full Monte Carlo evaluation of a test split. Regression epistemic
     variance is the mean over output dims of each dim's variance over draws."""
     if S < 2:
@@ -180,10 +175,9 @@ def uq_report(model: AdaptedModel, X, y, S: int, rng: Rng,
     y = np.asarray(y)
     draws = _stochastic_draws(model, X, S, rng)  # (S, B, k)
     if model.head == "regression":
-        mean = draws.mean(axis=0)
-        epi = np.mean(np.mean((draws - mean) ** 2, axis=0), axis=1)
+        preds = draws.mean(axis=0)
+        epi = np.mean(np.mean((draws - preds) ** 2, axis=0), axis=1)
         ale = np.full_like(epi, model.sigma_obs() ** 2)
-        preds = mean * denorm[1] + denorm[0] if denorm is not None else mean
         targets = y.reshape(X.shape[0], -1).astype(np.float64)
         sq_err = np.mean((preds - targets) ** 2, axis=1)
         metrics = {"mae": mae(preds.ravel(), targets.ravel()), "mse": float(np.mean(sq_err))}

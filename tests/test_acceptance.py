@@ -184,10 +184,9 @@ def test_criterion_7_complexity_scaling(tmp_path):
     code = ("import sys; from balora.cli import main; "
             f"sys.exit(main(['bench', '--k-range', '64,128,256,512,1024,2048', "
             f"'--r', '8', '--out', r'{out}']))")
-    # The BLAS reads its thread variables when numpy loads, so they pin the
-    # child to one thread even without threadpoolctl.
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
+    # Importing balora copies BALORA_THREADS into the BLAS thread variables
+    # before numpy loads, which pins the child to one BLAS thread.
+    env = {**os.environ, "BALORA_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env)
     elapsed = time.perf_counter() - t0

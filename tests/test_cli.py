@@ -53,6 +53,16 @@ def _train(tmp_path, fast_config, name="run", extra=()):
     return code, out
 
 
+def _set_stored_config(ckpt: Path, key: str, value) -> None:
+    """Rewrite one entry of the config stored in a checkpoint's header."""
+    raw = ckpt.read_bytes()
+    hlen = struct.unpack("<Q", raw[8:16])[0]
+    header = json.loads(raw[16:16 + hlen])
+    header["extra"]["config"][key] = value
+    blob = json.dumps(header).encode("utf-8")
+    ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen:])
+
+
 class TestConfig:
     def test_defaults_and_overrides(self):
         cfg = parse_config("lr = 0.5\nhidden = 8,8,8\nadapt_layers = all\n")
@@ -116,6 +126,7 @@ class TestTrain:
         assert manifest["status"] == "ok"
         assert manifest["command"] == "train"
         assert manifest["started"] <= manifest["finished"]
+        assert set(manifest["thread_env"]) == {"BALORA_THREADS", *B.BLAS_THREAD_VARS}
         for name in ("checkpoint.bin", "metrics.jsonl", "train.csv", "test.csv"):
             assert (out / name).exists()
         lines = (out / "metrics.jsonl").read_text().splitlines()
@@ -147,6 +158,30 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("config error: out-of-range")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error" and manifest["outputs"] == []
+
+    @pytest.mark.parametrize("line", [
+        "grad_clip_norm = nan", "kl_weight = nan", "lr = nan", "lr = inf",
+        "lora_alpha = nan", "noise_std = -inf"])
+    def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, line, monkeypatch,
+                                                     capsys):
+        monkeypatch.setattr(tasks, "pretrain_then_adapt",
+                            lambda *a, **k: pytest.fail("training started"))
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(FAST_CONFIG + line + "\n")
+        assert _train(tmp_path, cfg)[0] == 2
+        key = line.split()[0]
+        assert capsys.readouterr().err.startswith(f"config error: invalid value for {key}:")
+
+    def test_divergence_exits_1_without_a_traceback(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(FAST_CONFIG + "lr = 1e300\n")
+        code, out = _train(tmp_path, cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification error: non-finite loss")
+        assert "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
 
     @pytest.mark.parametrize("lines", [
         "", "kl_weight = 0.3", "nll = l1",
@@ -246,15 +281,18 @@ class TestEval:
         # A user --config whose task has d_in 4 is a configuration error.
         assert main([*argv, "--config", str(fast_config)]) == 2
         # The same disagreement in the stored config is a corrupt checkpoint.
-        raw = ckpt.read_bytes()
-        hlen = struct.unpack("<Q", raw[8:16])[0]
-        header = json.loads(raw[16:16 + hlen])
-        header["extra"]["config"]["d_in"] = 4
-        blob = json.dumps(header).encode("utf-8")
-        ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen:])
+        _set_stored_config(ckpt, "d_in", 4)
         assert main(argv) == 3
         manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
         assert manifest["status"] == "error" and "d_in" in manifest["error"]
+
+    def test_non_finite_stored_config_exits_3(self, tmp_path, fast_config):
+        _, out = _train(tmp_path, fast_config)
+        _set_stored_config(out / "checkpoint.bin", "lr", float("nan"))
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--mode", "deterministic", "--out", str(tmp_path / "x")]) == 3
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert "lr" in manifest["error"]
 
     def test_merge_gap_keeps_error_manifest(self, tmp_path, fast_config, monkeypatch):
         _, out = _train(tmp_path, fast_config)
@@ -329,7 +367,8 @@ class TestSample:
     ["sample", "--n", "0"], ["sample", "--n", "-2"], ["sample", "--input", "a,b"],
     ["sample", "--input", "nan,0,0,0"], ["bench", "--k-range", "16,abc"],
     ["bench", "--r", "0"], ["bench", "--k-range", "16,32", "--r", "40"],
-    ["bench", "--reps", "0"], ["bench", "--samples", "0"]], ids=" ".join)
+    ["bench", "--reps", "0"], ["bench", "--samples", "0"], ["bench", "--k-range", "16"],
+    ["bench", "--k-range", "16,16"]], ids=" ".join)
 def test_malformed_arguments_exit_2_before_work(tmp_path, monkeypatch, capsys, argv):
     # An absent checkpoint would exit 3 and a started benchmark fails the
     # test, so exit 2 means the arguments were rejected before any work.
@@ -363,9 +402,40 @@ class TestBench:
         out = tmp_path / "bench"
         assert main(["bench", "--k-range", "16,32", "--r", "2", "--samples", "8",
                      "--reps", "1", "--out", str(out)]) == 0
-        expected = thread_var == "1" or B.threadpool_limits is not None
+        expected = thread_var == "1"
         assert json.loads((out / "slopes.json").read_text())["blas_pinned"] is expected
         assert json.loads((out / "manifest.json").read_text())["blas_pinned"] is expected
+
+
+class TestThreads:
+    def test_threads_not_in_effect_exit_2(self, monkeypatch, capsys):
+        # numpy is already loaded here, so BALORA_THREADS holds only where
+        # the BLAS thread variables already equal it.
+        for var in B.BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        monkeypatch.setenv("BALORA_THREADS", "1")
+        assert main(["verify", "--filter", "kl_minimum"]) == 0
+        for raw in ("2", "lots", "0"):
+            monkeypatch.setenv("BALORA_THREADS", raw)
+            assert main(["verify", "--filter", "kl_minimum"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: BALORA_THREADS")
+            assert all(var in err for var in B.BLAS_THREAD_VARS)
+
+    def test_balora_threads_pins_a_fresh_process(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k not in B.BLAS_THREAD_VARS}
+        env.update(PYTHONPATH="src", BALORA_THREADS="1")
+        out = tmp_path / "bench"
+        proc = subprocess.run([sys.executable, "-m", "balora.cli", "bench", "--k-range",
+                               "16,32", "--r", "2", "--samples", "8", "--reps", "1",
+                               "--out", str(out)],
+                              cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "slopes.json").read_text())["blas_pinned"] is True
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["thread_env"] == {var: "1" for var in
+                                          ("BALORA_THREADS", *B.BLAS_THREAD_VARS)}
 
 
 class TestVerify:
@@ -404,22 +474,6 @@ class TestVerify:
         results = json.loads((tmp_path / "v" / "verify.json").read_text())
         assert [r["seed"] for r in results] == [5]
         assert json.loads((tmp_path / "v" / "manifest.json").read_text())["seed"] == 5
-
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("BALORA_THREADS", "1")
-        assert main(["verify", "--filter", "kl_minimum"]) == 0
-        monkeypatch.setenv("BALORA_THREADS", "lots")
-        assert main(["verify", "--filter", "kl_minimum"]) == 2
-
-    def test_thread_cap_says_when_it_is_ignored(self, monkeypatch, capsys):
-        monkeypatch.setattr(B, "threadpool_limits", None)
-        monkeypatch.setenv("BALORA_THREADS", "1")
-        assert main(["verify", "--filter", "kl_minimum"]) == 0
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("BALORA_THREADS ignored")
-        assert all(var in lines[0] for var in B.BLAS_THREAD_VARS)
-        monkeypatch.setenv("BALORA_THREADS", "lots")
-        assert main(["verify", "--filter", "kl_minimum"]) == 2
 
     @pytest.mark.parametrize("outcome", ["raises", "fails"])
     def test_manifest_finished_when_an_oracle_goes_wrong(self, tmp_path, monkeypatch,

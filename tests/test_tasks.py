@@ -97,8 +97,7 @@ class TestPretrainThenAdapt:
                                          V.PriorConfig(0.5), seed=12)
         backbone = trained.model.backbone
         assert backbone.frozen
-        fresh = TK.pretrain_backbone(task, (16, 16), pre, Rng(12),
-                                     TK.generate(task, shifted=False))
+        fresh = TK.pretrain_backbone(task, (16, 16), pre, Rng(12))
         for w_trained, w_fresh in zip(backbone.weights, fresh.weights):
             assert np.array_equal(w_trained.data, w_fresh.data)
         assert all(not w.requires_grad for w in backbone.weights)
@@ -114,8 +113,7 @@ class TestPretrainThenAdapt:
         Xte, yte = trained.target.test.X, trained.target.test.y
         frozen_only = trained.model.merged_forward(Xte)
         # Deterministic-mode prediction beats the unadapted backbone.
-        base = TK.pretrain_backbone(task, (32, 32), pre, Rng(13),
-                                    TK.generate(task, shifted=False))
+        base = TK.pretrain_backbone(task, (32, 32), pre, Rng(13))
         from balora.model import AdaptedModel
         shell = AdaptedModel(base, {}, None, "lora")
         mse_adapted = np.mean((frozen_only - yte) ** 2)

@@ -217,14 +217,6 @@ class TestMae:
     def test_symmetric_errors(self):
         assert U.mae([2.0, 1.0], [1.0, 2.0]) == pytest.approx(1.0)
 
-    def test_denormalization(self):
-        mu, sigma = 2.0899, 1.1295
-        rng = Rng(27)
-        raw = rng.normal((50,)) * sigma + mu
-        preds_norm = (raw - mu) / sigma + 0.1 * rng.stream_of(1).normal((50,))
-        direct = U.mae(preds_norm * sigma + mu, raw)
-        assert U.mae(preds_norm, raw, denorm=(mu, sigma)) == pytest.approx(direct)
-
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             U.mae([], [])
