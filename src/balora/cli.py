@@ -50,6 +50,19 @@ def _check_threads() -> None:
             f"differ from it; it must be a positive integer, set before numpy loads")
 
 
+def _os_threads() -> "int | None":
+    """This process's thread count (``Threads:`` in ``/proc/self/status``),
+    or None where that file cannot be read."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("Threads:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
 def _peak_rss_mb() -> float:
     """This process's peak resident set size (``ru_maxrss`` is KiB on Linux,
     bytes on macOS)."""
@@ -60,11 +73,13 @@ def _peak_rss_mb() -> float:
 class _Manifest:
     """Run manifest written before work starts and finalized on exit.
 
-    ``finish`` records ``wall_s`` (seconds since the manifest was created)
-    and ``peak_rss_mb``; they live only here, so every other artifact stays
-    byte-identical across reruns. Used as a context manager, an exception
-    finishes it as "error" with the exception's text, and a normal exit
-    finishes it as "ok" unless the block already finished it.
+    ``finish`` records ``wall_s`` (seconds since the manifest was created),
+    ``peak_rss_mb`` and ``threads``, the process's OS thread count at that
+    point (the BLAS pool included; null where it cannot be read). They live
+    only here, so every other artifact stays byte-identical across reruns.
+    Used as a context manager, an exception finishes it as "error" with the
+    exception's text, and a normal exit finishes it as "ok" unless the block
+    already finished it.
     """
 
     def __init__(self, out_dir: Path, command: str, config_path, seed):
@@ -103,6 +118,7 @@ class _Manifest:
         self.data["finished"] = _now()
         self.data["wall_s"] = time.perf_counter() - self._t0
         self.data["peak_rss_mb"] = _peak_rss_mb()
+        self.data["threads"] = _os_threads()
         self._flush()
 
     def _flush(self) -> None:
@@ -387,8 +403,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads()
-        return _HANDLERS[args.command](args)
+        # Every tape op raises on a non-finite result, so numpy's floating-point
+        # warnings would only repeat that error on stderr ahead of its one line.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _check_threads()
+            return _HANDLERS[args.command](args)
     except C.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

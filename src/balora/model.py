@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from . import adapter as A
 from . import tensor as T
@@ -205,7 +204,7 @@ class AdaptedModel:
         for i, (w, b) in enumerate(layers):
             h = h @ w.T + b
             if i != len(layers) - 1:
-                h = h * 0.5 * (1.0 + _erf(h / np.sqrt(2.0)))
+                h = h * T.gelu_gate(h)
         return h
 
     # -- prediction conveniences (off-tape) --------------------------------------

@@ -27,7 +27,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 __all__ = [
     "Tensor",
@@ -310,11 +309,11 @@ def sqrt(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     z = a.data
     # Stable form: log1p(exp(-|z|)) + max(z, 0) never overflows.
-    out = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
+    e = np.exp(-np.abs(z))
+    out = np.log1p(e) + np.maximum(z, 0.0)
 
     def vjp(g):
-        sig = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                       np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+        sig = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
         return (sig * g,)
 
     return Tensor._from_op(out, (a,), vjp, "softplus")
@@ -332,9 +331,21 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return Tensor._from_op(np.clip(ad, lo, hi), (a,), vjp, "clip")
 
 
+def gelu_gate(z: np.ndarray) -> np.ndarray:
+    """The GELU gate ``Phi(z) = 0.5 * (1 + erf(z / sqrt 2))``, so that
+    ``gelu(z) = z * Phi(z)``.
+
+    ``scipy.special`` is imported here, not at module level: it is most of
+    the package's import time, and only processes that evaluate a GELU need it.
+    """
+    from scipy.special import erf
+
+    return 0.5 * (1.0 + erf(z * _INV_SQRT2))
+
+
 def gelu(a: Tensor) -> Tensor:
     z = a.data
-    phi = 0.5 * (1.0 + _erf(z * _INV_SQRT2))
+    phi = gelu_gate(z)
 
     def vjp(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from balora import bench as B
-from balora import tasks, variational
+from balora import cli, tasks, variational
 from balora import verify as VF
 from balora.cli import main
 from balora.config import ConfigError, load_config, parse_config
@@ -51,6 +51,17 @@ def _train(tmp_path, fast_config, name="run", extra=()):
     out = tmp_path / name
     code = main(["train", "--config", str(fast_config), "--out", str(out), *extra])
     return code, out
+
+
+def _python(args, **env_overrides) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh process at the repository root, with
+    ``env_overrides`` applied (None removes a variable) and the BLAS pinned
+    unless overridden."""
+    env = {**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", **env_overrides}
+    env = {k: v for k, v in env.items() if v is not None}
+    return subprocess.run([sys.executable, *args], cwd=Path(__file__).resolve().parents[1],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 def _set_stored_config(ckpt: Path, key: str, value) -> None:
@@ -182,6 +193,18 @@ class TestTrain:
         assert "Traceback" not in err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
+
+    def test_divergence_in_a_fresh_process_prints_one_line(self, tmp_path):
+        # Outside pytest nothing captures numpy's overflow warnings, so this
+        # checks that none reach stderr ahead of the error line.
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(FAST_CONFIG + "lr = 1e300\n")
+        proc = _python(["-m", "balora.cli", "train", "--config", str(cfg),
+                        "--out", str(tmp_path / "o")])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "verification error: non-finite loss during ELBO step: "
+            "non-finite values produced by linear"]
 
     @pytest.mark.parametrize("lines", [
         "", "kl_weight = 0.3", "nll = l1",
@@ -332,23 +355,39 @@ class TestManifestTiming:
             manifest = json.loads((run / "manifest.json").read_text())
             assert manifest["wall_s"] > 0.0
             assert manifest["peak_rss_mb"] > 0.0
+            assert manifest["threads"] >= 1
         for name in ("checkpoint.bin", "metrics.jsonl"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestImportBudget:
-    def test_cli_import_leaves_oracle_suite_unloaded(self):
-        root = Path(__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": "1",
-               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-        code = ("import json, sys, balora.cli; print(json.dumps({m: m in sys.modules for m in "
+    @staticmethod
+    def _loaded(code: str, tmp_path) -> dict:
+        """Run ``code`` in a fresh process with ``OUT`` bound to a scratch
+        directory; report which of the lazily imported modules it loaded."""
+        code = (f"import json, sys; OUT = {str(tmp_path / 'out')!r}\n{code}\n"
+                "print(json.dumps({m: m in sys.modules for m in "
                 "('balora.verify', 'scipy.integrate', 'scipy.special')}))")
-        proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = _python(["-c", code])
         assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout)
-        assert not loaded["balora.verify"] and not loaded["scipy.integrate"]
-        # erf behind tensor.gelu stays a start-up import, paid once per process.
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_cli_import_leaves_oracle_suite_unloaded(self, tmp_path):
+        # The oracle suite loads in `verify`, erf at the first GELU.
+        assert not any(self._loaded("import balora.cli", tmp_path).values())
+
+    def test_bench_never_loads_scipy_special(self, tmp_path):
+        loaded = self._loaded(
+            "from balora.cli import main\n"
+            "assert main(['bench', '--k-range', '16,32', '--r', '2', '--samples', '8', "
+            "'--reps', '1', '--out', OUT]) == 0", tmp_path)
+        assert not loaded["scipy.special"]
+
+    def test_first_gelu_loads_scipy_special(self, tmp_path):
+        loaded = self._loaded(
+            "import numpy as np; from balora import tensor as T\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "T.gelu(T.Tensor(np.zeros(3)))", tmp_path)
         assert loaded["scipy.special"]
 
 
@@ -423,19 +462,29 @@ class TestThreads:
             assert all(var in err for var in B.BLAS_THREAD_VARS)
 
     def test_balora_threads_pins_a_fresh_process(self, tmp_path):
-        root = Path(__file__).resolve().parents[1]
-        env = {k: v for k, v in os.environ.items() if k not in B.BLAS_THREAD_VARS}
-        env.update(PYTHONPATH="src", BALORA_THREADS="1")
         out = tmp_path / "bench"
-        proc = subprocess.run([sys.executable, "-m", "balora.cli", "bench", "--k-range",
-                               "16,32", "--r", "2", "--samples", "8", "--reps", "1",
-                               "--out", str(out)],
-                              cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        proc = _python(["-m", "balora.cli", "bench", "--k-range", "16,32", "--r", "2",
+                        "--samples", "8", "--reps", "1", "--out", str(out)],
+                       BALORA_THREADS="1", **dict.fromkeys(B.BLAS_THREAD_VARS))
         assert proc.returncode == 0, proc.stderr
         assert json.loads((out / "slopes.json").read_text())["blas_pinned"] is True
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["thread_env"] == {var: "1" for var in
                                           ("BALORA_THREADS", *B.BLAS_THREAD_VARS)}
+
+    def test_manifest_records_one_thread_under_balora_threads_1(self, tmp_path, fast_config):
+        out = tmp_path / "train"
+        proc = _python(["-m", "balora.cli", "train", "--config", str(fast_config),
+                        "--out", str(out)],
+                       BALORA_THREADS="1", **dict.fromkeys(B.BLAS_THREAD_VARS))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "manifest.json").read_text())["threads"] == 1
+
+    def test_thread_count_is_null_where_unreadable(self, monkeypatch):
+        def unreadable(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/status")
+        monkeypatch.setattr(cli, "open", unreadable, raising=False)
+        assert cli._os_threads() is None
 
 
 class TestVerify:
