@@ -131,6 +131,13 @@ def _prepare_out(path_str: str) -> Path:
     return out
 
 
+def _verify_failed(manifest: _Manifest, message: str) -> int:
+    """Finish ``manifest`` as an error with ``message`` and return exit code 1."""
+    manifest.finish("error", message)
+    print(f"verification error: {message}", file=sys.stderr)
+    return EXIT_VERIFY
+
+
 def _write_split_csv(path: Path, split: TK.Split) -> None:
     X = np.atleast_2d(split.X)
     y = np.atleast_2d(np.asarray(split.y, dtype=np.float64).reshape(X.shape[0], -1))
@@ -139,7 +146,7 @@ def _write_split_csv(path: Path, split: TK.Split) -> None:
         writer.writerow([f"x{i}" for i in range(X.shape[1])]
                         + [f"y{i}" for i in range(y.shape[1])])
         for xi, yi in zip(X, y):
-            writer.writerow([repr(v) for v in xi] + [repr(v) for v in yi])
+            writer.writerow(xi.tolist() + yi.tolist())
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -229,10 +236,9 @@ def cmd_eval(args) -> int:
             merged = model.merged_forward(X)
             scale = max(1.0, float(np.max(np.abs(layered))))
             gap = float(np.max(np.abs(layered - merged))) / scale
-            if gap > 1e-12:
-                manifest.finish("error", f"merge equivalence violated: {gap:.3e}")
-                print(f"merge-equivalence assertion failed: {gap:.3e}", file=sys.stderr)
-                return EXIT_VERIFY
+            # Written so that a NaN gap fails too.
+            if not gap <= 1e-12:
+                return _verify_failed(manifest, f"merge equivalence violated: {gap:.3e}")
             if task.is_classification:
                 probs = U._softmax(merged)
                 metrics = {"accuracy": U.accuracy(probs, y), "ece": U.ece(probs, y)}
@@ -240,6 +246,8 @@ def cmd_eval(args) -> int:
                 y2 = np.asarray(y, dtype=np.float64).reshape(merged.shape)
                 metrics = {"mse": float(np.mean((merged - y2) ** 2)),
                            "mae": U.mae(merged.ravel(), y2.ravel())}
+            if not np.all(np.isfinite(list(metrics.values()))):
+                return _verify_failed(manifest, f"non-finite metrics: {metrics}")
             payload = {"mode": "deterministic", "merge_gap": gap, "metrics": metrics}
             report_path = out / "eval.json"
             report_path.write_text(json.dumps(payload, sort_keys=True) + "\n")

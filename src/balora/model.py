@@ -2,10 +2,10 @@
 
 Backbones are small GELU MLPs that get pretrained on a source split and
 then frozen; adapters are attached to a configurable subset of the linear
-layers. The stochastic forward draws one latent noise vector per sample
-per adapted layer and keeps the whole path on the gradient tape, so the
-training objective differentiates through the sampler by
-reparametrization.
+layers. The stochastic forward takes one latent noise vector per sample
+per adapted layer (drawn by ``AdaptedModel.draw_eps``) and keeps the whole
+path on the gradient tape, so the training objective differentiates
+through the sampler by reparametrization.
 """
 
 from __future__ import annotations
@@ -20,6 +20,11 @@ from . import tensor as T
 from .adapter import ALPHA_MAX, ALPHA_MIN, AlphaNet, BaLoRALayer
 from .rng import Rng
 from .tensor import DomainError, ShapeError, Tensor
+
+# Rows per stochastic forward block in ``predict_stochastic``. A block's
+# width-256 activation is 2 MB, about the size of L2, and 1024 rows are
+# enough to amortize per-op overhead.
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -158,21 +163,26 @@ class AdaptedModel:
 
     # -- forward passes --------------------------------------------------------
 
-    def forward(self, X, rng: Optional[Rng] = None, alphas: Optional[Tensor] = None,
-                stochastic: bool = False) -> Tensor:
-        """Batched forward. The default is the posterior-mean forward, identical
-        to the merged weights. Stochastic mode draws one noise vector per
-        sample per adapted layer; eps enters as a constant so gradients flow
-        through the noise scale, WA, and WB only."""
+    def forward(self, X, alphas: Optional[Tensor] = None,
+                eps: Optional[list[np.ndarray]] = None) -> Tensor:
+        """Batched forward. Without ``eps`` this is the posterior-mean forward,
+        identical to the merged weights. With ``eps`` it is stochastic: ``eps``
+        holds one ``(n, r)`` noise array per adapted layer, in
+        ``adapted_layers`` order (see :meth:`draw_eps`). eps enters as a
+        constant, so gradients flow through the noise scale, WA, and WB only."""
         x = X if isinstance(X, Tensor) else Tensor(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         if x.ndim != 2:
             raise ShapeError(f"model forward expects a batch matrix, got {x.shape}")
-        if stochastic and self.kind != "balora":
-            raise DomainError("stochastic forward requires a balora model")
-        if stochastic and rng is None:
-            raise DomainError("stochastic forward needs an rng")
-        if stochastic and alphas is None:
-            alphas = self.alphas(x.data)
+        stochastic = eps is not None
+        if stochastic:
+            if self.kind != "balora":
+                raise DomainError("stochastic forward requires a balora model")
+            shapes = [(x.shape[0], layer.rank) for layer in self.adapters.values()]
+            got = [np.shape(e) for e in eps]
+            if got != shapes:
+                raise ShapeError(f"eps shapes {got} do not fit {shapes}")
+            if alphas is None:
+                alphas = self.alphas(x.data)
         h = x
         last = self.backbone.n_layers - 1
         for i, (w, b) in enumerate(zip(self.backbone.weights, self.backbone.biases)):
@@ -180,13 +190,20 @@ class AdaptedModel:
             if layer is None:
                 h = T.linear(h, w, b)
             elif stochastic:
-                eps = rng.normal((x.shape[0], layer.rank))
-                h = A.adapted_linear(layer, h, b, alphas, self.adapted_layers.index(i), eps)
+                col = self.adapted_layers.index(i)
+                h = A.adapted_linear(layer, h, b, alphas, col, eps[col])
             else:
                 h = A.adapted_linear(layer, h, b)
             if i != last:
                 h = T.gelu(h)
         return h
+
+    def draw_eps(self, n: int, rng: Rng) -> list[np.ndarray]:
+        """One ``(n, r)`` standard-normal array per adapted layer, in
+        ``adapted_layers`` order: the noise of a stochastic :meth:`forward`."""
+        if self.kind != "balora":
+            raise DomainError("stochastic forward requires a balora model")
+        return [rng.normal((n, layer.rank)) for layer in self.adapters.values()]
 
     def merged_weights(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer (weight, bias) with adapters folded into the base weights."""
@@ -215,10 +232,23 @@ class AdaptedModel:
 
     def predict_stochastic(self, X: np.ndarray, rng: Rng,
                            alphas: Optional[np.ndarray] = None) -> np.ndarray:
+        """Stochastic forward of every row of ``X``, off the tape.
+
+        The noise is drawn once for all rows, then the rows run through
+        :meth:`forward` in blocks of ``_BLOCK_ROWS``, so activation memory does
+        not grow with the row count.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        n = X.shape[0]
+        eps = self.draw_eps(n, rng)
         with T.no_grad():
-            a = Tensor(alphas) if alphas is not None else None
-            return self.forward(np.asarray(X, dtype=np.float64), rng=rng,
-                                alphas=a, stochastic=True).data
+            a = self.alphas(X).data if alphas is None else np.asarray(alphas)
+            out = np.empty((n, self.backbone.spec.d_out))
+            for lo in range(0, n, _BLOCK_ROWS):
+                blk = slice(lo, lo + _BLOCK_ROWS)
+                out[blk] = self.forward(X[blk], alphas=Tensor(a[blk] if a.ndim == 2 else a),
+                                        eps=[e[blk] for e in eps]).data
+        return out
 
 
 def attach_adapters(backbone: ToyBackbone, aspec: AdapterSpec, kind: str,

@@ -340,7 +340,11 @@ def gelu_gate(z: np.ndarray) -> np.ndarray:
     """
     from scipy.special import erf
 
-    return 0.5 * (1.0 + erf(z * _INV_SQRT2))
+    g = np.asarray(z * _INV_SQRT2)
+    erf(g, out=g)
+    g += 1.0
+    g *= 0.5
+    return g
 
 
 def gelu(a: Tensor) -> Tensor:

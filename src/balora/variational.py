@@ -209,10 +209,10 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
     try:
         if model.kind == "balora":
             alphas = model.alphas(X)
-            pred = model.forward(X, rng=rng, alphas=alphas, stochastic=True)
+            pred = model.forward(X, alphas=alphas, eps=model.draw_eps(X.shape[0], rng))
         else:
             alphas = None
-            pred = model.forward(X, stochastic=False)
+            pred = model.forward(X)
         if model.head == "classification":
             nll = cross_entropy(pred, y)
         elif cfg.nll == "l1":

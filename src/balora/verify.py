@@ -242,7 +242,7 @@ def check_gradient_fd(seed: int) -> OracleResult:
 
     def nll() -> Tensor:
         alphas = model.alphas(X)
-        pred = model.forward(X, rng=Rng(seed + 9), alphas=alphas, stochastic=True)
+        pred = model.forward(X, alphas=alphas, eps=model.draw_eps(X.shape[0], Rng(seed + 9)))
         return V.gaussian_nll(pred, y, model.log_sigma)
 
     def kl() -> Tensor:

@@ -145,6 +145,18 @@ class TestTrain:
         for key in ("loss", "nll", "kl_normalized", "alpha_per_layer", "lr"):
             assert key in record
 
+    def test_split_csvs_parse_back_bit_for_bit(self, tmp_path, fast_config):
+        _, out = _train(tmp_path, fast_config)
+        splits = tasks.generate(cli.C.task_from_config(load_config(fast_config)),
+                                shifted=True)
+        for name in ("train", "val", "test"):
+            split = getattr(splits, name)
+            table = np.loadtxt(out / f"{name}.csv", delimiter=",", skiprows=1, ndmin=2)
+            d = split.X.shape[1]
+            assert table[:, :d].tobytes() == np.ascontiguousarray(split.X).tobytes()
+            assert table[:, d:].ravel().tobytes() == \
+                np.asarray(split.y, dtype=np.float64).ravel().tobytes()
+
     def test_summary_counts_clipped_steps(self, tmp_path, fast_config, capsys):
         _, out = _train(tmp_path, fast_config)
         records = [json.loads(line) for line in
@@ -329,6 +341,23 @@ class TestEval:
         assert manifest["status"] == "error"
         assert manifest["error"].startswith("merge equivalence violated")
         assert manifest["outputs"] == []
+
+    def test_nan_merge_gap_fails(self, tmp_path, fast_config, monkeypatch):
+        _, out = _train(tmp_path, fast_config)
+        monkeypatch.setattr(AdaptedModel, "merged_forward",
+                            lambda self, X: np.full((len(X), 1), np.nan))
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--mode", "deterministic", "--out", str(tmp_path / "x")])
+        assert code == 1
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("merge equivalence violated")
+
+        def no_constants(name):
+            raise AssertionError(f"{name} in a JSON output")
+
+        for path in (tmp_path / "x").glob("*.json"):
+            json.loads(path.read_text(), parse_constant=no_constants)
 
     def test_corrupt_checkpoint_exits_3(self, tmp_path):
         bad = tmp_path / "bad.bin"

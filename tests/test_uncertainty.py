@@ -3,14 +3,17 @@
 Monte Carlo properties are checked on ``uq_report`` and, for per-dim
 moments, on its draw primitive ``_stochastic_draws``."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import single_linear_model as _single_linear_model
 
 from balora import adapter as A
+from balora import model as M
 from balora import uncertainty as U
-from balora.model import AdaptedModel, BackboneSpec, ToyBackbone
+from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone
 from balora.rng import Rng
 from balora.tensor import DomainError, ShapeError, Tensor
 from balora.verify import _tiny_model
@@ -80,6 +83,52 @@ class TestMcPredict:
             errs_small.append(np.mean(np.abs(v_small - diag)))
             errs_big.append(np.mean(np.abs(v_big - diag)))
         assert np.median(errs_small) >= 2.0 * np.median(errs_big) * 0.9
+
+
+def _wide_model(seed: int, hidden: tuple) -> AdaptedModel:
+    """Untrained regression model with every layer adapted and non-zero WB,
+    so the noise reaches the output."""
+    rng = Rng(seed)
+    backbone = ToyBackbone(BackboneSpec(d_in=32, d_out=1, hidden=hidden), rng.stream_of(0))
+    model = M.attach_adapters(backbone, AdapterSpec(rank=8, lora_alpha=16.0), "balora",
+                              rng.stream_of(1))
+    for j, layer in enumerate(model.adapters.values()):
+        layer.WB = Tensor(rng.stream_of(2 + j).normal(layer.WB.shape) * 0.1)
+    return model
+
+
+class TestBlockedDraws:
+    """The MC forward runs in row blocks: memory stays bounded and the
+    draws do not depend on the block size."""
+
+    def test_wide_report_peak_memory(self):
+        # S=32 x 512 rows at width 256: the unblocked forward peaked at
+        # about 141 MB on this test.
+        model = _wide_model(40, (256, 256))
+        X = Rng(41).normal((512, 32))
+        y = Rng(42).normal((512, 1))
+        tracemalloc.start()
+        try:
+            U.uq_report(model, X, y, 32, Rng(43))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("S,B", [(7, 300), (4, 512), (5, 205), (3, 5)])
+    def test_block_size_does_not_change_draws(self, monkeypatch, S, B):
+        # Against blocks of 1024 rows: 2100 rows end in a ragged block of
+        # 52, 2048 fill two blocks, 1025 end in a one-row block.
+        model = _wide_model(44, (48, 40))
+        X = Rng(45).normal((B, 32))
+        blocked = U._stochastic_draws(model, X, S, Rng(46))
+        again = U._stochastic_draws(model, X, S, Rng(46))
+        assert blocked.tobytes() == again.tobytes()
+        monkeypatch.setattr(M, "_BLOCK_ROWS", 1 << 30)
+        whole = U._stochastic_draws(model, X, S, Rng(46))
+        assert blocked.shape == whole.shape == (S, B, 1)
+        assert np.std(whole, axis=0).min() > 0  # the noise is live
+        assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
 class TestDecomposition:
