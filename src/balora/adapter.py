@@ -99,10 +99,83 @@ def init_layer(rng: Rng, d: int, k: int, r: int, init_std: float,
     return BaLoRALayer(W0=w0.detach(), WA=wa, WB=wb, rank=r, lora_scale=float(lora_scale))
 
 
+def layer_terms(layer: BaLoRALayer, x: np.ndarray, bias: Optional[np.ndarray] = None,
+                noisy: bool = False):
+    """The draw-independent terms of the layer at input rows ``x``, in plain
+    numpy: the base output ``W0 x + b``, the latent mean ``WA x`` and, when
+    ``noisy``, the latent variance per unit alpha ``(WA**2)(x**2)`` (else
+    None). A Monte Carlo evaluator computes them once per input row."""
+    wa = layer.WA.data
+    z = x @ wa.T
+    q = (x * x) @ (wa * wa).T if noisy else None
+    base = x @ layer.W0.data.T
+    if bias is not None:
+        base += bias
+    return base, z, q
+
+
+def layer_output(layer: BaLoRALayer, base: np.ndarray, z: np.ndarray,
+                 q: Optional[np.ndarray] = None, a=None, eps: Optional[np.ndarray] = None):
+    """Finish the layer from its :func:`layer_terms`:
+    ``base + lora_scale * WB (z + sd * eps)`` with ``sd = sqrt(a * q)``.
+
+    Returns the output, the noisy latent ``z`` and ``sd`` (None without
+    ``eps``). ``a`` is a scalar or an ``(n, 1)`` column of noise scales.
+    """
+    sd = None
+    if eps is not None:
+        sd = np.sqrt(a * q)
+        z = z + sd * eps
+    out = z @ layer.WB.data.T
+    out *= layer.lora_scale
+    out += base
+    return out, z, sd
+
+
+def adapted_kernel(layer: BaLoRALayer, x: np.ndarray, bias: Optional[np.ndarray] = None,
+                   a=None, eps: Optional[np.ndarray] = None):
+    """The adapted layer's forward math, in plain numpy and off the tape.
+
+    Returns ``(out, z, q, sd)``: the output, the noisy latent, the latent
+    variance per unit alpha and the latent standard deviation (``q`` and
+    ``sd`` are None without ``eps``). Inputs are not checked; see
+    :func:`adapted_linear` for the shapes.
+    """
+    base, z, q = layer_terms(layer, x, bias, eps is not None)
+    out, z, sd = layer_output(layer, base, z, q, a, eps)
+    return out, z, q, sd
+
+
+def _checked_call(layer: BaLoRALayer, xd: np.ndarray, bias: Optional[Tensor],
+                   alphas: Optional[Tensor], col: int, eps):
+    """Check a layer call's shapes; return ``eps`` as an array and the noise
+    scale ``a`` as a scalar or an ``(n, 1)`` column, or ``(None, None)``."""
+    if xd.ndim not in (1, 2) or xd.shape[-1] != layer.d:
+        raise ShapeError(f"adapter expects input (d,) or (n, d) with d={layer.d}, "
+                         f"got {xd.shape}")
+    if bias is not None and bias.shape != (layer.k,):
+        raise ShapeError(f"bias {bias.shape} does not fit output width {layer.k}")
+    if (eps is not None) != (alphas is not None):
+        raise DomainError("stochastic mode needs both alphas and eps")
+    if eps is None:
+        return None, None
+    eps = np.asarray(eps, dtype=np.float64)
+    if eps.ndim not in (1, 2) or eps.shape[-1] != layer.rank or \
+            (xd.ndim == 2 and eps.shape != (xd.shape[0], layer.rank)):
+        raise ShapeError(f"eps of shape {eps.shape} for input {xd.shape} at rank "
+                         f"{layer.rank}")
+    a = alphas.data if alphas.ndim == 0 else alphas.data[..., col]
+    if a.ndim and (eps.ndim != 2 or a.shape != eps.shape[:1]):
+        raise ShapeError(f"alphas {alphas.shape} do not fit eps {eps.shape}")
+    if (a < 0.0).any():
+        raise DomainError("alpha must be non-negative")
+    return eps, (a[:, None] if a.ndim else a)
+
+
 def adapted_linear(layer: BaLoRALayer, x: Tensor, bias: Optional[Tensor] = None,
                    alphas: Optional[Tensor] = None, col: int = 0,
                    eps: Optional[np.ndarray] = None) -> Tensor:
-    """The adapted layer as one tape node.
+    """The adapted layer as one tape node around :func:`adapted_kernel`.
 
     Computes ``W0 x + b + lora_scale * WB (WA x + sqrt(alpha * (WA**2)(x**2)) * eps)``
     for a vector ``x`` of shape ``(d,)`` or a batch ``(n, d)``. With
@@ -117,39 +190,10 @@ def adapted_linear(layer: BaLoRALayer, x: Tensor, bias: Optional[Tensor] = None,
     the parents that require grad.
     """
     xd = x.data
-    if x.ndim not in (1, 2) or xd.shape[-1] != layer.d:
-        raise ShapeError(f"adapter expects input (d,) or (n, d) with d={layer.d}, "
-                         f"got {x.shape}")
-    if bias is not None and bias.shape != (layer.k,):
-        raise ShapeError(f"bias {bias.shape} does not fit output width {layer.k}")
+    eps, a = _checked_call(layer, xd, bias, alphas, col, eps)
     stochastic = eps is not None
-    if stochastic != (alphas is not None):
-        raise DomainError("stochastic mode needs both alphas and eps")
+    out, z, q, sd = adapted_kernel(layer, xd, None if bias is None else bias.data, a, eps)
     w0, wa, wb, s = layer.W0.data, layer.WA.data, layer.WB.data, layer.lora_scale
-    z = xd @ wa.T
-    if stochastic:
-        eps = np.asarray(eps, dtype=np.float64)
-        if eps.ndim not in (1, 2) or eps.shape[-1] != layer.rank or \
-                (x.ndim == 2 and eps.shape != z.shape):
-            raise ShapeError(f"eps of shape {eps.shape} for input {x.shape} at rank "
-                             f"{layer.rank}")
-        a = alphas.data if alphas.ndim == 0 else alphas.data[..., col]
-        if a.ndim and (eps.ndim != 2 or a.shape != eps.shape[:1]):
-            raise ShapeError(f"alphas {alphas.shape} do not fit eps {eps.shape}")
-        if (a < 0.0).any():
-            raise DomainError("alpha must be non-negative")
-        if a.ndim:
-            a = a[:, None]
-        x2, wa2 = xd * xd, wa * wa
-        q = x2 @ wa2.T
-        sd = np.sqrt(a * q)
-        z = z + sd * eps
-    base = xd @ w0.T
-    if bias is not None:
-        base += bias.data
-    out = z @ wb.T
-    out *= s
-    out += base
 
     def to_input_rows(t):
         # A vector input shared by a batch of draws sums its cotangents over draws.
@@ -185,11 +229,11 @@ def adapted_linear(layer: BaLoRALayer, x: Tensor, bias: Optional[Tensor] = None,
         if layer.WA.requires_grad:
             gwa = outer(gz_in, xd)
             if stochastic:
-                gwa += 2.0 * wa * outer(gq, x2)
+                gwa += 2.0 * wa * outer(gq, xd * xd)
         if x.requires_grad:
             gx = g_in @ w0 + gz_in @ wa
             if stochastic:
-                gx += 2.0 * xd * (gq @ wa2)
+                gx += 2.0 * xd * (gq @ (wa * wa))
         grads = (gx, gw0, gwa, gwb, gb, galpha)
         return tuple(gr for p, gr in zip(slots, grads) if p is not None)
 
@@ -211,10 +255,9 @@ def analytic_predictive(layer: BaLoRALayer, x: Tensor, alpha: float) -> Predicti
     xd = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
     if xd.shape != (layer.d,):
         raise ShapeError(f"expected input of shape ({layer.d},), got {xd.shape}")
-    with T.no_grad():
-        mean = adapted_linear(layer, Tensor(xd))
+    mean = adapted_kernel(layer, xd)[0]
     d_vec = _latent_variance(layer, xd, float(alpha))
-    return PredictiveGaussian(mean=mean.detach(), d_vec=Tensor(d_vec), wb=layer.WB.detach())
+    return PredictiveGaussian(mean=Tensor(mean), d_vec=Tensor(d_vec), wb=layer.WB.detach())
 
 
 def sample_lowrank(layer: BaLoRALayer, x: Tensor, alpha, rng: Rng,
@@ -232,8 +275,10 @@ def sample_lowrank(layer: BaLoRALayer, x: Tensor, alpha, rng: Rng,
         raise DomainError("alpha must be positive")
     if n is None:
         return adapted_linear(layer, x, alphas=alpha_t, eps=rng.normal((layer.rank,)))
-    with T.no_grad():
-        return adapted_linear(layer, x, alphas=alpha_t, eps=rng.normal((int(n), layer.rank)))
+    xd = x.data
+    eps, a = _checked_call(layer, xd, None, alpha_t, 0, rng.normal((int(n), layer.rank)))
+    return Tensor._from_op(adapted_kernel(layer, xd, None, a, eps)[0], (), None,
+                           "sample_lowrank")
 
 
 def sample_full_cov_oracle(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng,
@@ -302,18 +347,30 @@ class AlphaNet:
         return list(self.weights) + list(self.biases)
 
 
+def _inverse_softplus(a: float) -> float:
+    """``log(expm1(a))``, whose ``expm1`` overflows for ``a`` above about
+    709; from 20 on it is computed as the equal ``a + log(-expm1(-a))``."""
+    if a < 20.0:
+        return float(np.log(np.expm1(a)))
+    return float(a + np.log(-np.expm1(-a)))
+
+
 def init_alphanet(rng: Rng, feature_dim: int, num_layers: int,
                   hidden_dims=(256, 256), alpha_min: float = ALPHA_MIN,
                   alpha_max: float = ALPHA_MAX, init_alpha: float = 0.05) -> AlphaNet:
     """AlphaNet with 1/sqrt(fan_in) weight init and output bias set so the
-    initial noise scale is ``init_alpha`` (small noise eases early training)."""
+    initial noise scale is ``init_alpha`` (small noise eases early training),
+    which must lie in the clamp ``[alpha_min, alpha_max]``."""
     if feature_dim < 1 or num_layers < 1:
         raise DomainError("feature_dim and num_layers must be positive")
+    if not alpha_min <= init_alpha <= alpha_max:
+        raise DomainError(f"init_alpha {init_alpha} outside [alpha_min, alpha_max] = "
+                          f"[{alpha_min}, {alpha_max}]")
     net = AlphaNet(feature_dim=int(feature_dim), num_layers=int(num_layers),
                    hidden_dims=tuple(int(h) for h in hidden_dims),
                    alpha_min=float(alpha_min), alpha_max=float(alpha_max))
     dims = [net.feature_dim, *net.hidden_dims, net.num_layers]
-    out_bias = float(np.log(np.expm1(np.clip(init_alpha, 1e-6, None))))
+    out_bias = _inverse_softplus(float(init_alpha))
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         w = rng.normal((fan_out, fan_in)) / np.sqrt(fan_in)
         b = np.full(fan_out, out_bias) if i == len(dims) - 2 else np.zeros(fan_out)

@@ -5,7 +5,9 @@ then frozen; adapters are attached to a configurable subset of the linear
 layers. The stochastic forward takes one latent noise vector per sample
 per adapted layer (drawn by ``AdaptedModel.draw_eps``) and keeps the whole
 path on the gradient tape, so the training objective differentiates
-through the sampler by reparametrization.
+through the sampler by reparametrization. ``predict_stochastic`` is its
+untaped Monte Carlo counterpart: it runs what does not depend on the draw
+once per input row.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ class AdapterSpec:
         if not 0.0 < self.alpha_min <= self.alpha_max:
             raise DomainError(f"need 0 < alpha_min <= alpha_max, got "
                               f"{self.alpha_min}, {self.alpha_max}")
+        if not self.alpha_min <= self.init_alpha <= self.alpha_max:
+            raise DomainError(f"init_alpha {self.init_alpha} outside [alpha_min, alpha_max] "
+                              f"= [{self.alpha_min}, {self.alpha_max}]")
 
 
 class ToyBackbone:
@@ -91,11 +96,14 @@ class ToyBackbone:
         self.biases = [b.detach() for b in self.biases]
         self.frozen = True
 
-    def hidden(self, x: Tensor) -> Tensor:
-        """Representation entering the output layer (AlphaNet features)."""
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = T.gelu(T.linear(h, w, b))
+    def gelu_layers(self, h: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Layers ``start`` to ``stop - 1``, each followed by its GELU, in
+        plain numpy and off the tape (so ``stop`` stays below the output
+        layer). The ops are those of ``T.linear`` and ``T.gelu``, so the bits
+        are too."""
+        for w, b in zip(self.weights[start:stop], self.biases[start:stop]):
+            h = h @ w.data.T + b.data
+            h = h * T.gelu_gate(h)
         return h
 
 
@@ -113,6 +121,8 @@ class AdaptedModel:
             raise DomainError(f"unknown adapter kind: {kind}")
         if kind == "balora" and alphanet is None:
             raise DomainError("balora models need an AlphaNet")
+        if kind == "balora" and not backbone.frozen:
+            raise DomainError("balora models need a frozen backbone")
         if kind == "balora" and alphanet.num_layers != len(adapters):
             raise ShapeError(
                 f"AlphaNet emits {alphanet.num_layers} scales for {len(adapters)} adapters")
@@ -145,31 +155,49 @@ class AdaptedModel:
 
     # -- alpha path ----------------------------------------------------------
 
-    def alpha_features(self, X: np.ndarray) -> np.ndarray:
+    @property
+    def prefix_layers(self) -> int:
+        """Number of leading backbone layers before the first adapted one:
+        the frozen prefix, which does not depend on the noise."""
+        return min(self.adapted_layers, default=self.backbone.n_layers - 1)
+
+    def frozen_prefix(self, X: np.ndarray) -> np.ndarray:
+        """Activation entering the first adapted layer, computed off the
+        tape. The alpha features and every stochastic forward of the same
+        rows continue from it, so it runs once per input row."""
+        return self.backbone.gelu_layers(np.asarray(X, dtype=np.float64), 0,
+                                         self.prefix_layers)
+
+    def alpha_features(self, X: np.ndarray, prefix: Optional[np.ndarray] = None) -> np.ndarray:
         """Feature vectors driving the noise scales (computed off-tape).
 
         Regression uses the raw input; classification uses the frozen
         backbone's last hidden representation, standing in for a
-        pretrained feature extractor.
+        pretrained feature extractor. ``prefix`` is :meth:`frozen_prefix`
+        of ``X`` when the caller already has it.
         """
-        with T.no_grad():
-            if self.head == "regression":
-                return np.asarray(X, dtype=np.float64)
-            return self.backbone.hidden(Tensor(X)).data
+        if self.head == "regression":
+            return np.asarray(X, dtype=np.float64)
+        if prefix is None:
+            prefix = self.frozen_prefix(X)
+        return self.backbone.gelu_layers(prefix, self.prefix_layers, self.backbone.n_layers - 1)
 
-    def alphas(self, X: np.ndarray) -> Tensor:
-        feats = Tensor(self.alpha_features(X))
+    def alphas(self, X: np.ndarray, prefix: Optional[np.ndarray] = None) -> Tensor:
+        feats = Tensor(self.alpha_features(X, prefix))
         return A.alpha_forward(self.alphanet, feats)
 
     # -- forward passes --------------------------------------------------------
 
     def forward(self, X, alphas: Optional[Tensor] = None,
-                eps: Optional[list[np.ndarray]] = None) -> Tensor:
+                eps: Optional[list[np.ndarray]] = None,
+                prefix: Optional[np.ndarray] = None) -> Tensor:
         """Batched forward. Without ``eps`` this is the posterior-mean forward,
         identical to the merged weights. With ``eps`` it is stochastic: ``eps``
         holds one ``(n, r)`` noise array per adapted layer, in
         ``adapted_layers`` order (see :meth:`draw_eps`). eps enters as a
-        constant, so gradients flow through the noise scale, WA, and WB only."""
+        constant, so gradients flow through the noise scale, WA, and WB only.
+        A ``prefix`` from :meth:`frozen_prefix` of ``X`` (frozen backbone
+        only) replaces the layers before the first adapted one."""
         x = X if isinstance(X, Tensor) else Tensor(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         if x.ndim != 2:
             raise ShapeError(f"model forward expects a batch matrix, got {x.shape}")
@@ -182,11 +210,11 @@ class AdaptedModel:
             if got != shapes:
                 raise ShapeError(f"eps shapes {got} do not fit {shapes}")
             if alphas is None:
-                alphas = self.alphas(x.data)
-        h = x
+                alphas = self.alphas(x.data, prefix)
+        h, start = (x, 0) if prefix is None else (Tensor(prefix), self.prefix_layers)
         last = self.backbone.n_layers - 1
-        for i, (w, b) in enumerate(zip(self.backbone.weights, self.backbone.biases)):
-            layer = self.adapters.get(i)
+        for i in range(start, last + 1):
+            w, b, layer = self.backbone.weights[i], self.backbone.biases[i], self.adapters.get(i)
             if layer is None:
                 h = T.linear(h, w, b)
             elif stochastic:
@@ -230,25 +258,51 @@ class AdaptedModel:
         with T.no_grad():
             return self.forward(np.asarray(X, dtype=np.float64)).data
 
-    def predict_stochastic(self, X: np.ndarray, rng: Rng,
-                           alphas: Optional[np.ndarray] = None) -> np.ndarray:
-        """Stochastic forward of every row of ``X``, off the tape.
+    def predict_stochastic(self, X: np.ndarray, S: int, rng: Rng) -> np.ndarray:
+        """``S`` stochastic forwards of every row of ``X``, off the tape:
+        an ``(S, B, k)`` array.
 
-        The noise is drawn once for all rows, then the rows run through
-        :meth:`forward` in blocks of ``_BLOCK_ROWS``, so activation memory does
-        not grow with the row count.
+        The noise is that of :meth:`forward` on ``X`` tiled ``S`` times:
+        ``draw_eps(S * B, rng)``, whose row ``j`` is draw ``j // B`` of input
+        ``j % B``. What does not depend on the draw runs once per input row:
+        the frozen prefix, the alphas, and the first adapted layer's
+        :func:`~balora.adapter.layer_terms`. Each block of ``_BLOCK_ROWS``
+        draw rows gathers those terms, adds its noise and runs the remaining
+        layers, so activation memory does not grow with ``S``. The per-row
+        terms and every block's output are checked for finiteness; NaN and
+        Inf propagate to them through every op in between.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        n = X.shape[0]
+        B, n = X.shape[0], S * X.shape[0]
         eps = self.draw_eps(n, rng)
+        weights = [w.data for w in self.backbone.weights]
+        biases = [b.data for b in self.backbone.biases]
+        first, last = self.prefix_layers, self.backbone.n_layers - 1
+        prefix = self.frozen_prefix(X)
         with T.no_grad():
-            a = self.alphas(X).data if alphas is None else np.asarray(alphas)
-            out = np.empty((n, self.backbone.spec.d_out))
-            for lo in range(0, n, _BLOCK_ROWS):
-                blk = slice(lo, lo + _BLOCK_ROWS)
-                out[blk] = self.forward(X[blk], alphas=Tensor(a[blk] if a.ndim == 2 else a),
-                                        eps=[e[blk] for e in eps]).data
-        return out
+            alphas = self.alphas(X, prefix).data
+        terms = A.layer_terms(self.adapters[first], prefix, biases[first], noisy=True)
+        for t in terms:
+            T.check_finite(t, "per-row terms of the stochastic forward")
+        out = np.empty((n, self.backbone.spec.d_out))
+        for lo in range(0, n, _BLOCK_ROWS):
+            blk = slice(lo, min(lo + _BLOCK_ROWS, n))
+            rows = np.arange(blk.start, blk.stop) % B
+            a = alphas[rows]
+            h = A.layer_output(self.adapters[first], *(t[rows] for t in terms),
+                               a[:, :1], eps[0][blk])[0]
+            for i in range(first + 1, last + 1):
+                h = h * T.gelu_gate(h)
+                layer = self.adapters.get(i)
+                if layer is None:
+                    h = h @ weights[i].T + biases[i]
+                else:
+                    col = self.adapted_layers.index(i)
+                    h = A.adapted_kernel(layer, h, biases[i], a[:, col:col + 1],
+                                         eps[col][blk])[0]
+            T.check_finite(h, "the stochastic forward")
+            out[blk] = h
+        return out.reshape(S, B, -1)
 
 
 def attach_adapters(backbone: ToyBackbone, aspec: AdapterSpec, kind: str,

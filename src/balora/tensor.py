@@ -80,7 +80,8 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
+def check_finite(arr: np.ndarray, what: str) -> None:
+    """Raise :class:`NonFiniteError` if ``arr`` holds NaN or Inf."""
     # NaN and Inf propagate through a sum, so a finite sum proves every
     # entry finite at the cost of one reduction. A non-finite sum may be
     # mere overflow of finite entries; only then look at each entry.
@@ -116,7 +117,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = _freeze(np.asarray(values, dtype=np.float64), copy=True)
-        _check_finite(self.data, "tensor construction")
+        check_finite(self.data, "tensor construction")
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple = ()
@@ -128,7 +129,7 @@ class Tensor:
     @staticmethod
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"], vjp: Callable,
                  what: str) -> "Tensor":
-        _check_finite(data, what)
+        check_finite(data, what)
         out = Tensor.__new__(Tensor)
         out.data = _freeze(data)
         out.grad = None

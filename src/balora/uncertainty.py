@@ -18,13 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import tensor as T
 from .model import AdaptedModel
 from .rng import Rng
 from .tensor import DomainError, ShapeError
 
-# Draw-batches are flattened into the forward pass; cap the flattened row
-# count so memory stays bounded and chunking stays deterministic.
+# Cap the draw rows (draws x inputs) of one ``predict_stochastic`` call so
+# memory stays bounded and chunking stays deterministic.
 _MAX_ROWS = 1 << 22
 
 
@@ -37,18 +36,10 @@ def _stochastic_draws(model: AdaptedModel, X: np.ndarray, S: int, rng: Rng) -> n
     if model.kind != "balora":
         raise DomainError("Monte Carlo draws need stochastic adapter weights")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    B = X.shape[0]
-    with T.no_grad():
-        alphas = np.atleast_2d(model.alphas(X).data)
-    chunk = max(1, _MAX_ROWS // B)
-    outs = []
-    for c, start in enumerate(range(0, S, chunk)):
-        s = min(chunk, S - start)
-        X_rep = np.tile(X, (s, 1))
-        a_rep = np.tile(alphas, (s, 1))
-        pred = model.predict_stochastic(X_rep, rng.stream_of(c), alphas=a_rep)
-        outs.append(pred.reshape(s, B, -1))
-    return np.concatenate(outs, axis=0)
+    chunk = max(1, _MAX_ROWS // X.shape[0])
+    outs = [model.predict_stochastic(X, min(chunk, S - start), rng.stream_of(c))
+            for c, start in enumerate(range(0, S, chunk))]
+    return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -60,18 +51,25 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 # -- metrics --------------------------------------------------------------------
 
 
+def _checked_probs(probs, labels):
+    """``probs`` and ``labels`` as arrays, after checking that ``probs`` is a
+    batch of rows summing to 1 (a NaN row fails) with one label per row."""
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels)
+    if probs.ndim != 2 or probs.shape[0] != labels.shape[0]:
+        raise ShapeError(f"probs {probs.shape} vs labels {labels.shape}")
+    if not np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-6):
+        raise DomainError("probability rows must sum to 1 (tol 1e-6)")
+    return probs, labels
+
+
 def ece(probs, labels, bins: int = 15) -> float:
     """Expected calibration error: L1 gap between confidence and accuracy
     over equal-width bins of the max-probability confidence.
 
     Boundary confidences go to the upper bin; empty bins contribute zero.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if probs.ndim != 2 or probs.shape[0] != labels.shape[0]:
-        raise ShapeError(f"probs {probs.shape} vs labels {labels.shape}")
-    if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
-        raise DomainError("probability rows must sum to 1 (tol 1e-6)")
+    probs, labels = _checked_probs(probs, labels)
     if labels.min() < 0 or labels.max() >= probs.shape[1]:
         raise DomainError("label out of range")
     conf = probs.max(axis=1)
@@ -90,8 +88,7 @@ def ece(probs, labels, bins: int = 15) -> float:
 
 
 def accuracy(probs, labels) -> float:
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
+    probs, labels = _checked_probs(probs, labels)
     return float(np.mean(probs.argmax(axis=1) == labels))
 
 

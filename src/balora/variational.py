@@ -208,8 +208,10 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
         raise DomainError("empty batch")
     try:
         if model.kind == "balora":
-            alphas = model.alphas(X)
-            pred = model.forward(X, alphas=alphas, eps=model.draw_eps(X.shape[0], rng))
+            prefix = model.frozen_prefix(X)
+            alphas = model.alphas(X, prefix)
+            pred = model.forward(X, alphas=alphas, eps=model.draw_eps(X.shape[0], rng),
+                                 prefix=prefix)
         else:
             alphas = None
             pred = model.forward(X)

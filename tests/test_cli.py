@@ -169,7 +169,8 @@ class TestTrain:
         "rank = 0", "init_std = 0", "alpha_min = 0", "alpha_min = 2e3",  # adapter
         "lr = 0", "pretrain_batch_size = 0",                            # training
         "hidden = 0", "hidden = 12,0", "alphanet_hidden = 0",           # widths
-        "adapt_layers = 3", "adapt_layers = -1"])                       # layer indices
+        "adapt_layers = 3", "adapt_layers = -1",                        # layer indices
+        "init_alpha = 0", "init_alpha = 2e3", "init_alpha = 1e9"])      # outside the clamp
     def test_out_of_range_value_exits_2_before_work(self, tmp_path, fast_config, line,
                                                      monkeypatch, capsys):
         monkeypatch.setattr(tasks, "pretrain_then_adapt",
@@ -181,6 +182,14 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("config error: out-of-range")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error" and manifest["outputs"] == []
+
+    def test_init_alpha_at_the_clamp_trains(self, tmp_path, capsys):
+        # The AlphaNet output bias is softplus^-1(1000): log(expm1(1000)) overflows.
+        cfg = tmp_path / "top.cfg"
+        cfg.write_text(FAST_CONFIG + "init_alpha = 1000\n")
+        code, out = _train(tmp_path, cfg)
+        assert code == 0, capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
 
     @pytest.mark.parametrize("line", [
         "grad_clip_norm = nan", "kl_weight = nan", "lr = nan", "lr = inf",

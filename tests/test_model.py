@@ -1,11 +1,19 @@
-"""The adapted model's stochastic forward: noise is an argument."""
+"""The adapted model's stochastic forward (noise is an argument), the Monte
+Carlo evaluator that must agree with it, and the shared frozen prefix."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from balora.model import AdaptedModel, BackboneSpec, ToyBackbone
+from balora import model as M
+from balora import tasks as TK
+from balora import tensor as T
+from balora import uncertainty as U
+from balora import variational as V
+from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone
 from balora.rng import Rng
-from balora.tensor import DomainError, ShapeError
+from balora.tensor import DomainError, ShapeError, Tensor
 from balora.verify import _tiny_model
 
 
@@ -24,8 +32,9 @@ class TestStochasticForward:
     def test_predict_stochastic_matches_forward(self):
         model, X, _ = _tiny_model(3)
         expected = model.forward(X, eps=model.draw_eps(X.shape[0], Rng(4))).data
-        got = model.predict_stochastic(X, Rng(4))
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+        got = model.predict_stochastic(X, 1, Rng(4))
+        assert got.shape == (1, *expected.shape)
+        np.testing.assert_allclose(got[0], expected, rtol=1e-12, atol=0)
 
     def test_wrong_number_of_eps_arrays_rejected(self):
         model, X, _ = _tiny_model(5)
@@ -52,3 +61,131 @@ class TestStochasticForward:
             model.draw_eps(2, Rng(10))
         with pytest.raises(DomainError):
             model.forward(np.ones((2, 3)), eps=[])
+
+
+def _adapted(seed: int, hidden: tuple, adapt_layers, head: str = "regression",
+             d_in: int = 5, d_out: int = 3) -> AdaptedModel:
+    """Untrained balora model with non-zero WB, so the noise reaches the output."""
+    rng = Rng(seed)
+    backbone = ToyBackbone(BackboneSpec(d_in=d_in, d_out=d_out, hidden=hidden, head=head),
+                           rng.stream_of(0))
+    backbone.biases = [Tensor(rng.stream_of(5 + i).normal(b.shape) * 0.1)
+                       for i, b in enumerate(backbone.biases)]
+    model = M.attach_adapters(
+        backbone, AdapterSpec(rank=2, lora_alpha=4.0, adapt_layers=adapt_layers,
+                              alphanet_hidden=(4,), init_alpha=0.3),
+        "balora", rng.stream_of(1))
+    for j, layer in enumerate(model.adapters.values()):
+        layer.WB = Tensor(rng.stream_of(2 + j).normal(layer.WB.shape) * 0.5,
+                          requires_grad=True)
+    return model
+
+
+def _tiled_reference(model, X, S, rng):
+    """``_stochastic_draws`` rebuilt from ``forward``: each chunk of draws is
+    one forward of ``X`` tiled, with ``draw_eps`` from the chunk's stream."""
+    B = X.shape[0]
+    chunk = max(1, U._MAX_ROWS // B)
+    outs = []
+    with T.no_grad():
+        for c, start in enumerate(range(0, S, chunk)):
+            s = min(chunk, S - start)
+            eps = model.draw_eps(s * B, rng.stream_of(c))
+            outs.append(model.forward(np.tile(X, (s, 1)), eps=eps).data.reshape(s, B, -1))
+    return np.concatenate(outs)
+
+
+class TestEvaluator:
+    """``predict_stochastic`` runs the draw-independent work once per input
+    row; it must agree with the tiled, fully taped-op forward on the same
+    noise."""
+
+    @pytest.mark.parametrize("hidden,adapt,head,S,B", [
+        ((6, 7), None, "regression", 9, 11),         # every layer adapted
+        ((6, 7), (2,), "classification", 9, 11),     # output layer only
+        ((6, 7), (1,), "regression", 9, 11),         # middle layer only
+        ((6, 7), (0, 2), "classification", 13, 1),   # B = 1
+    ], ids=["all", "output-only", "middle-only", "one-row"])
+    def test_matches_tiled_forward(self, hidden, adapt, head, S, B):
+        model = _adapted(11, hidden, adapt, head)
+        X = Rng(12).normal((B, 5))
+        got = U._stochastic_draws(model, X, S, Rng(13))
+        want = _tiled_reference(model, X, S, Rng(13))
+        assert got.shape == want.shape == (S, B, 3)
+        assert np.std(got, axis=0).min() > 0  # the noise is live
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_chunks_and_ragged_blocks(self, monkeypatch):
+        # 20 draws of 7 rows: chunks of 7, 7 and 6 draws (49, 49 and 42
+        # rows) in blocks of 10 rows, so every chunk ends in a ragged block.
+        monkeypatch.setattr(U, "_MAX_ROWS", 50)
+        monkeypatch.setattr(M, "_BLOCK_ROWS", 10)
+        model = _adapted(14, (6, 7), (1,), "classification")
+        X = Rng(15).normal((7, 5))
+        got = U._stochastic_draws(model, X, 20, Rng(16))
+        want = _tiled_reference(model, X, 20, Rng(16))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_mc_head_peak_memory(self):
+        # S=100 x 1024 rows of a 16 -> 128 -> 128 -> 10 classifier adapted
+        # at its output layer. Tiling the rows before the first layer peaked
+        # at 28.9 MB; the evaluator peaks at 10.8 MB: the noise, the
+        # output and one block.
+        model = _adapted(17, (128, 128), (2,), "classification", d_in=16, d_out=10)
+        X = Rng(18).normal((1024, 16))
+        tracemalloc.start()
+        try:
+            U._stochastic_draws(model, X, 100, Rng(19))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("where", ["prefix", "adapter", "after"])
+    def test_non_finite_weight_raises(self, where):
+        model = _adapted(20, (6, 7), (1,), "regression")
+        weight = {"prefix": model.backbone.weights[0], "adapter": model.adapters[1].WB,
+                  "after": model.backbone.weights[2]}[where]
+        bad = weight.data.copy()
+        bad[0, 0] = np.inf if where == "after" else np.nan
+        weight.data = bad
+        X = Rng(21).normal((4, 5))
+        with np.errstate(invalid="ignore"), pytest.raises(T.NonFiniteError):
+            U.uq_report(model, X, np.zeros((4, 3)), 8, Rng(22))
+
+
+class TestSharedPrefix:
+    def test_balora_needs_a_frozen_backbone(self):
+        # The prefix runs off the tape, so it must hold no trainable weight.
+        model = _adapted(26, (4,), (1,))
+        backbone = ToyBackbone(model.backbone.spec, Rng(27))
+        with pytest.raises(DomainError):
+            AdaptedModel(backbone, model.adapters, model.alphanet, "balora")
+
+    def test_elbo_step_matches_separate_calls_bit_for_bit(self):
+        # The step computes the frozen prefix once for the alphas and the
+        # forward; separate calls compute it twice on the same batch.
+        task = TK.SyntheticTask(kind="multiclass-gaussian-blobs", d_in=6, n_classes=4,
+                                n_train=64, n_val=8, n_test=8, seed=23)
+        train = TK.generate(task, shifted=True).train
+        X, y = train.X[:32], train.y[:32]
+        model = _adapted(24, (8, 8), (2,), "classification", d_in=6, d_out=4)
+        prior = V.PriorConfig(0.5)
+        cfg = V.TrainConfig(lr=1e-2, epochs=1, batch_size=32, kl_weight=1.0)
+        params = model.trainables()
+
+        def grads(loss):
+            V.zero_grad(params)
+            T.backward(loss)
+            return [p.grad.copy() for p in params]
+
+        loss, _ = V.elbo_step(model, (X, y), prior, cfg, Rng(25))
+        got = grads(loss)
+        alphas = model.alphas(X)
+        pred = model.forward(X, alphas=alphas, eps=model.draw_eps(X.shape[0], Rng(25)))
+        kl = V.kl_normalized(alphas, prior.p, model.alphanet.alpha_min,
+                             model.alphanet.alpha_max)
+        ref = T.add(V.cross_entropy(pred, y), T.mul(kl, Tensor(cfg.kl_weight)))
+        assert loss.item() == ref.item()
+        want = grads(ref)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))

@@ -221,6 +221,15 @@ class TestEce:
         with pytest.raises(DomainError):
             U.ece(np.array([[0.5, 0.4]]), np.array([0]))
 
+    @pytest.mark.parametrize("metric", [U.ece, U.accuracy], ids=["ece", "accuracy"])
+    @pytest.mark.parametrize("probs", [
+        [[np.nan, np.nan], [0.5, 0.5]], [[0.5, np.nan], [0.5, 0.5]],
+        [[0.5, 0.4], [0.5, 0.5]], [[0.7, 0.7], [0.5, 0.5]]],
+        ids=["nan-row", "one-nan", "short", "long"])
+    def test_bad_probability_rows_rejected(self, metric, probs):
+        with pytest.raises(DomainError):
+            metric(np.array(probs), np.array([0, 1]))
+
 
 class TestSpearman:
     def test_identity(self):
