@@ -100,33 +100,42 @@ def init_layer(rng: Rng, d: int, k: int, r: int, init_std: float,
 
 
 def layer_terms(layer: BaLoRALayer, x: np.ndarray, bias: Optional[np.ndarray] = None,
-                noisy: bool = False):
+                noisy: bool = False, out: Optional[np.ndarray] = None,
+                scratch: Optional[np.ndarray] = None):
     """The draw-independent terms of the layer at input rows ``x``, in plain
     numpy: the base output ``W0 x + b``, the latent mean ``WA x`` and, when
     ``noisy``, the latent variance per unit alpha ``(WA**2)(x**2)`` (else
-    None). A Monte Carlo evaluator computes them once per input row."""
+    None). A Monte Carlo evaluator computes them once per input row.
+
+    ``out`` receives the base output and ``scratch``, an array of ``x``'s
+    shape that may be ``x`` itself, the squared input; without them both
+    are allocated.
+    """
     wa = layer.WA.data
     z = x @ wa.T
-    q = (x * x) @ (wa * wa).T if noisy else None
-    base = x @ layer.W0.data.T
+    base = np.matmul(x, layer.W0.data.T, out=out)
     if bias is not None:
         base += bias
+    # Last, because ``scratch`` may be ``x``.
+    q = np.multiply(x, x, out=scratch) @ (wa * wa).T if noisy else None
     return base, z, q
 
 
 def layer_output(layer: BaLoRALayer, base: np.ndarray, z: np.ndarray,
-                 q: Optional[np.ndarray] = None, a=None, eps: Optional[np.ndarray] = None):
+                 q: Optional[np.ndarray] = None, a=None, eps: Optional[np.ndarray] = None,
+                 out: Optional[np.ndarray] = None):
     """Finish the layer from its :func:`layer_terms`:
     ``base + lora_scale * WB (z + sd * eps)`` with ``sd = sqrt(a * q)``.
 
     Returns the output, the noisy latent ``z`` and ``sd`` (None without
     ``eps``). ``a`` is a scalar or an ``(n, 1)`` column of noise scales.
+    The output is written to ``out`` if given, which must not be ``base``.
     """
     sd = None
     if eps is not None:
         sd = np.sqrt(a * q)
         z = z + sd * eps
-    out = z @ layer.WB.data.T
+    out = np.matmul(z, layer.WB.data.T, out=out)
     out *= layer.lora_scale
     out += base
     return out, z, sd

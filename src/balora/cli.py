@@ -255,7 +255,14 @@ def cmd_eval(args) -> int:
             mc_steps = cfg["mc_steps"] if args.mc_steps is None else args.mc_steps
             if mc_steps < 2:
                 raise C.ConfigError("mc mode needs --mc-steps >= 2", key="mc_steps")
+            rows = mc_steps * len(X)
+            manifest.data["mc_workers"] = model.mc_workers(rows)
+            # The first GELU loads scipy.special; load it before the clock
+            # starts, so that draws_per_s times the draws, not the import.
+            import scipy.special  # noqa: F401
+            t0 = time.perf_counter()
             report = U.uq_report(model, X, y, mc_steps, Rng(cfg["seed"]).stream_of(7))
+            manifest.data["draws_per_s"] = rows / (time.perf_counter() - t0)
             report_path = out / "eval.json"
             report_path.write_text(report.to_json() + "\n")
             if args.csv:
@@ -284,6 +291,7 @@ def cmd_sample(args) -> int:
         elif x.shape != (d_in,):
             raise C.ConfigError(f"--input needs {d_in} comma-separated floats")
         rng = Rng(args.seed).stream_of(11)
+        manifest.data["mc_workers"] = model.mc_workers(args.n)
         draws = U._stochastic_draws(model, x, args.n, rng)[:, 0, :]
         payload = {
             "input": [float(v) for v in x],

@@ -49,6 +49,11 @@ class SyntheticTask:
             raise DomainError("split sizes must be positive (val may be zero)")
         if self.kind == "two-moons-classification" and self.d_in != 2:
             raise DomainError("two moons is a 2-D task")
+        if self.n_classes < 2:
+            raise DomainError(f"n_classes must be at least 2, got {self.n_classes}")
+        if min(self.noise_std, self.noise_base) < 0:
+            raise DomainError(f"noise_std and noise_base must be non-negative, got "
+                              f"{self.noise_std}, {self.noise_base}")
 
     @property
     def is_classification(self) -> bool:

@@ -332,16 +332,17 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return Tensor._from_op(np.clip(ad, lo, hi), (a,), vjp, "clip")
 
 
-def gelu_gate(z: np.ndarray) -> np.ndarray:
+def gelu_gate(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The GELU gate ``Phi(z) = 0.5 * (1 + erf(z / sqrt 2))``, so that
     ``gelu(z) = z * Phi(z)``.
 
     ``scipy.special`` is imported here, not at module level: it is most of
     the package's import time, and only processes that evaluate a GELU need it.
+    The gate is computed in ``out`` if given, an array of ``z``'s shape.
     """
     from scipy.special import erf
 
-    g = np.asarray(z * _INV_SQRT2)
+    g = np.asarray(np.multiply(z, _INV_SQRT2, out=out))
     erf(g, out=g)
     g += 1.0
     g *= 0.5

@@ -1,8 +1,10 @@
 """Shared test helpers."""
 
 import numpy as np
+import pytest
 
 from balora import adapter as A
+from balora import model as M
 from balora.model import AdaptedModel, BackboneSpec, ToyBackbone
 from balora.rng import Rng
 from balora.tensor import Tensor
@@ -23,3 +25,12 @@ def single_linear_model(seed: int, d: int = 3, k: int = 2, r: int = 1,
     net = A.init_alphanet(rng.stream_of(3), feature_dim=d, num_layers=1,
                           hidden_dims=(4,), init_alpha=init_alpha)
     return AdaptedModel(backbone, {0: layer}, net, "balora")
+
+
+@pytest.fixture
+def two_mc_workers(monkeypatch):
+    """Let the Monte Carlo evaluator use two threads, even on small models.
+    It uses one whenever the BLAS is not pinned to one thread, as in a plain
+    test run, so without this the threaded path would go untested there."""
+    monkeypatch.setattr(M, "_cpu_workers", lambda: 2)
+    monkeypatch.setattr(M, "_MIN_GELUS_PER_ROW", 0)

@@ -170,7 +170,9 @@ class TestTrain:
         "lr = 0", "pretrain_batch_size = 0",                            # training
         "hidden = 0", "hidden = 12,0", "alphanet_hidden = 0",           # widths
         "adapt_layers = 3", "adapt_layers = -1",                        # layer indices
-        "init_alpha = 0", "init_alpha = 2e3", "init_alpha = 1e9"])      # outside the clamp
+        "init_alpha = 0", "init_alpha = 2e3", "init_alpha = 1e9",       # outside the clamp
+        "lora_alpha = 0", "lora_alpha = -1",                            # inert adapters
+        "noise_std = -0.1", "noise_base = -0.1", "n_classes = 1"])      # task
     def test_out_of_range_value_exits_2_before_work(self, tmp_path, fast_config, line,
                                                      monkeypatch, capsys):
         monkeypatch.setattr(tasks, "pretrain_then_adapt",
@@ -438,6 +440,7 @@ class TestSample:
         payload = json.loads((tmp_path / "s" / "samples.json").read_text())
         assert len(payload["samples"]) == 8
         assert len(payload["input"]) == 4
+        assert json.loads((tmp_path / "s" / "manifest.json").read_text())["mc_workers"] == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -517,6 +520,22 @@ class TestThreads:
                        BALORA_THREADS="1", **dict.fromkeys(B.BLAS_THREAD_VARS))
         assert proc.returncode == 0, proc.stderr
         assert json.loads((out / "manifest.json").read_text())["threads"] == 1
+
+    def test_mc_eval_joins_its_workers_under_balora_threads_1(self, tmp_path):
+        # Pinned BLAS lets the evaluator run a model this wide on every
+        # allowed CPU; its threads are gone by the time the manifest counts them.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(FAST_CONFIG + "hidden = 128,128\n")
+        _, run = _train(tmp_path, cfg)
+        out = tmp_path / "eval"
+        proc = _python(["-m", "balora.cli", "eval", "--checkpoint",
+                        str(run / "checkpoint.bin"), "--out", str(out)],
+                       BALORA_THREADS="1", **dict.fromkeys(B.BLAS_THREAD_VARS))
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threads"] == 1
+        assert manifest["mc_workers"] >= 1
+        assert manifest["draws_per_s"] > 0
 
     def test_thread_count_is_null_where_unreadable(self, monkeypatch):
         def unreadable(*args, **kwargs):

@@ -1,11 +1,18 @@
 """The adapted model's stochastic forward (noise is an argument), the Monte
-Carlo evaluator that must agree with it, and the shared frozen prefix."""
+Carlo evaluator that must agree with it, and the shared frozen prefix.
 
+Every test here runs the evaluator on two threads (``two_mc_workers``)
+unless it sets the thread count itself."""
+
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from balora import BLAS_THREAD_VARS
 from balora import model as M
 from balora import tasks as TK
 from balora import tensor as T
@@ -15,6 +22,10 @@ from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone
 from balora.rng import Rng
 from balora.tensor import DomainError, ShapeError, Tensor
 from balora.verify import _tiny_model
+
+pytestmark = pytest.mark.usefixtures("two_mc_workers")
+# Before the fixture replaces them.
+_CPU_WORKERS, _MIN_GELUS = M._cpu_workers, M._MIN_GELUS_PER_ROW
 
 
 class TestStochasticForward:
@@ -133,6 +144,7 @@ class TestEvaluator:
         # output and one block.
         model = _adapted(17, (128, 128), (2,), "classification", d_in=16, d_out=10)
         X = Rng(18).normal((1024, 16))
+        assert model.mc_workers(100 * 1024) == 2
         tracemalloc.start()
         try:
             U._stochastic_draws(model, X, 100, Rng(19))
@@ -152,6 +164,135 @@ class TestEvaluator:
         X = Rng(21).normal((4, 5))
         with np.errstate(invalid="ignore"), pytest.raises(T.NonFiniteError):
             U.uq_report(model, X, np.zeros((4, 3)), 8, Rng(22))
+
+
+_CASES = pytest.mark.parametrize("hidden,adapt,head,S,B", [
+    ((6, 7), None, "regression", 14, 111),         # every layer adapted
+    ((6, 7), (2,), "classification", 14, 111),     # output layer only
+    ((6, 7), (1,), "regression", 14, 111),         # middle layer only
+    ((6, 7), (0, 2), "classification", 1103, 1),   # B = 1, an unadapted middle layer
+], ids=["all", "output-only", "middle-only", "one-row"])
+
+
+class TestThreadedEvaluator:
+    """``predict_stochastic`` deals its blocks out to worker threads; the
+    draws must not depend on how many."""
+
+    @staticmethod
+    def _draws(monkeypatch, workers, model, X, S):
+        monkeypatch.setattr(M, "_cpu_workers", lambda: workers)
+        assert model.mc_workers(S * X.shape[0]) == workers
+        return U._stochastic_draws(model, X, S, Rng(31))
+
+    def test_threads_only_under_a_one_thread_blas(self, monkeypatch):
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        assert _CPU_WORKERS() == 3
+        monkeypatch.setenv(BLAS_THREAD_VARS[1], "2")
+        assert _CPU_WORKERS() == 1
+        monkeypatch.delenv(BLAS_THREAD_VARS[1])
+        assert _CPU_WORKERS() == 1
+
+    def test_no_more_workers_than_blocks(self):
+        model = _adapted(30, (6, 7), None)
+        assert [model.mc_workers(n) for n in (1, 512, 513, 10**6)] == [1, 1, 2, 2]
+
+    @pytest.mark.parametrize("hidden,adapt,workers", [
+        ((128, 128), None, 2),   # the blocks evaluate 256 GELUs per row
+        ((128, 128), (1,), 1),   # 128
+        ((128, 128), (2,), 1),   # none: only the output layer is adapted
+        ((32, 32), None, 1),     # 64
+    ])
+    def test_threads_only_for_blocks_with_enough_gelus(self, monkeypatch, hidden, adapt,
+                                                         workers):
+        monkeypatch.setattr(M, "_MIN_GELUS_PER_ROW", _MIN_GELUS)
+        assert _adapted(44, hidden, adapt).mc_workers(10**6) == workers
+
+    @_CASES
+    @pytest.mark.parametrize("block_rows", [None, 10])
+    def test_worker_count_does_not_change_draws(self, monkeypatch, hidden, adapt, head,
+                                                S, B, block_rows):
+        # 1554 or 1103 draw rows: 512-row blocks end in a ragged block of 18
+        # or 79 rows, 10-row blocks in one of 4 or 3.
+        if block_rows is not None:
+            monkeypatch.setattr(M, "_BLOCK_ROWS", block_rows)
+        model = _adapted(30, hidden, adapt, head)
+        X = Rng(32).normal((B, 5))
+        serial = self._draws(monkeypatch, 1, model, X, S)
+        assert np.std(serial, axis=0).min() > 0  # the noise is live
+        for workers in (2, 3):
+            got = self._draws(monkeypatch, workers, model, X, S)
+            assert got.tobytes() == serial.tobytes()
+
+    def test_many_workers_switching_often(self, monkeypatch):
+        # More workers than cores, switching every microsecond: workers that
+        # shared a buffer or an output row would mix their blocks.
+        monkeypatch.setattr(M, "_BLOCK_ROWS", 10)
+        model = _adapted(42, (6, 7), None)
+        X = Rng(43).normal((13, 5))
+        serial = self._draws(monkeypatch, 1, model, X, 30)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = self._draws(monkeypatch, 8, model, X, 30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.tobytes() == serial.tobytes()
+
+    def test_blocks_run_on_every_worker(self, monkeypatch):
+        seen = set()
+        draw_block = AdaptedModel._draw_block
+
+        def spy(*args):
+            seen.add(threading.get_ident())
+            return draw_block(*args)
+
+        monkeypatch.setattr(AdaptedModel, "_draw_block", spy)
+        monkeypatch.setattr(M, "_BLOCK_ROWS", 10)
+        model = _adapted(33, (6, 7), None)
+        before = threading.active_count()
+        U.uq_report(model, Rng(34).normal((7, 5)), np.zeros((7, 3)), 20, Rng(35))
+        assert len(seen) == 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("failing", [0, 1, 13])
+    def test_exception_in_any_block_propagates(self, monkeypatch, workers, failing):
+        # 14 blocks of 10 rows; block 13 is the last, ragged one.
+        draw_block = AdaptedModel._draw_block
+
+        def broken(self, blk, *args):
+            if blk.start == 10 * failing:
+                raise RuntimeError(f"block {failing} failed")
+            return draw_block(self, blk, *args)
+
+        monkeypatch.setattr(AdaptedModel, "_draw_block", broken)
+        monkeypatch.setattr(M, "_BLOCK_ROWS", 10)
+        monkeypatch.setattr(M, "_cpu_workers", lambda: workers)
+        model = _adapted(36, (6, 7), None)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"block {failing} failed"):
+            U._stochastic_draws(model, Rng(37).normal((7, 5)), 19, Rng(38))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_workers_keep_the_callers_error_state(self, monkeypatch, value):
+        # The bad weight is in the second adapted layer, which only the
+        # blocks run. A thread that does not inherit np.errstate warns
+        # "invalid value encountered" on the Inf case.
+        monkeypatch.setattr(M, "_BLOCK_ROWS", 10)
+        model = _adapted(39, (6, 7), None)
+        bad = model.adapters[1].WB.data.copy()
+        bad[0, 0] = value
+        model.adapters[1].WB.data = bad
+        X = Rng(40).normal((4, 5))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(T.NonFiniteError):
+                U.uq_report(model, X, np.zeros((4, 3)), 8, Rng(41))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestSharedPrefix:

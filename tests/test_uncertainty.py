@@ -1,7 +1,8 @@
 """Metric hand-values, Monte Carlo convergence, and decomposition identities.
 
 Monte Carlo properties are checked on ``uq_report`` and, for per-dim
-moments, on its draw primitive ``_stochastic_draws``."""
+moments, on its draw primitive ``_stochastic_draws``, which runs on two
+threads here (``two_mc_workers``)."""
 
 import tracemalloc
 
@@ -17,6 +18,8 @@ from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone
 from balora.rng import Rng
 from balora.tensor import DomainError, ShapeError, Tensor
 from balora.verify import _tiny_model
+
+pytestmark = pytest.mark.usefixtures("two_mc_workers")
 
 
 def _draw_moments(model, x, S, rng):
@@ -107,6 +110,7 @@ class TestBlockedDraws:
         model = _wide_model(40, (256, 256))
         X = Rng(41).normal((512, 32))
         y = Rng(42).normal((512, 1))
+        assert model.mc_workers(32 * 512) == 2
         tracemalloc.start()
         try:
             U.uq_report(model, X, y, 32, Rng(43))
@@ -117,8 +121,8 @@ class TestBlockedDraws:
 
     @pytest.mark.parametrize("S,B", [(7, 300), (4, 512), (5, 205), (3, 5)])
     def test_block_size_does_not_change_draws(self, monkeypatch, S, B):
-        # Against blocks of 1024 rows: 2100 rows end in a ragged block of
-        # 52, 2048 fill two blocks, 1025 end in a one-row block.
+        # Against blocks of 512 rows: 2100 rows end in a ragged block of
+        # 52, 2048 fill four blocks, 1025 end in a one-row block.
         model = _wide_model(44, (48, 40))
         X = Rng(45).normal((B, 32))
         blocked = U._stochastic_draws(model, X, S, Rng(46))
