@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
+import platform
 import resource
 import sys
 import time
@@ -25,6 +27,7 @@ from . import bench as B
 from . import checkpoint as CK
 from . import config as C
 from . import tasks as TK
+from . import tensor as T
 from . import uncertainty as U
 from .rng import Rng
 from .tensor import TensorError
@@ -63,6 +66,22 @@ def _os_threads() -> "int | None":
     return None
 
 
+@functools.cache
+def _versions() -> tuple:
+    """(name, version) of Python, numpy, scipy and the BLAS numpy was built
+    with. scipy's comes from its installed metadata, so reading it imports
+    no scipy module; ``importlib.metadata`` loads here, not at start-up."""
+    import importlib.metadata
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):  # numpy < 1.26 has no build-info dict
+        blas = None
+    return (("python", platform.python_version()), ("numpy", np.__version__),
+            ("scipy", importlib.metadata.version("scipy")), ("blas", blas))
+
+
 def _peak_rss_mb() -> float:
     """This process's peak resident set size (``ru_maxrss`` is KiB on Linux,
     bytes on macOS)."""
@@ -73,10 +92,13 @@ def _peak_rss_mb() -> float:
 class _Manifest:
     """Run manifest written before work starts and finalized on exit.
 
+    It records the ``versions`` of Python, numpy, scipy and the BLAS.
     ``finish`` records ``wall_s`` (seconds since the manifest was created),
-    ``peak_rss_mb`` and ``threads``, the process's OS thread count at that
-    point (the BLAS pool included; null where it cannot be read). They live
-    only here, so every other artifact stays byte-identical across reruns.
+    ``peak_rss_mb``, ``threads``, the process's OS thread count at that
+    point (the BLAS pool included; null where it cannot be read), and
+    ``erf_module``, the module the GELU's ``erf`` came from (null if no GELU
+    has run in this process). They live only here, so every other artifact
+    stays byte-identical across reruns.
     Used as a context manager, an exception finishes it as "error" with the
     exception's text, and a normal exit finishes it as "ok" unless the block
     already finished it.
@@ -90,6 +112,7 @@ class _Manifest:
             "config_path": str(config_path) if config_path else None,
             "seed": seed,
             "version": __version__,
+            "versions": dict(_versions()),
             "thread_env": {var: os.environ.get(var)
                            for var in ("BALORA_THREADS", *BLAS_THREAD_VARS)},
             "started": _now(),
@@ -119,6 +142,7 @@ class _Manifest:
         self.data["wall_s"] = time.perf_counter() - self._t0
         self.data["peak_rss_mb"] = _peak_rss_mb()
         self.data["threads"] = _os_threads()
+        self.data["erf_module"] = T.erf_module()
         self._flush()
 
     def _flush(self) -> None:
@@ -257,9 +281,9 @@ def cmd_eval(args) -> int:
                 raise C.ConfigError("mc mode needs --mc-steps >= 2", key="mc_steps")
             rows = mc_steps * len(X)
             manifest.data["mc_workers"] = model.mc_workers(rows)
-            # The first GELU loads scipy.special; load it before the clock
-            # starts, so that draws_per_s times the draws, not the import.
-            import scipy.special  # noqa: F401
+            # The first GELU loads erf; load it before the clock starts, so
+            # that draws_per_s times the draws, not the load.
+            T.gelu_gate(np.zeros(1))
             t0 = time.perf_counter()
             report = U.uq_report(model, X, y, mc_steps, Rng(cfg["seed"]).stream_of(7))
             manifest.data["draws_per_s"] = rows / (time.perf_counter() - t0)

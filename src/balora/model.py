@@ -342,12 +342,13 @@ class AdaptedModel:
             T.check_finite(t, "per-row terms of the stochastic forward")
         out = np.empty((n, self.backbone.spec.d_out))
         size = min(_BLOCK_ROWS, n) * max(self.backbone.spec.widths()[first + 1:])
+        plan = self._block_plan()
         blocks = [slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
 
         def work(share):
             bufs = (np.empty(size), np.empty(size))
             for blk in share:
-                self._draw_block(blk, B, terms, alphas, eps, out, bufs)
+                self._draw_block(blk, B, plan, terms, alphas, eps, out, bufs)
 
         workers = self.mc_workers(n)
         _run_all([functools.partial(work, blocks[w::workers]) for w in range(workers)])
@@ -361,41 +362,46 @@ class AdaptedModel:
             return 1
         return max(1, min(_cpu_workers(), -(-n_rows // _BLOCK_ROWS)))
 
-    def _draw_block(self, blk: slice, B: int, terms, alphas: np.ndarray,
+    def _block_plan(self) -> list[tuple]:
+        """What every block of :meth:`predict_stochastic` reads of each layer
+        from the first adapted one to the output: its weight and bias arrays,
+        its adapter (None if unadapted) and that adapter's AlphaNet column."""
+        return [(self.backbone.weights[i].data, self.backbone.biases[i].data,
+                 self.adapters.get(i),
+                 self.adapted_layers.index(i) if i in self.adapters else None)
+                for i in range(self.prefix_layers, self.backbone.n_layers)]
+
+    def _draw_block(self, blk: slice, B: int, plan: list[tuple], terms, alphas: np.ndarray,
                     eps: list[np.ndarray], out: np.ndarray, bufs) -> None:
-        """Draw rows ``blk`` of :meth:`predict_stochastic` into ``out[blk]``.
-        Every activation before the output lives in one of the two flat
-        ``bufs``: the layer input in one, the base term or the GELU gate in
-        the other."""
+        """Draw rows ``blk`` of :meth:`predict_stochastic` into ``out[blk]``,
+        through the layers of ``plan`` (:meth:`_block_plan`). Every
+        activation before the output lives in one of the two flat ``bufs``:
+        the layer input in one, the base term or the GELU gate in the other."""
         m = blk.stop - blk.start
         rows = np.arange(blk.start, blk.stop) % B
         a = alphas[rows]
-        widths = self.backbone.spec.widths()
-        first, last = self.prefix_layers, self.backbone.n_layers - 1
 
         def view(buf, width):
             return buf[:m * width].reshape(m, width)
 
         cur, spare = bufs
-        for i in range(first, last + 1):
-            if i > first:
+        for j, (weight, bias, layer, col) in enumerate(plan):
+            if j:
                 h *= T.gelu_gate(h, out=view(spare, h.shape[1]))
-            k, layer, bias = widths[i + 1], self.adapters.get(i), self.backbone.biases[i].data
+            k, dest = weight.shape[0], out[blk] if j == len(plan) - 1 else None
             if layer is None:
                 cur, spare = spare, cur  # h moves to the buffer it is not in
-                h = np.matmul(h, self.backbone.weights[i].data.T,
-                              out=out[blk] if i == last else view(cur, k))
+                h = np.matmul(h, weight.T, out=view(cur, k) if dest is None else dest)
                 h += bias
                 continue
-            if i == first:
+            if j == 0:
                 base = np.take(terms[0], rows, axis=0, out=view(spare, k))
                 z, q = terms[1][rows], terms[2][rows]
             else:
                 base, z, q = A.layer_terms(layer, h, bias, noisy=True, out=view(spare, k),
                                            scratch=h)
-            col = self.adapted_layers.index(i)
             h = A.layer_output(layer, base, z, q, a[:, col:col + 1], eps[col][blk],
-                               out=out[blk] if i == last else view(cur, k))[0]
+                               out=view(cur, k) if dest is None else dest)[0]
         T.check_finite(h, "the stochastic forward")
 
 

@@ -23,7 +23,12 @@ differences in the test suite.
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -332,16 +337,68 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return Tensor._from_op(np.clip(ad, lo, hi), (a,), vjp, "clip")
 
 
+# The scipy extension module that defines the ``erf`` ufunc in recent scipy;
+# ``scipy.special`` re-exports it.
+_ERF_EXTENSION = "scipy.special._special_ufuncs"
+_erf = None
+_erf_module: Optional[str] = None
+_erf_lock = threading.Lock()
+
+
+def _load_extension():
+    """:data:`_ERF_EXTENSION`, loaded from its file in the installed scipy
+    without running the ``scipy.special`` package init, or None where there
+    is no such file. The module is registered under its own name, so a later
+    ``import scipy.special`` reuses it rather than loading a second copy."""
+    scipy = importlib.util.find_spec("scipy")
+    *subpackages, name = _ERF_EXTENSION.split(".")[1:]
+    for directory in scipy.submodule_search_locations if scipy else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, *subpackages, name + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_ERF_EXTENSION, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[_ERF_EXTENSION] = module
+                return module
+    return None
+
+
+def _load_erf():
+    """The ``erf`` ufunc the GELU uses, loaded once per process: from the
+    scipy extension that defines it (already loaded, or loaded by
+    :func:`_load_extension`), else, where that extension is missing or has
+    no ``erf``, from ``scipy.special``. Locked, because the first GELUs of a
+    Monte Carlo evaluation can run on several threads at once."""
+    global _erf, _erf_module
+    with _erf_lock:
+        if _erf is None:
+            extension = sys.modules.get(_ERF_EXTENSION) or _load_extension()
+            erf, module = getattr(extension, "erf", None), _ERF_EXTENSION
+            if erf is None:
+                from scipy.special import erf
+                module = "scipy.special"
+            # _erf last: gelu_gate reads it without the lock.
+            _erf_module, _erf = module, erf
+    return _erf
+
+
+def erf_module() -> Optional[str]:
+    """The module the GELU's ``erf`` came from, or None before the first GELU
+    of this process."""
+    return _erf_module
+
+
 def gelu_gate(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The GELU gate ``Phi(z) = 0.5 * (1 + erf(z / sqrt 2))``, so that
     ``gelu(z) = z * Phi(z)``.
 
-    ``scipy.special`` is imported here, not at module level: it is most of
-    the package's import time, and only processes that evaluate a GELU need it.
+    ``erf`` is scipy's ufunc, loaded at the first call (:func:`_load_erf`)
+    from the one extension module that defines it: importing the whole
+    ``scipy.special`` package would cost about 0.3 s and 23 MB per process.
     The gate is computed in ``out`` if given, an array of ``z``'s shape.
     """
-    from scipy.special import erf
-
+    erf = _erf if _erf is not None else _load_erf()
     g = np.asarray(np.multiply(z, _INV_SQRT2, out=out))
     erf(g, out=g)
     g += 1.0

@@ -43,9 +43,12 @@ def _stochastic_draws(model: AdaptedModel, X: np.ndarray, S: int, rng: Rng) -> n
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis in one temporary of ``z``'s shape; ``z`` is
+    never written."""
+    e = np.subtract(z, z.max(axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 # -- metrics --------------------------------------------------------------------

@@ -401,13 +401,15 @@ class TestManifestTiming:
 
 
 class TestImportBudget:
-    @staticmethod
-    def _loaded(code: str, tmp_path) -> dict:
+    TRACKED = ("balora.verify", "scipy.integrate", "scipy.special",
+               "scipy.special._special_ufuncs", "scipy._lib._array_api")
+
+    @classmethod
+    def _loaded(cls, code: str, tmp_path) -> dict:
         """Run ``code`` in a fresh process with ``OUT`` bound to a scratch
         directory; report which of the lazily imported modules it loaded."""
         code = (f"import json, sys; OUT = {str(tmp_path / 'out')!r}\n{code}\n"
-                "print(json.dumps({m: m in sys.modules for m in "
-                "('balora.verify', 'scipy.integrate', 'scipy.special')}))")
+                f"print(json.dumps({{m: m in sys.modules for m in {cls.TRACKED!r}}}))")
         proc = _python(["-c", code])
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
@@ -423,12 +425,105 @@ class TestImportBudget:
             "'--reps', '1', '--out', OUT]) == 0", tmp_path)
         assert not loaded["scipy.special"]
 
-    def test_first_gelu_loads_scipy_special(self, tmp_path):
+    def test_first_gelu_loads_only_the_erf_extension(self, tmp_path):
         loaded = self._loaded(
             "import numpy as np; from balora import tensor as T\n"
-            "assert 'scipy.special' not in sys.modules\n"
+            "assert 'scipy.special._special_ufuncs' not in sys.modules\n"
             "T.gelu(T.Tensor(np.zeros(3)))", tmp_path)
+        assert loaded["scipy.special._special_ufuncs"]
+        assert not loaded["scipy.special"] and not loaded["scipy._lib._array_api"]
+
+    def test_commands_never_load_scipy_special(self, tmp_path, fast_config):
+        # Each command in a fresh process of its own, as a user runs them.
+        ckpt = str(tmp_path / "run0" / "checkpoint.bin")
+        commands = [["train", "--config", str(fast_config)],
+                    ["eval", "--checkpoint", ckpt, "--mode", "mc", "--mc-steps", "4"],
+                    ["eval", "--checkpoint", ckpt, "--mode", "deterministic"],
+                    ["sample", "--checkpoint", ckpt, "--n", "4"]]
+        for i, argv in enumerate(commands):
+            out = tmp_path / f"run{i}"
+            loaded = self._loaded(
+                "from balora.cli import main\n"
+                f"assert main({[*argv, '--out', str(out)]!r}) == 0", tmp_path)
+            assert loaded["scipy.special._special_ufuncs"], argv
+            assert not loaded["scipy.special"] and not loaded["scipy._lib._array_api"], argv
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["erf_module"] == "scipy.special._special_ufuncs"
+
+    def test_later_scipy_special_import_shares_the_ufunc(self, tmp_path):
+        loaded = self._loaded(
+            "import numpy as np; from balora import tensor as T\n"
+            "T.gelu_gate(np.zeros(1))\n"
+            "import scipy.special\n"
+            "assert scipy.special.erf is T._erf\n"
+            "assert sys.modules['scipy.special._special_ufuncs'].erf is T._erf", tmp_path)
         assert loaded["scipy.special"]
+
+    def test_concurrent_first_gelus_load_erf_once(self, tmp_path):
+        # Eight threads take their first GELU at once, switching as often
+        # as the interpreter allows; the extension must load exactly once.
+        code = """
+import importlib.util, threading
+import numpy as np
+from balora import tensor as T
+loads = []
+real = importlib.util.spec_from_file_location
+def counted(*args, **kwargs):
+    loads.append(args[0])
+    return real(*args, **kwargs)
+importlib.util.spec_from_file_location = counted
+z = np.linspace(-5.0, 5.0, 4096)
+results = [None] * 8
+start = threading.Barrier(8, timeout=60)
+def first_gelu(i):
+    start.wait()
+    results[i] = T.gelu_gate(z).tobytes()
+before = threading.active_count()
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=first_gelu, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+finally:
+    sys.setswitchinterval(interval)
+assert not any(t.is_alive() for t in threads)
+assert loads == ['scipy.special._special_ufuncs'], loads
+assert len(set(results)) == 1 and None not in results
+assert threading.active_count() == before
+"""
+        loaded = self._loaded(code, tmp_path)
+        assert loaded["scipy.special._special_ufuncs"] and not loaded["scipy.special"]
+
+
+class TestManifestEnvironment:
+    def test_versions_recorded(self, tmp_path, fast_config):
+        import platform
+
+        import scipy
+        _, out = _train(tmp_path, fast_config)
+        versions = json.loads((out / "manifest.json").read_text())["versions"]
+        assert versions["python"] == platform.python_version()
+        assert versions["numpy"] == np.__version__
+        assert versions["scipy"] == scipy.__version__
+        assert versions["blas"]
+
+    def test_erf_module_null_without_a_gelu(self, tmp_path):
+        # bench and an exit-2 path run no GELU in a fresh process.
+        code = (
+            "from balora.cli import main\n"
+            "assert main(['bench', '--k-range', '16,32', '--r', '2', '--samples', '8', "
+            "'--reps', '1', '--out', OUT]) == 0\n"
+            "assert main(['sample', '--n', '0', '--checkpoint', 'absent.bin', "
+            "'--out', OUT + '2']) == 2")
+        loaded = TestImportBudget._loaded(code, tmp_path)
+        assert not loaded["scipy.special"]
+        for out in (tmp_path / "out", tmp_path / "out2"):
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["erf_module"] is None
+            assert set(manifest["versions"]) == {"python", "numpy", "scipy", "blas"}
 
 
 class TestSample:

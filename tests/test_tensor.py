@@ -1,5 +1,7 @@
 """Tensor-core checks: hand values, brute-force oracles, and tape contracts."""
 
+import sys
+import types
 import zlib
 
 import numpy as np
@@ -278,3 +280,49 @@ class TestInvariants:
     def test_nan_construction_rejected(self):
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
+
+
+def _gate_points() -> np.ndarray:
+    """A dense grid over [-40, 40] plus signed zeros, infinities and subnormals."""
+    tiny = np.finfo(np.float64).tiny
+    edges = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310, tiny, -tiny,
+             tiny / 2, -tiny / 2]
+    return np.concatenate([np.linspace(-40.0, 40.0, 1_600_001), edges])
+
+
+def _scipy_special_gate(z: np.ndarray) -> np.ndarray:
+    """The gate as computed through the ``scipy.special`` package: the
+    reference every way of loading ``erf`` must match bit for bit."""
+    from scipy.special import erf
+    g = z * (1.0 / np.sqrt(2.0))
+    erf(g, out=g)
+    g += 1.0
+    g *= 0.5
+    return g
+
+
+class TestGeluGate:
+    def test_bitwise_equal_to_scipy_special(self):
+        z = _gate_points()
+        expected = _scipy_special_gate(z).tobytes()
+        assert T.gelu_gate(z).tobytes() == expected
+        out = np.empty_like(z)
+        assert T.gelu_gate(z, out=out) is out
+        assert out.tobytes() == expected
+
+    @pytest.mark.parametrize("lookup", ["missing", "without erf"])
+    def test_falls_back_to_scipy_special(self, monkeypatch, lookup):
+        # Where scipy has no extension module with erf, the GELU takes erf
+        # from the scipy.special package, with the same bits.
+        fake = "scipy.special._balora_test_absent"
+        if lookup == "without erf":
+            monkeypatch.setitem(sys.modules, fake, types.ModuleType(fake))
+        monkeypatch.setattr(T, "_ERF_EXTENSION", fake)
+        monkeypatch.setattr(T, "_erf", None)
+        monkeypatch.setattr(T, "_erf_module", None)
+        assert T.erf_module() is None
+        z = _gate_points()
+        assert T.gelu_gate(z).tobytes() == _scipy_special_gate(z).tobytes()
+        assert T.erf_module() == "scipy.special"
+        import scipy.special
+        assert T._erf is scipy.special.erf

@@ -297,3 +297,22 @@ class TestReport:
         rows = list(report.csv_rows())
         assert len(rows) == X.shape[0]
         assert len(rows[0]) == 7
+
+
+class TestSoftmax:
+    @staticmethod
+    def _reference(z):
+        """The three-temporary softmax that ``_softmax`` replaced."""
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("shape", [(100, 128, 10), (7, 3), (1, 1, 2)])
+    def test_bitwise_equal_to_reference_and_input_unchanged(self, shape):
+        z = 30.0 * Rng(40).normal(shape)
+        z.flat[0] = 800.0  # exp would overflow without the max shift
+        before = z.copy()
+        probs = U._softmax(z)
+        assert probs.tobytes() == self._reference(before).tobytes()
+        assert z.tobytes() == before.tobytes()
+        assert not np.shares_memory(probs, z)
