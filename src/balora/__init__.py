@@ -5,7 +5,8 @@ Core pieces: a float64 tensor engine with a reverse-mode tape
 posteriors (:mod:`balora.adapter`), the KL-regularized training objective
 (:mod:`balora.variational`), Monte Carlo uncertainty quantification
 (:mod:`balora.uncertainty`), synthetic tasks and baselines
-(:mod:`balora.tasks`), and a CLI (:mod:`balora.cli`).
+(:mod:`balora.tasks`), and a CLI (:mod:`balora.cli`). The package exports
+``Rng``, ``Tensor`` and ``backward``; the tape has no switch to turn off.
 """
 
 import os
@@ -23,6 +24,6 @@ if re.fullmatch("[1-9][0-9]*", _threads) and "numpy" not in sys.modules:
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, _threads))
 
 from .rng import Rng  # noqa: E402
-from .tensor import Tensor, backward, no_grad  # noqa: E402
+from .tensor import Tensor, backward  # noqa: E402
 
-__all__ = ["Rng", "Tensor", "backward", "no_grad", "__version__"]
+__all__ = ["Rng", "Tensor", "backward", "__version__"]

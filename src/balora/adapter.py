@@ -251,12 +251,6 @@ def adapted_linear(layer: BaLoRALayer, x: Tensor, bias: Optional[Tensor] = None,
     return Tensor._from_op(out, parents, vjp, "adapted_linear")
 
 
-def _latent_variance(layer: BaLoRALayer, x: np.ndarray, alpha: float) -> np.ndarray:
-    # d_vec[i] = alpha * scale^2 * sum_j WA[i,j]^2 x[j]^2
-    s2 = layer.lora_scale * layer.lora_scale
-    return alpha * s2 * ((layer.WA.data ** 2) @ (x ** 2))
-
-
 def analytic_predictive(layer: BaLoRALayer, x: Tensor, alpha: float) -> PredictiveGaussian:
     """Exact Gaussian output law: mean plus low-rank covariance factor."""
     if alpha <= 0:
@@ -265,7 +259,9 @@ def analytic_predictive(layer: BaLoRALayer, x: Tensor, alpha: float) -> Predicti
     if xd.shape != (layer.d,):
         raise ShapeError(f"expected input of shape ({layer.d},), got {xd.shape}")
     mean = adapted_kernel(layer, xd)[0]
-    d_vec = _latent_variance(layer, xd, float(alpha))
+    # d_vec[i] = alpha * scale^2 * sum_j WA[i,j]^2 x[j]^2
+    s2 = layer.lora_scale * layer.lora_scale
+    d_vec = float(alpha) * s2 * ((layer.WA.data ** 2) @ (xd ** 2))
     return PredictiveGaussian(mean=Tensor(mean), d_vec=Tensor(d_vec), wb=layer.WB.detach())
 
 
@@ -299,18 +295,12 @@ def sample_full_cov_oracle(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng
     PSD matrix needs a ridge before Cholesky; the ridge escalates from
     1e-10 to at most 1e-6 before giving up.
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
     if layer.k > _ORACLE_MAX_DIM:
         raise DomainError(
             f"oracle sampler refuses k={layer.k} > {_ORACLE_MAX_DIM} (dense covariance)")
-    with T.no_grad():
-        mean = adapted_linear(layer, x).data
-    d_vec = _latent_variance(layer, x.data, float(alpha))
-    wb = layer.WB.data
-    cov = (wb * d_vec) @ wb.T
+    law = analytic_predictive(layer, x, alpha)
+    mean, cov = law.mean.data, law.covariance()
     ridge = _ORACLE_RIDGE
-    chol = None
     while True:
         try:
             chol = np.linalg.cholesky(cov + ridge * np.eye(layer.k))
@@ -329,9 +319,7 @@ def sample_full_cov_oracle(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng
 
 def merge_weights(layer: BaLoRALayer) -> Tensor:
     """Collapsed weights ``W0 + lora_scale * WB WA``; pure function of the layer."""
-    with T.no_grad():
-        merged = layer.W0.data + layer.lora_scale * (layer.WB.data @ layer.WA.data)
-    return Tensor(merged)
+    return Tensor(layer.W0.data + layer.lora_scale * (layer.WB.data @ layer.WA.data))
 
 
 @dataclass

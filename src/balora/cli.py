@@ -183,6 +183,7 @@ def cmd_train(args) -> int:
     out = _prepare_out(args.out)
     with _Manifest(out, "train", args.config, cfg["seed"]) as manifest:
         task = C.task_from_config(cfg)
+        manifest.data["shift_rank"] = task.used_shift_rank
         aspec = C.adapter_spec_from_config(cfg)
         pre_cfg, adapt_cfg, prior = C.train_configs_from_config(cfg)
         trained = TK.pretrain_then_adapt(task, cfg["hidden"], aspec, cfg["adapter"],
@@ -250,7 +251,12 @@ def _eval_task(config_path, extra: dict, spec) -> tuple[dict, TK.SyntheticTask]:
 def cmd_eval(args) -> int:
     out = _prepare_out(args.out)
     with _Manifest(out, "eval", args.config, None) as manifest:
+        if args.mode == "deterministic" and (args.csv or args.mc_steps is not None):
+            flag = "--csv" if args.csv else "--mc-steps"
+            raise C.ConfigError(f"{flag} applies only to --mode mc, not deterministic")
         model, extra = CK.load_model(args.checkpoint)
+        if args.mode == "mc" and model.kind != "balora":
+            raise C.ConfigError(f"--mode mc needs a balora checkpoint, not {model.kind}")
         cfg, task = _eval_task(args.config, extra, model.backbone.spec)
         manifest.data["seed"] = cfg["seed"]
         splits = TK.generate(task, shifted=True)
@@ -309,6 +315,8 @@ def cmd_sample(args) -> int:
             raise C.ConfigError(f"--n must be at least 1, got {args.n}")
         x = np.asarray(_parse_numbers(args.input, float, "--input")) if args.input else None
         model, extra = CK.load_model(args.checkpoint)
+        if model.kind != "balora":
+            raise C.ConfigError(f"sample needs a balora checkpoint, not {model.kind}")
         d_in = model.backbone.spec.d_in
         if x is None:
             x = Rng(args.seed).normal((d_in,))
@@ -366,7 +374,10 @@ def cmd_verify(args) -> int:
     seed = VF.DEFAULT_SEED if args.seed is None else args.seed
     out = _prepare_out(args.out) if args.out else None
     with _Manifest(out, "verify", None, seed) if out else contextlib.nullcontext() as manifest:
-        results = VF.run_oracles(args.filter or "", seed=seed)
+        results = VF.run_oracles(args.filter, seed=seed)
+        if not results:
+            known = [n for n, _, _ in VF.ORACLES] + sorted({f for _, f, _ in VF.ORACLES})
+            raise C.ConfigError(f"--filter {args.filter!r} matches none of {', '.join(known)}")
         failures = [r for r in results if not r.passed]
         for r in results:
             flag = "PASS" if r.passed else "FAIL"

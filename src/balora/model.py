@@ -309,8 +309,19 @@ class AdaptedModel:
     # -- prediction conveniences (off-tape) --------------------------------------
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        with T.no_grad():
-            return self.forward(np.asarray(X, dtype=np.float64)).data
+        """The posterior-mean :meth:`forward` of ``X`` in plain numpy, bit for bit.
+        NaN and Inf propagate through every op, so only the output is checked."""
+        h = np.array(X, dtype=np.float64, ndmin=2, order="C")
+        if h.ndim != 2 or h.shape[1] != self.backbone.spec.d_in:
+            raise ShapeError(f"model forward expects a batch matrix of width "
+                             f"{self.backbone.spec.d_in}, got {h.shape}")
+        for i, (w, b) in enumerate(zip(self.backbone.weights, self.backbone.biases)):
+            layer = self.adapters.get(i)
+            h = h @ w.data.T + b.data if layer is None else A.adapted_kernel(layer, h, b.data)[0]
+            if i < self.backbone.n_layers - 1:
+                h = h * T.gelu_gate(h)
+        T.check_finite(h, "the posterior-mean forward")
+        return h
 
     def predict_stochastic(self, X: np.ndarray, S: int, rng: Rng) -> np.ndarray:
         """``S`` stochastic forwards of every row of ``X``, off the tape:
@@ -334,8 +345,7 @@ class AdaptedModel:
         eps = self.draw_eps(n, rng)
         first = self.prefix_layers
         prefix = self.frozen_prefix(X)
-        with T.no_grad():
-            alphas = self.alphas(X, prefix).data
+        alphas = self.alphas(X, prefix).data
         terms = A.layer_terms(self.adapters[first], prefix,
                               self.backbone.biases[first].data, noisy=True)
         for t in terms:

@@ -67,6 +67,12 @@ class SyntheticTask:
             return self.n_classes
         return self.d_out
 
+    @property
+    def used_shift_rank(self) -> Optional[int]:
+        """``shift_rank`` clipped into ``[1, min(d_in, d_out)]``; None for classification."""
+        clipped = max(1, min(self.shift_rank, self.d_out, self.d_in))
+        return None if self.is_classification else clipped
+
 
 @dataclass
 class Split:
@@ -88,7 +94,7 @@ def _true_map(task: SyntheticTask, rng: Rng, shifted: bool) -> np.ndarray:
         # Random low-rank direction, deterministic magnitude: the shift's
         # Frobenius norm is shift_scale * sqrt(d_out) regardless of seed, so
         # adaptation always has comparable signal to recover.
-        r = max(1, min(task.shift_rank, task.d_out, task.d_in))
+        r = task.used_shift_rank
         u = rng.normal((task.d_out, r))
         v = rng.normal((r, task.d_in))
         delta = u @ v

@@ -1,9 +1,10 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-The tape is built eagerly: each operation stores its parents and a
-vector-Jacobian closure on the output node. :func:`backward` walks the
-graph once in reverse topological order, accumulates gradients into the
-``grad`` field of every leaf that requires them, and consumes the tape.
+The tape is built eagerly, by one rule with no global switch: an operation
+stores its parents and a vector-Jacobian closure on the output node exactly
+when a parent requires grad. :func:`backward` walks the graph once in
+reverse topological order, accumulates gradients into the ``grad`` field of
+every leaf that requires them, and consumes the tape.
 
 Broadcasting is deliberately restricted to scalar-with-tensor and
 equal-shape operands so every gradient rule stays auditable. Every
@@ -22,7 +23,6 @@ differences in the test suite.
 
 from __future__ import annotations
 
-import contextlib
 import importlib.machinery
 import importlib.util
 import math
@@ -40,7 +40,6 @@ __all__ = [
     "DomainError",
     "NonFiniteError",
     "TapeError",
-    "no_grad",
     "backward",
     "matmul",
     "linear",
@@ -68,21 +67,6 @@ class NonFiniteError(TensorError):
 
 class TapeError(TensorError):
     """Gradient tape misuse (non-scalar root, double backward, ...)."""
-
-
-_grad_enabled: bool = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable tape recording inside the block (evaluation / sampling paths)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 def check_finite(arr: np.ndarray, what: str) -> None:
@@ -139,7 +123,7 @@ class Tensor:
         out.data = _freeze(data)
         out.grad = None
         out._consumed = False
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._vjp = vjp

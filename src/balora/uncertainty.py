@@ -33,8 +33,6 @@ def _stochastic_draws(model: AdaptedModel, X: np.ndarray, S: int, rng: Rng) -> n
     Draw chunks use substreams keyed by chunk index, so results depend
     only on (seed, S, B) and are reproducible regardless of memory limits.
     """
-    if model.kind != "balora":
-        raise DomainError("Monte Carlo draws need stochastic adapter weights")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     chunk = max(1, _MAX_ROWS // X.shape[0])
     outs = [model.predict_stochastic(X, min(chunk, S - start), rng.stream_of(c))

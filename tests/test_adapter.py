@@ -306,6 +306,25 @@ class TestFullCovOracle:
         assert z_mean < 3.0
         assert z_cov < 3.0
 
+    @pytest.mark.parametrize("n", [None, 7])
+    def test_draws_match_the_dense_expression_bit_for_bit(self, n):
+        # The oracle's draws, written out from the adapter forward and the
+        # latent variance as one expression: the mean plus the lower
+        # Cholesky factor of the ridged covariance times standard normals.
+        layer = _random_layer(Rng(26), d=5, k=4, r=2, scale=1.5)
+        x, alpha = Tensor(Rng(27).normal((5,))), 0.7
+        mean = A.adapted_linear(layer, x).data
+        s2 = layer.lora_scale * layer.lora_scale
+        d_vec = float(alpha) * s2 * ((layer.WA.data ** 2) @ (x.data ** 2))
+        wb = layer.WB.data
+        chol = np.linalg.cholesky((wb * d_vec) @ wb.T + A._ORACLE_RIDGE * np.eye(layer.k))
+        if n is None:
+            want = mean + chol @ Rng(28).normal((layer.k,))
+        else:
+            want = mean + Rng(28).normal((n, layer.k)) @ chol.T
+        got = A.sample_full_cov_oracle(layer, x, alpha, Rng(28), n=n).data
+        assert got.tobytes() == want.tobytes()
+
     def test_dimension_guard(self):
         layer = A.BaLoRALayer(W0=Tensor(np.zeros((2049, 2))),
                               WA=Tensor(np.zeros((1, 2)), requires_grad=True),

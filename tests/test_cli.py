@@ -310,9 +310,9 @@ class TestEval:
         cfg = tmp_path / "one.cfg"
         cfg.write_text(FAST_CONFIG + "n_test = 1\n")
         _, out = _train(tmp_path, cfg)
-        for mode in ("mc", "deterministic"):
+        for mode, extra in (("mc", ["--mc-steps", "4"]), ("deterministic", [])):
             assert main(["eval", "--checkpoint", str(out / "checkpoint.bin"), "--mode", mode,
-                         "--mc-steps", "4", "--out", str(tmp_path / mode)]) == 0
+                         *extra, "--out", str(tmp_path / mode)]) == 0
         report = json.loads((tmp_path / "mc" / "eval.json").read_text())
         assert len(report["per_sample"]) == 1
         assert report["metrics"]["spearman_var_err"] is None
@@ -378,6 +378,50 @@ class TestEval:
         manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert manifest["wall_s"] > 0.0 and manifest["peak_rss_mb"] > 0.0
+
+
+class TestUsageErrors:
+    """Commands that would do nothing useful exit 2 before they work."""
+
+    def test_monte_carlo_on_a_lora_checkpoint_exits_2(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "lora.cfg"
+        cfg.write_text(FAST_CONFIG.replace("adapter = balora", "adapter = lora"))
+        assert _train(tmp_path, cfg)[0] == 0
+        ckpt = str(tmp_path / "run" / "checkpoint.bin")
+        capsys.readouterr()
+        monkeypatch.setattr(tasks, "generate", lambda *a, **k: pytest.fail("task generated"))
+        monkeypatch.setattr(cli.U, "_stochastic_draws", lambda *a: pytest.fail("noise drawn"))
+        for argv, named in ((["eval"], "--mode mc"), (["sample"], "sample")):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--checkpoint", ckpt, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and named in err and "lora" in err
+            assert json.loads((out / "manifest.json").read_text())["status"] == "error"
+
+    @pytest.mark.parametrize("flag", [["--csv"], ["--mc-steps", "4"]], ids=" ".join)
+    def test_deterministic_eval_rejects_mc_flags(self, tmp_path, capsys, flag):
+        # An absent checkpoint would exit 3, so exit 2 means it was not read.
+        argv = ["eval", "--checkpoint", str(tmp_path / "absent.bin"), "--mode",
+                "deterministic", *flag, "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and flag[0] in err
+
+    def test_verify_filter_matching_nothing_exits_2(self, tmp_path, capsys):
+        assert main(["verify", "--filter", "zzz", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert all(s in err for s in ("'zzz'", *(n for n, _, _ in VF.ORACLES), "gradient"))
+        assert not (tmp_path / "verify.json").exists()
+        assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "error"
+
+    def test_manifest_records_the_clipped_shift_rank(self, tmp_path):
+        cfg = tmp_path / "hetero.cfg"
+        toy = Path(__file__).resolve().parents[1] / "configs" / "toy_hetero.cfg"
+        cfg.write_text(toy.read_text() + "shift_rank = 99\n")
+        code, out = _train(tmp_path, cfg)
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["shift_rank"] == 1
 
 
 class TestManifestTiming:

@@ -98,11 +98,10 @@ def _tiled_reference(model, X, S, rng):
     B = X.shape[0]
     chunk = max(1, U._MAX_ROWS // B)
     outs = []
-    with T.no_grad():
-        for c, start in enumerate(range(0, S, chunk)):
-            s = min(chunk, S - start)
-            eps = model.draw_eps(s * B, rng.stream_of(c))
-            outs.append(model.forward(np.tile(X, (s, 1)), eps=eps).data.reshape(s, B, -1))
+    for c, start in enumerate(range(0, S, chunk)):
+        s = min(chunk, S - start)
+        eps = model.draw_eps(s * B, rng.stream_of(c))
+        outs.append(model.forward(np.tile(X, (s, 1)), eps=eps).data.reshape(s, B, -1))
     return np.concatenate(outs)
 
 
@@ -293,6 +292,72 @@ class TestThreadedEvaluator:
             with pytest.raises(T.NonFiniteError):
                 U.uq_report(model, X, np.zeros((4, 3)), 8, Rng(41))
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestPredict:
+    """``predict`` is the posterior-mean ``forward`` in plain numpy."""
+
+    @pytest.mark.parametrize("adapt,kind", [
+        (None, "balora"), ((2,), "balora"), ((1,), "balora"), (None, "lora")],
+        ids=["all", "output-only", "middle-only", "lora"])
+    def test_bits_match_forward(self, adapt, kind):
+        model = _adapted(40, (6, 7), adapt)
+        if kind == "lora":
+            model = AdaptedModel(model.backbone, model.adapters, None, "lora")
+        X = Rng(41).normal((9, 5))
+        assert model.predict(X).tobytes() == model.forward(X).data.tobytes()
+        assert model.predict(X[0]).tobytes() == model.forward(X[:1]).data.tobytes()
+
+    def test_bad_shape_rejected(self):
+        model = _adapted(42, (6, 7), None)
+        for X in (np.ones((2, 4)), np.ones((2, 2, 5))):
+            with pytest.raises(ShapeError):
+                model.predict(X)
+
+    def test_non_finite_weight_raises(self):
+        model = _adapted(43, (6, 7), (1,))
+        bad = model.backbone.weights[0].data.copy()
+        bad[0, 0] = np.nan
+        model.backbone.weights[0].data = bad
+        with np.errstate(invalid="ignore"), pytest.raises(T.NonFiniteError):
+            model.predict(Rng(44).normal((4, 5)))
+
+
+def test_training_step_while_another_thread_evaluates(monkeypatch):
+    # One thread is held inside uq_report's AlphaNet call while this one takes
+    # a training step: the step must tape as if the evaluator were not there.
+    model = _adapted(45, (6, 7), None)
+    X, y = Rng(46).normal((8, 5)), Rng(47).normal((8, 3))
+    entered, release = threading.Event(), threading.Event()
+    alpha_forward = M.A.alpha_forward
+
+    def held(net, feat):
+        if threading.current_thread() is evaluator:
+            entered.set()
+            release.wait(60)
+        return alpha_forward(net, feat)
+
+    monkeypatch.setattr(M.A, "alpha_forward", held)
+    errors = []
+
+    def evaluate():
+        try:
+            U.uq_report(model, X, y, 4, Rng(48))
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+
+    evaluator = threading.Thread(target=evaluate, daemon=True)
+    evaluator.start()
+    try:
+        assert entered.wait(60), "the evaluator never reached the AlphaNet"
+        loss, _ = V.elbo_step(model, (X, y), V.PriorConfig(0.5),
+                              V.TrainConfig(lr=1e-2, epochs=1, batch_size=8), Rng(49))
+        T.backward(loss)
+    finally:
+        release.set()
+        evaluator.join(60)
+    assert not evaluator.is_alive() and not errors
+    assert all(p.grad is not None for p in model.trainables())
 
 
 class TestSharedPrefix:

@@ -18,6 +18,15 @@ def _hetero_task(seed: int) -> TK.SyntheticTask:
 
 
 class TestGenerate:
+    def test_used_shift_rank_is_clipped(self):
+        def used(**kw):
+            return TK.SyntheticTask(**kw).used_shift_rank
+        assert used(kind="linear-regression", d_in=6, d_out=3, shift_rank=99) == 3
+        assert used(kind="linear-regression", d_in=2, d_out=3, shift_rank=99) == 2
+        assert used(kind="linear-regression", d_in=6, d_out=3, shift_rank=0) == 1
+        assert used(kind="two-moons-classification", d_in=2) is None
+        assert used(kind="multiclass-gaussian-blobs", shift_rank=99) is None
+
     def test_zero_noise_labels_are_exact(self):
         task = TK.SyntheticTask(kind="linear-regression", d_in=4, d_out=2,
                                 n_train=64, n_val=8, n_test=32, noise_std=0.0, seed=3)

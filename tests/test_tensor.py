@@ -150,14 +150,6 @@ class TestBackward:
         backward(T.tsum(T.square(w)))
         assert w.grad.tolist() == [4.0, 8.0]
 
-    def test_no_grad_blocks_taping(self):
-        w = Tensor([1.0], requires_grad=True)
-        with T.no_grad():
-            out = T.square(w)
-        assert not out.requires_grad
-        with pytest.raises(TapeError):
-            backward(T.tsum(out))
-
 
 class TestFiniteDifferenceSweep:
     """Every differentiable op agrees with central differences at random points."""

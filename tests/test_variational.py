@@ -270,9 +270,8 @@ class TestElboStep:
             losses = []
             opt = V.AdamW(model.trainables(), cfg, total_steps=50)
             for step in range(50):
-                with T.no_grad():
-                    det = model.forward(X)
-                    losses.append(float(np.mean((det.data - y) ** 2)))
+                det = model.forward(X)
+                losses.append(float(np.mean((det.data - y) ** 2)))
                 loss, _ = V.elbo_step(model, (X, y), V.PriorConfig(0.5), cfg,
                                       rng.stream_of(100 + step))
                 backward(loss)
