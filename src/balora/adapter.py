@@ -147,38 +147,13 @@ def adapted_kernel(layer: BaLoRALayer, x: np.ndarray, bias: Optional[np.ndarray]
 
     Returns ``(out, z, q, sd)``: the output, the noisy latent, the latent
     variance per unit alpha and the latent standard deviation (``q`` and
-    ``sd`` are None without ``eps``). Inputs are not checked; see
-    :func:`adapted_linear` for the shapes.
+    ``sd`` are None without ``eps``). Inputs are not checked. ``x`` is one
+    input ``(d,)`` with noise ``(r,)`` or ``(n, r)`` and a scalar ``a``, or a
+    batch ``(n, d)`` with noise ``(n, r)`` and ``a`` scalar or ``(n, 1)``.
     """
     base, z, q = layer_terms(layer, x, bias, eps is not None)
     out, z, sd = layer_output(layer, base, z, q, a, eps)
     return out, z, q, sd
-
-
-def _checked_call(layer: BaLoRALayer, xd: np.ndarray, bias: Optional[Tensor],
-                   alphas: Optional[Tensor], col: int, eps):
-    """Check a layer call's shapes; return ``eps`` as an array and the noise
-    scale ``a`` as a scalar or an ``(n, 1)`` column, or ``(None, None)``."""
-    if xd.ndim not in (1, 2) or xd.shape[-1] != layer.d:
-        raise ShapeError(f"adapter expects input (d,) or (n, d) with d={layer.d}, "
-                         f"got {xd.shape}")
-    if bias is not None and bias.shape != (layer.k,):
-        raise ShapeError(f"bias {bias.shape} does not fit output width {layer.k}")
-    if (eps is not None) != (alphas is not None):
-        raise DomainError("stochastic mode needs both alphas and eps")
-    if eps is None:
-        return None, None
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.ndim not in (1, 2) or eps.shape[-1] != layer.rank or \
-            (xd.ndim == 2 and eps.shape != (xd.shape[0], layer.rank)):
-        raise ShapeError(f"eps of shape {eps.shape} for input {xd.shape} at rank "
-                         f"{layer.rank}")
-    a = alphas.data if alphas.ndim == 0 else alphas.data[..., col]
-    if a.ndim and (eps.ndim != 2 or a.shape != eps.shape[:1]):
-        raise ShapeError(f"alphas {alphas.shape} do not fit eps {eps.shape}")
-    if (a < 0.0).any():
-        raise DomainError("alpha must be non-negative")
-    return eps, (a[:, None] if a.ndim else a)
 
 
 def adapted_linear(layer: BaLoRALayer, x: Tensor, bias: Optional[Tensor] = None,
@@ -187,60 +162,62 @@ def adapted_linear(layer: BaLoRALayer, x: Tensor, bias: Optional[Tensor] = None,
     """The adapted layer as one tape node around :func:`adapted_kernel`.
 
     Computes ``W0 x + b + lora_scale * WB (WA x + sqrt(alpha * (WA**2)(x**2)) * eps)``
-    for a vector ``x`` of shape ``(d,)`` or a batch ``(n, d)``. With
-    ``eps=None`` the noise term is absent and the result is the
-    deterministic (posterior-mean) forward. In stochastic mode ``eps`` holds
-    one standard-normal row per draw, ``(r,)`` or ``(n, r)``; a batch input
-    needs one row per input, while a vector input is shared by every draw.
-    ``alpha`` is column ``col`` of ``alphas``, which has shape ``()``,
-    ``(L,)`` (one scale for every row) or ``(n, L)`` (one per row); its
-    cotangent is scattered back into that column. ``eps`` is a constant, so
+    for a batch ``x`` of shape ``(n, d)``. With ``eps=None`` the noise term
+    is absent and the result is the deterministic (posterior-mean) forward.
+    In stochastic mode ``eps`` holds one standard-normal row per input,
+    ``(n, r)``, and ``alpha`` is column ``col`` of ``alphas``, ``(n, L)``;
+    its cotangent is written back into that column. ``eps`` is a constant, so
     gradients flow through the noise scale, ``WA`` and ``WB``, and reach only
-    the parents that require grad.
+    the parents that require grad. For a single input vector, call
+    :func:`adapted_kernel` off the tape, or pass a one-row batch.
     """
     xd = x.data
-    eps, a = _checked_call(layer, xd, bias, alphas, col, eps)
+    if xd.ndim != 2 or xd.shape[1] != layer.d:
+        raise ShapeError(f"adapter expects input (n, d) with d={layer.d}, got {xd.shape}")
+    if bias is not None and bias.shape != (layer.k,):
+        raise ShapeError(f"bias {bias.shape} does not fit output width {layer.k}")
+    if (eps is not None) != (alphas is not None):
+        raise DomainError("stochastic mode needs both alphas and eps")
     stochastic = eps is not None
+    a = None
+    if stochastic:
+        eps = np.asarray(eps, dtype=np.float64)
+        if eps.shape != (xd.shape[0], layer.rank):
+            raise ShapeError(f"eps of shape {eps.shape} for input {xd.shape} at rank "
+                             f"{layer.rank}")
+        if alphas.ndim != 2 or alphas.shape[0] != xd.shape[0]:
+            raise ShapeError(f"alphas {alphas.shape} do not fit input {xd.shape}")
+        a = alphas.data[:, col, None]
+        if (a < 0.0).any():
+            raise DomainError("alpha must be non-negative")
     out, z, q, sd = adapted_kernel(layer, xd, None if bias is None else bias.data, a, eps)
     w0, wa, wb, s = layer.W0.data, layer.WA.data, layer.WB.data, layer.lora_scale
-
-    def to_input_rows(t):
-        # A vector input shared by a batch of draws sums its cotangents over draws.
-        return t.sum(axis=0) if t.ndim > xd.ndim else t
-
-    def outer(g, v):
-        return g.T @ v if v.ndim == 2 else np.outer(g, v)
 
     def vjp(g):
         gu = g * s
         gz = gu @ wb
         gx = gw0 = gwa = gwb = gb = galpha = None
-        g_in = to_input_rows(g)
         if layer.W0.requires_grad:
-            gw0 = outer(g_in, xd)
+            gw0 = g.T @ xd
         if bias is not None and bias.requires_grad:
-            gb = g_in if g_in.ndim == 1 else g_in.sum(axis=0)
+            gb = g.sum(axis=0)
         if layer.WB.requires_grad:
-            gwb = outer(gu, z)
-        gz_in = to_input_rows(gz)
+            gwb = gu.T @ z
         if stochastic:
             # Subgradient 0 where the latent variance is exactly zero keeps
             # zero-variance directions noise-free instead of Inf * 0.
             inv = np.divide(0.5, sd, out=np.zeros_like(sd), where=sd > 0.0)
             gv = gz * eps * inv
             if alphas.requires_grad:
-                per = gv * q
-                ga = per.sum() if a.ndim == 0 else per.sum(axis=-1)
-                galpha = np.asarray(ga) if alphas.ndim == 0 else np.zeros(alphas.shape)
-                if alphas.ndim:
-                    galpha[..., col] = ga
-            gq = to_input_rows(gv * a)
+                galpha = np.zeros(alphas.shape)
+                galpha[:, col] = (gv * q).sum(axis=-1)
+            gq = gv * a
         if layer.WA.requires_grad:
-            gwa = outer(gz_in, xd)
+            gwa = gz.T @ xd
             if stochastic:
-                gwa += 2.0 * wa * outer(gq, xd * xd)
+                gwa += 2.0 * wa * (gq.T @ (xd * xd))
         if x.requires_grad:
-            gx = g_in @ w0 + gz_in @ wa
+            gx = g @ w0 + gz @ wa
             if stochastic:
                 gx += 2.0 * xd * (gq @ (wa * wa))
         grads = (gx, gw0, gwa, gwb, gb, galpha)
@@ -258,31 +235,33 @@ def analytic_predictive(layer: BaLoRALayer, x: Tensor, alpha: float) -> Predicti
     xd = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
     if xd.shape != (layer.d,):
         raise ShapeError(f"expected input of shape ({layer.d},), got {xd.shape}")
-    mean = adapted_kernel(layer, xd)[0]
+    base, z, q = layer_terms(layer, xd, noisy=True)
+    mean = layer_output(layer, base, z)[0]
     # d_vec[i] = alpha * scale^2 * sum_j WA[i,j]^2 x[j]^2
     s2 = layer.lora_scale * layer.lora_scale
-    d_vec = float(alpha) * s2 * ((layer.WA.data ** 2) @ (xd ** 2))
-    return PredictiveGaussian(mean=Tensor(mean), d_vec=Tensor(d_vec), wb=layer.WB.detach())
+    return PredictiveGaussian(mean=Tensor(mean), d_vec=Tensor(float(alpha) * s2 * q),
+                              wb=layer.WB.detach())
 
 
-def sample_lowrank(layer: BaLoRALayer, x: Tensor, alpha, rng: Rng,
-                   n: Optional[int] = None):
-    """Exact draw(s) from the layer's predictive Gaussian, O(k r) per sample.
+def sample_lowrank(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng,
+                   n: Optional[int] = None) -> Tensor:
+    """Exact draw(s) from the layer's predictive Gaussian at one input ``x``
+    of shape ``(d,)``, O(k r) per sample and off the tape.
 
     Noise is drawn in the rank-``r`` latent space and lifted through ``WB``;
-    the k-by-k covariance never exists. With ``n=None`` a single taped
-    sample is returned so gradients flow through ``WA``, ``WB``, and
-    ``alpha`` by reparametrization (the normal draw is a constant). With
-    integer ``n`` an untaped ``(n, k)`` batch is returned for evaluation.
+    the k-by-k covariance never exists. ``alpha`` is a positive scalar. With
+    ``n=None`` one ``(k,)`` draw is returned, else an ``(n, k)`` batch; both
+    come from one :func:`adapted_kernel` call. Training differentiates
+    through the same math batched, in :func:`adapted_linear`.
     """
-    alpha_t = alpha if isinstance(alpha, Tensor) else Tensor(float(alpha))
-    if float(np.min(alpha_t.data)) <= 0:
-        raise DomainError("alpha must be positive")
-    if n is None:
-        return adapted_linear(layer, x, alphas=alpha_t, eps=rng.normal((layer.rank,)))
     xd = x.data
-    eps, a = _checked_call(layer, xd, None, alpha_t, 0, rng.normal((int(n), layer.rank)))
-    return Tensor._from_op(adapted_kernel(layer, xd, None, a, eps)[0], (), None,
+    if xd.shape != (layer.d,):
+        raise ShapeError(f"expected input of shape ({layer.d},), got {xd.shape}")
+    alpha = float(alpha)
+    if not alpha > 0:
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    eps = rng.normal((layer.rank,) if n is None else (int(n), layer.rank))
+    return Tensor._from_op(adapted_kernel(layer, xd, None, alpha, eps)[0], (), None,
                            "sample_lowrank")
 
 
@@ -377,12 +356,12 @@ def init_alphanet(rng: Rng, feature_dim: int, num_layers: int,
 
 
 def alpha_forward(net: AlphaNet, feat: Tensor) -> Tensor:
-    """Per-layer positive noise scales for one feature vector or a batch."""
-    if feat.ndim not in (1, 2):
-        raise ShapeError(f"alpha features must be a vector or batch, got {feat.shape}")
-    if feat.shape[-1] != net.feature_dim:
-        raise ShapeError(
-            f"alpha features have dim {feat.shape[-1]}, expected {net.feature_dim}")
+    """Per-layer positive noise scales ``(n, L)`` for a batch of feature rows
+    ``(n, feature_dim)``, one taped ``linear``/``gelu`` chain ending in the
+    clamped softplus."""
+    if feat.ndim != 2 or feat.shape[1] != net.feature_dim:
+        raise ShapeError(f"alpha features must be a batch (n, {net.feature_dim}), "
+                         f"got {feat.shape}")
     h = feat
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):

@@ -163,8 +163,12 @@ def _verify_failed(manifest: _Manifest, message: str) -> int:
 
 
 def _write_split_csv(path: Path, split: TK.Split) -> None:
-    X = np.atleast_2d(split.X)
-    y = np.atleast_2d(np.asarray(split.y, dtype=np.float64).reshape(X.shape[0], -1))
+    """The split as CSV: a header ``x0, ..., y0, ...``, then one row per
+    sample (none for an empty split). Class labels become one float column."""
+    X = split.X
+    y = np.asarray(split.y, dtype=np.float64)
+    if y.ndim == 1:
+        y = y[:, None]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(X.shape[1])]
@@ -188,6 +192,8 @@ def cmd_train(args) -> int:
         pre_cfg, adapt_cfg, prior = C.train_configs_from_config(cfg)
         trained = TK.pretrain_then_adapt(task, cfg["hidden"], aspec, cfg["adapter"],
                                          pre_cfg, adapt_cfg, prior, seed=cfg["seed"])
+        manifest.data["adapter_ranks"] = {str(i): layer.rank
+                                          for i, layer in trained.model.adapters.items()}
         for name, split in (("train", trained.target.train), ("val", trained.target.val),
                             ("test", trained.target.test)):
             path = out / f"{name}.csv"

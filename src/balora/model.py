@@ -242,7 +242,7 @@ class AdaptedModel:
 
     # -- forward passes --------------------------------------------------------
 
-    def forward(self, X, alphas: Optional[Tensor] = None,
+    def forward(self, X: np.ndarray, alphas: Optional[Tensor] = None,
                 eps: Optional[list[np.ndarray]] = None,
                 prefix: Optional[np.ndarray] = None) -> Tensor:
         """Batched forward. Without ``eps`` this is the posterior-mean forward,
@@ -252,7 +252,7 @@ class AdaptedModel:
         constant, so gradients flow through the noise scale, WA, and WB only.
         A ``prefix`` from :meth:`frozen_prefix` of ``X`` (frozen backbone
         only) replaces the layers before the first adapted one."""
-        x = X if isinstance(X, Tensor) else Tensor(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+        x = Tensor(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         if x.ndim != 2:
             raise ShapeError(f"model forward expects a batch matrix, got {x.shape}")
         stochastic = eps is not None

@@ -51,9 +51,10 @@ class SyntheticTask:
             raise DomainError("two moons is a 2-D task")
         if self.n_classes < 2:
             raise DomainError(f"n_classes must be at least 2, got {self.n_classes}")
-        if min(self.noise_std, self.noise_base) < 0:
-            raise DomainError(f"noise_std and noise_base must be non-negative, got "
-                              f"{self.noise_std}, {self.noise_base}")
+        if min(self.noise_std, self.noise_base, self.noise_slope, self.shift_scale) < 0:
+            raise DomainError(f"noise_std, noise_base, noise_slope and shift_scale must be "
+                              f"non-negative, got {self.noise_std}, {self.noise_base}, "
+                              f"{self.noise_slope}, {self.shift_scale}")
 
     @property
     def is_classification(self) -> bool:

@@ -6,15 +6,20 @@ when a parent requires grad. :func:`backward` walks the graph once in
 reverse topological order, accumulates gradients into the ``grad`` field of
 every leaf that requires them, and consumes the tape.
 
-Broadcasting is deliberately restricted to scalar-with-tensor and
-equal-shape operands so every gradient rule stays auditable. Every
-completed operation is checked for NaN/Inf and raises instead of
-propagating poison values.
+Taped ops follow one shape rule, so every gradient rule stays auditable:
+:func:`add` and :func:`mul` take operands of equal shape (0-d with 0-d
+included) and never broadcast, and :func:`linear` and the adapter node
+(``balora.adapter.adapted_linear``) take a batch of input rows ``(n, d)``.
+A caller holding a single vector runs the plain-numpy kernel off the tape,
+or passes a one-row batch. (:func:`matmul`, which no model path calls,
+keeps its vector cases.) Every completed operation is checked for NaN/Inf
+and raises instead of propagating poison values.
 
 The vector-Jacobian closures that cost real work (matmul, mul, linear,
 the adapter kernel and the loss terms) form a cotangent only for parents
 that require grad, so frozen weights and raw inputs cost nothing in the
-backward pass.
+backward pass. The closure of add hands its cotangent on unchanged; those
+of sum, clip and the activations are elementwise passes over one array.
 :func:`linear`, the adapter kernel (``balora.adapter.adapted_linear``) and
 each ELBO term (``balora.variational``) are single tape nodes with
 hand-written vector-Jacobian products, each checked against central finite
@@ -238,38 +243,30 @@ def backward(loss: Tensor) -> None:
 # -- shape plumbing -----------------------------------------------------------
 
 
-def _binary_out_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape == b.shape or a.shape == () or b.shape == ():
-        return
-    raise ShapeError(
-        f"{op}: shapes {a.shape} and {b.shape} must be equal or scalar-with-tensor")
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    if shape == () and g.shape != ():
-        return np.asarray(g.sum())
-    return g
+def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} must be equal")
 
 
 # -- elementwise and binary ops -----------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_out_shape(a, b, "add")
+    _same_shape(a, b, "add")
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return g, g
 
     return Tensor._from_op(a.data + b.data, (a, b), vjp, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_out_shape(a, b, "mul")
+    _same_shape(a, b, "mul")
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return (_unbroadcast(g * bd, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * ad, b.shape) if b.requires_grad else None)
+        return (g * bd if a.requires_grad else None,
+                g * ad if b.requires_grad else None)
 
     return Tensor._from_op(ad * bd, (a, b), vjp, "mul")
 
@@ -467,30 +464,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` for a single input or a batch.
+    """Affine map ``x @ weight.T + bias`` of a batch ``x`` of shape ``(n, d)``.
 
     One tape node: the bias cotangent is the row sum of the output
     cotangent, and only parents that require grad get a cotangent.
     """
     xd, wd = x.data, weight.data
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"linear expects vector or batch matrix, got {x.shape}")
-    if weight.ndim != 2 or wd.shape[1] != xd.shape[-1]:
+    if x.ndim != 2:
+        raise ShapeError(f"linear expects a batch matrix (n, d), got {x.shape}")
+    if weight.ndim != 2 or wd.shape[1] != xd.shape[1]:
         raise ShapeError(f"linear weight {weight.shape} does not fit input {x.shape}")
     if bias is not None and bias.shape != (wd.shape[0],):
         raise ShapeError(f"linear bias {bias.shape} does not fit weight {weight.shape}")
-    out = wd @ xd if x.ndim == 1 else xd @ wd.T
+    out = xd @ wd.T
     if bias is not None:
         out += bias.data
 
     def vjp(g):
         gx = g @ wd if x.requires_grad else None
-        gw = None
-        if weight.requires_grad:
-            gw = np.outer(g, xd) if x.ndim == 1 else g.T @ xd
-        gb = None
-        if bias is not None and bias.requires_grad:
-            gb = g if x.ndim == 1 else g.sum(axis=0)
+        gw = g.T @ xd if weight.requires_grad else None
+        gb = g.sum(axis=0) if bias is not None and bias.requires_grad else None
         return gx, gw, gb
 
     parents = (x, weight) if bias is None else (x, weight, bias)

@@ -227,8 +227,7 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
         if alphas is not None:
             kl = kl_normalized(alphas, prior.p, model.alphanet.alpha_min,
                                model.alphanet.alpha_max)
-            metrics["alpha_per_layer"] = [float(v) for v in
-                                          np.atleast_2d(alphas.data).mean(axis=0)]
+            metrics["alpha_per_layer"] = [float(v) for v in alphas.data.mean(axis=0)]
             metrics["kl_normalized"] = kl.item()
             if cfg.kl_weight > 0:
                 loss = T.add(nll, T.mul(kl, Tensor(cfg.kl_weight)))

@@ -12,6 +12,7 @@ import pytest
 
 from balora import bench as B
 from balora import cli, tasks, variational
+from balora import config as C
 from balora import verify as VF
 from balora.cli import main
 from balora.config import ConfigError, load_config, parse_config
@@ -172,7 +173,8 @@ class TestTrain:
         "adapt_layers = 3", "adapt_layers = -1",                        # layer indices
         "init_alpha = 0", "init_alpha = 2e3", "init_alpha = 1e9",       # outside the clamp
         "lora_alpha = 0", "lora_alpha = -1",                            # inert adapters
-        "noise_std = -0.1", "noise_base = -0.1", "n_classes = 1"])      # task
+        "noise_std = -0.1", "noise_base = -0.1", "n_classes = 1",       # task
+        "noise_slope = -1", "shift_scale = -1"])                        # silent no-ops
     def test_out_of_range_value_exits_2_before_work(self, tmp_path, fast_config, line,
                                                      monkeypatch, capsys):
         monkeypatch.setattr(tasks, "pretrain_then_adapt",
@@ -184,6 +186,42 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("config error: out-of-range")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error" and manifest["outputs"] == []
+
+    @pytest.mark.parametrize("task", ["heteroscedastic-regression",
+                                      "multiclass-gaussian-blobs"])
+    def test_empty_val_split_writes_a_header_only_csv(self, tmp_path, task, capsys):
+        cfg = tmp_path / "noval.cfg"
+        cfg.write_text(FAST_CONFIG + f"task = {task}\nn_val = 0\n")
+        code, out = _train(tmp_path, cfg)
+        assert code == 0, capsys.readouterr().err
+        header = ["x0", "x1", "x2", "x3", "y0"]
+        assert (out / "val.csv").read_text().splitlines() == [",".join(header)]
+        assert (out / "test.csv").read_text().splitlines()[0] == ",".join(header)
+
+    def test_every_numeric_key_at_the_boundary_exits_0_or_2(self, tmp_path):
+        # Every int, float and list key (those whose default is not a string)
+        # at -1, 0 and 1, one at a time, on a tiny regression and a tiny
+        # classification task: each run trains or is rejected as a
+        # configuration error, and none raises.
+        keys = [key for key, (_, default) in C.SCHEMA.items() if not isinstance(default, str)]
+        bad = []
+        for task in ("heteroscedastic-regression", "multiclass-gaussian-blobs"):
+            base = (f"task = {task}\nd_in = 3\nhidden = 4\nalphanet_hidden = 4\n"
+                    "n_train = 32\nn_val = 8\nn_test = 8\nbatch_size = 32\n"
+                    "pretrain_batch_size = 32\nepochs = 1\npretrain_epochs = 1\n")
+            for key in keys:
+                for value in (-1, 0, 1):
+                    name = f"{task[:5]}-{key}{value}"
+                    cfg = tmp_path / f"{name}.cfg"
+                    cfg.write_text(base + f"{key} = {value}\n")
+                    try:
+                        code = main(["train", "--config", str(cfg), "--out",
+                                     str(tmp_path / name)])
+                    except Exception as err:  # reported below, with the others
+                        code = repr(err)
+                    if code not in (0, 2):
+                        bad.append((task, key, value, code))
+        assert not bad, bad
 
     def test_init_alpha_at_the_clamp_trains(self, tmp_path, capsys):
         # The AlphaNet output bias is softplus^-1(1000): log(expm1(1000)) overflows.
@@ -422,6 +460,16 @@ class TestUsageErrors:
         code, out = _train(tmp_path, cfg)
         assert code == 0
         assert json.loads((out / "manifest.json").read_text())["shift_rank"] == 1
+
+    def test_manifest_records_the_clipped_adapter_ranks(self, tmp_path):
+        # Each adapter's rank is min(rank, d, k) of its layer: 6 -> 32 -> 32 -> 1.
+        cfg = tmp_path / "hetero.cfg"
+        toy = Path(__file__).resolve().parents[1] / "configs" / "toy_hetero.cfg"
+        cfg.write_text(toy.read_text() + "rank = 99\n")
+        code, out = _train(tmp_path, cfg)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["adapter_ranks"] == {"0": 6, "1": 32, "2": 1}
 
 
 class TestManifestTiming:

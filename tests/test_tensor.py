@@ -85,9 +85,11 @@ class TestElementwise:
         out = T.sqrt(T.square(Tensor(v))).data
         assert np.allclose(out, np.abs(v), atol=1e-12)
 
-    def test_scalar_broadcast_allowed(self):
-        out = T.add(Tensor([[1.0, 2.0]]), Tensor(1.5))
-        assert out.data.tolist() == [[2.5, 3.5]]
+    def test_scalar_broadcast_rejected(self):
+        with pytest.raises(ShapeError):
+            T.add(Tensor([[1.0, 2.0]]), Tensor(1.5))
+        with pytest.raises(ShapeError):
+            T.mul(Tensor(1.5), Tensor([[1.0, 2.0]]))
 
     def test_vector_matrix_broadcast_rejected(self):
         with pytest.raises(ShapeError):
@@ -158,7 +160,7 @@ class TestFiniteDifferenceSweep:
         ("add", lambda a, b: T.add(a, b), 2),
         ("mul", lambda a, b: T.mul(a, b), 2),
         ("square", lambda a: T.square(a), 1),
-        ("sqrt", lambda a: T.sqrt(T.add(T.square(a), Tensor(0.1))), 1),
+        ("sqrt", lambda a: T.sqrt(T.add(T.square(a), Tensor(np.full(a.shape, 0.1)))), 1),
         ("softplus", lambda a: T.softplus(a), 1),
         ("gelu", lambda a: T.gelu(a), 1),
         ("transpose", lambda a: T.transpose(T.reshape(a, (4, 5))), 1),
@@ -192,8 +194,8 @@ class TestFiniteness:
     def test_finite_array_whose_sum_overflows_passes(self):
         with np.errstate(over="ignore"):
             t = Tensor([1e308, 1e308])
-            halved = T.mul(t, Tensor(0.5))
-            flipped = T.mul(t, Tensor(-1.0))
+            halved = T.mul(t, Tensor([0.5, 0.5]))
+            flipped = T.mul(t, Tensor([-1.0, -1.0]))
         assert halved.data.tolist() == [5e307, 5e307]
         assert flipped.data.tolist() == [-1e308, -1e308]
 
@@ -219,17 +221,16 @@ class TestFiniteness:
 
 
 class TestLinearHelper:
-    @pytest.mark.parametrize("batch", [False, True], ids=["vector", "batch"])
-    @pytest.mark.parametrize("with_bias", [False, True], ids=["nobias", "bias"])
-    def test_vjp_matches_finite_differences(self, batch, with_bias):
-        rng = Rng(33 + 2 * batch + with_bias)
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["nobias-batch", "bias-batch"])
+    def test_vjp_matches_finite_differences(self, with_bias):
+        rng = Rng(35 + with_bias)
         # Every non-empty subset of {x, W, b} requiring grad.
         for mask in range(1, 8 if with_bias else 4):
             r = rng.stream_of(mask)
-            x = Tensor(r.normal((5, 4) if batch else (4,)), requires_grad=bool(mask & 1))
+            x = Tensor(r.normal((5, 4)), requires_grad=bool(mask & 1))
             w = Tensor(r.normal((3, 4)), requires_grad=bool(mask & 2))
             b = Tensor(r.normal((3,)), requires_grad=bool(mask & 4)) if with_bias else None
-            proj = Tensor(r.normal((5, 3) if batch else (3,)))
+            proj = Tensor(r.normal((5, 3)))
 
             def loss_fn():
                 return T.tsum(T.mul(T.linear(x, w, b), proj))
@@ -250,8 +251,12 @@ class TestLinearHelper:
         b = Tensor(rng.normal((4,)), requires_grad=True)
         X = rng.normal((8, 6))
         batch = T.linear(Tensor(X), w, b).data
-        rows = np.stack([T.linear(Tensor(x), w, b).data for x in X])
+        rows = np.concatenate([T.linear(Tensor(x[None, :]), w, b).data for x in X])
         assert np.allclose(batch, rows, atol=1e-14)
+
+    def test_vector_input_rejected(self):
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.ones(3)), Tensor(np.ones((2, 3))))
 
     def test_bias_gradient_sums_over_rows(self):
         rng = Rng(32)
