@@ -188,6 +188,7 @@ def cmd_train(args) -> int:
     with _Manifest(out, "train", args.config, cfg["seed"]) as manifest:
         task = C.task_from_config(cfg)
         manifest.data["shift_rank"] = task.used_shift_rank
+        manifest.data["output_dim"] = task.output_dim
         aspec = C.adapter_spec_from_config(cfg)
         pre_cfg, adapt_cfg, prior = C.train_configs_from_config(cfg)
         trained = TK.pretrain_then_adapt(task, cfg["hidden"], aspec, cfg["adapter"],

@@ -201,6 +201,11 @@ def adapter_spec_from_config(cfg: dict) -> AdapterSpec:
 
 
 def train_configs_from_config(cfg: dict):
+    """The pretraining and adaptation configs and the prior. ``mc_steps`` is
+    checked here too, so a run that ``eval --mode mc`` would reject never trains."""
+    if cfg["mc_steps"] < 2:
+        raise ConfigError(f"out-of-range config value: mc_steps {cfg['mc_steps']} is below "
+                          f"the 2 draws a Monte Carlo variance needs", key="mc_steps")
     pretrain = _build(TrainConfig, lr=cfg["pretrain_lr"], epochs=cfg["pretrain_epochs"],
                       batch_size=cfg["pretrain_batch_size"], kl_weight=0.0,
                       warmup_fraction=0.0, weight_decay=0.0,

@@ -8,6 +8,9 @@ path on the gradient tape, so the training objective differentiates
 through the sampler by reparametrization. ``predict_stochastic`` is its
 untaped Monte Carlo counterpart: it runs what does not depend on the draw
 once per input row.
+Every untaped forward (frozen prefix, alpha features, ``predict``,
+``merged_forward``, Monte Carlo blocks) is one plain-numpy walk over a
+per-layer plan, :func:`_walk`, with the taped forward's ops and bits.
 """
 
 from __future__ import annotations
@@ -150,16 +153,6 @@ class ToyBackbone:
         self.biases = [b.detach() for b in self.biases]
         self.frozen = True
 
-    def gelu_layers(self, h: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Layers ``start`` to ``stop - 1``, each followed by its GELU, in
-        plain numpy and off the tape (so ``stop`` stays below the output
-        layer). The ops are those of ``T.linear`` and ``T.gelu``, so the bits
-        are too."""
-        for w, b in zip(self.weights[start:stop], self.biases[start:stop]):
-            h = h @ w.data.T + b.data
-            h = h * T.gelu_gate(h)
-        return h
-
 
 class AdaptedModel:
     """Frozen backbone plus adapters, optional AlphaNet, and a likelihood head.
@@ -219,8 +212,7 @@ class AdaptedModel:
         """Activation entering the first adapted layer, computed off the
         tape. The alpha features and every stochastic forward of the same
         rows continue from it, so it runs once per input row."""
-        return self.backbone.gelu_layers(np.asarray(X, dtype=np.float64), 0,
-                                         self.prefix_layers)
+        return _walk(self._plan(0, self.prefix_layers, {}), np.asarray(X, dtype=np.float64))
 
     def alpha_features(self, X: np.ndarray, prefix: Optional[np.ndarray] = None) -> np.ndarray:
         """Feature vectors driving the noise scales (computed off-tape).
@@ -234,7 +226,7 @@ class AdaptedModel:
             return np.asarray(X, dtype=np.float64)
         if prefix is None:
             prefix = self.frozen_prefix(X)
-        return self.backbone.gelu_layers(prefix, self.prefix_layers, self.backbone.n_layers - 1)
+        return _walk(self._plan(self.prefix_layers, self.backbone.n_layers - 1, {}), prefix)
 
     def alphas(self, X: np.ndarray, prefix: Optional[np.ndarray] = None) -> Tensor:
         feats = Tensor(self.alpha_features(X, prefix))
@@ -287,24 +279,13 @@ class AdaptedModel:
             raise DomainError("stochastic forward requires a balora model")
         return [rng.normal((n, layer.rank)) for layer in self.adapters.values()]
 
-    def merged_weights(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer (weight, bias) with adapters folded into the base weights."""
-        merged = []
-        for i, (w, b) in enumerate(zip(self.backbone.weights, self.backbone.biases)):
-            layer = self.adapters.get(i)
-            wd = A.merge_weights(layer).data if layer is not None else w.data
-            merged.append((wd, b.data))
-        return merged
-
     def merged_forward(self, X: np.ndarray) -> np.ndarray:
-        """Pure-numpy forward through the merged weights (zero-overhead mode)."""
-        h = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        layers = self.merged_weights()
-        for i, (w, b) in enumerate(layers):
-            h = h @ w.T + b
-            if i != len(layers) - 1:
-                h = h * T.gelu_gate(h)
-        return h
+        """Pure-numpy forward through the merged weights (zero-overhead mode):
+        each adapter folded into its base weight (:func:`~balora.adapter.merge_weights`)."""
+        plan = self._plan(0, self.backbone.n_layers, self.adapters)
+        merged = [(w if layer is None else A.merge_weights(layer).data, b, None, None, gelu)
+                  for w, b, layer, _, gelu in plan]
+        return _walk(merged, np.atleast_2d(np.asarray(X, dtype=np.float64)))
 
     # -- prediction conveniences (off-tape) --------------------------------------
 
@@ -315,11 +296,7 @@ class AdaptedModel:
         if h.ndim != 2 or h.shape[1] != self.backbone.spec.d_in:
             raise ShapeError(f"model forward expects a batch matrix of width "
                              f"{self.backbone.spec.d_in}, got {h.shape}")
-        for i, (w, b) in enumerate(zip(self.backbone.weights, self.backbone.biases)):
-            layer = self.adapters.get(i)
-            h = h @ w.data.T + b.data if layer is None else A.adapted_kernel(layer, h, b.data)[0]
-            if i < self.backbone.n_layers - 1:
-                h = h * T.gelu_gate(h)
+        h = _walk(self._plan(0, self.backbone.n_layers, self.adapters), h)
         T.check_finite(h, "the posterior-mean forward")
         return h
 
@@ -352,7 +329,7 @@ class AdaptedModel:
             T.check_finite(t, "per-row terms of the stochastic forward")
         out = np.empty((n, self.backbone.spec.d_out))
         size = min(_BLOCK_ROWS, n) * max(self.backbone.spec.widths()[first + 1:])
-        plan = self._block_plan()
+        plan = self._plan(first, self.backbone.n_layers, self.adapters)
         blocks = [slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
 
         def work(share):
@@ -372,47 +349,61 @@ class AdaptedModel:
             return 1
         return max(1, min(_cpu_workers(), -(-n_rows // _BLOCK_ROWS)))
 
-    def _block_plan(self) -> list[tuple]:
-        """What every block of :meth:`predict_stochastic` reads of each layer
-        from the first adapted one to the output: its weight and bias arrays,
-        its adapter (None if unadapted) and that adapter's AlphaNet column."""
-        return [(self.backbone.weights[i].data, self.backbone.biases[i].data,
-                 self.adapters.get(i),
-                 self.adapted_layers.index(i) if i in self.adapters else None)
-                for i in range(self.prefix_layers, self.backbone.n_layers)]
+    def _plan(self, start: int, stop: int, adapters: dict) -> list[tuple]:
+        """What :func:`_walk` reads of layers ``start`` to ``stop - 1``: weight,
+        bias, adapter in ``adapters`` (or None), its AlphaNet column, and
+        whether a GELU follows (on every layer but the output)."""
+        return [(self.backbone.weights[i].data, self.backbone.biases[i].data, adapters.get(i),
+                 self.adapted_layers.index(i) if i in adapters else None,
+                 i < self.backbone.n_layers - 1)
+                for i in range(start, stop)]
 
     def _draw_block(self, blk: slice, B: int, plan: list[tuple], terms, alphas: np.ndarray,
                     eps: list[np.ndarray], out: np.ndarray, bufs) -> None:
-        """Draw rows ``blk`` of :meth:`predict_stochastic` into ``out[blk]``,
-        through the layers of ``plan`` (:meth:`_block_plan`). Every
-        activation before the output lives in one of the two flat ``bufs``:
-        the layer input in one, the base term or the GELU gate in the other."""
-        m = blk.stop - blk.start
+        """Draw rows ``blk`` of :meth:`predict_stochastic` into ``out[blk]``:
+        gather the per-row ``terms`` of the first adapted layer, then walk
+        ``plan``, from that layer on, in the two flat ``bufs``."""
         rows = np.arange(blk.start, blk.stop) % B
-        a = alphas[rows]
-
-        def view(buf, width):
-            return buf[:m * width].reshape(m, width)
-
-        cur, spare = bufs
-        for j, (weight, bias, layer, col) in enumerate(plan):
-            if j:
-                h *= T.gelu_gate(h, out=view(spare, h.shape[1]))
-            k, dest = weight.shape[0], out[blk] if j == len(plan) - 1 else None
-            if layer is None:
-                cur, spare = spare, cur  # h moves to the buffer it is not in
-                h = np.matmul(h, weight.T, out=view(cur, k) if dest is None else dest)
-                h += bias
-                continue
-            if j == 0:
-                base = np.take(terms[0], rows, axis=0, out=view(spare, k))
-                z, q = terms[1][rows], terms[2][rows]
-            else:
-                base, z, q = A.layer_terms(layer, h, bias, noisy=True, out=view(spare, k),
-                                           scratch=h)
-            h = A.layer_output(layer, base, z, q, a[:, col:col + 1], eps[col][blk],
-                               out=view(cur, k) if dest is None else dest)[0]
+        k = terms[0].shape[1]
+        base = np.take(terms[0], rows, axis=0, out=bufs[1][:len(rows) * k].reshape(-1, k))
+        h = _walk(plan, None, (base, terms[1][rows], terms[2][rows]), alphas[rows],
+                  [e[blk] for e in eps], bufs, out[blk])
         T.check_finite(h, "the stochastic forward")
+
+
+def _walk(plan: list[tuple], h: Optional[np.ndarray], terms=None, alphas=None,
+          eps: Optional[list] = None, bufs=None, out: Optional[np.ndarray] = None):
+    """Rows ``h`` through the layers of ``plan`` (:meth:`AdaptedModel._plan`),
+    in plain numpy with the taped forward's ops; ``h`` is never written.
+    ``terms``, the first layer's ``layer_terms``, replace ``h`` (then None).
+    Adapted layers draw with ``eps`` (one array per AlphaNet column) at the
+    scales in ``alphas``, else give the posterior mean. With ``bufs``, two
+    flat arrays, the layer input lives in the first and the base term (that
+    of ``terms`` too) or GELU gate in the second; without, each op allocates.
+    The output goes to ``out`` if given."""
+    cur, spare = bufs if bufs is not None else (None, None)
+    n = len(h if terms is None else terms[0])
+
+    def view(buf, width):
+        return None if buf is None else buf[:n * width].reshape(n, width)
+
+    for j, (weight, bias, layer, col, gelu) in enumerate(plan):
+        k = weight.shape[0]
+        dest = out if j == len(plan) - 1 else None
+        if layer is None:
+            cur, spare = spare, cur  # h moves to the buffer it is not in
+            h = np.matmul(h, weight.T, out=view(cur, k) if dest is None else dest)
+            h += bias
+        else:
+            base, z, q = terms if j == 0 and terms is not None else A.layer_terms(
+                layer, h, bias, noisy=eps is not None, out=view(spare, k),
+                scratch=view(cur, h.shape[1]))
+            a, e = (None, None) if eps is None else (alphas[:, col:col + 1], eps[col])
+            h = A.layer_output(layer, base, z, q, a, e,
+                               out=view(cur, k) if dest is None else dest)[0]
+        if gelu:
+            h *= T.gelu_gate(h, out=view(spare, k))
+    return h
 
 
 def attach_adapters(backbone: ToyBackbone, aspec: AdapterSpec, kind: str,

@@ -49,6 +49,8 @@ class SyntheticTask:
             raise DomainError("split sizes must be positive (val may be zero)")
         if self.kind == "two-moons-classification" and self.d_in != 2:
             raise DomainError("two moons is a 2-D task")
+        if self.d_out < 1:
+            raise DomainError(f"d_out must be positive, got {self.d_out}")
         if self.n_classes < 2:
             raise DomainError(f"n_classes must be at least 2, got {self.n_classes}")
         if min(self.noise_std, self.noise_base, self.noise_slope, self.shift_scale) < 0:

@@ -34,3 +34,15 @@ def two_mc_workers(monkeypatch):
     test run, so without this the threaded path would go untested there."""
     monkeypatch.setattr(M, "_cpu_workers", lambda: 2)
     monkeypatch.setattr(M, "_MIN_GELUS_PER_ROW", 0)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def no_balora_threads():
+    """Run the whole session without ``BALORA_THREADS``. The test process
+    loads numpy before balora, so an exported value never reaches the BLAS
+    variables, and every in-process command would exit 2 on the mismatch.
+    Tests that need a pin set it through ``monkeypatch``. Session scope, so
+    that module-scoped fixtures that train a model run without it too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("BALORA_THREADS", raising=False)
+        yield

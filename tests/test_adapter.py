@@ -70,10 +70,14 @@ class TestAlphaNet:
         with pytest.raises(ShapeError):
             A.alpha_forward(net, Tensor(Rng(7).normal((3,))))
 
-    def test_nonfinite_features_rejected(self):
+    def test_nonfinite_weight_raises_in_linear(self):
         net = A.init_alphanet(Rng(6), feature_dim=3, num_layers=1, hidden_dims=(4,))
-        with pytest.raises(Exception):
-            A.alpha_forward(net, Tensor([np.inf, 0.0, 0.0]))
+        bad = net.weights[0].data.copy()
+        bad[0, 0] = np.nan
+        net.weights[0].data = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(T.NonFiniteError, match="non-finite values produced by linear"):
+            A.alpha_forward(net, Tensor(Rng(7).normal((2, 3))))
 
 
 class TestDeterministicForward:

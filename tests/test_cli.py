@@ -244,6 +244,22 @@ class TestTrain:
         key = line.split()[0]
         assert capsys.readouterr().err.startswith(f"config error: invalid value for {key}:")
 
+    @pytest.mark.parametrize("lines,key", [
+        ("mc_steps = -1", "mc_steps"), ("mc_steps = 0", "mc_steps"), ("mc_steps = 1", "mc_steps"),
+        ("task = multiclass-gaussian-blobs\nd_out = 0", "d_out"),
+        ("task = two-moons-classification\nd_in = 2\nd_out = -1", "d_out")])
+    def test_out_of_range_value_exits_2_before_pretraining(self, tmp_path, lines, key,
+                                                           monkeypatch, capsys):
+        # A run whose checkpoint eval --mode mc would reject, and a d_out
+        # that a classification head does not read, fail before any work.
+        monkeypatch.setattr(tasks, "pretrain_then_adapt",
+                            lambda *a, **k: pytest.fail("training started"))
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(FAST_CONFIG + lines + "\n")
+        assert _train(tmp_path, cfg)[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out-of-range config value: ") and key in err
+
     def test_divergence_exits_1_without_a_traceback(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(FAST_CONFIG + "lr = 1e300\n")
@@ -460,6 +476,16 @@ class TestUsageErrors:
         code, out = _train(tmp_path, cfg)
         assert code == 0
         assert json.loads((out / "manifest.json").read_text())["shift_rank"] == 1
+
+    @pytest.mark.parametrize("lines,width", [
+        ("", 1), ("task = multiclass-gaussian-blobs\nn_classes = 4\nd_out = 7", 4),
+        ("task = two-moons-classification\nd_in = 2", 2)], ids=["hetero", "blobs", "moons"])
+    def test_manifest_records_the_output_width_used(self, tmp_path, lines, width):
+        cfg = tmp_path / "width.cfg"
+        cfg.write_text(FAST_CONFIG + lines + "\n")
+        code, out = _train(tmp_path, cfg)
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["output_dim"] == width
 
     def test_manifest_records_the_clipped_adapter_ranks(self, tmp_path):
         # Each adapter's rank is min(rank, d, k) of its layer: 6 -> 32 -> 32 -> 1.

@@ -322,6 +322,22 @@ class TestPredict:
         with np.errstate(invalid="ignore"), pytest.raises(T.NonFiniteError):
             model.predict(Rng(44).normal((4, 5)))
 
+    @pytest.mark.parametrize("adapt", [None, (1,), (2,)], ids=["all", "middle-only",
+                                                                "output-only"])
+    def test_frozen_walk_matches_the_taped_chain(self, adapt):
+        # A classification head takes its alpha features from the frozen
+        # backbone's last hidden layer; the prefix stops at the first adapter.
+        model = _adapted(45, (6, 7), adapt, "classification")
+        X = Rng(46).normal((9, 5))
+        chain = [Tensor(X)]
+        for w, b in zip(model.backbone.weights[:-1], model.backbone.biases[:-1]):
+            chain.append(T.gelu(T.linear(chain[-1], w, b)))
+        assert model.frozen_prefix(X).tobytes() == chain[model.prefix_layers].data.tobytes()
+        assert model.alpha_features(X).tobytes() == chain[-1].data.tobytes()
+        for layer in model.adapters.values():
+            layer.WB = Tensor(np.zeros(layer.WB.shape), requires_grad=True)
+        assert model.merged_forward(X).tobytes() == model.predict(X).tobytes()
+
 
 def test_training_step_while_another_thread_evaluates(monkeypatch):
     # One thread is held inside uq_report's AlphaNet call while this one takes
