@@ -142,90 +142,45 @@ def layer_output(layer: BaLoRALayer, base: np.ndarray, z: np.ndarray,
 
 
 def adapted_kernel(layer: BaLoRALayer, x: np.ndarray, bias: Optional[np.ndarray] = None,
-                   a=None, eps: Optional[np.ndarray] = None):
-    """The adapted layer's forward math, in plain numpy and off the tape.
-
-    Returns ``(out, z, q, sd)``: the output, the noisy latent, the latent
-    variance per unit alpha and the latent standard deviation (``q`` and
-    ``sd`` are None without ``eps``). Inputs are not checked. ``x`` is one
-    input ``(d,)`` with noise ``(r,)`` or ``(n, r)`` and a scalar ``a``, or a
-    batch ``(n, d)`` with noise ``(n, r)`` and ``a`` scalar or ``(n, 1)``.
-    """
+                   a=None, eps: Optional[np.ndarray] = None) -> np.ndarray:
+    """The adapted layer's output, in plain numpy and off the tape, with
+    inputs unchecked: one input ``(d,)`` with noise ``(r,)`` or ``(n, r)`` and
+    a scalar ``a``, or a batch ``(n, d)`` with noise ``(n, r)`` and ``a``
+    scalar or ``(n, 1)``. Without ``eps``, the posterior mean."""
     base, z, q = layer_terms(layer, x, bias, eps is not None)
-    out, z, sd = layer_output(layer, base, z, q, a, eps)
-    return out, z, q, sd
+    return layer_output(layer, base, z, q, a, eps)[0]
 
 
-def adapted_linear(layer: BaLoRALayer, x: Tensor, bias: Optional[Tensor] = None,
-                   alphas: Optional[Tensor] = None, col: int = 0,
-                   eps: Optional[np.ndarray] = None) -> Tensor:
-    """The adapted layer as one tape node around :func:`adapted_kernel`.
-
-    Computes ``W0 x + b + lora_scale * WB (WA x + sqrt(alpha * (WA**2)(x**2)) * eps)``
-    for a batch ``x`` of shape ``(n, d)``. With ``eps=None`` the noise term
-    is absent and the result is the deterministic (posterior-mean) forward.
-    In stochastic mode ``eps`` holds one standard-normal row per input,
-    ``(n, r)``, and ``alpha`` is column ``col`` of ``alphas``, ``(n, L)``;
-    its cotangent is written back into that column. ``eps`` is a constant, so
-    gradients flow through the noise scale, ``WA`` and ``WB``, and reach only
-    the parents that require grad. For a single input vector, call
-    :func:`adapted_kernel` off the tape, or pass a one-row batch.
-    """
-    xd = x.data
-    if xd.ndim != 2 or xd.shape[1] != layer.d:
-        raise ShapeError(f"adapter expects input (n, d) with d={layer.d}, got {xd.shape}")
-    if bias is not None and bias.shape != (layer.k,):
-        raise ShapeError(f"bias {bias.shape} does not fit output width {layer.k}")
-    if (eps is not None) != (alphas is not None):
-        raise DomainError("stochastic mode needs both alphas and eps")
-    stochastic = eps is not None
-    a = None
-    if stochastic:
-        eps = np.asarray(eps, dtype=np.float64)
-        if eps.shape != (xd.shape[0], layer.rank):
-            raise ShapeError(f"eps of shape {eps.shape} for input {xd.shape} at rank "
-                             f"{layer.rank}")
-        if alphas.ndim != 2 or alphas.shape[0] != xd.shape[0]:
-            raise ShapeError(f"alphas {alphas.shape} do not fit input {xd.shape}")
-        a = alphas.data[:, col, None]
-        if (a < 0.0).any():
-            raise DomainError("alpha must be non-negative")
-    out, z, q, sd = adapted_kernel(layer, xd, None if bias is None else bias.data, a, eps)
+def layer_vjp(layer: BaLoRALayer, g: np.ndarray, x: np.ndarray, z: np.ndarray,
+              q: Optional[np.ndarray] = None, sd: Optional[np.ndarray] = None, a=None,
+              eps: Optional[np.ndarray] = None, need_x: bool = True):
+    """The layer's cotangents ``(gx, gwa, gwb, ga)`` for output cotangent
+    ``g``, in plain numpy, from its input ``x`` and what :func:`layer_output`
+    used and returned (``q``, ``sd``, ``a``, ``eps`` None for the posterior
+    mean): ``gx`` if ``need_x``, ``gwa``/``gwb`` if ``WA``/``WB`` require grad,
+    ``ga``, that of the ``(n,)`` alpha column, if noisy; None otherwise."""
     w0, wa, wb, s = layer.W0.data, layer.WA.data, layer.WB.data, layer.lora_scale
-
-    def vjp(g):
-        gu = g * s
-        gz = gu @ wb
-        gx = gw0 = gwa = gwb = gb = galpha = None
-        if layer.W0.requires_grad:
-            gw0 = g.T @ xd
-        if bias is not None and bias.requires_grad:
-            gb = g.sum(axis=0)
-        if layer.WB.requires_grad:
-            gwb = gu.T @ z
-        if stochastic:
-            # Subgradient 0 where the latent variance is exactly zero keeps
-            # zero-variance directions noise-free instead of Inf * 0.
-            inv = np.divide(0.5, sd, out=np.zeros_like(sd), where=sd > 0.0)
-            gv = gz * eps * inv
-            if alphas.requires_grad:
-                galpha = np.zeros(alphas.shape)
-                galpha[:, col] = (gv * q).sum(axis=-1)
-            gq = gv * a
-        if layer.WA.requires_grad:
-            gwa = gz.T @ xd
-            if stochastic:
-                gwa += 2.0 * wa * (gq.T @ (xd * xd))
-        if x.requires_grad:
-            gx = g @ w0 + gz @ wa
-            if stochastic:
-                gx += 2.0 * xd * (gq @ (wa * wa))
-        grads = (gx, gw0, gwa, gwb, gb, galpha)
-        return tuple(gr for p, gr in zip(slots, grads) if p is not None)
-
-    slots = (x, layer.W0, layer.WA, layer.WB, bias, alphas)
-    parents = tuple(p for p in slots if p is not None)
-    return Tensor._from_op(out, parents, vjp, "adapted_linear")
+    gu = g * s
+    gz = gu @ wb
+    gx = gwa = gwb = ga = None
+    if layer.WB.requires_grad:
+        gwb = gu.T @ z
+    if eps is not None:
+        # Subgradient 0 where the latent variance is exactly zero keeps
+        # zero-variance directions noise-free instead of Inf * 0.
+        inv = np.divide(0.5, sd, out=np.zeros_like(sd), where=sd > 0.0)
+        gv = gz * eps * inv
+        ga = (gv * q).sum(axis=-1)
+        gq = gv * a
+    if layer.WA.requires_grad:
+        gwa = gz.T @ x
+        if eps is not None:
+            gwa += 2.0 * wa * (gq.T @ (x * x))
+    if need_x:
+        gx = g @ w0 + gz @ wa
+        if eps is not None:
+            gx += 2.0 * x * (gq @ (wa * wa))
+    return gx, gwa, gwb, ga
 
 
 def analytic_predictive(layer: BaLoRALayer, x: Tensor, alpha: float) -> PredictiveGaussian:
@@ -252,7 +207,8 @@ def sample_lowrank(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng,
     the k-by-k covariance never exists. ``alpha`` is a positive scalar. With
     ``n=None`` one ``(k,)`` draw is returned, else an ``(n, k)`` batch; both
     come from one :func:`adapted_kernel` call. Training differentiates
-    through the same math batched, in :func:`adapted_linear`.
+    through the same math batched, in ``AdaptedModel.forward`` and
+    :func:`layer_vjp`.
     """
     xd = x.data
     if xd.shape != (layer.d,):
@@ -261,7 +217,7 @@ def sample_lowrank(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng,
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     eps = rng.normal((layer.rank,) if n is None else (int(n), layer.rank))
-    return Tensor._from_op(adapted_kernel(layer, xd, None, alpha, eps)[0], (), None,
+    return Tensor._from_op(adapted_kernel(layer, xd, None, alpha, eps), (), None,
                            "sample_lowrank")
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import BLAS_THREAD_VARS
 from . import adapter as A
+from .checkpoint import atomic_open
 from .rng import Rng
 from .tensor import Tensor
 
@@ -102,7 +103,7 @@ def run_bench(k_values, r: int = 8, n_samples: int = 4096, reps: int = 9,
 
 
 def write_csv(path, rows: list[BenchRow]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "r", "method", "median_ns", "p10_ns", "p90_ns"])
         for row in rows:

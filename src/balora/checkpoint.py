@@ -15,13 +15,19 @@ Loading checks the header against this schema (required keys, their JSON
 types, and every array's name and shape against the declared widths and
 ranks) before reading any array or building any object; every violation
 raises ``CheckpointError``.
+
+Every artifact of a run, this container included, is written through
+:func:`atomic_open`, so a reader sees either the old file or the whole new one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
+import threading
 from typing import Optional
 
 import numpy as np
@@ -38,11 +44,28 @@ class CheckpointError(TensorError):
     """Unreadable, truncated, or inconsistent checkpoint file."""
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` for writing. A clean exit
+    ``os.replace``s it onto ``path``; an exception removes it and leaves
+    ``path`` as it was. Keyword arguments go to :func:`open`."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _write(path, header: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
     header = dict(header)
     header["arrays"] = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays]
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)

@@ -11,9 +11,11 @@ import argparse
 import contextlib
 import csv
 import functools
+import importlib.util
 import json
 import os
 import platform
+import re
 import resource
 import sys
 import time
@@ -66,20 +68,37 @@ def _os_threads() -> "int | None":
     return None
 
 
+def _scipy_version() -> str:
+    """scipy's version without importing scipy: ``scipy.__version__`` if it
+    is loaded already, else the ``version`` line of its ``version.py`` (in
+    the directory ``balora.tensor._load_extension`` finds it in), else, where
+    that file is missing, its installed metadata."""
+    if "scipy" in sys.modules:
+        return sys.modules["scipy"].__version__
+    scipy = importlib.util.find_spec("scipy")
+    for directory in scipy.submodule_search_locations if scipy else ():
+        try:
+            with open(os.path.join(directory, "version.py")) as fh:
+                found = re.search(r"""^version = ['"]([^'"]+)['"]""", fh.read(), re.M)
+        except OSError:
+            continue
+        if found:
+            return found.group(1)
+    from importlib import metadata
+    return metadata.version("scipy")
+
+
 @functools.cache
 def _versions() -> tuple:
-    """(name, version) of Python, numpy, scipy and the BLAS numpy was built
-    with. scipy's comes from its installed metadata, so reading it imports
-    no scipy module; ``importlib.metadata`` loads here, not at start-up."""
-    import importlib.metadata
-
+    """(name, version) of Python, numpy, scipy (:func:`_scipy_version`) and
+    the BLAS numpy was built with."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (KeyError, TypeError):  # numpy < 1.26 has no build-info dict
         blas = None
     return (("python", platform.python_version()), ("numpy", np.__version__),
-            ("scipy", importlib.metadata.version("scipy")), ("blas", blas))
+            ("scipy", _scipy_version()), ("blas", blas))
 
 
 def _peak_rss_mb() -> float:
@@ -146,7 +165,12 @@ class _Manifest:
         self._flush()
 
     def _flush(self) -> None:
-        self.path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
+        _write_text(self.path, json.dumps(self.data, indent=2, sort_keys=True) + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    with CK.atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _prepare_out(path_str: str) -> Path:
@@ -169,7 +193,7 @@ def _write_split_csv(path: Path, split: TK.Split) -> None:
     y = np.asarray(split.y, dtype=np.float64)
     if y.ndim == 1:
         y = y[:, None]
-    with open(path, "w", newline="") as fh:
+    with CK.atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(X.shape[1])]
                         + [f"y{i}" for i in range(y.shape[1])])
@@ -201,7 +225,7 @@ def cmd_train(args) -> int:
             _write_split_csv(path, split)
             manifest.add_output(path)
         metrics_path = out / "metrics.jsonl"
-        with open(metrics_path, "w") as fh:
+        with CK.atomic_open(metrics_path) as fh:
             for record in trained.adapt_records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         manifest.add_output(metrics_path)
@@ -287,7 +311,7 @@ def cmd_eval(args) -> int:
                 return _verify_failed(manifest, f"non-finite metrics: {metrics}")
             payload = {"mode": "deterministic", "merge_gap": gap, "metrics": metrics}
             report_path = out / "eval.json"
-            report_path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+            _write_text(report_path, json.dumps(payload, sort_keys=True) + "\n")
         else:
             mc_steps = cfg["mc_steps"] if args.mc_steps is None else args.mc_steps
             if mc_steps < 2:
@@ -301,10 +325,10 @@ def cmd_eval(args) -> int:
             report = U.uq_report(model, X, y, mc_steps, Rng(cfg["seed"]).stream_of(7))
             manifest.data["draws_per_s"] = rows / (time.perf_counter() - t0)
             report_path = out / "eval.json"
-            report_path.write_text(report.to_json() + "\n")
+            _write_text(report_path, report.to_json() + "\n")
             if args.csv:
                 csv_path = out / "eval.csv"
-                with open(csv_path, "w", newline="") as fh:
+                with CK.atomic_open(csv_path, "w", newline="") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(["id", "pred", "target", "var_total", "var_epi",
                                      "var_ale", "sq_error"])
@@ -338,7 +362,7 @@ def cmd_sample(args) -> int:
             "samples": [[float(v) for v in row] for row in draws],
         }
         path = out / "samples.json"
-        path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
         manifest.add_output(path)
     print(f"{args.n} samples written to {path}")
     return EXIT_OK
@@ -364,8 +388,8 @@ def cmd_bench(args) -> int:
         B.write_csv(csv_path, rows)
         pinned = B.blas_pinned()
         slopes_path = out / "slopes.json"
-        slopes_path.write_text(json.dumps({**slopes, "blas_pinned": pinned},
-                                          sort_keys=True) + "\n")
+        _write_text(slopes_path, json.dumps({**slopes, "blas_pinned": pinned},
+                                            sort_keys=True) + "\n")
         manifest.data["blas_pinned"] = pinned
         manifest.add_output(csv_path)
         manifest.add_output(slopes_path)
@@ -392,8 +416,8 @@ def cmd_verify(args) -> int:
                   f"vs tolerance {r.tolerance:.3e}")
         if out:
             path = out / "verify.json"
-            path.write_text(json.dumps([{**r.as_dict(), "seed": seed} for r in results],
-                                       indent=2, sort_keys=True) + "\n")
+            _write_text(path, json.dumps([{**r.as_dict(), "seed": seed} for r in results],
+                                         indent=2, sort_keys=True) + "\n")
             manifest.add_output(path)
             manifest.finish("ok" if not failures else "failed")
             print(f"summary written to {path}")

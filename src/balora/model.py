@@ -3,14 +3,14 @@
 Backbones are small GELU MLPs that get pretrained on a source split and
 then frozen; adapters are attached to a configurable subset of the linear
 layers. The stochastic forward takes one latent noise vector per sample
-per adapted layer (drawn by ``AdaptedModel.draw_eps``) and keeps the whole
-path on the gradient tape, so the training objective differentiates
-through the sampler by reparametrization. ``predict_stochastic`` is its
-untaped Monte Carlo counterpart: it runs what does not depend on the draw
-once per input row.
-Every untaped forward (frozen prefix, alpha features, ``predict``,
-``merged_forward``, Monte Carlo blocks) is one plain-numpy walk over a
-per-layer plan, :func:`_walk`, with the taped forward's ops and bits.
+per adapted layer (drawn by ``AdaptedModel.draw_eps``) and is one tape
+node, so the training objective differentiates through the sampler by
+reparametrization. ``predict_stochastic`` is its untaped Monte Carlo
+counterpart: it runs what does not depend on the draw once per input row.
+Every forward, taped or not (``forward``, the frozen prefix, alpha
+features, ``predict``, ``merged_forward``, Monte Carlo blocks), is one
+plain-numpy walk over a per-layer plan, :func:`_walk`; the taped one keeps
+what its reverse walk, :func:`_walk_vjp`, reads.
 """
 
 from __future__ import annotations
@@ -243,34 +243,32 @@ class AdaptedModel:
         ``adapted_layers`` order (see :meth:`draw_eps`). eps enters as a
         constant, so gradients flow through the noise scale, WA, and WB only.
         A ``prefix`` from :meth:`frozen_prefix` of ``X`` (frozen backbone
-        only) replaces the layers before the first adapted one."""
-        x = Tensor(np.atleast_2d(np.asarray(X, dtype=np.float64)))
-        if x.ndim != 2:
-            raise ShapeError(f"model forward expects a batch matrix, got {x.shape}")
-        stochastic = eps is not None
-        if stochastic:
+        only) replaces the layers before the first adapted one. The network is
+        one tape node, a taped :func:`_walk` with VJP :func:`_walk_vjp`."""
+        start = 0 if prefix is None else self.prefix_layers
+        h = self._rows(X if prefix is None else prefix, start)
+        if eps is not None:
             if self.kind != "balora":
                 raise DomainError("stochastic forward requires a balora model")
-            shapes = [(x.shape[0], layer.rank) for layer in self.adapters.values()]
+            shapes = [(len(h), layer.rank) for layer in self.adapters.values()]
             got = [np.shape(e) for e in eps]
             if got != shapes:
                 raise ShapeError(f"eps shapes {got} do not fit {shapes}")
             if alphas is None:
-                alphas = self.alphas(x.data, prefix)
-        h, start = (x, 0) if prefix is None else (Tensor(prefix), self.prefix_layers)
-        last = self.backbone.n_layers - 1
-        for i in range(start, last + 1):
-            w, b, layer = self.backbone.weights[i], self.backbone.biases[i], self.adapters.get(i)
-            if layer is None:
-                h = T.linear(h, w, b)
-            elif stochastic:
-                col = self.adapted_layers.index(i)
-                h = A.adapted_linear(layer, h, b, alphas, col, eps[col])
-            else:
-                h = A.adapted_linear(layer, h, b)
-            if i != last:
-                h = T.gelu(h)
-        return h
+                alphas = self.alphas(h if prefix is None else X, prefix)
+            if alphas.shape != (len(h), len(self.adapters)):
+                raise ShapeError(f"alphas {alphas.shape} do not fit {shapes}")
+            if (alphas.data < 0.0).any():
+                raise DomainError("alpha must be non-negative")
+        plan = self._plan(start, self.backbone.n_layers, self.adapters)
+        params = [((self.backbone.weights[i],) if layer is None else (layer.WA, layer.WB))
+                  + (self.backbone.biases[i],) for i, (_, _, layer, _, _) in enumerate(plan, start)]
+        tape: list = []
+        out = _walk(plan, h, None, None if eps is None else alphas.data, eps, tape=tape)
+        scales = [] if eps is None else [alphas]
+        return Tensor._from_op(out, [p for ps in params for p in ps] + scales,
+                               lambda g: _walk_vjp(plan, tape, g, params, *scales),
+                               "the taped forward")
 
     def draw_eps(self, n: int, rng: Rng) -> list[np.ndarray]:
         """One ``(n, r)`` standard-normal array per adapted layer, in
@@ -285,18 +283,14 @@ class AdaptedModel:
         plan = self._plan(0, self.backbone.n_layers, self.adapters)
         merged = [(w if layer is None else A.merge_weights(layer).data, b, None, None, gelu)
                   for w, b, layer, _, gelu in plan]
-        return _walk(merged, np.atleast_2d(np.asarray(X, dtype=np.float64)))
+        return _walk(merged, self._rows(X))
 
     # -- prediction conveniences (off-tape) --------------------------------------
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """The posterior-mean :meth:`forward` of ``X`` in plain numpy, bit for bit.
         NaN and Inf propagate through every op, so only the output is checked."""
-        h = np.array(X, dtype=np.float64, ndmin=2, order="C")
-        if h.ndim != 2 or h.shape[1] != self.backbone.spec.d_in:
-            raise ShapeError(f"model forward expects a batch matrix of width "
-                             f"{self.backbone.spec.d_in}, got {h.shape}")
-        h = _walk(self._plan(0, self.backbone.n_layers, self.adapters), h)
+        h = _walk(self._plan(0, self.backbone.n_layers, self.adapters), self._rows(X))
         T.check_finite(h, "the posterior-mean forward")
         return h
 
@@ -309,13 +303,13 @@ class AdaptedModel:
         ``j % B``. What does not depend on the draw runs once per input row:
         the frozen prefix, the alphas, and the first adapted layer's
         :func:`~balora.adapter.layer_terms`. Each block of ``_BLOCK_ROWS``
-        draw rows gathers those terms, adds its noise and runs the remaining
-        layers, so activation memory does not grow with ``S``. The blocks
-        are dealt out in turn to :meth:`mc_workers` threads, each with two
-        reused buffers; every block runs the same ops whatever the thread
-        count, so the result is too. The per-row terms and every block's
-        output are checked for finiteness; NaN and Inf propagate to them
-        through every op in between.
+        draw rows takes those terms of its input rows, adds its noise and
+        runs the remaining layers, so activation memory does not grow with
+        ``S``. The blocks are dealt out in turn to :meth:`mc_workers`
+        threads, each with two reused buffers; every block runs the same ops
+        whatever the thread count, so the result is too. The per-row terms
+        and every block's output are checked for finiteness; NaN and Inf
+        propagate to them through every op in between.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         B, n = X.shape[0], S * X.shape[0]
@@ -331,11 +325,12 @@ class AdaptedModel:
         size = min(_BLOCK_ROWS, n) * max(self.backbone.spec.widths()[first + 1:])
         plan = self._plan(first, self.backbone.n_layers, self.adapters)
         blocks = [slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
+        rows = np.arange(n) % B
 
         def work(share):
             bufs = (np.empty(size), np.empty(size))
             for blk in share:
-                self._draw_block(blk, B, plan, terms, alphas, eps, out, bufs)
+                self._draw_block(blk, rows, plan, terms, alphas, eps, out, bufs)
 
         workers = self.mc_workers(n)
         _run_all([functools.partial(work, blocks[w::workers]) for w in range(workers)])
@@ -349,6 +344,14 @@ class AdaptedModel:
             return 1
         return max(1, min(_cpu_workers(), -(-n_rows // _BLOCK_ROWS)))
 
+    def _rows(self, X: np.ndarray, start: int = 0) -> np.ndarray:
+        """``X`` as a float64 batch copy that fits the input of layer ``start``."""
+        h = np.array(X, dtype=np.float64, ndmin=2, order="C")
+        if h.ndim != 2 or h.shape[1] != self.backbone.spec.widths()[start]:
+            raise ShapeError(f"model forward expects a batch matrix of width "
+                             f"{self.backbone.spec.widths()[start]}, got {h.shape}")
+        return h
+
     def _plan(self, start: int, stop: int, adapters: dict) -> list[tuple]:
         """What :func:`_walk` reads of layers ``start`` to ``stop - 1``: weight,
         bias, adapter in ``adapters`` (or None), its AlphaNet column, and
@@ -358,29 +361,31 @@ class AdaptedModel:
                  i < self.backbone.n_layers - 1)
                 for i in range(start, stop)]
 
-    def _draw_block(self, blk: slice, B: int, plan: list[tuple], terms, alphas: np.ndarray,
-                    eps: list[np.ndarray], out: np.ndarray, bufs) -> None:
+    def _draw_block(self, blk: slice, rows: np.ndarray, plan: list[tuple], terms,
+                    alphas: np.ndarray, eps: list[np.ndarray], out: np.ndarray, bufs) -> None:
         """Draw rows ``blk`` of :meth:`predict_stochastic` into ``out[blk]``:
-        gather the per-row ``terms`` of the first adapted layer, then walk
-        ``plan``, from that layer on, in the two flat ``bufs``."""
-        rows = np.arange(blk.start, blk.stop) % B
-        k = terms[0].shape[1]
-        base = np.take(terms[0], rows, axis=0, out=bufs[1][:len(rows) * k].reshape(-1, k))
-        h = _walk(plan, None, (base, terms[1][rows], terms[2][rows]), alphas[rows],
+        walk ``plan`` in ``bufs`` from the first adapted layer's ``terms`` and
+        the ``alphas`` of input rows ``rows[blk]``, views unless the block wraps."""
+        lo, m = rows[blk.start], blk.stop - blk.start
+        pick = slice(lo, lo + m) if lo + m <= len(alphas) else rows[blk]
+        h = _walk(plan, None, tuple(t[pick] for t in terms), alphas[pick],
                   [e[blk] for e in eps], bufs, out[blk])
         T.check_finite(h, "the stochastic forward")
 
 
 def _walk(plan: list[tuple], h: Optional[np.ndarray], terms=None, alphas=None,
-          eps: Optional[list] = None, bufs=None, out: Optional[np.ndarray] = None):
+          eps: Optional[list] = None, bufs=None, out: Optional[np.ndarray] = None,
+          tape: Optional[list] = None):
     """Rows ``h`` through the layers of ``plan`` (:meth:`AdaptedModel._plan`),
-    in plain numpy with the taped forward's ops; ``h`` is never written.
+    in plain numpy; ``h`` is never written.
     ``terms``, the first layer's ``layer_terms``, replace ``h`` (then None).
     Adapted layers draw with ``eps`` (one array per AlphaNet column) at the
     scales in ``alphas``, else give the posterior mean. With ``bufs``, two
-    flat arrays, the layer input lives in the first and the base term (that
-    of ``terms`` too) or GELU gate in the second; without, each op allocates.
-    The output goes to ``out`` if given."""
+    flat arrays, the layer input lives in the first and the base term (but
+    that of ``terms``) or GELU gate in the second; without, each op allocates.
+    The output goes to ``out`` if given. A ``tape`` list (no ``bufs``) gets
+    per layer its input, its adapter's ``layer_output`` terms and its GELU's
+    input and gate (else None; the gate then applies out of place)."""
     cur, spare = bufs if bufs is not None else (None, None)
     n = len(h if terms is None else terms[0])
 
@@ -390,6 +395,7 @@ def _walk(plan: list[tuple], h: Optional[np.ndarray], terms=None, alphas=None,
     for j, (weight, bias, layer, col, gelu) in enumerate(plan):
         k = weight.shape[0]
         dest = out if j == len(plan) - 1 else None
+        x, drawn, act = h, None, None
         if layer is None:
             cur, spare = spare, cur  # h moves to the buffer it is not in
             h = np.matmul(h, weight.T, out=view(cur, k) if dest is None else dest)
@@ -399,11 +405,45 @@ def _walk(plan: list[tuple], h: Optional[np.ndarray], terms=None, alphas=None,
                 layer, h, bias, noisy=eps is not None, out=view(spare, k),
                 scratch=view(cur, h.shape[1]))
             a, e = (None, None) if eps is None else (alphas[:, col:col + 1], eps[col])
-            h = A.layer_output(layer, base, z, q, a, e,
-                               out=view(cur, k) if dest is None else dest)[0]
-        if gelu:
+            h, z, sd = A.layer_output(layer, base, z, q, a, e,
+                                      out=view(cur, k) if dest is None else dest)
+            drawn = (z, q, sd, a, e)
+        if gelu and tape is not None:
+            act = (h, T.gelu_gate(h))
+            h = h * act[1]
+        elif gelu:
             h *= T.gelu_gate(h, out=view(spare, k))
+        if tape is not None:
+            tape.append((x, drawn, act))
     return h
+
+
+def _walk_vjp(plan: list[tuple], tape: list, g: np.ndarray, params: list[tuple],
+              alphas: Optional[Tensor] = None) -> tuple:
+    """From output cotangent ``g``, those of ``params`` (per layer of a taped
+    :func:`_walk`: its weight, or an adapter's WA and WB, then its bias),
+    flat (None where no grad is required), then of ``alphas`` if given. One
+    reverse walk, back to the first layer with something to train."""
+    first = min(j for j, ps in enumerate(params) if any(p.requires_grad for p in ps)
+                or alphas is not None and plan[j][2] is not None)
+    grads, galpha = [(None,) * len(ps) for ps in params], None
+    for j in range(len(plan) - 1, first - 1, -1):
+        (weight, _, layer, col, _), (x, drawn, act) = plan[j], tape[j]
+        if act is not None:
+            g = T.gelu_grad(*act) * g
+        gb = g.sum(axis=0) if params[j][-1].requires_grad else None
+        if layer is None:
+            grads[j] = (g.T @ x if params[j][0].requires_grad else None, gb)
+            g = g @ weight if j > first else None
+            continue
+        g, gwa, gwb, ga = A.layer_vjp(layer, g, x, *drawn, need_x=j > first)
+        grads[j] = (gwa, gwb, gb)
+        if ga is not None:  # summed as the tape sums one cotangent per layer
+            full = np.zeros(alphas.shape)
+            full[:, col] = ga
+            galpha = full if galpha is None else galpha + full
+    flat = tuple(gr for gs in grads for gr in gs)
+    return flat if alphas is None else (*flat, galpha)
 
 
 def attach_adapters(backbone: ToyBackbone, aspec: AdapterSpec, kind: str,

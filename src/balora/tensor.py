@@ -8,22 +8,22 @@ every leaf that requires them, and consumes the tape.
 
 Taped ops follow one shape rule, so every gradient rule stays auditable:
 :func:`add` and :func:`mul` take operands of equal shape (0-d with 0-d
-included) and never broadcast, and :func:`linear` and the adapter node
-(``balora.adapter.adapted_linear``) take a batch of input rows ``(n, d)``.
-A caller holding a single vector runs the plain-numpy kernel off the tape,
-or passes a one-row batch. (:func:`matmul`, which no model path calls,
-keeps its vector cases.) Every completed operation is checked for NaN/Inf
-and raises instead of propagating poison values.
+included) and never broadcast, and :func:`linear` takes a batch of input
+rows ``(n, d)``. A caller holding a single vector runs plain numpy off the
+tape, or passes a one-row batch. (:func:`matmul`, which no model path
+calls, keeps its vector cases.) Every completed operation is checked for
+NaN/Inf and raises instead of propagating poison values.
 
 The vector-Jacobian closures that cost real work (matmul, mul, linear,
-the adapter kernel and the loss terms) form a cotangent only for parents
-that require grad, so frozen weights and raw inputs cost nothing in the
+the network and the loss terms) form a cotangent only for parents that
+require grad, so frozen weights and raw inputs cost nothing in the
 backward pass. The closure of add hands its cotangent on unchanged; those
 of sum, clip and the activations are elementwise passes over one array.
-:func:`linear`, the adapter kernel (``balora.adapter.adapted_linear``) and
-each ELBO term (``balora.variational``) are single tape nodes with
-hand-written vector-Jacobian products, each checked against central finite
-differences in the test suite.
+:func:`linear`, the whole adapted network (``balora.model.AdaptedModel.forward``,
+whose closure is one reverse walk over its layers) and each ELBO term
+(``balora.variational``) are single tape nodes with hand-written
+vector-Jacobian products, each checked against central finite differences
+in the test suite.
 """
 
 from __future__ import annotations
@@ -387,13 +387,17 @@ def gelu_gate(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return g
 
 
+def gelu_grad(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The GELU's derivative at ``z``, ``Phi(z) + z pdf(z)``, given ``phi = gelu_gate(z)``."""
+    return phi + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z))
+
+
 def gelu(a: Tensor) -> Tensor:
     z = a.data
     phi = gelu_gate(z)
 
     def vjp(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
-        return ((phi + z * pdf) * g,)
+        return (gelu_grad(z, phi) * g,)
 
     return Tensor._from_op(z * phi, (a,), vjp, "gelu")
 

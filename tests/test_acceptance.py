@@ -122,7 +122,7 @@ def test_criterion_5_merge_deterministic_equivalence():
     worst_z = 0.0
     for c in range(10):
         layer, x, alpha, crng = _random_config(0, c)
-        det = A.adapted_kernel(layer, x)[0]
+        det = A.adapted_kernel(layer, x)
         draws = A.sample_lowrank(layer, Tensor(x), alpha, crng.stream_of(7),
                                  n=N_DRAWS).data
         cov = A.analytic_predictive(layer, Tensor(x), alpha).covariance()
@@ -165,7 +165,7 @@ def test_criterion_6_subspace_confinement():
     x = np.zeros(6)
     x[:3] = rng.stream_of(1000).normal((3,))
     law = A.analytic_predictive(layer, Tensor(x), 1.0)
-    det = A.adapted_kernel(layer, x)[0]
+    det = A.adapted_kernel(layer, x)
     worst_null = 0.0
     for s in range(20):
         y = A.sample_lowrank(layer, Tensor(x), 1.0, rng.stream_of(2000 + s)).data

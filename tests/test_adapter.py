@@ -9,7 +9,7 @@ from balora import tensor as T
 from balora.rng import Rng
 from balora.tensor import DomainError, ShapeError, Tensor, backward
 from balora.verify import (_cov_z_scores, _empirical_moments, _random_layer,
-                           _two_sample_z, finite_difference_grads,
+                           _tiny_model, _two_sample_z, finite_difference_grads,
                            scaled_gradient_error)
 
 
@@ -28,7 +28,7 @@ class TestInit:
         rng = Rng(1)
         layer = A.init_layer(rng, d=6, k=4, r=3, init_std=0.1)
         X = np.stack([rng.stream_of(i).normal((6,)) for i in range(10)])
-        out = A.adapted_linear(layer, Tensor(X)).data
+        out = A.adapted_kernel(layer, X)
         assert np.allclose(out, X @ layer.W0.data.T, atol=1e-14)
 
     def test_full_rank_boundary_accepted(self):
@@ -83,9 +83,8 @@ class TestAlphaNet:
 class TestDeterministicForward:
     def test_zero_wb_gives_base(self):
         layer = A.init_layer(Rng(8), d=5, k=3, r=2, init_std=0.3)
-        x = Tensor(Rng(9).normal((4, 5)))
-        assert np.allclose(A.adapted_linear(layer, x).data,
-                           x.data @ layer.W0.data.T, atol=1e-14)
+        x = Rng(9).normal((4, 5))
+        assert np.allclose(A.adapted_kernel(layer, x), x @ layer.W0.data.T, atol=1e-14)
 
     def test_identity_composition(self):
         # W0 = 0, WB and WA slice the identity: output projects x through rank space.
@@ -93,18 +92,17 @@ class TestDeterministicForward:
                               WA=Tensor(np.eye(3)[:2], requires_grad=True),
                               WB=Tensor(np.eye(3)[:, :2], requires_grad=True),
                               rank=2, lora_scale=1.0)
-        e1 = Tensor(np.array([[1.0, 0.0, 0.0]]))
-        assert A.adapted_linear(layer, e1).data.tolist() == [[1.0, 0.0, 0.0]]
+        e1 = np.array([[1.0, 0.0, 0.0]])
+        assert A.adapted_kernel(layer, e1).tolist() == [[1.0, 0.0, 0.0]]
 
     def test_base_weights_never_reach_the_tape(self):
-        layer = _random_layer(Rng(33), d=4, k=3, r=2)
-        x = Tensor(Rng(34).normal((3, 4)))
-        backward(T.tsum(A.adapted_linear(layer, x)))
-        assert not layer.W0.requires_grad
-        assert layer.W0.grad is None
-        assert layer.WA.grad is not None and layer.WB.grad is not None
-        layer.WA.zero_grad()
-        layer.WB.zero_grad()
+        model, X, _ = _tiny_model(33)
+        backward(T.tsum(model.forward(X, eps=model.draw_eps(len(X), Rng(34)))))
+        for layer in model.adapters.values():
+            assert not layer.W0.requires_grad
+            assert layer.W0.grad is None
+            assert layer.WA.grad is not None and layer.WB.grad is not None
+        assert all(p.grad is None for p in model.backbone.parameters())
 
     def test_matches_merged_weights(self):
         rng = Rng(10)
@@ -113,104 +111,93 @@ class TestDeterministicForward:
             layer = _random_layer(r, d=6, k=5, r=3, scale=float(r.uniform(0.5, 3.0, ())))
             merged = A.merge_weights(layer).data
             x = r.normal((6,))
-            direct = A.adapted_kernel(layer, x)[0]
+            direct = A.adapted_kernel(layer, x)
             scale = max(1.0, np.max(np.abs(direct)))
             assert np.max(np.abs(merged @ x - direct)) < 1e-12 * scale
 
 
 class TestAdaptedLinearKernel:
-    """The one-node adapter kernel against central finite differences."""
+    """The adapter's cotangents (``layer_vjp``) against central finite
+    differences of its forward (``adapted_kernel``)."""
 
     N, L, COL = 5, 3, 1
 
-    @staticmethod
-    def _case(seed, x_rows, eps_rows, alpha_shape, x_grad, base_grad=False):
+    @classmethod
+    def _case(cls, seed, stochastic, x_grad):
         rng = Rng(seed)
         layer = _random_layer(rng.stream_of(0), d=4, k=3, r=2)
-        if base_grad:
-            layer.W0 = Tensor(layer.W0.data, requires_grad=True)
-        x = Tensor(rng.stream_of(1).normal((*x_rows, 4)), requires_grad=x_grad)
-        bias = Tensor(rng.stream_of(2).normal((3,)), requires_grad=True)
+        x = Tensor(rng.stream_of(1).normal((cls.N, 4)), requires_grad=x_grad)
+        bias = Tensor(rng.stream_of(2).normal((3,)))
         alphas = eps = None
-        if alpha_shape is not None:
-            alphas = Tensor(rng.stream_of(3).uniform(0.2, 2.0, alpha_shape),
+        if stochastic:
+            alphas = Tensor(rng.stream_of(3).uniform(0.2, 2.0, (cls.N, cls.L)),
                             requires_grad=True)
-            eps = rng.stream_of(4).normal((*eps_rows, 2))
-        proj = Tensor(rng.stream_of(5).normal((*(eps_rows or x_rows), 3)))
-        return layer, x, bias, alphas, eps, proj
+            eps = rng.stream_of(4).normal((cls.N, 2))
+        return layer, x, bias, alphas, eps, rng.stream_of(5).normal((cls.N, 3))
 
-    CASES = [
-        # (name, x rows, eps rows, alpha shape)
-        ("deterministic-batch", (N,), None, None),
-        ("batch-2d-alphas", (N,), (N,), (N, L)),
-    ]
+    def _vjp(self, layer, x, bias, alphas, eps, proj, need_x):
+        """``layer_vjp`` of ``sum(proj * layer(x))`` from the forward's terms."""
+        a = None if eps is None else alphas.data[:, self.COL:self.COL + 1]
+        base, z, q = A.layer_terms(layer, x.data, bias.data, noisy=eps is not None)
+        out, z, sd = A.layer_output(layer, base, z, q, a, eps)
+        return out, A.layer_vjp(layer, proj, x.data, z, q, sd, a, eps, need_x=need_x)
+
+    CASES = [("deterministic-batch", False), ("batch-2d-alphas", True)]
 
     @pytest.mark.parametrize("x_grad", [False, True], ids=["x-const", "x-grad"])
-    @pytest.mark.parametrize("name,x_rows,eps_rows,alpha_shape", CASES,
-                             ids=[c[0] for c in CASES])
-    def test_vjp_matches_finite_differences(self, name, x_rows, eps_rows, alpha_shape,
-                                            x_grad):
-        layer, x, bias, alphas, eps, proj = self._case(
-            len(name) + 7 * x_grad, x_rows, eps_rows, alpha_shape, x_grad,
-            base_grad=not x_grad)
+    @pytest.mark.parametrize("name,stochastic", CASES, ids=[c[0] for c in CASES])
+    def test_vjp_matches_finite_differences(self, name, stochastic, x_grad):
+        layer, x, bias, alphas, eps, proj = self._case(len(name) + 7 * x_grad, stochastic,
+                                                       x_grad)
+        col = None if alphas is None else Tensor(alphas.data[:, self.COL], requires_grad=True)
 
-        def loss_fn():
-            out = A.adapted_linear(layer, x, bias, alphas, self.COL, eps)
-            return T.tsum(T.mul(out, proj))
+        def loss():
+            a = None if col is None else col.data[:, None]
+            return float(np.sum(proj * A.adapted_kernel(layer, x.data, bias.data, a, eps)))
 
-        backward(loss_fn())
-        parents = [x, layer.W0, layer.WA, layer.WB, bias] + \
-            ([alphas] if alphas is not None else [])
-        trained = [p for p in parents if p.requires_grad]
-        numeric = finite_difference_grads(lambda: loss_fn().item(), trained)
-        for p, g in zip(trained, numeric):
-            assert scaled_gradient_error(p.grad, g, rtol=1e-4, atol=1e-7) <= 1.0, name
-        for p in parents:
-            if not p.requires_grad:
-                assert p.grad is None
-        if alphas is not None:
-            others = np.delete(alphas.grad, self.COL, axis=-1)
-            assert np.all(others == 0.0)
+        _, (gx, gwa, gwb, ga) = self._vjp(layer, x, bias, alphas, eps, proj, x_grad)
+        assert (gx is None) == (not x_grad)
+        assert (ga is None) == (not stochastic)
+        pairs = [(layer.WA, gwa), (layer.WB, gwb), (bias, proj.sum(axis=0))]
+        pairs += [(x, gx)] if x_grad else []
+        pairs += [(col, ga)] if stochastic else []
+        numeric = finite_difference_grads(loss, [p for p, _ in pairs])
+        for (p, analytic), g in zip(pairs, numeric):
+            assert scaled_gradient_error(analytic, g, rtol=1e-4, atol=1e-7) <= 1.0, name
 
     def test_zero_latent_variance_has_zero_subgradient(self):
         # Input supported only where WA's columns vanish: the latent variance
         # is exactly zero, so the noise path contributes nothing, not NaN.
-        layer, x, bias, alphas, eps, proj = self._case(3, (1,), (1,), (1, self.L), False)
+        layer, x, bias, alphas, eps, proj = self._case(3, True, False)
         wa = layer.WA.data.copy()
         wa[:, :2] = 0.0
         layer.WA = Tensor(wa, requires_grad=True)
         x = Tensor(np.array([[0.7, -1.3, 0.0, 0.0]]))
-        grads = []
-        for stochastic in (True, False):
-            out = A.adapted_linear(layer, x, bias, alphas if stochastic else None,
-                                   eps=eps if stochastic else None)
-            backward(T.tsum(T.mul(out, proj)))
-            grads.append([p.grad for p in (layer.WA, layer.WB, bias)])
-            for p in (layer.WA, layer.WB, bias):
-                p.zero_grad()
-        assert np.all(alphas.grad == 0.0)
-        for g_stoch, g_det in zip(*grads):
+        alphas, eps, proj = Tensor(alphas.data[:1]), eps[:1], proj[:1]
+        out_s, (_, *grads_s, ga) = self._vjp(layer, x, bias, alphas, eps, proj, True)
+        out_d, (_, *grads_d, _) = self._vjp(layer, x, bias, None, None, proj, True)
+        assert np.all(ga == 0.0)
+        assert out_s.tobytes() == out_d.tobytes()
+        for g_stoch, g_det in zip(grads_s, grads_d):
             assert np.array_equal(g_stoch, g_det)
 
     def test_mismatched_shapes_rejected(self):
-        layer, x, bias, alphas, eps, _ = self._case(4, (self.N,), (self.N,), (self.N, self.L), False)
+        # The network checks its inputs once, before the walk.
+        model, X, _ = _tiny_model(4)
+        eps = model.draw_eps(len(X), Rng(5))
+        alphas = model.alphas(X)
         with pytest.raises(ShapeError):
-            A.adapted_linear(layer, x, bias, alphas, eps=eps[:, :1])
+            model.forward(X, alphas, [e[:, :1] for e in eps])
         with pytest.raises(ShapeError):
-            A.adapted_linear(layer, x, bias, alphas, eps=eps[:1])
+            model.forward(X, alphas, [e[:1] for e in eps])
         with pytest.raises(ShapeError):
-            A.adapted_linear(layer, Tensor(x.data[:, :3]), bias)
+            model.forward(X[:, :2], alphas, eps)
         with pytest.raises(ShapeError):
-            A.adapted_linear(layer, x, bias, Tensor(alphas.data[0]), eps=eps)
+            model.forward(X, Tensor(alphas.data[0]), eps)
+        with pytest.raises(ShapeError):
+            model.forward(X, Tensor(alphas.data[:, :1]), eps)
         with pytest.raises(DomainError):
-            A.adapted_linear(layer, x, bias, alphas)
-
-    def test_vector_input_rejected(self):
-        layer, x, bias, alphas, eps, _ = self._case(4, (1,), (1,), (1, self.L), False)
-        with pytest.raises(ShapeError):
-            A.adapted_linear(layer, Tensor(x.data[0]), bias)
-        with pytest.raises(ShapeError):
-            A.adapted_linear(layer, Tensor(x.data[0]), bias, alphas, eps=eps)
+            model.forward(X, Tensor(-alphas.data), eps)
 
 
 class TestAnalyticPredictive:
@@ -253,7 +240,7 @@ class TestLowRankSampler:
     def test_zero_noise_limit(self):
         layer = _random_layer(Rng(13), d=4, k=3, r=2)
         x = Tensor(Rng(14).normal((4,)))
-        det = A.adapted_kernel(layer, x.data)[0]
+        det = A.adapted_kernel(layer, x.data)
         sample = A.sample_lowrank(layer, x, 1e-12, Rng(15)).data
         assert np.max(np.abs(sample - det)) < 1e-5
 
@@ -296,7 +283,7 @@ class TestFullCovOracle:
         direction = direction / np.linalg.norm(direction)
         for s in range(50):
             y = A.sample_full_cov_oracle(layer, x, 1.0, Rng(20).stream_of(s)).data
-            resid = y - A.adapted_kernel(layer, x.data)[0]
+            resid = y - A.adapted_kernel(layer, x.data)
             ortho = resid - direction * (direction @ resid)
             # Ridge noise allows a tiny off-line component.
             assert np.linalg.norm(ortho) < 1e-4
@@ -319,7 +306,7 @@ class TestFullCovOracle:
         # Cholesky factor of the ridged covariance times standard normals.
         layer = _random_layer(Rng(26), d=5, k=4, r=2, scale=1.5)
         x, alpha = Tensor(Rng(27).normal((5,))), 0.7
-        mean = A.adapted_kernel(layer, x.data)[0]
+        mean = A.adapted_kernel(layer, x.data)
         s2 = layer.lora_scale * layer.lora_scale
         d_vec = float(alpha) * s2 * ((layer.WA.data ** 2) @ (x.data ** 2))
         wb = layer.WB.data
@@ -351,7 +338,7 @@ class TestMerge:
         merged = A.merge_weights(layer).data
         for i in range(100):
             x = rng.stream_of(i).normal((6,))
-            direct = A.adapted_kernel(layer, x)[0]
+            direct = A.adapted_kernel(layer, x)
             scale = max(1.0, np.max(np.abs(direct)))
             assert np.max(np.abs(merged @ x - direct)) < 1e-12 * scale
 
@@ -383,7 +370,7 @@ class TestGeometry:
         x[:3] = rng.normal((3,))
         law = A.analytic_predictive(layer, Tensor(x), 1.0)
         assert np.array_equal(law.d_vec.data, np.zeros(2))
-        det = A.adapted_kernel(layer, x)[0]
+        det = A.adapted_kernel(layer, x)
         for s in range(20):
             y = A.sample_lowrank(layer, Tensor(x), 1.0, rng.stream_of(50 + s)).data
             assert np.max(np.abs(y - det)) < 1e-12

@@ -1,16 +1,19 @@
 """CLI contract tests: exit codes, determinism, manifests, and fault injection."""
 
+import importlib.metadata
 import json
 import os
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from balora import bench as B
+from balora import checkpoint as CK
 from balora import cli, tasks, variational
 from balora import config as C
 from balora import verify as VF
@@ -520,7 +523,8 @@ class TestManifestTiming:
 
 class TestImportBudget:
     TRACKED = ("balora.verify", "scipy.integrate", "scipy.special",
-               "scipy.special._special_ufuncs", "scipy._lib._array_api")
+               "scipy.special._special_ufuncs", "scipy._lib._array_api", "scipy",
+               "importlib.metadata")
 
     @classmethod
     def _loaded(cls, code: str, tmp_path) -> dict:
@@ -565,8 +569,23 @@ class TestImportBudget:
                 f"assert main({[*argv, '--out', str(out)]!r}) == 0", tmp_path)
             assert loaded["scipy.special._special_ufuncs"], argv
             assert not loaded["scipy.special"] and not loaded["scipy._lib._array_api"], argv
+            # The manifest's scipy version is read from scipy's version.py.
+            assert not loaded["scipy"] and not loaded["importlib.metadata"], argv
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["erf_module"] == "scipy.special._special_ufuncs"
+            assert manifest["versions"]["scipy"] == importlib.metadata.version("scipy")
+
+    def test_scipy_version_sources(self, monkeypatch, tmp_path):
+        # A loaded scipy answers itself; else its version.py; else, where
+        # that file is missing, the installed metadata.
+        monkeypatch.setitem(sys.modules, "scipy", types.SimpleNamespace(__version__="9.8"))
+        assert cli._scipy_version() == "9.8"
+        monkeypatch.delitem(sys.modules, "scipy")
+        monkeypatch.setattr(cli.importlib.util, "find_spec", lambda name: types.SimpleNamespace(
+            submodule_search_locations=[str(tmp_path)]))
+        assert cli._scipy_version() == importlib.metadata.version("scipy")
+        (tmp_path / "version.py").write_text('"""x"""\nversion = "1.2.3.dev0"\nfull = version\n')
+        assert cli._scipy_version() == "1.2.3.dev0"
 
     def test_later_scipy_special_import_shares_the_ufunc(self, tmp_path):
         loaded = self._loaded(
@@ -820,3 +839,69 @@ class TestVerify:
         assert code == 1
         captured = capsys.readouterr()
         assert "kl_vs_quadrature" in captured.err
+
+
+class TestAtomicWrites:
+    """Every artifact goes to a temporary file beside it, then one
+    ``os.replace``: a failed write leaves the old file and no temporary."""
+
+    @pytest.mark.parametrize("mode", ["w", "wb"])
+    def test_failed_write_keeps_the_old_bytes(self, tmp_path, mode):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"old bytes\n")
+        chunk = "half" if mode == "w" else b"half"
+        with pytest.raises(OSError, match="disk full"):
+            with CK.atomic_open(path, mode) as fh:
+                fh.write(chunk)
+                fh.flush()
+                raise OSError("disk full")
+        assert path.read_bytes() == b"old bytes\n"
+        assert os.listdir(tmp_path) == ["artifact"]
+        with CK.atomic_open(path, mode) as fh:
+            fh.write(chunk)
+        assert path.read_bytes() == b"half"
+        assert os.listdir(tmp_path) == ["artifact"]
+
+    def test_every_artifact_is_written_atomically(self, tmp_path, fast_config, monkeypatch):
+        written = []
+        atomic_open = CK.atomic_open
+
+        def spy(path, *args, **kwargs):
+            written.append(Path(path))
+            return atomic_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(CK, "atomic_open", spy)
+        monkeypatch.setattr(B, "atomic_open", spy)
+        code, run = _train(tmp_path, fast_config)
+        ckpt = str(run / "checkpoint.bin")
+        commands = [["eval", "--checkpoint", ckpt, "--mode", "mc", "--mc-steps", "4", "--csv"],
+                    ["eval", "--checkpoint", ckpt, "--mode", "deterministic"],
+                    ["sample", "--checkpoint", ckpt, "--n", "4"],
+                    ["bench", "--k-range", "16,32", "--r", "2", "--samples", "8", "--reps", "1"],
+                    ["verify", "--filter", "merge"]]
+        outs = [run]
+        for i, argv in enumerate(commands):
+            outs.append(tmp_path / f"out{i}")
+            code = max(code, main([*argv, "--out", str(outs[-1])]))
+        assert code == 0
+        files = {p for out in outs for p in out.iterdir()}
+        assert len(files) == 18
+        assert files == set(written)
+
+    def test_failed_checkpoint_write_keeps_the_old_checkpoint(self, tmp_path, fast_config,
+                                                              monkeypatch):
+        code, run = _train(tmp_path, fast_config)
+        assert code == 0
+        before = {p.name: p.read_bytes() for p in run.iterdir() if p.name != "manifest.json"}
+
+        def no_room(*args):
+            raise OSError("No space left on device")
+
+        # The checkpoint's magic is written, then its header length fails.
+        monkeypatch.setattr(CK, "struct", types.SimpleNamespace(pack=no_room))
+        code, _ = _train(tmp_path, fast_config)
+        assert code == 3
+        after = {p.name: p.read_bytes() for p in run.iterdir() if p.name != "manifest.json"}
+        assert after == before
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["status"] == "error" and "No space" in manifest["error"]

@@ -11,8 +11,12 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import single_linear_model
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from balora import BLAS_THREAD_VARS
+from balora import adapter as A
 from balora import model as M
 from balora import tasks as TK
 from balora import tensor as T
@@ -21,7 +25,7 @@ from balora import variational as V
 from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone
 from balora.rng import Rng
 from balora.tensor import DomainError, ShapeError, Tensor
-from balora.verify import _tiny_model
+from balora.verify import _tiny_model, finite_difference_grads, scaled_gradient_error
 
 pytestmark = pytest.mark.usefixtures("two_mc_workers")
 # Before the fixture replaces them.
@@ -75,7 +79,7 @@ class TestStochasticForward:
 
 
 def _adapted(seed: int, hidden: tuple, adapt_layers, head: str = "regression",
-             d_in: int = 5, d_out: int = 3) -> AdaptedModel:
+             d_in: int = 5, d_out: int = 3, rank: int = 2) -> AdaptedModel:
     """Untrained balora model with non-zero WB, so the noise reaches the output."""
     rng = Rng(seed)
     backbone = ToyBackbone(BackboneSpec(d_in=d_in, d_out=d_out, hidden=hidden, head=head),
@@ -83,7 +87,7 @@ def _adapted(seed: int, hidden: tuple, adapt_layers, head: str = "regression",
     backbone.biases = [Tensor(rng.stream_of(5 + i).normal(b.shape) * 0.1)
                        for i, b in enumerate(backbone.biases)]
     model = M.attach_adapters(
-        backbone, AdapterSpec(rank=2, lora_alpha=4.0, adapt_layers=adapt_layers,
+        backbone, AdapterSpec(rank=rank, lora_alpha=4.0, adapt_layers=adapt_layers,
                               alphanet_hidden=(4,), init_alpha=0.3),
         "balora", rng.stream_of(1))
     for j, layer in enumerate(model.adapters.values()):
@@ -311,8 +315,9 @@ class TestPredict:
     def test_bad_shape_rejected(self):
         model = _adapted(42, (6, 7), None)
         for X in (np.ones((2, 4)), np.ones((2, 2, 5))):
-            with pytest.raises(ShapeError):
-                model.predict(X)
+            for forward in (model.predict, model.merged_forward, model.forward):
+                with pytest.raises(ShapeError):
+                    forward(X)
 
     def test_non_finite_weight_raises(self):
         model = _adapted(43, (6, 7), (1,))
@@ -411,3 +416,207 @@ class TestSharedPrefix:
         assert loss.item() == ref.item()
         want = grads(ref)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def _reference_adapted_linear(layer, x, bias, alphas=None, col=0, eps=None):
+    """One adapted layer as its own tape node, with the cotangent rules the
+    network node's reverse walk must reproduce bit for bit: the reference
+    the layer-by-layer taped forward used."""
+    xd, stochastic = x.data, eps is not None
+    a = alphas.data[:, col, None] if stochastic else None
+    base, z, q = A.layer_terms(layer, xd, bias.data, stochastic)
+    out, z, sd = A.layer_output(layer, base, z, q, a, eps)
+    w0, wa, wb, s = layer.W0.data, layer.WA.data, layer.WB.data, layer.lora_scale
+
+    def vjp(g):
+        gu = g * s
+        gz = gu @ wb
+        gx = gwa = gwb = gb = galpha = None  # W0 is frozen
+        if bias.requires_grad:
+            gb = g.sum(axis=0)
+        if layer.WB.requires_grad:
+            gwb = gu.T @ z
+        if stochastic:
+            inv = np.divide(0.5, sd, out=np.zeros_like(sd), where=sd > 0.0)
+            gv = gz * eps * inv
+            if alphas.requires_grad:
+                galpha = np.zeros(alphas.shape)
+                galpha[:, col] = (gv * q).sum(axis=-1)
+            gq = gv * a
+        if layer.WA.requires_grad:
+            gwa = gz.T @ xd
+            if stochastic:
+                gwa += 2.0 * wa * (gq.T @ (xd * xd))
+        if x.requires_grad:
+            gx = g @ w0 + gz @ wa
+            if stochastic:
+                gx += 2.0 * xd * (gq @ (wa * wa))
+        grads = (gx, gwa, gwb, gb, galpha)
+        return tuple(gr for p, gr in zip(slots, grads) if p is not None)
+
+    slots = (x, layer.WA, layer.WB, bias, alphas if stochastic else None)
+    return Tensor._from_op(out, tuple(p for p in slots if p is not None), vjp,
+                           "adapted_linear")
+
+
+def _reference_chain(model, X, alphas=None, eps=None, prefix=None) -> Tensor:
+    """The network taped layer by layer: one node per adapted layer,
+    ``tensor.linear`` for the others and ``tensor.gelu`` between them."""
+    h, start = (Tensor(X), 0) if prefix is None else (Tensor(prefix), model.prefix_layers)
+    last = model.backbone.n_layers - 1
+    for i in range(start, last + 1):
+        w, b, layer = model.backbone.weights[i], model.backbone.biases[i], model.adapters.get(i)
+        if layer is None:
+            h = T.linear(h, w, b)
+        else:
+            col = model.adapted_layers.index(i)
+            h = _reference_adapted_linear(layer, h, b, alphas, col,
+                                          None if eps is None else eps[col])
+        if i != last:
+            h = T.gelu(h)
+    return h
+
+
+def _grads(model, make_out, proj, extra=()) -> list[bytes]:
+    """The bytes of every gradient of ``sum(proj * make_out())``."""
+    params = [*model.trainables(), *model.backbone.parameters(), *extra]
+    V.zero_grad(params)
+    T.backward(T.tsum(T.mul(make_out(), Tensor(proj))))
+    grads = [None if p.grad is None else p.grad.tobytes() for p in params]
+    V.zero_grad(params)
+    return grads
+
+
+def _shell(seed: int) -> AdaptedModel:
+    """The unfrozen, adapter-free model that pretraining trains."""
+    backbone = ToyBackbone(BackboneSpec(d_in=5, d_out=3, hidden=(6, 7)), Rng(seed))
+    return AdaptedModel(backbone, {}, None, "lora")
+
+
+_SUBSETS = pytest.mark.parametrize("adapt,head", [
+    (None, "regression"), ((2,), "classification"), ((1,), "regression"),
+    ((0, 2), "classification"), ("shell", "regression")],
+    ids=["all", "output-only", "middle-only", "first-and-output", "shell"])
+
+
+class TestNetworkNode:
+    """``forward`` is one tape node over ``_walk``; its reverse walk must give
+    the gradients of the layer-by-layer chain."""
+
+    @_SUBSETS
+    def test_gradients_match_finite_differences(self, adapt, head):
+        model = _shell(50) if adapt == "shell" else _adapted(50, (6, 7), adapt, head)
+        X, proj = Rng(51).normal((4, 5)), Rng(52).normal((4, 3))
+        stochastic = model.kind == "balora"
+        alphas = Tensor(model.alphas(X).data, requires_grad=True) if stochastic else None
+        eps = model.draw_eps(len(X), Rng(53)) if stochastic else None
+        # The node's parents that train: the adapters, an unfrozen
+        # backbone's weights and biases, and the alphas.
+        network = [t for layer in model.adapters.values() for t in (layer.WA, layer.WB)]
+        network += model.backbone.trainables() + ([alphas] if stochastic else [])
+
+        def loss() -> Tensor:
+            return T.tsum(T.mul(model.forward(X, alphas, eps), Tensor(proj)))
+
+        T.backward(loss())
+        numeric = finite_difference_grads(lambda: loss().item(), network)
+        assert len(network) > 2
+        for p, g in zip(network, numeric):
+            assert scaled_gradient_error(p.grad, g, rtol=1e-4, atol=1e-7) <= 1.0
+
+    @_SUBSETS
+    def test_bits_match_the_layer_chain(self, adapt, head):
+        model = _shell(54) if adapt == "shell" else _adapted(54, (6, 7), adapt, head)
+        X, proj = Rng(55).normal((6, 5)), Rng(56).normal((6, 3))
+        runs = [(None, None, None)]
+        if model.kind == "balora":
+            noise = (Tensor(model.alphas(X).data, requires_grad=True),
+                     model.draw_eps(len(X), Rng(57)))
+            runs += [(*noise, None), (*noise, model.frozen_prefix(X))]
+        for alphas, eps, prefix in runs:
+            extra = () if alphas is None else (alphas,)
+            got = model.forward(X, alphas, eps, prefix)
+            want = _reference_chain(model, X, alphas, eps, prefix)
+            assert got.requires_grad
+            assert got.data.tobytes() == want.data.tobytes()
+            assert _grads(model, lambda: model.forward(X, alphas, eps, prefix), proj, extra) \
+                == _grads(model, lambda: _reference_chain(model, X, alphas, eps, prefix),
+                          proj, extra)
+
+    def test_zero_latent_variance_has_zero_subgradient(self):
+        # Inputs supported only where WA's columns vanish: the latent
+        # variance is exactly zero, so the noise adds nothing, not NaN.
+        model = single_linear_model(58, d=4, k=3, r=2)
+        layer = model.adapters[0]
+        wa = layer.WA.data.copy()
+        wa[:, :2] = 0.0
+        layer.WA = Tensor(wa, requires_grad=True)
+        X = np.array([[0.7, -1.3, 0.0, 0.0], [2.0, 0.5, 0.0, 0.0]])
+        alphas = Tensor(model.alphas(X).data, requires_grad=True)
+        proj = Rng(59).normal((2, 3))
+        noisy = _grads(model, lambda: model.forward(X, alphas, model.draw_eps(2, Rng(60))),
+                       proj, (alphas,))
+        plain = _grads(model, lambda: model.forward(X), proj)
+        assert noisy[:2] == plain[:2]  # WA and WB
+        assert np.all(np.frombuffer(noisy[-1]) == 0.0)
+
+
+def _fuzz_model(data) -> AdaptedModel:
+    """A drawn balora model: 1 to 3 hidden layers of widths 1 to 9, either
+    head, any non-empty adapted subset and a rank that some layer clips."""
+    widths = data.draw(st.lists(st.integers(1, 9), min_size=3, max_size=5))
+    n_layers = len(widths) - 1
+    adapt = data.draw(st.sets(st.integers(0, n_layers - 1), min_size=1))
+    head = data.draw(st.sampled_from(["regression", "classification"]))
+    rank = data.draw(st.integers(min(widths) + 1, 10))
+    return _adapted(data.draw(st.integers(0, 2**16)), tuple(widths[1:-1]), tuple(adapt), head,
+                    d_in=widths[0], d_out=widths[-1], rank=rank)
+
+
+class TestForwardPathFuzz:
+    """Differential fuzz of every forward path of one drawn model: the taped
+    ``forward``, ``predict``, ``predict_stochastic`` at any block size and
+    thread count, ``merged_forward``, its lora twin, and the gradients of
+    the layer-by-layer chain."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_forward_paths_agree(self, data):
+        model = _fuzz_model(data)
+        B, S = data.draw(st.integers(1, 9)), data.draw(st.integers(2, 9))
+        rng = Rng(data.draw(st.integers(0, 2**16)))
+        X, proj = rng.stream_of(0).normal((B, model.backbone.spec.d_in)), None
+        mean = model.predict(X)
+        assert mean.tobytes() == model.forward(X).data.tobytes()
+        scale = max(1.0, float(np.max(np.abs(mean))))
+        assert np.max(np.abs(model.merged_forward(X) - mean)) <= 1e-12 * scale
+
+        tiled = model.forward(np.tile(X, (S, 1)), eps=model.draw_eps(S * B, rng.stream_of(1)))
+        block, workers = data.draw(st.sampled_from([3, 10, 512])), data.draw(st.integers(1, 3))
+        with pytest.MonkeyPatch.context() as mp:
+            draws = {}
+            for rows, threads in ((512, 1), (block, 1), (block, workers)):
+                mp.setattr(M, "_BLOCK_ROWS", rows)
+                mp.setattr(M, "_cpu_workers", lambda: threads)
+                draws[rows, threads] = model.predict_stochastic(X, S, rng.stream_of(1))
+        np.testing.assert_allclose(draws[512, 1], tiled.data.reshape(S, B, -1), rtol=1e-12,
+                                   atol=1e-14)
+        assert draws[block, workers].tobytes() == draws[block, 1].tobytes()
+        # Not bytes: the BLAS rounds a row differently in a block of another
+        # row count at small widths (a ragged one-row block, or a 3-row one).
+        np.testing.assert_allclose(draws[block, 1], draws[512, 1], rtol=1e-12, atol=1e-14)
+
+        lora = AdaptedModel(model.backbone, model.adapters, None, "lora")
+        for noisy in (lambda: lora.draw_eps(B, rng), lambda: lora.forward(X, eps=[])):
+            with pytest.raises(DomainError):
+                noisy()
+        assert lora.forward(X).data.tobytes() == mean.tobytes()
+
+        proj = rng.stream_of(2).normal(mean.shape)
+        alphas = Tensor(model.alphas(X).data, requires_grad=True)
+        eps = model.draw_eps(B, rng.stream_of(3))
+        for a, e in ((None, None), (alphas, eps)):
+            extra = () if a is None else (a,)
+            assert _grads(model, lambda: model.forward(X, a, e), proj, extra) \
+                == _grads(model, lambda: _reference_chain(model, X, a, e), proj, extra)

@@ -501,9 +501,9 @@ class TestConfigs:
 
 class TestTapeSize:
     def test_one_node_per_adapted_layer(self):
-        # A refactor that splits the adapted layer or a loss term back into
-        # generic ops doubles the per-step cost; this pins the graph of one
-        # ELBO step.
+        # A refactor that splits the network or a loss term back into
+        # per-layer or generic ops multiplies the per-step tape work; this
+        # pins the graph of one ELBO step: the whole network is one node.
         cfg = C.load_config(Path(__file__).resolve().parents[1] / "configs" / "toy_hetero.cfg")
         backbone = ToyBackbone(BackboneSpec(d_in=cfg["d_in"], d_out=cfg["d_out"],
                                             hidden=cfg["hidden"]), Rng(0))
@@ -523,11 +523,11 @@ class TestTapeSize:
                 continue
             seen.add(id(node))
             if node._vjp is not None:
-                ops[node._vjp.__qualname__.split(".")[0]] += 1
+                ops[node._vjp.__qualname__.split(".<locals>")[0]] += 1
                 stack.extend(node._parents)
         assert len(model.adapters) == backbone.n_layers == 3
-        assert ops["adapted_linear"] == len(model.adapters)
+        assert ops["AdaptedModel.forward"] == 1
         assert ops["linear"] == len(model.alphanet.weights)
         assert ops["matmul"] == ops["transpose"] == ops["reshape"] == 0
         assert ops["gaussian_nll"] == ops["kl_normalized"] == 1
-        assert sum(ops.values()) <= 14
+        assert sum(ops.values()) <= 10
