@@ -7,6 +7,11 @@ input-conditioned Gaussian posterior with per-entry variance
 Gaussian distribution whose covariance factors through ``WB``. Sampling
 happens in the rank-``r`` latent space, so the full output covariance is
 never materialized.
+
+The layer math exists once, in plain numpy (:func:`layer_terms`,
+:func:`layer_output`, :func:`layer_vjp`), and so does the MLP pass over
+it: :func:`walk` and its reverse :func:`walk_vjp` serve every forward of
+``balora.model`` and the AlphaNet (:func:`alpha_forward`).
 """
 
 from __future__ import annotations
@@ -183,6 +188,82 @@ def layer_vjp(layer: BaLoRALayer, g: np.ndarray, x: np.ndarray, z: np.ndarray,
     return gx, gwa, gwb, ga
 
 
+def walk(plan: list[tuple], h: Optional[np.ndarray], terms=None, alphas=None,
+         eps: Optional[list] = None, bufs=None, out: Optional[np.ndarray] = None,
+         tape: Optional[list] = None):
+    """Rows ``h`` through the layers of ``plan``, in plain numpy; ``h`` is
+    never written. Each plan entry is a layer's weight, bias, adapter (or
+    None), that adapter's AlphaNet column and whether a GELU follows: the
+    adapted network (``balora.model.AdaptedModel._plan``) and the AlphaNet
+    (:func:`alpha_forward`) are both walks.
+    ``terms``, the first layer's ``layer_terms``, replace ``h`` (then None).
+    Adapted layers draw with ``eps`` (one array per AlphaNet column) at the
+    scales in ``alphas``, else give the posterior mean. With ``bufs``, two
+    flat arrays, the layer input lives in the first and the base term (but
+    that of ``terms``) or GELU gate in the second; without, each op allocates.
+    The output goes to ``out`` if given. A ``tape`` list (no ``bufs``) gets
+    per layer its input, its adapter's ``layer_output`` terms and its GELU's
+    input and gate (else None; the gate then applies out of place)."""
+    cur, spare = bufs if bufs is not None else (None, None)
+    n = len(h if terms is None else terms[0])
+
+    def view(buf, width):
+        return None if buf is None else buf[:n * width].reshape(n, width)
+
+    for j, (weight, bias, layer, col, gelu) in enumerate(plan):
+        k = weight.shape[0]
+        dest = out if j == len(plan) - 1 else None
+        x, drawn, act = h, None, None
+        if layer is None:
+            cur, spare = spare, cur  # h moves to the buffer it is not in
+            h = np.matmul(h, weight.T, out=view(cur, k) if dest is None else dest)
+            h += bias
+        else:
+            base, z, q = terms if j == 0 and terms is not None else layer_terms(
+                layer, h, bias, noisy=eps is not None, out=view(spare, k),
+                scratch=view(cur, h.shape[1]))
+            a, e = (None, None) if eps is None else (alphas[:, col:col + 1], eps[col])
+            h, z, sd = layer_output(layer, base, z, q, a, e,
+                                    out=view(cur, k) if dest is None else dest)
+            drawn = (z, q, sd, a, e)
+        if gelu and tape is not None:
+            act = (h, T.gelu_gate(h))
+            h = h * act[1]
+        elif gelu:
+            h *= T.gelu_gate(h, out=view(spare, k))
+        if tape is not None:
+            tape.append((x, drawn, act))
+    return h
+
+
+def walk_vjp(plan: list[tuple], tape: list, g: np.ndarray, params: list[tuple],
+             alphas: Optional[Tensor] = None) -> tuple:
+    """From output cotangent ``g``, those of ``params`` (per layer of a taped
+    :func:`walk`: its weight, or an adapter's WA and WB, then its bias),
+    flat (None where no grad is required), then of ``alphas`` if given. One
+    reverse walk, back to the first layer with something to train."""
+    first = min(j for j, ps in enumerate(params) if any(p.requires_grad for p in ps)
+                or alphas is not None and plan[j][2] is not None)
+    grads, galpha = [(None,) * len(ps) for ps in params], None
+    for j in range(len(plan) - 1, first - 1, -1):
+        (weight, _, layer, col, _), (x, drawn, act) = plan[j], tape[j]
+        if act is not None:
+            g = T.gelu_grad(*act) * g
+        gb = g.sum(axis=0) if params[j][-1].requires_grad else None
+        if layer is None:
+            grads[j] = (g.T @ x if params[j][0].requires_grad else None, gb)
+            g = g @ weight if j > first else None
+            continue
+        g, gwa, gwb, ga = layer_vjp(layer, g, x, *drawn, need_x=j > first)
+        grads[j] = (gwa, gwb, gb)
+        if ga is not None:  # summed as the tape sums one cotangent per layer
+            full = np.zeros(alphas.shape)
+            full[:, col] = ga
+            galpha = full if galpha is None else galpha + full
+    flat = tuple(gr for gs in grads for gr in gs)
+    return flat if alphas is None else (*flat, galpha)
+
+
 def analytic_predictive(layer: BaLoRALayer, x: Tensor, alpha: float) -> PredictiveGaussian:
     """Exact Gaussian output law: mean plus low-rank covariance factor."""
     if alpha <= 0:
@@ -313,15 +394,26 @@ def init_alphanet(rng: Rng, feature_dim: int, num_layers: int,
 
 def alpha_forward(net: AlphaNet, feat: Tensor) -> Tensor:
     """Per-layer positive noise scales ``(n, L)`` for a batch of feature rows
-    ``(n, feature_dim)``, one taped ``linear``/``gelu`` chain ending in the
-    clamped softplus."""
+    ``(n, feature_dim)``, which enter as constants: one tape node, a taped
+    :func:`walk` to the logits ``z``, then the clamped stable softplus
+    ``log1p(exp(-|z|)) + max(z, 0)``. Its VJP is the head's, then
+    :func:`walk_vjp`. The logits are checked first: the clamp would turn an
+    infinite one into ``alpha_max``."""
     if feat.ndim != 2 or feat.shape[1] != net.feature_dim:
         raise ShapeError(f"alpha features must be a batch (n, {net.feature_dim}), "
                          f"got {feat.shape}")
-    h = feat
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = T.linear(h, w, b)
-        if i != last:
-            h = T.gelu(h)
-    return T.clip(T.softplus(h), net.alpha_min, net.alpha_max)
+    params = list(zip(net.weights, net.biases))
+    plan = [(w.data, b.data, None, None, i < len(params) - 1) for i, (w, b) in enumerate(params)]
+    tape: list = []
+    z = walk(plan, feat.data, tape=tape)
+    T.check_finite(z, "the AlphaNet")
+    e = np.exp(-np.abs(z))
+    soft = np.log1p(e) + np.maximum(z, 0.0)
+
+    def vjp(g):
+        sig = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        inside = (soft > net.alpha_min) & (soft < net.alpha_max)
+        return walk_vjp(plan, tape, sig * np.where(inside, g, 0.0), params)
+
+    return Tensor._from_op(np.clip(soft, net.alpha_min, net.alpha_max),
+                           [p for ps in params for p in ps], vjp, "the AlphaNet")

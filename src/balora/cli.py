@@ -201,6 +201,19 @@ def _write_split_csv(path: Path, split: TK.Split) -> None:
             writer.writerow(xi.tolist() + yi.tolist())
 
 
+def _trainable_params(model) -> dict:
+    """Trainable parameter counts per group (adapters, AlphaNet, ``log_sigma``)
+    and in total, for the model's kind and for a LoRA arm at the same config,
+    which trains the same adapters and ``log_sigma`` but has no AlphaNet."""
+    counts = {"adapters": sum(p.size for layer in model.adapters.values()
+                              for p in layer.trainables()),
+              "alphanet": sum(p.size for p in model.alphanet.trainables())
+              if model.alphanet is not None else 0,
+              "log_sigma": 0 if model.log_sigma is None else model.log_sigma.size}
+    arms = {model.kind: counts, "lora": {**counts, "alphanet": 0}}
+    return {kind: {**arm, "total": sum(arm.values())} for kind, arm in arms.items()}
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -219,6 +232,8 @@ def cmd_train(args) -> int:
                                          pre_cfg, adapt_cfg, prior, seed=cfg["seed"])
         manifest.data["adapter_ranks"] = {str(i): layer.rank
                                           for i, layer in trained.model.adapters.items()}
+        manifest.data["trainable_params"] = _trainable_params(trained.model)
+        manifest.data["phases"] = trained.phases
         for name, split in (("train", trained.target.train), ("val", trained.target.val),
                             ("test", trained.target.test)):
             path = out / f"{name}.csv"
@@ -305,7 +320,9 @@ def cmd_eval(args) -> int:
                 metrics = {"accuracy": U.accuracy(probs, y), "ece": U.ece(probs, y)}
             else:
                 y2 = np.asarray(y, dtype=np.float64).reshape(merged.shape)
+                clean = X @ TK.true_map(task).T
                 metrics = {"mse": float(np.mean((merged - y2) ** 2)),
+                           "excess_mse": float(np.mean((merged - clean) ** 2)),
                            "mae": U.mae(merged.ravel(), y2.ravel())}
             if not np.all(np.isfinite(list(metrics.values()))):
                 return _verify_failed(manifest, f"non-finite metrics: {metrics}")

@@ -186,12 +186,13 @@ def task_from_config(cfg: dict) -> SyntheticTask:
 
 
 def adapter_spec_from_config(cfg: dict) -> AdapterSpec:
-    """The adapter spec, after checking that ``adapt_layers`` names layers of
-    the ``len(hidden) + 1``-layer backbone."""
+    """The adapter spec, after checking that ``adapt_layers`` names one or
+    more layers of the ``len(hidden) + 1``-layer backbone."""
     n_layers = len(cfg["hidden"]) + 1
-    if any(not 0 <= i < n_layers for i in cfg["adapt_layers"] or ()):
-        raise ConfigError(f"out-of-range config value: adapt_layers {cfg['adapt_layers']} "
-                          f"outside the {n_layers} backbone layers", key="adapt_layers")
+    layers = cfg["adapt_layers"]
+    if layers == () or any(not 0 <= i < n_layers for i in layers or ()):
+        raise ConfigError(f"out-of-range config value: adapt_layers {layers} must name one "
+                          f"or more of the {n_layers} backbone layers", key="adapt_layers")
     return _build(
         AdapterSpec,
         rank=cfg["rank"], lora_alpha=cfg["lora_alpha"], init_std=cfg["init_std"],
@@ -206,6 +207,11 @@ def train_configs_from_config(cfg: dict):
     if cfg["mc_steps"] < 2:
         raise ConfigError(f"out-of-range config value: mc_steps {cfg['mc_steps']} is below "
                           f"the 2 draws a Monte Carlo variance needs", key="mc_steps")
+    # TrainConfig names its fields, which are these keys without the prefix.
+    for key in ("pretrain_lr", "pretrain_epochs", "pretrain_batch_size"):
+        if not cfg[key] > 0:
+            raise ConfigError(f"out-of-range config value: {key} must be positive, "
+                              f"got {cfg[key]}", key=key)
     pretrain = _build(TrainConfig, lr=cfg["pretrain_lr"], epochs=cfg["pretrain_epochs"],
                       batch_size=cfg["pretrain_batch_size"], kl_weight=0.0,
                       warmup_fraction=0.0, weight_decay=0.0,

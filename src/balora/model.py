@@ -9,8 +9,10 @@ reparametrization. ``predict_stochastic`` is its untaped Monte Carlo
 counterpart: it runs what does not depend on the draw once per input row.
 Every forward, taped or not (``forward``, the frozen prefix, alpha
 features, ``predict``, ``merged_forward``, Monte Carlo blocks), is one
-plain-numpy walk over a per-layer plan, :func:`_walk`; the taped one keeps
-what its reverse walk, :func:`_walk_vjp`, reads.
+plain-numpy walk over a per-layer plan (:meth:`AdaptedModel._plan`). The
+walk and its reverse live in ``balora.adapter`` (``walk``, ``walk_vjp``),
+beside the layer math they call and the AlphaNet that walks too; the taped
+forward keeps what the reverse walk reads.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ class BackboneSpec:
 
     def __post_init__(self):
         if min(self.widths()) < 1:
-            raise DomainError(f"layer widths must be positive, got {self.widths()}")
+            raise DomainError(f"layer widths (d_in, hidden, output) must be positive, "
+                              f"got {self.widths()}")
 
     def widths(self) -> list[int]:
         return [self.d_in, *self.hidden, self.d_out]
@@ -212,7 +215,7 @@ class AdaptedModel:
         """Activation entering the first adapted layer, computed off the
         tape. The alpha features and every stochastic forward of the same
         rows continue from it, so it runs once per input row."""
-        return _walk(self._plan(0, self.prefix_layers, {}), np.asarray(X, dtype=np.float64))
+        return A.walk(self._plan(0, self.prefix_layers, {}), np.asarray(X, dtype=np.float64))
 
     def alpha_features(self, X: np.ndarray, prefix: Optional[np.ndarray] = None) -> np.ndarray:
         """Feature vectors driving the noise scales (computed off-tape).
@@ -226,7 +229,7 @@ class AdaptedModel:
             return np.asarray(X, dtype=np.float64)
         if prefix is None:
             prefix = self.frozen_prefix(X)
-        return _walk(self._plan(self.prefix_layers, self.backbone.n_layers - 1, {}), prefix)
+        return A.walk(self._plan(self.prefix_layers, self.backbone.n_layers - 1, {}), prefix)
 
     def alphas(self, X: np.ndarray, prefix: Optional[np.ndarray] = None) -> Tensor:
         feats = Tensor(self.alpha_features(X, prefix))
@@ -244,7 +247,8 @@ class AdaptedModel:
         constant, so gradients flow through the noise scale, WA, and WB only.
         A ``prefix`` from :meth:`frozen_prefix` of ``X`` (frozen backbone
         only) replaces the layers before the first adapted one. The network is
-        one tape node, a taped :func:`_walk` with VJP :func:`_walk_vjp`."""
+        one tape node, a taped :func:`~balora.adapter.walk` with VJP
+        :func:`~balora.adapter.walk_vjp`."""
         start = 0 if prefix is None else self.prefix_layers
         h = self._rows(X if prefix is None else prefix, start)
         if eps is not None:
@@ -264,10 +268,10 @@ class AdaptedModel:
         params = [((self.backbone.weights[i],) if layer is None else (layer.WA, layer.WB))
                   + (self.backbone.biases[i],) for i, (_, _, layer, _, _) in enumerate(plan, start)]
         tape: list = []
-        out = _walk(plan, h, None, None if eps is None else alphas.data, eps, tape=tape)
+        out = A.walk(plan, h, None, None if eps is None else alphas.data, eps, tape=tape)
         scales = [] if eps is None else [alphas]
         return Tensor._from_op(out, [p for ps in params for p in ps] + scales,
-                               lambda g: _walk_vjp(plan, tape, g, params, *scales),
+                               lambda g: A.walk_vjp(plan, tape, g, params, *scales),
                                "the taped forward")
 
     def draw_eps(self, n: int, rng: Rng) -> list[np.ndarray]:
@@ -283,14 +287,14 @@ class AdaptedModel:
         plan = self._plan(0, self.backbone.n_layers, self.adapters)
         merged = [(w if layer is None else A.merge_weights(layer).data, b, None, None, gelu)
                   for w, b, layer, _, gelu in plan]
-        return _walk(merged, self._rows(X))
+        return A.walk(merged, self._rows(X))
 
     # -- prediction conveniences (off-tape) --------------------------------------
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """The posterior-mean :meth:`forward` of ``X`` in plain numpy, bit for bit.
         NaN and Inf propagate through every op, so only the output is checked."""
-        h = _walk(self._plan(0, self.backbone.n_layers, self.adapters), self._rows(X))
+        h = A.walk(self._plan(0, self.backbone.n_layers, self.adapters), self._rows(X))
         T.check_finite(h, "the posterior-mean forward")
         return h
 
@@ -353,9 +357,10 @@ class AdaptedModel:
         return h
 
     def _plan(self, start: int, stop: int, adapters: dict) -> list[tuple]:
-        """What :func:`_walk` reads of layers ``start`` to ``stop - 1``: weight,
-        bias, adapter in ``adapters`` (or None), its AlphaNet column, and
-        whether a GELU follows (on every layer but the output)."""
+        """What :func:`~balora.adapter.walk` reads of layers ``start`` to
+        ``stop - 1``: weight, bias, adapter in ``adapters`` (or None), its
+        AlphaNet column, and whether a GELU follows (on every layer but the
+        output)."""
         return [(self.backbone.weights[i].data, self.backbone.biases[i].data, adapters.get(i),
                  self.adapted_layers.index(i) if i in adapters else None,
                  i < self.backbone.n_layers - 1)
@@ -368,82 +373,9 @@ class AdaptedModel:
         the ``alphas`` of input rows ``rows[blk]``, views unless the block wraps."""
         lo, m = rows[blk.start], blk.stop - blk.start
         pick = slice(lo, lo + m) if lo + m <= len(alphas) else rows[blk]
-        h = _walk(plan, None, tuple(t[pick] for t in terms), alphas[pick],
+        h = A.walk(plan, None, tuple(t[pick] for t in terms), alphas[pick],
                   [e[blk] for e in eps], bufs, out[blk])
         T.check_finite(h, "the stochastic forward")
-
-
-def _walk(plan: list[tuple], h: Optional[np.ndarray], terms=None, alphas=None,
-          eps: Optional[list] = None, bufs=None, out: Optional[np.ndarray] = None,
-          tape: Optional[list] = None):
-    """Rows ``h`` through the layers of ``plan`` (:meth:`AdaptedModel._plan`),
-    in plain numpy; ``h`` is never written.
-    ``terms``, the first layer's ``layer_terms``, replace ``h`` (then None).
-    Adapted layers draw with ``eps`` (one array per AlphaNet column) at the
-    scales in ``alphas``, else give the posterior mean. With ``bufs``, two
-    flat arrays, the layer input lives in the first and the base term (but
-    that of ``terms``) or GELU gate in the second; without, each op allocates.
-    The output goes to ``out`` if given. A ``tape`` list (no ``bufs``) gets
-    per layer its input, its adapter's ``layer_output`` terms and its GELU's
-    input and gate (else None; the gate then applies out of place)."""
-    cur, spare = bufs if bufs is not None else (None, None)
-    n = len(h if terms is None else terms[0])
-
-    def view(buf, width):
-        return None if buf is None else buf[:n * width].reshape(n, width)
-
-    for j, (weight, bias, layer, col, gelu) in enumerate(plan):
-        k = weight.shape[0]
-        dest = out if j == len(plan) - 1 else None
-        x, drawn, act = h, None, None
-        if layer is None:
-            cur, spare = spare, cur  # h moves to the buffer it is not in
-            h = np.matmul(h, weight.T, out=view(cur, k) if dest is None else dest)
-            h += bias
-        else:
-            base, z, q = terms if j == 0 and terms is not None else A.layer_terms(
-                layer, h, bias, noisy=eps is not None, out=view(spare, k),
-                scratch=view(cur, h.shape[1]))
-            a, e = (None, None) if eps is None else (alphas[:, col:col + 1], eps[col])
-            h, z, sd = A.layer_output(layer, base, z, q, a, e,
-                                      out=view(cur, k) if dest is None else dest)
-            drawn = (z, q, sd, a, e)
-        if gelu and tape is not None:
-            act = (h, T.gelu_gate(h))
-            h = h * act[1]
-        elif gelu:
-            h *= T.gelu_gate(h, out=view(spare, k))
-        if tape is not None:
-            tape.append((x, drawn, act))
-    return h
-
-
-def _walk_vjp(plan: list[tuple], tape: list, g: np.ndarray, params: list[tuple],
-              alphas: Optional[Tensor] = None) -> tuple:
-    """From output cotangent ``g``, those of ``params`` (per layer of a taped
-    :func:`_walk`: its weight, or an adapter's WA and WB, then its bias),
-    flat (None where no grad is required), then of ``alphas`` if given. One
-    reverse walk, back to the first layer with something to train."""
-    first = min(j for j, ps in enumerate(params) if any(p.requires_grad for p in ps)
-                or alphas is not None and plan[j][2] is not None)
-    grads, galpha = [(None,) * len(ps) for ps in params], None
-    for j in range(len(plan) - 1, first - 1, -1):
-        (weight, _, layer, col, _), (x, drawn, act) = plan[j], tape[j]
-        if act is not None:
-            g = T.gelu_grad(*act) * g
-        gb = g.sum(axis=0) if params[j][-1].requires_grad else None
-        if layer is None:
-            grads[j] = (g.T @ x if params[j][0].requires_grad else None, gb)
-            g = g @ weight if j > first else None
-            continue
-        g, gwa, gwb, ga = A.layer_vjp(layer, g, x, *drawn, need_x=j > first)
-        grads[j] = (gwa, gwb, gb)
-        if ga is not None:  # summed as the tape sums one cotangent per layer
-            full = np.zeros(alphas.shape)
-            full[:, col] = ga
-            galpha = full if galpha is None else galpha + full
-    flat = tuple(gr for gs in grads for gr in gs)
-    return flat if alphas is None else (*flat, galpha)
 
 
 def attach_adapters(backbone: ToyBackbone, aspec: AdapterSpec, kind: str,

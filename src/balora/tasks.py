@@ -46,9 +46,10 @@ class SyntheticTask:
         if self.kind not in KINDS:
             raise DomainError(f"unknown task kind: {self.kind}")
         if min(self.n_train, self.n_test) < 1 or self.n_val < 0:
-            raise DomainError("split sizes must be positive (val may be zero)")
+            raise DomainError("split sizes n_train and n_test must be positive (n_val may "
+                              "be zero)")
         if self.kind == "two-moons-classification" and self.d_in != 2:
-            raise DomainError("two moons is a 2-D task")
+            raise DomainError(f"task {self.kind} needs d_in = 2, got {self.d_in}")
         if self.d_out < 1:
             raise DomainError(f"d_out must be positive, got {self.d_out}")
         if self.n_classes < 2:
@@ -181,9 +182,19 @@ def true_map(task: SyntheticTask, shifted: bool = True) -> np.ndarray:
 
 @dataclass
 class TrainedModel:
+    """A model after :func:`pretrain_then_adapt`, with its adaptation records,
+    the target splits, and ``phases``: per phase (``pretrain``, ``adapt``) its
+    optimizer ``steps``, ``wall_s`` and ``steps_per_s``."""
+
     model: AdaptedModel
     adapt_records: list
     target: Splits
+    phases: dict
+
+
+def _phase(steps: int, wall_s: float) -> dict:
+    return {"steps": steps, "wall_s": wall_s,
+            "steps_per_s": steps / wall_s if wall_s > 0 else 0.0}
 
 
 def _backbone_spec(task: SyntheticTask, hidden) -> BackboneSpec:
@@ -209,15 +220,25 @@ def pretrain_then_adapt(task: SyntheticTask, hidden, aspec: AdapterSpec,
                         adapt_cfg: V.TrainConfig, prior: V.PriorConfig,
                         seed: int, backbone: Optional[ToyBackbone] = None) -> TrainedModel:
     """Full protocol: pretrain on the source distribution, freeze, attach
-    adapters, and train them on the shifted target distribution."""
+    adapters, and train them on the shifted target distribution. A given
+    ``backbone`` skips pretraining, whose phase then has no steps. The
+    pretraining steps are the fixed count of its loop,
+    :func:`~balora.variational.total_steps`."""
     rng = Rng(seed)
     target = generate(task, shifted=True)
+    t0 = time.perf_counter()
+    pretrain_steps = 0
     if backbone is None:
         backbone = pretrain_backbone(task, hidden, pretrain_cfg, rng)
+        pretrain_steps = V.total_steps(task.n_train, pretrain_cfg)
+    t1 = time.perf_counter()
     model = attach_adapters(backbone, aspec, adapter_kind, rng.stream_of(3))
     adapt_records = V.train_model(model, (target.train.X, target.train.y), prior,
                                   adapt_cfg, rng.stream_of(4))
-    return TrainedModel(model=model, adapt_records=adapt_records, target=target)
+    phases = {"pretrain": _phase(pretrain_steps, t1 - t0),
+              "adapt": _phase(len(adapt_records), time.perf_counter() - t1)}
+    return TrainedModel(model=model, adapt_records=adapt_records, target=target,
+                        phases=phases)
 
 
 # -- ensemble baseline ------------------------------------------------------------

@@ -2,34 +2,36 @@
 
 The tape is built eagerly, by one rule with no global switch: an operation
 stores its parents and a vector-Jacobian closure on the output node exactly
-when a parent requires grad. :func:`backward` walks the graph once in
-reverse topological order, accumulates gradients into the ``grad`` field of
-every leaf that requires them, and consumes the tape.
+when a parent requires grad. Parents are created before their children, so
+:func:`backward` runs the nodes reachable from the loss in descending
+creation order, accumulates gradients into the ``grad`` field of every
+leaf that requires them, and consumes the tape.
 
-Taped ops follow one shape rule, so every gradient rule stays auditable:
-:func:`add` and :func:`mul` take operands of equal shape (0-d with 0-d
-included) and never broadcast, and :func:`linear` takes a batch of input
-rows ``(n, d)``. A caller holding a single vector runs plain numpy off the
-tape, or passes a one-row batch. (:func:`matmul`, which no model path
-calls, keeps its vector cases.) Every completed operation is checked for
-NaN/Inf and raises instead of propagating poison values.
+Taped ops follow one shape rule: :func:`add` and :func:`mul` take operands
+of equal shape and never broadcast, and :func:`linear` takes a batch
+``(n, d)``. (:func:`matmul` keeps its vector cases.) Every completed
+operation is checked for NaN/Inf and raises instead of propagating poison.
 
-The vector-Jacobian closures that cost real work (matmul, mul, linear,
-the network and the loss terms) form a cotangent only for parents that
-require grad, so frozen weights and raw inputs cost nothing in the
-backward pass. The closure of add hands its cotangent on unchanged; those
-of sum, clip and the activations are elementwise passes over one array.
-:func:`linear`, the whole adapted network (``balora.model.AdaptedModel.forward``,
-whose closure is one reverse walk over its layers) and each ELBO term
-(``balora.variational``) are single tape nodes with hand-written
-vector-Jacobian products, each checked against central finite differences
-in the test suite.
+The package calls :func:`add`, :func:`mul` and :func:`backward`; its other
+nodes are built with ``Tensor._from_op`` and hand-written vector-Jacobian
+products, checked against central finite differences in the test suite:
+the adapted network (``balora.model.AdaptedModel.forward``) and the
+AlphaNet (``balora.adapter.alpha_forward``), each one walk whose closure
+is one reverse walk using :func:`gelu_gate` and :func:`gelu_grad`, and
+each ELBO term (``balora.variational``). :func:`linear`, :func:`gelu`,
+:func:`matmul`, :func:`square`, :func:`sqrt`, :func:`reshape` and
+:func:`transpose` stay because the benchmark rebinds them by name, and,
+with :func:`tsum`, as the tests' layer-by-layer references and
+finite-difference fixtures. Closures that cost real work form a cotangent
+only for parents that require grad, so frozen weights cost nothing in the
+backward pass.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 import sys
@@ -83,6 +85,11 @@ def check_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"non-finite values produced by {what}")
 
 
+# Creation sequence numbers: a node's parents always have smaller ones. One
+# counter for every thread; ``next`` on it is atomic under the interpreter lock.
+_creation = itertools.count()
+
+
 def _freeze(arr: np.ndarray, copy: bool = False) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     if not arr.flags.c_contiguous:
@@ -107,7 +114,7 @@ class Tensor:
     in-place writes.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_consumed")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_consumed", "_seq")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = _freeze(np.asarray(values, dtype=np.float64), copy=True)
@@ -117,6 +124,7 @@ class Tensor:
         self._parents: tuple = ()
         self._vjp: Optional[Callable] = None
         self._consumed = False
+        self._seq = next(_creation)
 
     # -- construction helpers -------------------------------------------------
 
@@ -128,6 +136,7 @@ class Tensor:
         out.data = _freeze(data)
         out.grad = None
         out._consumed = False
+        out._seq = next(_creation)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -161,14 +170,7 @@ class Tensor:
         self.grad = None
 
     def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._vjp = None
-        out._consumed = False
-        return out
+        return Tensor._from_op(self.data, (), None, "detach")
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
@@ -192,28 +194,21 @@ def backward(loss: Tensor) -> None:
     if loss._vjp is None and not loss.requires_grad:
         raise TapeError("loss does not depend on any requires_grad tensor")
 
-    # Reverse topological order via iterative post-order DFS.
-    order: list[Tensor] = []
-    state: dict[int, int] = {}
-    stack: list[Tensor] = [loss]
+    # Parents are created before their children, so the nodes reachable from
+    # the loss, in descending creation order, are a reverse topological order.
+    reached, stack = {id(loss): loss}, [loss]
     while stack:
-        node = stack[-1]
-        nid = id(node)
-        if state.get(nid, 0) == 0:
-            if node._consumed:
-                raise TapeError("graph shares nodes with an already-consumed tape")
-            state[nid] = 1
-            for p in node._parents:
-                if p.requires_grad and state.get(id(p), 0) == 0:
-                    stack.append(p)
-        else:
-            stack.pop()
-            if state[nid] == 1:
-                state[nid] = 2
-                order.append(node)
+        node = stack.pop()
+        if node._consumed:
+            raise TapeError("graph shares nodes with an already-consumed tape")
+        for p in node._parents:
+            if p.requires_grad and id(p) not in reached:
+                reached[id(p)] = p
+                stack.append(p)
+    order = sorted(reached.values(), key=lambda node: node._seq, reverse=True)
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    for node in reversed(order):
+    for node in order:
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -291,31 +286,6 @@ def sqrt(a: Tensor) -> Tensor:
         return (np.where(out > 0.0, 0.5 / np.where(out > 0.0, out, 1.0), 0.0) * g,)
 
     return Tensor._from_op(out, (a,), vjp, "sqrt")
-
-
-def softplus(a: Tensor) -> Tensor:
-    z = a.data
-    # Stable form: log1p(exp(-|z|)) + max(z, 0) never overflows.
-    e = np.exp(-np.abs(z))
-    out = np.log1p(e) + np.maximum(z, 0.0)
-
-    def vjp(g):
-        sig = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return (sig * g,)
-
-    return Tensor._from_op(out, (a,), vjp, "softplus")
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    if not lo <= hi:
-        raise DomainError(f"clip bounds out of order: [{lo}, {hi}]")
-    ad = a.data
-    inside = (ad > lo) & (ad < hi)
-
-    def vjp(g):
-        return (np.where(inside, g, 0.0),)
-
-    return Tensor._from_op(np.clip(ad, lo, hi), (a,), vjp, "clip")
 
 
 # The scipy extension module that defines the ``erf`` ufunc in recent scipy;

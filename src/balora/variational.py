@@ -49,7 +49,8 @@ class PriorConfig:
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
-            raise DomainError(f"prior probability must lie strictly in (0, 1), got {self.p}")
+            raise DomainError(f"prior probability (prior_p) must lie strictly in (0, 1), "
+                              f"got {self.p}")
 
 
 @dataclass
@@ -355,6 +356,12 @@ class AdamW:
                 "clipped": raw_norm > clip}
 
 
+def total_steps(n: int, cfg: TrainConfig) -> int:
+    """Optimizer steps :func:`train_model` takes on ``n >= 1`` rows: one per
+    batch per epoch."""
+    return cfg.epochs * max(1, math.ceil(n / cfg.batch_size))
+
+
 def train_model(model: AdaptedModel, train_xy, prior: PriorConfig, cfg: TrainConfig,
                 rng: Rng, record_hook=None) -> list[dict]:
     """Minibatch training loop; returns one metrics record per step.
@@ -366,8 +373,7 @@ def train_model(model: AdaptedModel, train_xy, prior: PriorConfig, cfg: TrainCon
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     params = model.trainables()
-    steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
-    opt = AdamW(params, cfg, total_steps=cfg.epochs * steps_per_epoch)
+    opt = AdamW(params, cfg, total_steps=total_steps(n, cfg))
     records: list[dict] = []
     step = 0
     for epoch in range(cfg.epochs):

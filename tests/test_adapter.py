@@ -6,6 +6,7 @@ import pytest
 
 from balora import adapter as A
 from balora import tensor as T
+from balora.model import AdapterSpec, BackboneSpec, ToyBackbone, attach_adapters
 from balora.rng import Rng
 from balora.tensor import DomainError, ShapeError, Tensor, backward
 from balora.verify import (_cov_z_scores, _empirical_moments, _random_layer,
@@ -76,8 +77,82 @@ class TestAlphaNet:
         bad[0, 0] = np.nan
         net.weights[0].data = bad
         with np.errstate(invalid="ignore"), \
-                pytest.raises(T.NonFiniteError, match="non-finite values produced by linear"):
+                pytest.raises(T.NonFiniteError, match="non-finite values produced by the AlphaNet"):
             A.alpha_forward(net, Tensor(Rng(7).normal((2, 3))))
+
+    def test_infinite_hidden_unit_raises_instead_of_clamping(self):
+        # Without the check on the logits, the +inf logit would pass the
+        # softplus as +inf and leave the clamp as alpha_max.
+        net = A.init_alphanet(Rng(6), feature_dim=2, num_layers=1, hidden_dims=(3,))
+        net.weights[0].data = np.array([[1e308, 1e308], [0.0, 0.0], [0.0, 0.0]])
+        net.weights[1].data = np.array([[1.0, 0.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(T.NonFiniteError, match="the AlphaNet"):
+            A.alpha_forward(net, Tensor([[10.0, 10.0]]))
+
+
+def _head_net(biases, alpha_min=A.ALPHA_MIN, alpha_max=A.ALPHA_MAX):
+    """An AlphaNet whose logits are exactly ``biases`` for every input."""
+    net = A.init_alphanet(Rng(9), feature_dim=2, num_layers=len(biases), hidden_dims=(3,))
+    net.weights[1] = Tensor(np.zeros(net.weights[1].shape), requires_grad=True)
+    net.biases[1] = Tensor(biases, requires_grad=True)
+    net.alpha_min, net.alpha_max = alpha_min, alpha_max
+    return net
+
+
+class TestAlphaNetNode:
+    """The AlphaNet is one tape node: a taped walk to the logits, then the
+    clamped softplus."""
+
+    def test_softplus_stable_at_extremes(self):
+        net = _head_net([-745.0, 0.0, 745.0], alpha_min=0.0)
+        out = A.alpha_forward(net, Tensor(Rng(4).normal((1, 2))))
+        assert out.data[0, 0] < 1e-300 and abs(out.data[0, 2] - 745.0) < 1e-9
+        backward(T.tsum(out))
+        assert np.allclose(net.biases[1].grad, [0.0, 0.5, 1.0], rtol=0.0, atol=1e-15)
+
+    def test_clamp(self):
+        net = _head_net([-5.0, 0.3, 5.0], alpha_min=0.5, alpha_max=2.0)
+        out = A.alpha_forward(net, Tensor(Rng(4).normal((1, 2))))
+        assert out.data.tolist() == [[0.5, np.log1p(np.exp(-0.3)) + 0.3, 2.0]]
+        backward(T.tsum(out))
+        # No gradient where the clamp holds.
+        assert net.biases[1].grad.tolist() == [0.0, 1.0 / (1.0 + np.exp(-0.3)), 0.0]
+
+    @staticmethod
+    def _features(head: str) -> tuple:
+        """Feature rows and an AlphaNet of a fresh balora model: the raw
+        inputs (regression) or the frozen backbone's last hidden layer."""
+        rng = Rng(12)
+        backbone = ToyBackbone(BackboneSpec(d_in=4, d_out=3, hidden=(6, 5), head=head),
+                               rng.stream_of(0))
+        backbone.freeze()
+        model = attach_adapters(backbone, AdapterSpec(rank=2, alphanet_hidden=(4, 3)),
+                                "balora", rng.stream_of(1))
+        return model.alpha_features(rng.stream_of(2).normal((5, 4))), model.alphanet
+
+    @pytest.mark.parametrize("clamped", [False, True], ids=["inside", "clamped"])
+    @pytest.mark.parametrize("head", ["regression", "classification"])
+    def test_gradients_match_finite_differences(self, head, clamped):
+        feats, net = self._features(head)
+        if clamped:
+            # Logits far below alpha_min, inside, and far above alpha_max.
+            net.biases[-1] = Tensor([-30.0, 0.5, 2000.0], requires_grad=True)
+        proj = Tensor(Rng(13).normal((len(feats), net.num_layers)))
+
+        def loss_fn():
+            return T.tsum(T.mul(A.alpha_forward(net, Tensor(feats)), proj))
+
+        out = A.alpha_forward(net, Tensor(feats)).data
+        if clamped:
+            assert (out[:, 0] == net.alpha_min).all() and (out[:, 2] == net.alpha_max).all()
+        else:
+            assert ((out > net.alpha_min) & (out < net.alpha_max)).all()
+        params = net.trainables()
+        backward(loss_fn())
+        numeric = finite_difference_grads(lambda: loss_fn().item(), params)
+        for p, g in zip(params, numeric):
+            assert scaled_gradient_error(p.grad, g, rtol=1e-4, atol=1e-7) <= 1.0
 
 
 class TestDeterministicForward:

@@ -1,16 +1,24 @@
 """CLI contract tests: exit codes, determinism, manifests, and fault injection."""
 
+import contextlib
 import importlib.metadata
+import io
 import json
+import math
 import os
+import re
 import struct
 import subprocess
 import sys
+import tempfile
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from balora import bench as B
 from balora import checkpoint as CK
@@ -42,6 +50,32 @@ batch_size = 32
 pretrain_epochs = 4
 seed = 3
 """
+
+
+def _fuzz_values(key: str) -> list:
+    """Values for ``key``: valid ones (its value in ``FAST_CONFIG`` or its
+    default, and the choices of a choice key), the boundary -1, 0 and 1, and
+    malformed ones."""
+    default = parse_config(FAST_CONFIG)[key]
+    choices = {"task": list(tasks.KINDS), "adapter": ["balora", "lora"],
+               "nll": ["gaussian", "l1"]}
+    if key in choices:
+        return choices[key] + ["", "Balora", "1"]
+    valid = ["all" if default is None else ",".join(map(str, default))
+             if isinstance(default, tuple) else str(default)]
+    if isinstance(default, tuple) or default is None:
+        valid += ["", "0,1", "3,2"]
+    return valid + ["-1", "0", "1", "x", "1.5", "nan", "inf", "1e999", "1,,2"]
+
+
+@st.composite
+def _fuzzed_config(draw):
+    """``FAST_CONFIG`` with one epoch per phase and one to four keys set
+    after it (a later line wins), and the keys set."""
+    keys = draw(st.lists(st.sampled_from(sorted(C.SCHEMA)), min_size=1, max_size=4,
+                         unique=True))
+    lines = [f"{key} = {draw(st.sampled_from(_fuzz_values(key)))}" for key in keys]
+    return FAST_CONFIG + "epochs = 1\npretrain_epochs = 1\n" + "\n".join(lines) + "\n", keys
 
 
 @pytest.fixture()
@@ -173,7 +207,7 @@ class TestTrain:
         "rank = 0", "init_std = 0", "alpha_min = 0", "alpha_min = 2e3",  # adapter
         "lr = 0", "pretrain_batch_size = 0",                            # training
         "hidden = 0", "hidden = 12,0", "alphanet_hidden = 0",           # widths
-        "adapt_layers = 3", "adapt_layers = -1",                        # layer indices
+        "adapt_layers = 3", "adapt_layers = -1", "adapt_layers = ",     # layer indices
         "init_alpha = 0", "init_alpha = 2e3", "init_alpha = 1e9",       # outside the clamp
         "lora_alpha = 0", "lora_alpha = -1",                            # inert adapters
         "noise_std = -0.1", "noise_base = -0.1", "n_classes = 1",       # task
@@ -225,6 +259,33 @@ class TestTrain:
                     if code not in (0, 2):
                         bad.append((task, key, value, code))
         assert not bad, bad
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text_keys=_fuzzed_config())
+    def test_any_config_text_trains_or_exits_2_naming_a_key(self, text_keys):
+        # A config either exits 2 before pretraining with one line naming
+        # a key it set, or trains: exit 0, or exit 1 with one line for a
+        # divergence (a non-finite value).
+        text, keys = text_keys
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(tasks, "pretrain_then_adapt",
+                                  wraps=tasks.pretrain_then_adapt) as spy, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            cfg = Path(tmp) / "fuzz.cfg"
+            cfg.write_text(text)
+            code = main(["train", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        lines = err.getvalue().splitlines()
+        if code == 2:
+            assert not spy.called, text
+            assert len(lines) == 1 and lines[0].startswith("config error: "), (text, lines)
+            assert any(re.search(rf"\b{key}\b", lines[0]) for key in keys), (text, lines)
+        elif code == 1:
+            assert len(lines) == 1 and lines[0].startswith("verification error: ") \
+                and "non-finite" in lines[0], (text, lines)
+        else:
+            assert code == 0 and not lines, (text, code, lines)
 
     def test_init_alpha_at_the_clamp_trains(self, tmp_path, capsys):
         # The AlphaNet output bias is softplus^-1(1000): log(expm1(1000)) overflows.
@@ -284,7 +345,7 @@ class TestTrain:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
             "verification error: non-finite loss during ELBO step: "
-            "non-finite values produced by linear"]
+            "non-finite values produced by the AlphaNet"]
 
     @pytest.mark.parametrize("lines", [
         "", "kl_weight = 0.3", "nll = l1",
@@ -332,6 +393,29 @@ class TestEval:
         assert (mc1 / "eval.json").read_bytes() == (mc2 / "eval.json").read_bytes()
         header = (mc1 / "eval.csv").read_text().splitlines()[0]
         assert header == "id,pred,target,var_total,var_epi,var_ale,sq_error"
+
+    @pytest.mark.parametrize("lines", ["", "task = two-moons-classification\nd_in = 2"],
+                             ids=["regression", "classification"])
+    def test_deterministic_excess_mse(self, tmp_path, lines):
+        # Regression tasks know their true map, so the excess risk over it is
+        # reported beside the MSE; classification has no such map.
+        cfg = tmp_path / "excess.cfg"
+        cfg.write_text(FAST_CONFIG + lines + "\n")
+        _, out = _train(tmp_path, cfg)
+        det = tmp_path / "det"
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--mode", "deterministic", "--out", str(det)]) == 0
+        metrics = json.loads((det / "eval.json").read_text())["metrics"]
+        if lines:
+            assert "excess_mse" not in metrics and "mse" not in metrics
+            return
+        task = C.task_from_config(parse_config(FAST_CONFIG))
+        model, _ = CK.load_model(out / "checkpoint.bin")
+        test = tasks.generate(task).test
+        merged = model.merged_forward(test.X)
+        clean = test.X @ tasks.true_map(task).T
+        assert metrics["excess_mse"] == float(np.mean((merged - clean) ** 2))
+        assert 0.0 < metrics["excess_mse"] < metrics["mse"]
 
     def test_mc_steps_below_two_exits_2(self, tmp_path, fast_config):
         _, out = _train(tmp_path, fast_config)
@@ -499,6 +583,34 @@ class TestUsageErrors:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["adapter_ranks"] == {"0": 6, "1": 32, "2": 1}
+
+
+class TestTrainManifest:
+    """The toy config's train manifest: parameter counts and phase timings."""
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("toy")
+        config = Path(__file__).resolve().parents[1] / "configs" / "toy_hetero.cfg"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text()), load_config(config)
+
+    def test_trainable_params(self, manifest):
+        # Adapters: 6->32, 32->32 at rank 4 and 32->1 at rank 1 (24+128,
+        # 128+128, 32+1); AlphaNet 6->16->3 (96+16, 48+3); one log_sigma.
+        assert manifest[0]["trainable_params"] == {
+            "balora": {"adapters": 441, "alphanet": 163, "log_sigma": 1, "total": 605},
+            "lora": {"adapters": 441, "alphanet": 0, "log_sigma": 1, "total": 442}}
+
+    def test_phase_steps(self, manifest):
+        phases, cfg = manifest
+        phases = phases["phases"]
+        for phase, epochs, batch in (("pretrain", "pretrain_epochs", "pretrain_batch_size"),
+                                     ("adapt", "epochs", "batch_size")):
+            steps = cfg[epochs] * math.ceil(cfg["n_train"] / cfg[batch])
+            assert phases[phase]["steps"] == steps
+            assert phases[phase]["wall_s"] > 0
+            assert phases[phase]["steps_per_s"] == steps / phases[phase]["wall_s"]
 
 
 class TestManifestTiming:
