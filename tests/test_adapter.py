@@ -104,6 +104,13 @@ class TestAlphaNetNode:
     """The AlphaNet is one tape node: a taped walk to the logits, then the
     clamped softplus."""
 
+    def test_softplus_zero(self):
+        net = _head_net([0.0], alpha_min=0.0)
+        out = A.alpha_forward(net, Tensor(Rng(4).normal((1, 2))))
+        assert abs(out.item() - np.log(2.0)) < 1e-12
+        backward(T.tsum(out))
+        assert abs(net.biases[1].grad[0] - 0.5) < 1e-15
+
     def test_softplus_stable_at_extremes(self):
         net = _head_net([-745.0, 0.0, 745.0], alpha_min=0.0)
         out = A.alpha_forward(net, Tensor(Rng(4).normal((1, 2))))
