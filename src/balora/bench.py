@@ -37,6 +37,8 @@ class BenchRow:
 
 # Input width of every benchmarked layer; the rank may not exceed it.
 D_IN = 64
+# The largest k the dense arm times: the dense sampler refuses larger ones.
+DENSE_MAX_K = A._ORACLE_MAX_DIM
 
 
 def blas_pinned() -> bool:
@@ -58,7 +60,8 @@ def _time_ns(fn, reps: int) -> tuple[float, float, float]:
 
 
 def run_bench(k_values, r: int = 8, n_samples: int = 4096, reps: int = 9,
-              seed: int = 0, d: int = D_IN, max_naive_k: int = 2048) -> tuple[list[BenchRow], dict]:
+              seed: int = 0, d: int = D_IN,
+              max_naive_k: int = DENSE_MAX_K) -> tuple[list[BenchRow], dict]:
     """Benchmark both samplers over ``k_values`` and fit log-log slopes.
 
     Each method is timed in its own pass so the dense oracle's large
@@ -67,7 +70,8 @@ def run_bench(k_values, r: int = 8, n_samples: int = 4096, reps: int = 9,
     dense arm is capped at 256 draws per call because its covariance
     construction and factorization, not the draws, carry the k-scaling of
     interest. Slopes are fit per arm, so the differing batch sizes do not
-    affect them.
+    affect them. An arm timed at fewer than two distinct ``k`` (the dense
+    one skips every ``k > max_naive_k``) has the slope None.
     """
     rng = Rng(seed)
     rows: list[BenchRow] = []
@@ -95,7 +99,8 @@ def run_bench(k_values, r: int = 8, n_samples: int = 4096, reps: int = 9,
     slopes = {}
     for method in ("lowrank", "full_cov"):
         pts = [(row.k, row.median_ns) for row in rows if row.method == method]
-        if len(pts) >= 2:
+        slopes[method] = None
+        if len({k for k, _ in pts}) >= 2:
             ks = np.log([p[0] for p in pts])
             ts = np.log([p[1] for p in pts])
             slopes[method] = float(np.polyfit(ks, ts, 1)[0])

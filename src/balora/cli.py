@@ -241,8 +241,10 @@ def cmd_train(args) -> int:
             manifest.add_output(path)
         metrics_path = out / "metrics.jsonl"
         with CK.atomic_open(metrics_path) as fh:
-            for record in trained.adapt_records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            for phase, records in (("pretrain", trained.pretrain_records),
+                                   ("adapt", trained.adapt_records)):
+                for record in records:
+                    fh.write(json.dumps({**record, "phase": phase}, sort_keys=True) + "\n")
         manifest.add_output(metrics_path)
         ckpt_path = out / "checkpoint.bin"
         CK.save_model(ckpt_path, trained.model, extra={"config": C.config_to_json(cfg)})
@@ -286,7 +288,10 @@ def _eval_task(config_path, extra: dict, spec) -> tuple[dict, TK.SyntheticTask]:
     checkpoint, not a user configuration error."""
     if config_path:
         cfg = C.load_config(config_path)
-        return cfg, _fitting_task(cfg, spec)
+        try:
+            return cfg, _fitting_task(cfg, spec)
+        except C.ConfigError as err:
+            raise C.ConfigError(f"--config: {err}", key=err.key) from err
     try:
         cfg = C.config_from_json(extra["config"]) if "config" in extra else C.parse_config("")
         return cfg, _fitting_task(cfg, spec)
@@ -361,18 +366,25 @@ def cmd_sample(args) -> int:
     with _Manifest(out, "sample", None, args.seed) as manifest:
         if args.n < 1:
             raise C.ConfigError(f"--n must be at least 1, got {args.n}")
-        x = np.asarray(_parse_numbers(args.input, float, "--input")) if args.input else None
+        if args.input is not None:
+            x = np.asarray(_parse_numbers(args.input, float, "--input"))
         model, extra = CK.load_model(args.checkpoint)
         if model.kind != "balora":
             raise C.ConfigError(f"sample needs a balora checkpoint, not {model.kind}")
         d_in = model.backbone.spec.d_in
-        if x is None:
+        if args.input is None:
             x = Rng(args.seed).normal((d_in,))
         elif x.shape != (d_in,):
             raise C.ConfigError(f"--input needs {d_in} comma-separated floats")
         rng = Rng(args.seed).stream_of(11)
         manifest.data["mc_workers"] = model.mc_workers(args.n)
-        draws = U._stochastic_draws(model, x, args.n, rng)[:, 0, :]
+        try:
+            draws = U._stochastic_draws(model, x, args.n, rng)[:, 0, :]
+        except T.NonFiniteError as err:
+            if args.input is None:
+                raise
+            # The checkpoint's weights are finite, so the input overflowed them.
+            raise C.ConfigError(f"--input overflows the model: {err}") from err
         payload = {
             "input": [float(v) for v in x],
             "deterministic": [float(v) for v in model.predict(x[None, :])[0]],
@@ -411,7 +423,11 @@ def cmd_bench(args) -> int:
         manifest.add_output(csv_path)
         manifest.add_output(slopes_path)
     for method, slope in slopes.items():
-        print(f"{method}: log-log slope vs k = {slope:.3f}")
+        if slope is None:  # only the dense arm skips k values
+            print(f"{method}: not fitted: fewer than two distinct --k-range values "
+                  f"<= {B.DENSE_MAX_K}, the largest k this arm times")
+        else:
+            print(f"{method}: log-log slope vs k = {slope:.3f}")
     return EXIT_OK
 
 

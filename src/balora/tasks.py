@@ -182,11 +182,13 @@ def true_map(task: SyntheticTask, shifted: bool = True) -> np.ndarray:
 
 @dataclass
 class TrainedModel:
-    """A model after :func:`pretrain_then_adapt`, with its adaptation records,
-    the target splits, and ``phases``: per phase (``pretrain``, ``adapt``) its
-    optimizer ``steps``, ``wall_s`` and ``steps_per_s``."""
+    """A model after :func:`pretrain_then_adapt`, with its pretraining and
+    adaptation records (one per optimizer step), the target splits, and
+    ``phases``: per phase (``pretrain``, ``adapt``) its ``steps`` (the count
+    of its records), ``wall_s`` and ``steps_per_s``."""
 
     model: AdaptedModel
+    pretrain_records: list
     adapt_records: list
     target: Splits
     phases: dict
@@ -204,15 +206,16 @@ def _backbone_spec(task: SyntheticTask, hidden) -> BackboneSpec:
 
 
 def pretrain_backbone(task: SyntheticTask, hidden, cfg: V.TrainConfig,
-                      rng: Rng) -> ToyBackbone:
-    """Train a fresh backbone on the source split, then freeze it."""
+                      rng: Rng) -> tuple[ToyBackbone, list]:
+    """Train a fresh backbone on the source split, then freeze it. Returns
+    the backbone and the training records, one per step."""
     source = generate(task, shifted=False)
     backbone = ToyBackbone(_backbone_spec(task, hidden), rng.stream_of(1))
     shell = AdaptedModel(backbone, {}, None, kind="lora")
-    V.train_model(shell, (source.train.X, source.train.y), V.PriorConfig(0.5),
-                  cfg, rng.stream_of(2))
+    records = V.train_model(shell, (source.train.X, source.train.y), V.PriorConfig(0.5),
+                            cfg, rng.stream_of(2))
     backbone.freeze()
-    return backbone
+    return backbone, records
 
 
 def pretrain_then_adapt(task: SyntheticTask, hidden, aspec: AdapterSpec,
@@ -221,24 +224,21 @@ def pretrain_then_adapt(task: SyntheticTask, hidden, aspec: AdapterSpec,
                         seed: int, backbone: Optional[ToyBackbone] = None) -> TrainedModel:
     """Full protocol: pretrain on the source distribution, freeze, attach
     adapters, and train them on the shifted target distribution. A given
-    ``backbone`` skips pretraining, whose phase then has no steps. The
-    pretraining steps are the fixed count of its loop,
-    :func:`~balora.variational.total_steps`."""
+    ``backbone`` skips pretraining, whose phase then has no records."""
     rng = Rng(seed)
     target = generate(task, shifted=True)
     t0 = time.perf_counter()
-    pretrain_steps = 0
+    pretrain_records = []
     if backbone is None:
-        backbone = pretrain_backbone(task, hidden, pretrain_cfg, rng)
-        pretrain_steps = V.total_steps(task.n_train, pretrain_cfg)
+        backbone, pretrain_records = pretrain_backbone(task, hidden, pretrain_cfg, rng)
     t1 = time.perf_counter()
     model = attach_adapters(backbone, aspec, adapter_kind, rng.stream_of(3))
     adapt_records = V.train_model(model, (target.train.X, target.train.y), prior,
                                   adapt_cfg, rng.stream_of(4))
-    phases = {"pretrain": _phase(pretrain_steps, t1 - t0),
+    phases = {"pretrain": _phase(len(pretrain_records), t1 - t0),
               "adapt": _phase(len(adapt_records), time.perf_counter() - t1)}
-    return TrainedModel(model=model, adapt_records=adapt_records, target=target,
-                        phases=phases)
+    return TrainedModel(model=model, pretrain_records=pretrain_records,
+                        adapt_records=adapt_records, target=target, phases=phases)
 
 
 # -- ensemble baseline ------------------------------------------------------------
@@ -268,7 +268,7 @@ def train_ensemble(task: SyntheticTask, hidden, aspec: AdapterSpec,
     if m < 2:
         raise DomainError("an ensemble needs at least 2 members")
     if backbone is None:
-        backbone = pretrain_backbone(task, hidden, pretrain_cfg, Rng(seed))
+        backbone, _ = pretrain_backbone(task, hidden, pretrain_cfg, Rng(seed))
     target = generate(task, shifted=True)
     ensemble = EnsembleBaseline()
     for i in range(m):

@@ -6,6 +6,11 @@ sampler, central finite differences for tape gradients, merged-weight
 forwards for the deterministic path, and orthogonal-complement residuals
 for the subspace claims. Oracles are looked up through their modules at
 call time so fault-injection tests can monkeypatch the implementation.
+
+Each property is checked here only. The acceptance suite
+(``tests/test_acceptance.py``) calls these oracles with its own seeds,
+sizes, rank caps and substreams; those are the oracles' parameters beyond
+``seed``, and their defaults are what ``balora verify`` runs.
 """
 
 from __future__ import annotations
@@ -100,6 +105,21 @@ def _random_layer(rng: Rng, d: int, k: int, r: int, scale: float = 1.5) -> A.BaL
     return layer
 
 
+def _random_case(crng: Rng, r_cap: int | None = None):
+    """``(layer, x, alpha)``: a random small layer with d, k in [2, 8] and
+    r <= min(d, k, r_cap), an input and an alpha in [0.2, 2), drawn from
+    ``crng`` and its substreams 1-3. Callers draw samples from other
+    substreams of ``crng``."""
+    dims = crng.integers(2, 9, (2,))
+    d, k = int(dims[0]), int(dims[1])
+    r_max = min(d, k) if r_cap is None else min(d, k, r_cap)
+    r = int(crng.integers(1, r_max + 1, ()))
+    layer = _random_layer(crng.stream_of(1), d, k, r)
+    x = crng.stream_of(2).normal((d,))
+    alpha = float(crng.stream_of(3).uniform(0.2, 2.0, ()))
+    return layer, x, alpha
+
+
 def _cov_z_scores(emp_mean, emp_cov, ref_mean, ref_cov, n: int):
     """Entrywise z-scores of empirical vs reference moments under the
     Gaussian sampling distribution of the estimators."""
@@ -136,10 +156,10 @@ def _two_sample_z(samples_a: np.ndarray, samples_b: np.ndarray, ref_cov: np.ndar
 # -- oracle checks -----------------------------------------------------------------
 
 
-def check_kl_quadrature(seed: int) -> OracleResult:
+def check_kl_quadrature(seed: int, alphas=(1e-4, 1e-2, 1.0, 10.0, 1e3)) -> OracleResult:
     worst = 0.0
     for p in (0.1, 0.3, 0.5, 0.7, 0.9):
-        for alpha in (1e-4, 1e-2, 1.0, 10.0, 1e3):
+        for alpha in alphas:
             ref = kl_quadrature(alpha, p, w=3.7)
             got = V.kl_per_entry(alpha, p)
             worst = max(worst, abs(got - ref) / max(abs(ref), 1e-12))
@@ -147,14 +167,15 @@ def check_kl_quadrature(seed: int) -> OracleResult:
                         "closed form vs adaptive quadrature, grid over (alpha, p)")
 
 
-def check_kl_w_independence(seed: int) -> OracleResult:
+def check_kl_w_independence(seed: int, points=tuple(
+        (p, alpha) for p in (0.1, 0.5, 0.9) for alpha in (1e-3, 1.0, 50.0))) -> OracleResult:
+    """Over ``points``, pairs ``(p, alpha)``."""
     worst = 0.0
-    for p in (0.1, 0.5, 0.9):
-        for alpha in (1e-3, 1.0, 50.0):
-            vals = [kl_quadrature(alpha, p, w=w) for w in (0.1, 1.0, 10.0)]
-            got = V.kl_per_entry(alpha, p)
-            spread = max(abs(v - got) / max(abs(got), 1e-12) for v in vals)
-            worst = max(worst, spread)
+    for p, alpha in points:
+        vals = [kl_quadrature(alpha, p, w=w) for w in (0.1, 1.0, 10.0)]
+        got = V.kl_per_entry(alpha, p)
+        spread = max(abs(v - got) / max(abs(got), 1e-12) for v in vals)
+        worst = max(worst, spread)
     return OracleResult("kl_w_independence", "kl", worst < 1e-6, worst, 1e-6,
                         "quadrature value is invariant to the weight magnitude")
 
@@ -173,17 +194,13 @@ def check_kl_minimum(seed: int) -> OracleResult:
                         "analytic minimizer alpha* = p/(1-p) attains (1-p)/(2p)")
 
 
-def check_covariance_mc(seed: int, n_configs: int = 10, n_samples: int = 100_000) -> OracleResult:
+def check_covariance_mc(seed: int, n_configs: int = 10, n_samples: int = 100_000,
+                        r_cap: int | None = None) -> OracleResult:
     rng = Rng(seed)
     worst = 0.0
     for c in range(n_configs):
         crng = rng.stream_of(c)
-        dims = crng.integers(2, 9, (2,))
-        d, k = int(dims[0]), int(dims[1])
-        r = int(crng.integers(1, min(d, k) + 1, ()))
-        layer = _random_layer(crng.stream_of(1), d, k, r)
-        x = crng.stream_of(2).normal((d,))
-        alpha = float(crng.stream_of(3).uniform(0.2, 2.0, ()))
+        layer, x, alpha = _random_case(crng, r_cap)
         law = A.analytic_predictive(layer, Tensor(x), alpha)
         samples = A.sample_lowrank(layer, Tensor(x), alpha, crng.stream_of(4),
                                    n=n_samples).data
@@ -194,19 +211,17 @@ def check_covariance_mc(seed: int, n_configs: int = 10, n_samples: int = 100_000
                         f"{n_configs} random configs, {n_samples} draws, entrywise z-scores")
 
 
-def check_sampler_equivalence(seed: int, n_configs: int = 8, n_samples: int = 100_000) -> OracleResult:
+def check_sampler_equivalence(seed: int, n_configs: int = 8, n_samples: int = 100_000,
+                              r_cap: int | None = None, streams=(4, 5)) -> OracleResult:
+    """The low-rank and dense samplers draw from substreams ``streams``."""
     rng = Rng(seed + 1)
     worst = 0.0
     for c in range(n_configs):
         crng = rng.stream_of(c)
-        dims = crng.integers(2, 9, (2,))
-        d, k = int(dims[0]), int(dims[1])
-        r = int(crng.integers(1, min(d, k) + 1, ()))
-        layer = _random_layer(crng.stream_of(1), d, k, r)
-        x = crng.stream_of(2).normal((d,))
-        alpha = float(crng.stream_of(3).uniform(0.2, 2.0, ()))
-        fast = A.sample_lowrank(layer, Tensor(x), alpha, crng.stream_of(4), n=n_samples).data
-        slow = A.sample_full_cov_oracle(layer, Tensor(x), alpha, crng.stream_of(5),
+        layer, x, alpha = _random_case(crng, r_cap)
+        fast = A.sample_lowrank(layer, Tensor(x), alpha, crng.stream_of(streams[0]),
+                                n=n_samples).data
+        slow = A.sample_full_cov_oracle(layer, Tensor(x), alpha, crng.stream_of(streams[1]),
                                         n=n_samples).data
         ref_cov = A.analytic_predictive(layer, Tensor(x), alpha).covariance()
         z_mean, z_cov = _two_sample_z(fast, slow, ref_cov)
@@ -279,15 +294,17 @@ def check_merge_equivalence(seed: int, n_layers: int = 100) -> OracleResult:
                         f"{n_layers} random layers, merged forward vs layered forward")
 
 
-def check_subspace_residual(seed: int, n_cases: int = 50) -> OracleResult:
+def check_subspace_residual(seed: int, n_cases: int = 50, dims=(6, 9, 3),
+                            alpha: float = 1.3) -> OracleResult:
+    """Over ``n_cases`` random layers of ``dims``, ``(d, k, r)``."""
     rng = Rng(seed + 3)
+    d, k, r = dims
     worst = 0.0
     for c in range(n_cases):
         crng = rng.stream_of(c)
-        d, k, r = 6, 9, 3
         layer = _random_layer(crng.stream_of(1), d, k, r)
         x = crng.stream_of(2).normal((d,))
-        y = A.sample_lowrank(layer, Tensor(x), 1.3, crng.stream_of(3)).data
+        y = A.sample_lowrank(layer, Tensor(x), alpha, crng.stream_of(3)).data
         residual = y - layer.W0.data @ x
         q, _ = np.linalg.qr(layer.WB.data)
         ortho = residual - q @ (q.T @ residual)
@@ -297,23 +314,29 @@ def check_subspace_residual(seed: int, n_cases: int = 50) -> OracleResult:
                         "sample residuals lie in the update column space")
 
 
-def check_nullspace_variance(seed: int) -> OracleResult:
+def check_nullspace_variance(seed: int, dims=(6, 5, 2), alpha: float = 0.9,
+                             streams=(0, 1, 10)) -> OracleResult:
+    """One layer of ``dims``, ``(d, k, r)``, from substream ``streams[0]``, an
+    input from ``streams[1]`` and 20 draws from ``streams[2]`` onwards. The
+    latent variance must be exactly zero too."""
     rng = Rng(seed + 4)
-    d, k, r = 6, 5, 2
-    layer = _random_layer(rng.stream_of(0), d, k, r)
+    d, k, r = dims
+    layer = _random_layer(rng.stream_of(streams[0]), d, k, r)
     # Zero the reduction-matrix columns touching the input's support, so the
     # latent variance vanishes identically for that input.
     wa = layer.WA.data.copy()
     wa[:, :3] = 0.0
     layer.WA = Tensor(wa, requires_grad=True)
     x = np.zeros(d)
-    x[:3] = rng.stream_of(1).normal((3,))
+    x[:3] = rng.stream_of(streams[1]).normal((3,))
+    latent_var = A.analytic_predictive(layer, Tensor(x), alpha).d_vec.data
     det = A.adapted_kernel(layer, x)
     worst = 0.0
     for s in range(20):
-        y = A.sample_lowrank(layer, Tensor(x), 0.9, rng.stream_of(10 + s)).data
+        y = A.sample_lowrank(layer, Tensor(x), alpha, rng.stream_of(streams[2] + s)).data
         worst = max(worst, float(np.max(np.abs(y - det))))
-    return OracleResult("nullspace_zero_variance", "subspace", worst < 1e-12, worst, 1e-12,
+    return OracleResult("nullspace_zero_variance", "subspace",
+                        worst < 1e-12 and not np.any(latent_var), worst, 1e-12,
                         "inputs orthogonal to the reduction rows sample deterministically")
 
 

@@ -7,6 +7,10 @@ random seeds, so each criterion pins a seed at which a correct sampler
 sits inside the bounds. Genuine implementation bias shows up at z >> 3 for
 every seed. Each test prints a [PASS]/[FAIL]/[WARN] line (visible with
 ``pytest -s``).
+
+Criteria 1-6 call the ``balora.verify`` oracles with their own seeds and
+sizes; an oracle's seed is offset inside it, so criterion 2's seed 6 is
+``Rng(7)``. Each property is coded once, in the oracle.
 """
 
 import json
@@ -23,13 +27,11 @@ from balora import adapter as A
 from balora import tasks as TK
 from balora import uncertainty as U
 from balora import variational as V
+from balora import verify as VF
 from balora.cli import main
 from balora.model import AdapterSpec
 from balora.rng import Rng
 from balora.tensor import Tensor
-from balora.verify import (_cov_z_scores, _empirical_moments, _random_layer,
-                           _tiny_model, _two_sample_z, check_gradient_fd,
-                           check_merge_equivalence, kl_quadrature)
 
 N_DRAWS = 100_000
 N_CONFIGS = 50
@@ -42,86 +44,47 @@ def _report(criterion: str, ok: bool, detail: str, warn_only: bool = False) -> N
         pytest.fail(f"{criterion}: {detail}")
 
 
-def _random_config(seed: int, c: int, r_cap: int = 4):
-    """One random small layer configuration with d, k <= 8 and r <= r_cap."""
-    crng = Rng(seed).stream_of(c)
-    dims = crng.integers(2, 9, (2,))
-    d, k = int(dims[0]), int(dims[1])
-    r = int(crng.integers(1, min(d, k, r_cap) + 1, ()))
-    layer = _random_layer(crng.stream_of(1), d, k, r)
-    x = crng.stream_of(2).normal((d,))
-    alpha = float(crng.stream_of(3).uniform(0.2, 2.0, ()))
-    return layer, x, alpha, crng
-
-
 def test_criterion_1_predictive_law_exactness():
     t0 = time.perf_counter()
-    worst = 0.0
-    for c in range(N_CONFIGS):
-        layer, x, alpha, crng = _random_config(1, c)
-        law = A.analytic_predictive(layer, Tensor(x), alpha)
-        draws = A.sample_lowrank(layer, Tensor(x), alpha, crng.stream_of(4),
-                                 n=N_DRAWS).data
-        z_mean, z_cov = _cov_z_scores(*_empirical_moments(draws),
-                                      law.mean.data, law.covariance(), N_DRAWS)
-        worst = max(worst, z_mean, z_cov)
+    result = VF.check_covariance_mc(1, N_CONFIGS, r_cap=4)
     elapsed = time.perf_counter() - t0
-    ok = worst < 3.0 and elapsed < 60.0
-    _report("criterion 1 (predictive-law exactness)", ok,
-            f"max |z| = {worst:.3f} over {N_CONFIGS} configs x {N_DRAWS} draws "
+    _report("criterion 1 (predictive-law exactness)", result.passed and elapsed < 60.0,
+            f"max |z| = {result.measured:.3f} over {N_CONFIGS} configs x {N_DRAWS} draws "
             f"(tol 3.0), runtime {elapsed:.1f}s (< 60s)")
 
 
 def test_criterion_2_sampler_equivalence():
-    worst = 0.0
-    for c in range(N_CONFIGS):
-        layer, x, alpha, crng = _random_config(7, c)
-        fast = A.sample_lowrank(layer, Tensor(x), alpha, crng.stream_of(5),
-                                n=N_DRAWS).data
-        slow = A.sample_full_cov_oracle(layer, Tensor(x), alpha, crng.stream_of(6),
-                                        n=N_DRAWS).data
-        ref = A.analytic_predictive(layer, Tensor(x), alpha).covariance()
-        z_mean, z_cov = _two_sample_z(fast, slow, ref)
-        worst = max(worst, z_mean, z_cov)
-    _report("criterion 2 (sampler equivalence)", worst < 3.0,
-            f"two-sample max |z| = {worst:.3f} over {N_CONFIGS} configs (tol 3.0)")
+    result = VF.check_sampler_equivalence(6, N_CONFIGS, r_cap=4, streams=(5, 6))  # Rng(7)
+    _report("criterion 2 (sampler equivalence)", result.passed,
+            f"two-sample max |z| = {result.measured:.3f} over {N_CONFIGS} configs (tol 3.0)")
 
 
 def test_criterion_3_kl_correctness():
-    worst_rel = 0.0
-    for p in (0.1, 0.3, 0.5, 0.7, 0.9):
-        for alpha in np.geomspace(1e-4, 1e3, 8):
-            ref = kl_quadrature(float(alpha), p, w=3.7)
-            got = V.kl_per_entry(float(alpha), p)
-            worst_rel = max(worst_rel, abs(got - ref) / max(abs(ref), 1e-12))
-    worst_w = 0.0
-    for w in (0.1, 1.0, 10.0):
-        ref = kl_quadrature(0.37, 0.3, w=w)
-        worst_w = max(worst_w, abs(ref - V.kl_per_entry(0.37, 0.3)) / abs(ref))
-    worst_min = 0.0
-    for p in (0.1, 0.3, 0.5, 0.7, 0.9):
-        got = V.kl_per_entry(V.alpha_star(p), p)
-        worst_min = max(worst_min, abs(got - (1 - p) / (2 * p)))
-    ok = worst_rel < 1e-6 and worst_w < 1e-6 and worst_min < 1e-9
-    _report("criterion 3 (KL correctness)", ok,
-            f"quadrature rel err {worst_rel:.2e} (tol 1e-6), W-spread {worst_w:.2e} "
-            f"(tol 1e-6), minimum gap {worst_min:.2e} (tol 1e-9)")
+    quad = VF.check_kl_quadrature(0, alphas=tuple(np.geomspace(1e-4, 1e3, 8).tolist()))
+    w_spread = VF.check_kl_w_independence(0, points=((0.3, 0.37),))
+    minimum = VF.check_kl_minimum(0)
+    _report("criterion 3 (KL correctness)",
+            quad.passed and w_spread.passed and minimum.passed,
+            f"quadrature rel err {quad.measured:.2e} (tol 1e-6), W-spread "
+            f"{w_spread.measured:.2e} (tol 1e-6), minimum gap {minimum.measured:.2e} "
+            "(tol 1e-9)")
 
 
 def test_criterion_4_gradient_fidelity():
-    model, _, _ = _tiny_model(79)
+    model, _, _ = VF._tiny_model(79)
     assert len(model.adapters) == 2  # two adapted layers
-    result = check_gradient_fd(79)  # frozen noise from Rng(88)
+    result = VF.check_gradient_fd(79)  # frozen noise from Rng(88)
     _report("criterion 4 (gradient fidelity)", result.passed,
             f"max scaled error {result.measured:.3f} over all trainables on both objective "
             "terms (frozen noise, rtol 1e-4, atol 1e-7)")
 
 
 def test_criterion_5_merge_deterministic_equivalence():
-    merge = check_merge_equivalence(40)  # 100 layers from Rng(42)
+    merge = VF.check_merge_equivalence(40)  # 100 layers from Rng(42)
     worst_z = 0.0
     for c in range(10):
-        layer, x, alpha, crng = _random_config(0, c)
+        crng = Rng(0).stream_of(c)
+        layer, x, alpha = VF._random_case(crng, r_cap=4)
         det = A.adapted_kernel(layer, x)
         draws = A.sample_lowrank(layer, Tensor(x), alpha, crng.stream_of(7),
                                  n=N_DRAWS).data
@@ -145,35 +108,13 @@ def test_criterion_5_merge_deterministic_equivalence():
 
 
 def test_criterion_6_subspace_confinement():
-    worst_ortho = 0.0
-    rng = Rng(6)
-    for c in range(50):
-        crng = rng.stream_of(c)
-        layer = _random_layer(crng.stream_of(1), d=7, k=9, r=3)
-        x = crng.stream_of(2).normal((7,))
-        y = A.sample_lowrank(layer, Tensor(x), 1.1, crng.stream_of(3)).data
-        residual = y - layer.W0.data @ x
-        q, _ = np.linalg.qr(layer.WB.data)
-        ortho = residual - q @ (q.T @ residual)
-        worst_ortho = max(worst_ortho, float(
-            np.linalg.norm(ortho) / max(np.linalg.norm(residual), 1e-30)))
+    ortho = VF.check_subspace_residual(3, dims=(7, 9, 3), alpha=1.1)  # Rng(6)
     # Input supported only where the reduction rows are zero: exactly no noise.
-    layer = _random_layer(rng.stream_of(999), d=6, k=4, r=2)
-    wa = layer.WA.data.copy()
-    wa[:, :3] = 0.0
-    layer.WA = Tensor(wa, requires_grad=True)
-    x = np.zeros(6)
-    x[:3] = rng.stream_of(1000).normal((3,))
-    law = A.analytic_predictive(layer, Tensor(x), 1.0)
-    det = A.adapted_kernel(layer, x)
-    worst_null = 0.0
-    for s in range(20):
-        y = A.sample_lowrank(layer, Tensor(x), 1.0, rng.stream_of(2000 + s)).data
-        worst_null = max(worst_null, float(np.max(np.abs(y - det))))
-    ok = worst_ortho < 1e-9 and worst_null < 1e-12 and np.all(law.d_vec.data == 0.0)
-    _report("criterion 6 (subspace confinement)", ok,
-            f"orthogonal residual {worst_ortho:.2e} (tol 1e-9), null-space sample "
-            f"deviation {worst_null:.2e} (tol 1e-12), latent variance exactly zero")
+    null = VF.check_nullspace_variance(2, dims=(6, 4, 2), alpha=1.0,
+                                       streams=(999, 1000, 2000))  # Rng(6)
+    _report("criterion 6 (subspace confinement)", ortho.passed and null.passed,
+            f"orthogonal residual {ortho.measured:.2e} (tol 1e-9), null-space sample "
+            f"deviation {null.measured:.2e} (tol 1e-12), latent variance exactly zero")
 
 
 def test_criterion_7_complexity_scaling(tmp_path):
@@ -295,7 +236,7 @@ def test_criterion_10_reproducibility(tmp_path):
 
 def test_report_json_round_trip():
     # The acceptance artifacts above rely on UQReport JSON being loadable.
-    model, X, y = _tiny_model(90)
+    model, X, y = VF._tiny_model(90)
     report = U.uq_report(model, X, y, 16, Rng(91))
     parsed = json.loads(report.to_json())
     assert parsed["mc_steps"] == 16

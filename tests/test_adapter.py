@@ -456,21 +456,3 @@ class TestGeometry:
         for s in range(20):
             y = A.sample_lowrank(layer, Tensor(x), 1.0, rng.stream_of(50 + s)).data
             assert np.max(np.abs(y - det)) < 1e-12
-
-    def test_moment_matching_random_small_configs(self):
-        rng = Rng(31)
-        n = 100_000
-        for c in range(6):
-            crng = rng.stream_of(c)
-            dims = crng.integers(2, 9, (2,))
-            d, k = int(dims[0]), int(dims[1])
-            r = int(crng.integers(1, min(d, k, 8) + 1, ()))
-            layer = _random_layer(crng.stream_of(1), d, k, r)
-            x = crng.stream_of(2).normal((d,))
-            alpha = float(crng.stream_of(3).uniform(0.3, 1.5, ()))
-            law = A.analytic_predictive(layer, Tensor(x), alpha)
-            samples = A.sample_lowrank(layer, Tensor(x), alpha, crng.stream_of(4), n=n).data
-            z_mean, z_cov = _cov_z_scores(*_empirical_moments(samples),
-                                          law.mean.data, law.covariance(), n)
-            # 4/sqrt(N)-scaled statistical tolerance: z-scores within 4.
-            assert z_mean < 4.0 and z_cov < 4.0, (c, z_mean, z_cov)

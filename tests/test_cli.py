@@ -17,18 +17,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from balora import bench as B
 from balora import checkpoint as CK
-from balora import cli, tasks, variational
+from balora import adapter, cli, tasks, variational
 from balora import config as C
 from balora import verify as VF
 from balora.cli import main
 from balora.config import ConfigError, load_config, parse_config
 from balora.model import AdaptedModel
-from balora.tensor import DomainError
+from balora.tensor import DomainError, Tensor
 
 FAST_CONFIG = """
 task = heteroscedastic-regression
@@ -100,6 +100,12 @@ def _python(args, **env_overrides) -> subprocess.CompletedProcess:
     env = {k: v for k, v in env.items() if v is not None}
     return subprocess.run([sys.executable, *args], cwd=Path(__file__).resolve().parents[1],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def _adapt_records(out: Path) -> list:
+    """The adapt-phase records of a run's ``metrics.jsonl``."""
+    records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    return [record for record in records if record["phase"] == "adapt"]
 
 
 def _set_stored_config(ckpt: Path, key: str, value) -> None:
@@ -178,8 +184,7 @@ class TestTrain:
         assert set(manifest["thread_env"]) == {"BALORA_THREADS", *B.BLAS_THREAD_VARS}
         for name in ("checkpoint.bin", "metrics.jsonl", "train.csv", "test.csv"):
             assert (out / name).exists()
-        lines = (out / "metrics.jsonl").read_text().splitlines()
-        record = json.loads(lines[0])
+        record = _adapt_records(out)[0]
         for key in ("loss", "nll", "kl_normalized", "alpha_per_layer", "lr"):
             assert key in record
 
@@ -197,8 +202,7 @@ class TestTrain:
 
     def test_summary_counts_clipped_steps(self, tmp_path, fast_config, capsys):
         _, out = _train(tmp_path, fast_config)
-        records = [json.loads(line) for line in
-                   (out / "metrics.jsonl").read_text().splitlines()]
+        records = _adapt_records(out)
         clipped = sum(record["clipped"] for record in records)
         assert f"clipped {clipped}/{len(records)} -> " in capsys.readouterr().out
 
@@ -358,8 +362,7 @@ class TestTrain:
         code, out = _train(tmp_path, cfg)
         assert code == 0
         weight = parse_config(cfg.read_text())["kl_weight"]
-        for line in (out / "metrics.jsonl").read_text().splitlines():
-            record = json.loads(line)
+        for record in _adapt_records(out):
             assert record["kl_normalized"] > 0.0
             expect = record["nll"] + weight * record["kl_normalized"]
             assert abs(record["loss"] - expect) <= 1e-12
@@ -369,7 +372,7 @@ class TestTrain:
         cfg.write_text(FAST_CONFIG + "kl_weight = 0.0\n")
         code, out = _train(tmp_path, cfg, "klzero")
         assert code == 0
-        record = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
+        record = _adapt_records(out)[-1]
         assert record["kl_normalized"] > 0.0
         assert record["loss"] == pytest.approx(record["nll"])
 
@@ -612,6 +615,15 @@ class TestTrainManifest:
             assert phases[phase]["wall_s"] > 0
             assert phases[phase]["steps_per_s"] == steps / phases[phase]["wall_s"]
 
+    def test_metrics_log_both_phases(self, manifest):
+        # 25 pretraining epochs, then 15 adapting ones, of 512 rows in batches of 64.
+        path = next(p for p in manifest[0]["outputs"] if p.endswith("metrics.jsonl"))
+        records = [json.loads(line) for line in Path(path).read_text().splitlines()]
+        assert [r["phase"] for r in records] == ["pretrain"] * 200 + ["adapt"] * 120
+        assert [r["step"] for r in records] == [*range(200), *range(120)]
+        assert manifest[0]["phases"]["pretrain"]["steps"] == 200
+        assert manifest[0]["phases"]["adapt"]["steps"] == 120
+
 
 class TestManifestTiming:
     def test_wall_and_peak_rss_recorded(self, tmp_path, fast_config):
@@ -789,7 +801,8 @@ class TestSample:
 
 @pytest.mark.parametrize("argv", [
     ["sample", "--n", "0"], ["sample", "--n", "-2"], ["sample", "--input", "a,b"],
-    ["sample", "--input", "nan,0,0,0"], ["bench", "--k-range", "16,abc"],
+    ["sample", "--input", "nan,0,0,0"], ["sample", "--input", ""],
+    ["bench", "--k-range", "16,abc"],
     ["bench", "--r", "0"], ["bench", "--k-range", "16,32", "--r", "40"],
     ["bench", "--reps", "0"], ["bench", "--samples", "0"], ["bench", "--k-range", "16"],
     ["bench", "--k-range", "16,16"]], ids=" ".join)
@@ -802,6 +815,79 @@ def test_malformed_arguments_exit_2_before_work(tmp_path, monkeypatch, capsys, a
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert json.loads((tmp_path / "o" / "manifest.json").read_text())["status"] == "error"
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A small trained checkpoint, an absent one, a config that fits it and
+    one that does not (d_in 6)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    fit, misfit = root / "fit.cfg", root / "misfit.cfg"
+    fit.write_text(FAST_CONFIG + "epochs = 1\npretrain_epochs = 1\n")
+    misfit.write_text(FAST_CONFIG + "d_in = 6\n")
+    assert main(["train", "--config", str(fit), "--out", str(root / "run")]) == 0
+    return {"ckpt": root / "run" / "checkpoint.bin", "absent": root / "absent.bin",
+            "fit": fit, "misfit": misfit}
+
+
+_SMALL = st.integers(-2, 64)
+_SEED = st.integers(-2 ** 65, 2 ** 65)
+_JUNK = st.sampled_from(["", "x", "1,,2", "nan", "inf", "1e999", "1.5"])
+_K_RANGE = st.one_of(_JUNK, st.lists(st.integers(-2, 256), min_size=1, max_size=4)
+                     .map(lambda ks: ",".join(map(str, ks))))
+_INPUT = st.one_of(_JUNK, st.lists(st.floats(), min_size=3, max_size=5)
+                   .map(lambda xs: ",".join(map(repr, xs))))
+_CKPT = st.sampled_from(["{ckpt}", "{absent}"])
+# Per command, the flags always given and the optional ones. bench always
+# gets its sizes, because its defaults time up to k = 2048 and 4096 draws.
+_CLI_FLAGS = {
+    "eval": ({"checkpoint": _CKPT},
+             {"mode": st.sampled_from(["mc", "deterministic"]), "mc-steps": _SMALL,
+              "config": st.sampled_from(["{fit}", "{misfit}"])}),
+    "sample": ({"checkpoint": _CKPT}, {"n": _SMALL, "seed": _SEED, "input": _INPUT}),
+    "bench": ({"k-range": _K_RANGE, "samples": _SMALL, "reps": _SMALL},
+              {"r": st.integers(-2, 70), "seed": _SEED}),
+}
+
+
+@st.composite
+def _fuzzed_cli_args(draw):
+    """A command of ``eval``, ``sample`` or ``bench`` and its ``--flag=value``
+    arguments, every size at most 64 and every k at most 256; ``{name}``
+    stands for a path of ``fuzz_files``."""
+    command = draw(st.sampled_from(sorted(_CLI_FLAGS)))
+    always, optional = _CLI_FLAGS[command]
+    flags = {**always, **{name: values for name, values in optional.items()
+                          if draw(st.booleans())}}
+    argv = [command] + [f"--{name}={draw(values)}" for name, values in flags.items()]
+    return argv + (["--csv"] if command == "eval" and draw(st.booleans()) else [])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_fuzzed_cli_args())
+@example(argv=["sample", "--checkpoint={ckpt}", "--input=1e200,1e200,0,0"])
+@example(argv=["eval", "--checkpoint={ckpt}", "--config={misfit}"])
+def test_any_cli_arguments_run_or_exit_2_naming_a_flag(fuzz_files, argv):
+    # Exit 0; or exit 2 with one line naming a flag it was given; or exit 3
+    # with one line for the absent checkpoint. Never a traceback. The
+    # examples are defects found while writing it, each now mended.
+    argv = [arg.format(**fuzz_files) for arg in argv]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", tmp])
+    lines = err.getvalue().splitlines()
+    # bench checks its default --r against --k-range too.
+    flags = [arg.split("=")[0] for arg in argv[1:]] + (["--r"] if argv[0] == "bench" else [])
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("config error: "), (argv, lines)
+        assert any(flag in lines[0] for flag in flags), (argv, lines)
+    elif code == 3:
+        assert len(lines) == 1 and lines[0].startswith("checkpoint error: ") \
+            and str(fuzz_files["absent"]) in lines[0], (argv, lines)
+    else:
+        assert code == 0 and not lines, (argv, code, lines)
 
 
 class TestBench:
@@ -829,6 +915,21 @@ class TestBench:
         expected = thread_var == "1"
         assert json.loads((out / "slopes.json").read_text())["blas_pinned"] is expected
         assert json.loads((out / "manifest.json").read_text())["blas_pinned"] is expected
+
+    def test_unfitted_dense_arm_is_null_and_named(self, tmp_path, capsys):
+        # The dense arm skips every k above DENSE_MAX_K, so it times one k here.
+        out = tmp_path / "bench"
+        assert main(["bench", "--k-range", f"16,{B.DENSE_MAX_K + 1}", "--r", "2",
+                     "--samples", "8", "--reps", "1", "--out", str(out)]) == 0
+        slopes = json.loads((out / "slopes.json").read_text())
+        assert slopes["full_cov"] is None and isinstance(slopes["lowrank"], float)
+        methods = [line.split(",")[2] for line in
+                   (out / "bench.csv").read_text().splitlines()[1:]]
+        assert methods == ["lowrank", "lowrank", "full_cov"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "not fitted" in line] == [
+            f"full_cov: not fitted: fewer than two distinct --k-range values "
+            f"<= {B.DENSE_MAX_K}, the largest k this arm times"]
 
 
 class TestThreads:
@@ -951,6 +1052,25 @@ class TestVerify:
         assert code == 1
         captured = capsys.readouterr()
         assert "kl_vs_quadrature" in captured.err
+
+    @pytest.mark.parametrize("fault, failing", [
+        ("inflated", "covariance_mc_match, sampler_equivalence"),
+        ("off_span", "subspace_confinement, nullspace_zero_variance")])
+    def test_sampler_fault_caught(self, monkeypatch, capsys, fault, failing):
+        # Acceptance criteria 1, 2 and 6 call these oracles, so each fault
+        # fails those criteria too.
+        real = adapter.sample_lowrank
+
+        def faulty(layer, x, alpha, rng, n=None):
+            draws = real(layer, x, alpha, rng, n=n).data
+            if fault == "off_span":  # off the span of WB almost surely
+                return Tensor(draws + 1e-6)
+            mean = adapter.adapted_kernel(layer, x.data)
+            return Tensor(mean + 1.05 * (draws - mean))  # noise 5% too wide
+
+        monkeypatch.setattr(adapter, "sample_lowrank", faulty)
+        assert main(["verify"]) == 1
+        assert capsys.readouterr().err == f"failed oracles: {failing}\n"
 
 
 class TestAtomicWrites:

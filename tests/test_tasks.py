@@ -106,7 +106,7 @@ class TestPretrainThenAdapt:
                                          V.PriorConfig(0.5), seed=12)
         backbone = trained.model.backbone
         assert backbone.frozen
-        fresh = TK.pretrain_backbone(task, (16, 16), pre, Rng(12))
+        fresh, _ = TK.pretrain_backbone(task, (16, 16), pre, Rng(12))
         for w_trained, w_fresh in zip(backbone.weights, fresh.weights):
             assert np.array_equal(w_trained.data, w_fresh.data)
         assert all(not w.requires_grad for w in backbone.weights)
@@ -122,7 +122,7 @@ class TestPretrainThenAdapt:
         Xte, yte = trained.target.test.X, trained.target.test.y
         frozen_only = trained.model.merged_forward(Xte)
         # Deterministic-mode prediction beats the unadapted backbone.
-        base = TK.pretrain_backbone(task, (32, 32), pre, Rng(13))
+        base, _ = TK.pretrain_backbone(task, (32, 32), pre, Rng(13))
         from balora.model import AdaptedModel
         shell = AdaptedModel(base, {}, None, "lora")
         mse_adapted = np.mean((frozen_only - yte) ** 2)
@@ -212,7 +212,7 @@ class TestEnsemble:
     def test_passed_in_backbone_gives_identical_members(self):
         task, aspec, pre, ad = self._small_setup()
         prior = V.PriorConfig(0.5)
-        backbone = TK.pretrain_backbone(task, (16,), pre, Rng(25))
+        backbone, _ = TK.pretrain_backbone(task, (16,), pre, Rng(25))
         own = TK.train_ensemble(task, (16,), aspec, pre, ad, prior, seed=25, m=2)
         shared = TK.train_ensemble(task, (16,), aspec, pre, ad, prior, seed=25, m=2,
                                    backbone=backbone)
