@@ -11,7 +11,7 @@ never materialized.
 The layer math exists once, in plain numpy (:func:`layer_terms`,
 :func:`layer_output`, :func:`layer_vjp`), and so does the MLP pass over
 it: :func:`walk` and its reverse :func:`walk_vjp` serve every forward of
-``balora.model`` and the AlphaNet (:func:`alpha_forward`).
+``balora.model`` and the AlphaNet (:func:`alpha_scales`).
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def walk(plan: list[tuple], h: Optional[np.ndarray], terms=None, alphas=None,
     never written. Each plan entry is a layer's weight, bias, adapter (or
     None), that adapter's AlphaNet column and whether a GELU follows: the
     adapted network (``balora.model.AdaptedModel._plan``) and the AlphaNet
-    (:func:`alpha_forward`) are both walks.
+    (:func:`alpha_scales`) are both walks.
     ``terms``, the first layer's ``layer_terms``, replace ``h`` (then None).
     Adapted layers draw with ``eps`` (one array per AlphaNet column) at the
     scales in ``alphas``, else give the posterior mean. With ``bufs``, two
@@ -237,13 +237,14 @@ def walk(plan: list[tuple], h: Optional[np.ndarray], terms=None, alphas=None,
 
 
 def walk_vjp(plan: list[tuple], tape: list, g: np.ndarray, params: list[tuple],
-             alphas: Optional[Tensor] = None) -> tuple:
+             alphas: Optional[np.ndarray] = None) -> tuple:
     """From output cotangent ``g``, those of ``params`` (per layer of a taped
     :func:`walk`: its weight, or an adapter's WA and WB, then its bias),
-    flat (None where no grad is required), then of ``alphas`` if given. One
-    reverse walk, back to the first layer with something to train."""
-    first = min(j for j, ps in enumerate(params) if any(p.requires_grad for p in ps)
-                or alphas is not None and plan[j][2] is not None)
+    flat (None where no grad is required), then of the noise scales
+    ``alphas`` if given. One reverse walk, back to the first layer with
+    something to train."""
+    first = min((j for j, ps in enumerate(params) if any(p.requires_grad for p in ps)
+                 or alphas is not None and plan[j][2] is not None), default=len(plan))
     grads, galpha = [(None,) * len(ps) for ps in params], None
     for j in range(len(plan) - 1, first - 1, -1):
         (weight, _, layer, col, _), (x, drawn, act) = plan[j], tape[j]
@@ -392,11 +393,14 @@ def init_alphanet(rng: Rng, feature_dim: int, num_layers: int,
     return net
 
 
-def alpha_forward(net: AlphaNet, feat: Tensor) -> Tensor:
+def alpha_scales(net: AlphaNet, feat: np.ndarray):
     """Per-layer positive noise scales ``(n, L)`` for a batch of feature rows
-    ``(n, feature_dim)``, which enter as constants: one tape node, a taped
-    :func:`walk` to the logits ``z``, then the clamped stable softplus
-    ``log1p(exp(-|z|)) + max(z, 0)``. Its VJP is the head's, then
+    ``(n, feature_dim)``, in plain numpy: a :func:`walk` to the logits ``z``
+    that keeps its tape, then the clamped stable softplus
+    ``log1p(exp(-|z|)) + max(z, 0)``.
+
+    Returns the scales, the AlphaNet's parameters (per layer its weight and
+    bias, flat) and their VJP: from the scales' cotangent, the head's, then
     :func:`walk_vjp`. The logits are checked first: the clamp would turn an
     infinite one into ``alpha_max``."""
     if feat.ndim != 2 or feat.shape[1] != net.feature_dim:
@@ -405,7 +409,7 @@ def alpha_forward(net: AlphaNet, feat: Tensor) -> Tensor:
     params = list(zip(net.weights, net.biases))
     plan = [(w.data, b.data, None, None, i < len(params) - 1) for i, (w, b) in enumerate(params)]
     tape: list = []
-    z = walk(plan, feat.data, tape=tape)
+    z = walk(plan, feat, tape=tape)
     T.check_finite(z, "the AlphaNet")
     e = np.exp(-np.abs(z))
     soft = np.log1p(e) + np.maximum(z, 0.0)
@@ -415,5 +419,13 @@ def alpha_forward(net: AlphaNet, feat: Tensor) -> Tensor:
         inside = (soft > net.alpha_min) & (soft < net.alpha_max)
         return walk_vjp(plan, tape, sig * np.where(inside, g, 0.0), params)
 
-    return Tensor._from_op(np.clip(soft, net.alpha_min, net.alpha_max),
-                           [p for ps in params for p in ps], vjp, "the AlphaNet")
+    return (np.clip(soft, net.alpha_min, net.alpha_max), [p for ps in params for p in ps],
+            vjp)
+
+
+def alpha_forward(net: AlphaNet, feat: Tensor) -> Tensor:
+    """:func:`alpha_scales` of the feature rows ``feat``, which enter as
+    constants, as one tape node whose parents are the AlphaNet's weights
+    and biases."""
+    alphas, params, vjp = alpha_scales(net, feat.data)
+    return Tensor._from_op(alphas, params, vjp, "the AlphaNet")

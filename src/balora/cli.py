@@ -249,12 +249,10 @@ def cmd_train(args) -> int:
         ckpt_path = out / "checkpoint.bin"
         CK.save_model(ckpt_path, trained.model, extra={"config": C.config_to_json(cfg)})
         manifest.add_output(ckpt_path)
-    records = trained.adapt_records
-    final = records[-1]
-    clipped = sum(record["clipped"] for record in records)
+    final, adapt = trained.adapt_records[-1], trained.phases["adapt"]
     print(f"trained {cfg['adapter']} on {task.kind}: "
           f"final loss {final['loss']:.6f} (nll {final['nll']:.6f}, "
-          f"kl {final['kl_normalized']:.6f}), clipped {clipped}/{len(records)} "
+          f"kl {final['kl_normalized']:.6f}), clipped {adapt['clipped']}/{adapt['steps']} "
           f"-> {ckpt_path}")
     return EXIT_OK
 

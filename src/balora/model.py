@@ -243,36 +243,51 @@ class AdaptedModel:
         """Batched forward. Without ``eps`` this is the posterior-mean forward,
         identical to the merged weights. With ``eps`` it is stochastic: ``eps``
         holds one ``(n, r)`` noise array per adapted layer, in
-        ``adapted_layers`` order (see :meth:`draw_eps`). eps enters as a
+        ``adapted_layers`` order (see :meth:`draw_eps`), at the noise scales
+        ``alphas`` (by default :meth:`alphas` of ``X``). eps enters as a
         constant, so gradients flow through the noise scale, WA, and WB only.
         A ``prefix`` from :meth:`frozen_prefix` of ``X`` (frozen backbone
         only) replaces the layers before the first adapted one. The network is
-        one tape node, a taped :func:`~balora.adapter.walk` with VJP
-        :func:`~balora.adapter.walk_vjp`."""
+        one tape node over :meth:`network`."""
+        if eps is not None and alphas is None and self.kind == "balora":
+            alphas = self.alphas(self._rows(X) if prefix is None else X, prefix)
+        out, params, vjp = self.network(X, None if alphas is None else alphas.data, eps,
+                                        prefix)
+        scales = [] if eps is None else [alphas]
+        return Tensor._from_op(out, [p for ps in params for p in ps] + scales, vjp,
+                               "the taped forward")
+
+    def network(self, X: np.ndarray, alphas: Optional[np.ndarray] = None,
+                eps: Optional[list[np.ndarray]] = None,
+                prefix: Optional[np.ndarray] = None):
+        """The forward of :meth:`forward` in plain numpy, at noise scales
+        ``alphas`` (an ``(n, L)`` array, read only with ``eps``): a
+        :func:`~balora.adapter.walk` that keeps its tape. Returns the output,
+        the parameters per layer (its weight, or an adapter's WA and WB, then
+        its bias) and their VJP, :func:`~balora.adapter.walk_vjp`: from the
+        output's cotangent, one per parameter, flat, then with ``eps`` that of
+        ``alphas``."""
         start = 0 if prefix is None else self.prefix_layers
         h = self._rows(X if prefix is None else prefix, start)
-        if eps is not None:
+        if eps is None:
+            alphas = None
+        else:
             if self.kind != "balora":
                 raise DomainError("stochastic forward requires a balora model")
             shapes = [(len(h), layer.rank) for layer in self.adapters.values()]
             got = [np.shape(e) for e in eps]
             if got != shapes:
                 raise ShapeError(f"eps shapes {got} do not fit {shapes}")
-            if alphas is None:
-                alphas = self.alphas(h if prefix is None else X, prefix)
             if alphas.shape != (len(h), len(self.adapters)):
                 raise ShapeError(f"alphas {alphas.shape} do not fit {shapes}")
-            if (alphas.data < 0.0).any():
+            if (alphas < 0.0).any():
                 raise DomainError("alpha must be non-negative")
         plan = self._plan(start, self.backbone.n_layers, self.adapters)
         params = [((self.backbone.weights[i],) if layer is None else (layer.WA, layer.WB))
                   + (self.backbone.biases[i],) for i, (_, _, layer, _, _) in enumerate(plan, start)]
         tape: list = []
-        out = A.walk(plan, h, None, None if eps is None else alphas.data, eps, tape=tape)
-        scales = [] if eps is None else [alphas]
-        return Tensor._from_op(out, [p for ps in params for p in ps] + scales,
-                               lambda g: A.walk_vjp(plan, tape, g, params, *scales),
-                               "the taped forward")
+        out = A.walk(plan, h, None, alphas, eps, tape=tape)
+        return out, params, lambda g: A.walk_vjp(plan, tape, g, params, alphas)
 
     def draw_eps(self, n: int, rng: Rng) -> list[np.ndarray]:
         """One ``(n, r)`` standard-normal array per adapted layer, in

@@ -185,7 +185,8 @@ class TrainedModel:
     """A model after :func:`pretrain_then_adapt`, with its pretraining and
     adaptation records (one per optimizer step), the target splits, and
     ``phases``: per phase (``pretrain``, ``adapt``) its ``steps`` (the count
-    of its records), ``wall_s`` and ``steps_per_s``."""
+    of its records), ``clipped`` (the count of its records whose gradient
+    was clipped), ``wall_s`` and ``steps_per_s``."""
 
     model: AdaptedModel
     pretrain_records: list
@@ -194,9 +195,10 @@ class TrainedModel:
     phases: dict
 
 
-def _phase(steps: int, wall_s: float) -> dict:
-    return {"steps": steps, "wall_s": wall_s,
-            "steps_per_s": steps / wall_s if wall_s > 0 else 0.0}
+def _phase(records: list, wall_s: float) -> dict:
+    steps = len(records)
+    return {"steps": steps, "clipped": sum(record["clipped"] for record in records),
+            "wall_s": wall_s, "steps_per_s": steps / wall_s if wall_s > 0 else 0.0}
 
 
 def _backbone_spec(task: SyntheticTask, hidden) -> BackboneSpec:
@@ -235,8 +237,8 @@ def pretrain_then_adapt(task: SyntheticTask, hidden, aspec: AdapterSpec,
     model = attach_adapters(backbone, aspec, adapter_kind, rng.stream_of(3))
     adapt_records = V.train_model(model, (target.train.X, target.train.y), prior,
                                   adapt_cfg, rng.stream_of(4))
-    phases = {"pretrain": _phase(len(pretrain_records), t1 - t0),
-              "adapt": _phase(len(adapt_records), time.perf_counter() - t1)}
+    phases = {"pretrain": _phase(pretrain_records, t1 - t0),
+              "adapt": _phase(adapt_records, time.perf_counter() - t1)}
     return TrainedModel(model=model, pretrain_records=pretrain_records,
                         adapt_records=adapt_records, target=target, phases=phases)
 

@@ -12,19 +12,24 @@ of equal shape and never broadcast, and :func:`linear` takes a batch
 ``(n, d)``. (:func:`matmul` keeps its vector cases.) Every completed
 operation is checked for NaN/Inf and raises instead of propagating poison.
 
-The package calls :func:`add`, :func:`mul` and :func:`backward`; its other
-nodes are built with ``Tensor._from_op`` and hand-written vector-Jacobian
-products, checked against central finite differences in the test suite:
-the adapted network (``balora.model.AdaptedModel.forward``) and the
-AlphaNet (``balora.adapter.alpha_forward``), each one walk whose closure
-is one reverse walk using :func:`gelu_gate` and :func:`gelu_grad`, and
-each ELBO term (``balora.variational``). :func:`linear`, :func:`gelu`,
-:func:`matmul`, :func:`square`, :func:`sqrt`, :func:`reshape` and
-:func:`transpose` stay because the benchmark rebinds them by name, and,
-with :func:`tsum`, as the tests' layer-by-layer references and
-finite-difference fixtures. Closures that cost real work form a cotangent
-only for parents that require grad, so frozen weights cost nothing in the
-backward pass.
+Of the generic ops the package calls only :func:`backward`. Its nodes are
+built with ``Tensor._from_op`` and hand-written vector-Jacobian products,
+checked against central finite differences in the test suite. A training
+step is one node (``balora.variational.elbo_step``) whose closure runs the
+plain-numpy VJPs of the loss terms, of the adapted network
+(``balora.model.AdaptedModel.network``) and of the AlphaNet
+(``balora.adapter.alpha_scales``), each network one reverse walk using
+:func:`gelu_gate` and :func:`gelu_grad`. Their tensor wrappers
+(``AdaptedModel.forward``, ``balora.adapter.alpha_forward`` and the loss
+nodes of ``balora.variational``) are one node each over the same
+functions. :func:`add` and :func:`mul` stay for the benchmark, which
+rebinds them by name, and for the tests, which build the ELBO step from
+the public nodes with them. :func:`linear`, :func:`gelu`, :func:`matmul`,
+:func:`square`, :func:`sqrt`, :func:`reshape` and :func:`transpose` stay
+because the benchmark rebinds them by name, and, with :func:`tsum`, as the
+tests' layer-by-layer references and finite-difference fixtures. Closures
+that cost real work form a cotangent only for parents that require grad,
+so frozen weights cost nothing in the backward pass.
 """
 
 from __future__ import annotations

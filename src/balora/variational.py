@@ -13,6 +13,12 @@ It is convex in ``alpha`` with minimum ``(1 - p) / (2 * p)`` at
 ``alpha* = p / (1 - p)`` and diverges at both 0 and infinity, which is why
 noise scales are clamped to ``[alpha_min, alpha_max]`` and the normalized
 KL divides by the clamp-endpoint maximum.
+
+Each term of the objective is written once, as a plain-numpy function
+that returns its value and its VJP, which gives one cotangent per array
+input. :func:`elbo_step` composes them into one tape node per step;
+:func:`kl_normalized`, :func:`gaussian_nll`, :func:`l1_loss` and
+:func:`cross_entropy` wrap each as a node of its own.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import adapter as A
 from . import tensor as T
 from .adapter import ALPHA_MAX, ALPHA_MIN
 from .model import AdaptedModel
@@ -112,6 +119,20 @@ def kl_max(p: float, alpha_min: float = ALPHA_MIN, alpha_max: float = ALPHA_MAX)
                kl_per_entry(alpha_max, p, alpha_min, alpha_max))
 
 
+def _kl(a: np.ndarray, p: float, alpha_min: float, alpha_max: float):
+    """:func:`kl_normalized` of the array ``a`` and its VJP."""
+    if a.size == 0:
+        raise DomainError("kl_normalized needs at least one layer")
+    scale = 1.0 / kl_max(p, alpha_min, alpha_max)
+    kl = kl_per_entry(a, p, alpha_min, alpha_max)
+    c = (1.0 - p) / p
+
+    def vjp(g):
+        return ((0.5 * scale / a.size) * (c - 1.0 / a) * g,)
+
+    return np.asarray(np.mean(kl) * scale), vjp
+
+
 def kl_normalized(alphas, p: float, alpha_min: float = ALPHA_MIN,
                   alpha_max: float = ALPHA_MAX) -> Tensor:
     """Mean per-entry KL divided by the clamp-endpoint maximum, as one tape node.
@@ -123,51 +144,49 @@ def kl_normalized(alphas, p: float, alpha_min: float = ALPHA_MIN,
     """
     if not isinstance(alphas, Tensor):
         alphas = Tensor(alphas)
-    a = alphas.data
-    if a.size == 0:
-        raise DomainError("kl_normalized needs at least one layer")
-    scale = 1.0 / kl_max(p, alpha_min, alpha_max)
-    kl = kl_per_entry(a, p, alpha_min, alpha_max)
-    c = (1.0 - p) / p
-
-    def vjp(g):
-        return ((0.5 * scale / a.size) * (c - 1.0 / a) * g,)
-
-    return Tensor._from_op(np.asarray(np.mean(kl) * scale), (alphas,), vjp, "kl_normalized")
+    value, vjp = _kl(alphas.data, p, alpha_min, alpha_max)
+    return Tensor._from_op(value, (alphas,), vjp, "kl_normalized")
 
 
 # -- likelihoods -------------------------------------------------------------
 
 
+def _gaussian_nll(pred: np.ndarray, target, log_sigma: np.ndarray):
+    resid = np.asarray(target, dtype=np.float64).reshape(pred.shape) - pred
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_var = np.exp(log_sigma * -2.0)
+        scaled = resid * resid * inv_var
+        out = (scaled + (log_sigma * 2.0 + _LOG_2PI)).mean() * 0.5
+
+    def vjp(g):
+        return (-g / resid.size) * resid * inv_var, np.asarray(g * np.mean(1.0 - scaled))
+
+    return np.asarray(out), vjp
+
+
 def gaussian_nll(pred: Tensor, target: np.ndarray, log_sigma: Tensor) -> Tensor:
     """Mean Gaussian negative log-likelihood with homoscedastic learned noise,
     as one tape node."""
-    resid = np.asarray(target, dtype=np.float64).reshape(pred.shape) - pred.data
-    ls = log_sigma.data
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv_var = np.exp(ls * -2.0)
-        scaled = resid * resid * inv_var
-        out = (scaled + (ls * 2.0 + _LOG_2PI)).mean() * 0.5
-
-    def vjp(g):
-        return ((-g / resid.size) * resid * inv_var if pred.requires_grad else None,
-                np.asarray(g * np.mean(1.0 - scaled)) if log_sigma.requires_grad else None)
-
-    return Tensor._from_op(np.asarray(out), (pred, log_sigma), vjp, "gaussian_nll")
+    value, vjp = _gaussian_nll(pred.data, target, log_sigma.data)
+    return Tensor._from_op(value, (pred, log_sigma), vjp, "gaussian_nll")
 
 
-def l1_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean absolute error, as one tape node."""
-    resid = np.asarray(target, dtype=np.float64).reshape(pred.shape) - pred.data
+def _l1(pred: np.ndarray, target):
+    resid = np.asarray(target, dtype=np.float64).reshape(pred.shape) - pred
 
     def vjp(g):
         return ((-g / resid.size) * np.sign(resid),)
 
-    return Tensor._from_op(np.asarray(np.abs(resid).mean()), (pred,), vjp, "l1_loss")
+    return np.asarray(np.abs(resid).mean()), vjp
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-softmax of the labelled class, as one tape node."""
+def l1_loss(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean absolute error, as one tape node."""
+    value, vjp = _l1(pred.data, target)
+    return Tensor._from_op(value, (pred,), vjp, "l1_loss")
+
+
+def _cross_entropy(logits: np.ndarray, labels):
     labels = np.asarray(labels)
     n, c = logits.shape
     if labels.shape != (n,):
@@ -175,7 +194,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.min() < 0 or labels.max() >= c:
         raise DomainError("label index out of range")
     rows, labels = np.arange(n), labels.astype(int)
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     total = expd.sum(axis=1)
     picked = shifted[rows, labels] - np.log(total)
@@ -185,8 +204,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         grad[rows, labels] -= 1.0
         return (grad * (g / n),)
 
-    return Tensor._from_op(np.asarray(picked.sum() * (-1.0 / n)), (logits,), vjp,
-                           "cross_entropy")
+    return np.asarray(picked.sum() * (-1.0 / n)), vjp
+
+
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-softmax of the labelled class, as one tape node."""
+    value, vjp = _cross_entropy(logits.data, labels)
+    return Tensor._from_op(value, (logits,), vjp, "cross_entropy")
 
 
 # -- ELBO step -----------------------------------------------------------------
@@ -198,8 +222,15 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
     the KL-weighted normalized divergence (averaged over the batch when the
     noise scale varies per sample).
 
-    Returns the taped scalar loss and a metrics dict. The KL term is always
-    measured and logged, but enters the loss only when ``kl_weight > 0``.
+    Returns the loss, one tape node whose parents are ``model.trainables()``
+    (then any other parameter of the step that requires grad), and a
+    metrics dict. The KL term is always measured and logged, but
+    enters the loss only when ``kl_weight > 0``. The forward is plain numpy:
+    the AlphaNet (:func:`~balora.adapter.alpha_scales`), the network
+    (:meth:`~balora.model.AdaptedModel.network`), the NLL and the KL. The
+    node's VJP runs their VJPs in one fixed reverse order: the NLL's, the
+    network's, then the AlphaNet's from the noise scales' cotangent, the
+    KL's plus the network's.
     """
     X, y = batch
     X = np.asarray(X, dtype=np.float64)
@@ -210,31 +241,63 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
     try:
         if model.kind == "balora":
             prefix = model.frozen_prefix(X)
-            alphas = model.alphas(X, prefix)
-            pred = model.forward(X, alphas=alphas, eps=model.draw_eps(X.shape[0], rng),
-                                 prefix=prefix)
+            alphas, alpha_params, alpha_vjp = A.alpha_scales(
+                model.alphanet, model.alpha_features(X, prefix))
+            pred, net_params, net_vjp = model.network(
+                X, alphas, model.draw_eps(X.shape[0], rng), prefix)
         else:
-            alphas = None
-            pred = model.forward(X)
+            alphas, alpha_params = None, []
+            pred, net_params, net_vjp = model.network(X)
+        T.check_finite(pred, "the taped forward")
         if model.head == "classification":
-            nll = cross_entropy(pred, y)
+            nll, nll_vjp = _cross_entropy(pred, y)
         elif cfg.nll == "l1":
-            nll = l1_loss(pred, y)
+            nll, nll_vjp = _l1(pred, y)
         else:
-            nll = gaussian_nll(pred, y, model.log_sigma)
+            nll, nll_vjp = _gaussian_nll(pred, y, model.log_sigma.data)
 
-        metrics = {"nll": nll.item()}
-        loss = nll
+        metrics = {"nll": float(nll)}
+        loss, kl_weight = nll, 0.0
         if alphas is not None:
-            kl = kl_normalized(alphas, prior.p, model.alphanet.alpha_min,
-                               model.alphanet.alpha_max)
-            metrics["alpha_per_layer"] = [float(v) for v in alphas.data.mean(axis=0)]
-            metrics["kl_normalized"] = kl.item()
+            kl, kl_vjp = _kl(alphas, prior.p, model.alphanet.alpha_min,
+                             model.alphanet.alpha_max)
+            metrics["alpha_per_layer"] = alphas.mean(axis=0).tolist()
+            metrics["kl_normalized"] = float(kl)
             if cfg.kl_weight > 0:
-                loss = T.add(nll, T.mul(kl, Tensor(cfg.kl_weight)))
+                kl_weight = cfg.kl_weight
+                loss = nll + kl * kl_weight
         else:
             metrics["kl_normalized"] = 0.0
-        metrics["loss"] = loss.item()
+        metrics["loss"] = float(loss)
+
+        # The parents: the trainables, then anything else that requires grad,
+        # so that a frozen weight set to require it still gets its gradient
+        # and fails the freeze check of train_model.
+        params = model.trainables()
+        slot = {id(p): i for i, p in enumerate(params)}
+        net_flat = [p for ps in net_params for p in ps]
+        for p in (*net_flat, *alpha_params):
+            if p.requires_grad and id(p) not in slot:
+                slot[id(p)] = len(params)
+                params.append(p)
+
+        def vjp(g):
+            gpred, *gsigma = nll_vjp(g)
+            gnet = net_vjp(gpred)
+            cotangents = [*zip([model.log_sigma], gsigma), *zip(net_flat, gnet)]
+            if alphas is not None:
+                galpha = gnet[-1]
+                if kl_weight > 0:
+                    # The KL's part first, as the tape summed them.
+                    galpha = kl_vjp(g * kl_weight)[0] + galpha
+                cotangents += zip(alpha_params, alpha_vjp(galpha))
+            grads = [None] * len(params)
+            for t, c in cotangents:
+                if c is not None:
+                    grads[slot[id(t)]] = c
+            return grads
+
+        loss = Tensor._from_op(np.asarray(loss), params, vjp, "the ELBO")
     except NonFiniteError as err:
         raise TrainingDivergence(
             f"non-finite loss during ELBO step: {err}",
@@ -265,7 +328,9 @@ class AdamW:
     ``cfg.grad_clip_norm`` on the global norm, and a linear
     warmup-then-decay learning-rate schedule over ``total_steps``.
     Parameters without gradients (frozen or unused) are left untouched,
-    moments included.
+    moments included. A non-finite gradient norm raises
+    :class:`TrainingDivergence` and leaves every parameter and moment as it
+    was.
 
     The state is four flat float64 buffers: the moments ``m`` and ``v``, a
     gradient buffer and a scratch buffer. Each parameter owns a fixed span
@@ -321,6 +386,11 @@ class AdamW:
         for i in live:
             total += float(np.add.reduce(self._s_views[i]))
         raw_norm = math.sqrt(total)
+        if not math.isfinite(raw_norm):
+            # Checked before any state is written, so the parameters, the
+            # moments and the step count stay those of the last good step.
+            raise TrainingDivergence(f"non-finite gradient norm {raw_norm} at optimizer step",
+                                     diagnostics={"grad_norm": raw_norm})
         clip = self.cfg.grad_clip_norm
         scale = clip / raw_norm if raw_norm > clip else 1.0
         self.t += 1
@@ -367,7 +437,8 @@ def train_model(model: AdaptedModel, train_xy, prior: PriorConfig, cfg: TrainCon
     """Minibatch training loop; returns one metrics record per step.
 
     Asserts the freeze contract on every step: frozen backbone parameters
-    must never accumulate gradient.
+    must never accumulate gradient. A non-finite loss or gradient norm
+    raises :class:`TrainingDivergence` with the step and epoch.
     """
     X, y = train_xy
     X = np.asarray(X, dtype=np.float64)
@@ -383,15 +454,15 @@ def train_model(model: AdaptedModel, train_xy, prior: PriorConfig, cfg: TrainCon
             try:
                 loss, metrics = elbo_step(model, (X[idx], y[idx]), prior, cfg,
                                           rng.stream_of(step))
+                T.backward(loss)
+                frozen_norm = global_grad_norm(model.backbone.parameters()) \
+                    if model.backbone.frozen else 0.0
+                if frozen_norm != 0.0:
+                    raise AssertionError("frozen backbone accumulated gradient")
+                stats = opt.step()
             except TrainingDivergence as err:
                 err.diagnostics.update({"step": step, "epoch": epoch})
                 raise
-            T.backward(loss)
-            frozen_norm = global_grad_norm(model.backbone.parameters()) \
-                if model.backbone.frozen else 0.0
-            if frozen_norm != 0.0:
-                raise AssertionError("frozen backbone accumulated gradient")
-            stats = opt.step()
             zero_grad(params)
             records.append({"step": step, "epoch": epoch, **metrics, **stats})
             step += 1

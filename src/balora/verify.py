@@ -264,7 +264,12 @@ def check_gradient_fd(seed: int) -> OracleResult:
         return V.kl_normalized(model.alphas(X), prior.p, model.alphanet.alpha_min,
                                model.alphanet.alpha_max)
 
-    for term in (nll, kl):
+    def elbo(kl_weight: float):
+        # The node training differentiates, with the same frozen noise.
+        cfg = V.TrainConfig(kl_weight=kl_weight)
+        return lambda: V.elbo_step(model, (X, y), prior, cfg, Rng(seed + 9))[0]
+
+    for term in (nll, kl, elbo(0.0), elbo(0.7)):
         V.zero_grad(params)
         backward(term())
         numeric = finite_difference_grads(lambda: term().item(), params)
@@ -273,7 +278,8 @@ def check_gradient_fd(seed: int) -> OracleResult:
             worst = max(worst, scaled_gradient_error(np.asarray(g_ana), g_num))
     V.zero_grad(params)
     return OracleResult("gradient_finite_difference", "gradient", worst < 1.0, worst, 1.0,
-                        "tape vs central differences with frozen noise; scaled by rtol=1e-4, atol=1e-7")
+                        "tape vs central differences with frozen noise, for the NLL, the KL and "
+                        "the ELBO step at kl_weight 0 and 0.7; scaled by rtol=1e-4, atol=1e-7")
 
 
 def check_merge_equivalence(seed: int, n_layers: int = 100) -> OracleResult:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from balora import bench as B
 from balora import checkpoint as CK
-from balora import adapter, cli, tasks, variational
+from balora import adapter, cli, tasks, tensor, variational
 from balora import config as C
 from balora import verify as VF
 from balora.cli import main
@@ -339,6 +339,22 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
 
+    def test_non_finite_gradient_exits_1(self, tmp_path, fast_config, monkeypatch, capsys):
+        # A finite loss whose gradient is not: the optimizer refuses the step.
+        real = tensor.backward
+
+        def poisoned(loss):
+            first = loss._parents[0]
+            real(loss)
+            first.grad = np.full(first.shape, np.inf)
+
+        monkeypatch.setattr(tensor, "backward", poisoned)
+        code, out = _train(tmp_path, fast_config)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "verification error: non-finite gradient norm inf at optimizer step\n"
+        assert json.loads((out / "manifest.json").read_text())["status"] == "error"
+
     def test_divergence_in_a_fresh_process_prints_one_line(self, tmp_path):
         # Outside pytest nothing captures numpy's overflow warnings, so this
         # checks that none reach stderr ahead of the error line.
@@ -623,6 +639,11 @@ class TestTrainManifest:
         assert [r["step"] for r in records] == [*range(200), *range(120)]
         assert manifest[0]["phases"]["pretrain"]["steps"] == 200
         assert manifest[0]["phases"]["adapt"]["steps"] == 120
+        # Each phase's clipped count is its records' sum; clipping engages
+        # on almost every step of both phases of the toy config.
+        for phase, clipped in (("pretrain", 187), ("adapt", 107)):
+            assert manifest[0]["phases"][phase]["clipped"] == clipped == sum(
+                r["clipped"] for r in records if r["phase"] == phase)
 
 
 class TestManifestTiming:

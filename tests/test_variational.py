@@ -1,17 +1,19 @@
 """Objective and optimizer checks: the KL's minimum and bounds, frozen-noise
-finite differences for the ELBO, and closed-form first-step behavior for AdamW.
+finite differences for the ELBO, the one-node ELBO step against the same step
+built from the public nodes, and closed-form first-step behavior for AdamW.
 The KL's quadrature oracles live in ``balora.verify``."""
 
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from balora import config as C
 from balora import tensor as T
 from balora import variational as V
-from balora.model import AdapterSpec, BackboneSpec, ToyBackbone, attach_adapters
+from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone, attach_adapters
 from balora.rng import Rng
 from balora.tensor import DomainError, Tensor, backward
 from balora.verify import _tiny_model, finite_difference_grads, scaled_gradient_error
@@ -237,6 +239,13 @@ class TestElboStep:
             V.elbo_step(model, (X, y), V.PriorConfig(0.5), cfg, Rng(83))
         assert err.value.diagnostics["batch_size"] == 4
 
+    def test_frozen_weight_that_requires_grad_fails_the_freeze_check(self):
+        model, X, y = _tiny_model(86)
+        model.backbone.biases[0] = Tensor(model.backbone.biases[0].data, requires_grad=True)
+        cfg = V.TrainConfig(lr=1e-3, epochs=1, batch_size=4)
+        with pytest.raises(AssertionError, match="frozen backbone accumulated gradient"):
+            V.train_model(model, (X, y), V.PriorConfig(0.5), cfg, Rng(87))
+
     def test_training_loss_decreases_on_linear_task(self):
         # Full-batch steps on an exactly linear target; the deterministic
         # full-train loss should fall monotonically early in training for
@@ -399,6 +408,39 @@ class TestAdamW:
         assert np.array_equal(opt._m[a:b], before_m)
         assert np.array_equal(opt._v[a:b], before_v)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_gradient_raises_before_any_write(self, bad):
+        # Without the check this step wrote [1, nan, 1] and reported an
+        # applied norm of 1.0.
+        p = Tensor(np.ones(3), requires_grad=True)
+        opt = V.AdamW([p], V.TrainConfig(lr=0.1, epochs=1, batch_size=1), total_steps=10)
+        data = p.data
+        p.grad = np.array([1.0, bad, 2.0])
+        with pytest.raises(V.TrainingDivergence, match="non-finite gradient norm"):
+            opt.step()
+        assert p.data is data and data.tobytes() == np.ones(3).tobytes()
+        assert not opt._m.any() and not opt._v.any() and opt.t == 0
+
+    def test_train_model_reports_the_step_of_a_non_finite_gradient(self, monkeypatch):
+        # Four rows in batches of two: step 3 is the second step of epoch 1.
+        model, X, y = _tiny_model(84)
+        cfg = V.TrainConfig(lr=1e-3, epochs=3, batch_size=2)
+        real, calls = T.backward, []
+
+        def poisoned(loss):
+            real(loss)
+            calls.append(loss)
+            if len(calls) == 4:
+                model.log_sigma.grad = np.asarray(np.inf)
+
+        monkeypatch.setattr(T, "backward", poisoned)
+        records = []
+        with pytest.raises(V.TrainingDivergence) as err:
+            V.train_model(model, (X, y), V.PriorConfig(0.5), cfg, Rng(85),
+                          record_hook=records.append)
+        assert (err.value.diagnostics["step"], err.value.diagnostics["epoch"]) == (3, 1)
+        assert [r["step"] for r in records] == [0, 1, 2]
+
     def test_empty_optimizer_steps(self):
         cfg = V.TrainConfig(lr=0.1, epochs=1, batch_size=1)
         opt, ref = V.AdamW([], cfg, total_steps=5), _ReferenceAdamW([], cfg, total_steps=5)
@@ -488,35 +530,119 @@ class TestConfigs:
 
 
 class TestTapeSize:
-    def test_one_node_per_adapted_layer(self):
-        # A refactor that splits the network or a loss term back into
-        # per-layer or generic ops multiplies the per-step tape work; this
-        # pins the graph of one ELBO step: the whole network is one node, and
-        # so is the AlphaNet.
+    def test_one_node_per_elbo_step(self):
+        # A refactor that splits the step back into generic ops multiplies
+        # the per-step tape work; this pins the graph of one ELBO step: the
+        # loss is one node whose parents are the model's trainables, for
+        # balora, lora and the pretraining shell on the toy config's shapes.
         cfg = C.load_config(Path(__file__).resolve().parents[1] / "configs" / "toy_hetero.cfg")
-        backbone = ToyBackbone(BackboneSpec(d_in=cfg["d_in"], d_out=cfg["d_out"],
-                                            hidden=cfg["hidden"]), Rng(0))
-        backbone.freeze()
-        model = attach_adapters(backbone, C.adapter_spec_from_config(cfg), cfg["adapter"],
-                                Rng(1))
+        spec = BackboneSpec(d_in=cfg["d_in"], d_out=cfg["d_out"], hidden=cfg["hidden"])
         _, adapt_cfg, prior = C.train_configs_from_config(cfg)
         X = Rng(2).normal((cfg["batch_size"], cfg["d_in"]))
         y = Rng(3).normal((cfg["batch_size"], cfg["d_out"]))
-        loss, _ = V.elbo_step(model, (X, y), prior, adapt_cfg, Rng(4))
+        shell = AdaptedModel(ToyBackbone(spec, Rng(0)), {}, None, "lora")
+        models = [shell]
+        for kind in ("balora", "lora"):
+            backbone = ToyBackbone(spec, Rng(0))
+            backbone.freeze()
+            models.append(attach_adapters(backbone, C.adapter_spec_from_config(cfg), kind,
+                                          Rng(1)))
+        assert len(models[1].adapters) == 3
+        for model in models:
+            loss, _ = V.elbo_step(model, (X, y), prior, adapt_cfg, Rng(4))
+            nodes = [node for node in (loss, *loss._parents) if node._vjp is not None]
+            assert nodes == [loss]
+            assert loss._vjp.__qualname__.startswith("elbo_step.")
+            assert list(loss._parents) == model.trainables()
 
-        ops: Counter = Counter()
-        seen, stack = set(), [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if node._vjp is not None:
-                ops[node._vjp.__qualname__.split(".<locals>")[0]] += 1
-                stack.extend(node._parents)
-        assert len(model.adapters) == backbone.n_layers == 3
-        assert ops["AdaptedModel.forward"] == ops["alpha_forward"] == 1
-        assert ops["linear"] == ops["gelu"] == ops["softplus"] == ops["clip"] == 0
-        assert ops["matmul"] == ops["transpose"] == ops["reshape"] == 0
-        assert ops["gaussian_nll"] == ops["kl_normalized"] == 1
-        assert sum(ops.values()) <= 6
+
+def _drawn_model(data) -> AdaptedModel:
+    """A drawn model for the ELBO step: the pretraining shell, or a balora or
+    lora model with either head and any non-empty adapted subset, so some
+    draws have a frozen prefix."""
+    widths = data.draw(st.lists(st.integers(1, 7), min_size=2, max_size=4))
+    head = data.draw(st.sampled_from(["regression", "classification"]))
+    if head == "classification":
+        widths[-1] = max(2, widths[-1])
+    rng = Rng(data.draw(st.integers(0, 2**16)))
+    backbone = ToyBackbone(BackboneSpec(d_in=widths[0], d_out=widths[-1],
+                                        hidden=tuple(widths[1:-1]), head=head),
+                           rng.stream_of(0))
+    kind = data.draw(st.sampled_from(["balora", "lora", "shell"]))
+    if kind == "shell":
+        return AdaptedModel(backbone, {}, None, "lora")
+    first = data.draw(st.integers(0, len(widths) - 2))  # the frozen prefix's length
+    adapt = {first} | data.draw(st.sets(st.integers(first, len(widths) - 2)))
+    model = attach_adapters(backbone, AdapterSpec(rank=data.draw(st.integers(1, 4)),
+                                                  lora_alpha=4.0, adapt_layers=tuple(adapt),
+                                                  alphanet_hidden=(3,), init_alpha=0.3),
+                            kind, rng.stream_of(1))
+    for j, layer in enumerate(model.adapters.values()):
+        layer.WB = Tensor(rng.stream_of(2 + j).normal(layer.WB.shape) * 0.5,
+                          requires_grad=True)
+    return model
+
+
+def _reference_step(model, batch, prior, cfg, rng):
+    """The ELBO step as a graph of the public nodes: the AlphaNet, the
+    network, the NLL, the KL, and the ``mul`` and ``add`` that weight and
+    sum them."""
+    X, y = batch
+    if model.kind == "balora":
+        prefix = model.frozen_prefix(X)
+        alphas = model.alphas(X, prefix)
+        pred = model.forward(X, alphas, model.draw_eps(len(X), rng), prefix)
+    else:
+        alphas, pred = None, model.forward(X)
+    if model.head == "classification":
+        nll = V.cross_entropy(pred, y)
+    elif cfg.nll == "l1":
+        nll = V.l1_loss(pred, y)
+    else:
+        nll = V.gaussian_nll(pred, y, model.log_sigma)
+    metrics, loss = {"nll": nll.item(), "kl_normalized": 0.0}, nll
+    if alphas is not None:
+        kl = V.kl_normalized(alphas, prior.p, model.alphanet.alpha_min,
+                             model.alphanet.alpha_max)
+        metrics["alpha_per_layer"] = [float(v) for v in alphas.data.mean(axis=0)]
+        metrics["kl_normalized"] = kl.item()
+        if cfg.kl_weight > 0:
+            loss = T.add(nll, T.mul(kl, Tensor(cfg.kl_weight)))
+    metrics["loss"] = loss.item()
+    return loss, metrics
+
+
+class TestElboStepFuzz:
+    """The one-node ELBO step against the same step built from the public
+    nodes: loss, metrics and every trainable's gradient, byte for byte."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_matches_the_graph_of_public_nodes(self, data):
+        model = _drawn_model(data)
+        n = data.draw(st.integers(1, 6))
+        rng = Rng(data.draw(st.integers(0, 2**16)))
+        X = rng.stream_of(0).normal((n, model.backbone.spec.d_in))
+        if model.head == "classification":
+            y = rng.stream_of(1).integers(0, model.backbone.spec.d_out, (n,))
+        else:
+            y = rng.stream_of(1).normal((n, model.backbone.spec.d_out))
+        cfg = V.TrainConfig(kl_weight=data.draw(st.sampled_from([0.0, 0.3, 2.5])),
+                            nll=data.draw(st.sampled_from(["gaussian", "l1"])))
+        prior = V.PriorConfig(data.draw(st.sampled_from([0.2, 0.5])))
+        params = model.trainables()
+        runs = {}
+        for name, step in (("node", V.elbo_step), ("graph", _reference_step)):
+            loss, metrics = step(model, (X, y), prior, cfg, rng.stream_of(2))
+            backward(loss)
+            runs[name] = (loss.data.tobytes(), metrics,
+                          [None if p.grad is None else p.grad.tobytes() for p in params])
+            V.zero_grad(params)
+        assert runs["node"] == runs["graph"]
+        assert any(g is not None for g in runs["node"][2])
+
+        if model.head == "regression" and cfg.nll == "gaussian":
+            model.log_sigma = Tensor(np.array(-400.0), requires_grad=True)  # exp overflows
+            with pytest.raises(V.TrainingDivergence):
+                V.elbo_step(model, (X, y), prior, cfg, rng.stream_of(2))
