@@ -335,7 +335,7 @@ class AdaptedModel:
         eps = self.draw_eps(n, rng)
         first = self.prefix_layers
         prefix = self.frozen_prefix(X)
-        alphas = self.alphas(X, prefix).data
+        alphas = A.alpha_scales(self.alphanet, self.alpha_features(X, prefix))[0]
         terms = A.layer_terms(self.adapters[first], prefix,
                               self.backbone.biases[first].data, noisy=True)
         for t in terms:

@@ -1,11 +1,17 @@
 """Shared test helpers."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
 from balora import adapter as A
 from balora import model as M
-from balora.model import AdaptedModel, BackboneSpec, ToyBackbone
+from balora import tasks as TK
+from balora import uncertainty as U
+from balora import variational as V
+from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone
 from balora.rng import Rng
 from balora.tensor import Tensor
 
@@ -46,3 +52,67 @@ def no_balora_threads():
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("BALORA_THREADS", raising=False)
         yield
+
+
+def hetero_task(seed: int) -> TK.SyntheticTask:
+    """The heteroscedastic task of :class:`Protocol`."""
+    return TK.SyntheticTask(kind="heteroscedastic-regression", d_in=6, d_out=1,
+                            n_train=512, n_val=16, n_test=256, noise_base=0.05,
+                            noise_slope=0.5, seed=seed)
+
+
+class Protocol:
+    """The paper's comparison at one seed on :func:`hetero_task`: balora with a
+    ``(32, 32)`` backbone and rank-4 adapters, and on its backbone lora and a
+    5-member lora ensemble. Each part is built on first use; tests only read
+    them, because :func:`protocol` hands the same object to all of them."""
+
+    def __init__(self, seed: int):
+        self.seed, self.task = seed, hetero_task(seed)
+        self.arch = ((32, 32), AdapterSpec(rank=4, lora_alpha=8.0, alphanet_hidden=(16,)))
+        self.cfgs = (V.TrainConfig(lr=5e-3, epochs=25, batch_size=64, kl_weight=0.0),
+                     V.TrainConfig(lr=1e-2, epochs=15, batch_size=64, kl_weight=1.0),
+                     V.PriorConfig(0.5))
+
+    @functools.cached_property
+    def balora(self) -> TK.TrainedModel:
+        return TK.pretrain_then_adapt(self.task, *self.arch, "balora", *self.cfgs, seed=self.seed)
+
+    @functools.cached_property
+    def lora(self) -> TK.TrainedModel:
+        return TK.pretrain_then_adapt(self.task, *self.arch, "lora", *self.cfgs,
+                                      seed=self.seed, backbone=self.balora.model.backbone)
+
+    @functools.cached_property
+    def ensemble(self) -> TK.EnsembleBaseline:
+        return TK.train_ensemble(self.task, *self.arch, *self.cfgs, seed=self.seed, m=5,
+                                 backbone=self.balora.model.backbone)
+
+    @functools.cached_property
+    def report(self) -> U.UQReport:
+        """balora's S=100 report; seed ``2000 + i`` draws from ``Rng(31_000 + i)``."""
+        test = self.balora.target.test
+        return U.uq_report(self.balora.model, test.X, test.y, 100, Rng(29_000 + self.seed))
+
+
+protocol = functools.cache(Protocol)  # one Protocol per seed and test session
+
+
+def sign_test_p(diffs) -> float:
+    """Two-sided sign-test p-value of paired differences; ties are dropped."""
+    wins, losses = int(np.sum(np.greater(diffs, 0))), int(np.sum(np.less(diffs, 0)))
+    tail = sum(math.comb(wins + losses, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** (wins + losses))
+
+
+def paired_report(what: str, balora, other, fmt: str, higher_is_better: bool) -> None:
+    """Print one report-only line comparing balora with a baseline seed by
+    seed: its wins, its median paired advantage (positive favours balora),
+    the sign-test p-value and both medians. ``[PASS]`` means the median
+    advantage favours balora."""
+    advantage = np.subtract(balora, other) * (1.0 if higher_is_better else -1.0)
+    median = np.median(advantage)
+    print(f"[{'PASS' if median > 0 else 'WARN'}] {what}: balora ahead on "
+          f"{np.sum(advantage > 0)}/{len(advantage)} seeds, median paired advantage "
+          f"{median:+{fmt}}, sign-test p = {sign_test_p(advantage):.3f} (medians "
+          f"{np.median(balora):{fmt}} vs {np.median(other):{fmt}}; reported, not gated)")

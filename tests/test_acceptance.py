@@ -21,15 +21,13 @@ import time
 
 import numpy as np
 import pytest
-from conftest import single_linear_model
+from conftest import paired_report, protocol, single_linear_model
 
 from balora import adapter as A
 from balora import tasks as TK
 from balora import uncertainty as U
-from balora import variational as V
 from balora import verify as VF
 from balora.cli import main
-from balora.model import AdapterSpec
 from balora.rng import Rng
 from balora.tensor import Tensor
 
@@ -143,32 +141,19 @@ def test_criterion_7_complexity_scaling(tmp_path):
 
 
 def test_criterion_8_desk_scale_directional():
-    rho100, rho10, ratios, excess = [], [], [], []
-    positives = 0
+    rho100, rho10, mse, excess = [], [], [], []
     for seed in range(10):
-        task = TK.SyntheticTask(kind="heteroscedastic-regression", d_in=6, d_out=1,
-                                n_train=512, n_val=16, n_test=256, noise_base=0.05,
-                                noise_slope=0.5, seed=2000 + seed)
-        aspec = AdapterSpec(rank=4, lora_alpha=8.0, alphanet_hidden=(16,))
-        pre = V.TrainConfig(lr=5e-3, epochs=25, batch_size=64, kl_weight=0.0)
-        ad = V.TrainConfig(lr=1e-2, epochs=15, batch_size=64, kl_weight=1.0)
-        prior = V.PriorConfig(0.5)
-        bal = TK.pretrain_then_adapt(task, (32, 32), aspec, "balora", pre, ad,
-                                     prior, seed=2000 + seed)
-        lor = TK.pretrain_then_adapt(task, (32, 32), aspec, "lora", pre, ad,
-                                     prior, seed=2000 + seed, backbone=bal.model.backbone)
-        Xte, yte = bal.target.test.X, bal.target.test.y
-        r100 = U.uq_report(bal.model, Xte, yte, 100, Rng(31_000 + seed))
-        r10 = U.uq_report(bal.model, Xte, yte, 10, Rng(32_000 + seed))
-        rho100.append(r100.metrics["spearman_var_err"])
+        run = protocol(2000 + seed)
+        Xte, yte = run.balora.target.test.X, run.balora.target.test.y
+        r10 = U.uq_report(run.balora.model, Xte, yte, 10, Rng(32_000 + seed))
+        rho100.append(run.report.metrics["spearman_var_err"])
         rho10.append(r10.metrics["spearman_var_err"])
-        positives += r100.metrics["spearman_var_err"] > 0
-        clean = Xte @ TK.true_map(task).T
-        pred_b, pred_l = bal.model.predict(Xte), lor.model.predict(Xte)
-        mse_b = float(np.mean((pred_b - yte) ** 2))
-        mse_l = float(np.mean((pred_l - yte) ** 2))
-        ratios.append(mse_b / mse_l)
-        excess.append(float(np.mean((pred_b - clean) ** 2) / np.mean((pred_l - clean) ** 2)))
+        clean = Xte @ TK.true_map(run.task).T
+        preds = [trained.model.predict(Xte) for trained in (run.balora, run.lora)]
+        mse.append([np.mean((pred - yte) ** 2) for pred in preds])
+        excess.append([np.mean((pred - clean) ** 2) for pred in preds])
+    (mse_b, mse_l), (excess_b, excess_l) = np.transpose(mse), np.transpose(excess)
+    positives = sum(rho > 0 for rho in rho100)
     ok_a = positives >= 9
     ok_b = float(np.median(rho100)) >= float(np.median(rho10))
     _report("criterion 8a (variance-error correlation positive)", ok_a,
@@ -176,11 +161,13 @@ def test_criterion_8_desk_scale_directional():
     _report("criterion 8b (correlation improves with compute)", ok_b,
             f"median Spearman S=100: {np.median(rho100):.3f} >= S=10: "
             f"{np.median(rho10):.3f}")
-    ratio = float(np.median(ratios))
+    ratio = float(np.median(mse_b / mse_l))
     _report("criterion 8c (deterministic-mode accuracy)", ratio <= 1.1,
             f"median MSE ratio balora/lora = {ratio:.3f} (report threshold 1.1); "
-            f"median excess-risk ratio over the true map = {np.median(excess):.3f}",
+            f"median excess-risk ratio over the true map = {np.median(excess_b / excess_l):.3f}",
             warn_only=True)
+    paired_report("balora vs lora, excess risk over the true map (lower is better)",
+                  excess_b, excess_l, ".1e", higher_is_better=False)
 
 
 def test_criterion_9_metric_oracles():
@@ -237,8 +224,6 @@ def test_criterion_10_reproducibility(tmp_path):
 
 def test_report_json_round_trip():
     # The acceptance artifacts above rely on UQReport JSON being loadable.
-    model, X, y = VF._tiny_model(90)
-    report = U.uq_report(model, X, y, 16, Rng(91))
-    parsed = json.loads(report.to_json())
-    assert parsed["mc_steps"] == 16
-    assert len(parsed["per_sample"]) == X.shape[0]
+    parsed = json.loads(protocol(2000).report.to_json())
+    assert parsed["mc_steps"] == 100
+    assert len(parsed["per_sample"]) == 256

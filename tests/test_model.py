@@ -350,15 +350,15 @@ def test_training_step_while_another_thread_evaluates(monkeypatch):
     model = _adapted(45, (6, 7), None)
     X, y = Rng(46).normal((8, 5)), Rng(47).normal((8, 3))
     entered, release = threading.Event(), threading.Event()
-    alpha_forward = M.A.alpha_forward
+    alpha_scales = M.A.alpha_scales
 
     def held(net, feat):
         if threading.current_thread() is evaluator:
             entered.set()
             release.wait(60)
-        return alpha_forward(net, feat)
+        return alpha_scales(net, feat)
 
-    monkeypatch.setattr(M.A, "alpha_forward", held)
+    monkeypatch.setattr(M.A, "alpha_scales", held)
     errors = []
 
     def evaluate():

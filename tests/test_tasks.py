@@ -2,19 +2,14 @@
 
 import numpy as np
 import pytest
+from conftest import hetero_task, paired_report, protocol, sign_test_p
 
 from balora import tasks as TK
 from balora import uncertainty as U
 from balora import variational as V
-from balora.model import AdapterSpec
+from balora.model import AdaptedModel, AdapterSpec
 from balora.rng import Rng
 from balora.tensor import DomainError
-
-
-def _hetero_task(seed: int) -> TK.SyntheticTask:
-    return TK.SyntheticTask(kind="heteroscedastic-regression", d_in=6, d_out=1,
-                            n_train=512, n_val=16, n_test=256, noise_base=0.05,
-                            noise_slope=0.5, seed=seed)
 
 
 class TestGenerate:
@@ -35,13 +30,13 @@ class TestGenerate:
         assert np.allclose(splits.test.y, splits.test.X @ g.T, atol=1e-12)
 
     def test_same_seed_identical_datasets(self):
-        task = _hetero_task(9)
+        task = hetero_task(9)
         a, b = TK.generate(task), TK.generate(task)
         assert np.array_equal(a.train.X, b.train.X)
         assert np.array_equal(a.test.y, b.test.y)
 
     def test_splits_are_disjoint(self):
-        task = _hetero_task(10)
+        task = hetero_task(10)
         splits = TK.generate(task)
         train_rows = {tuple(row) for row in splits.train.X}
         assert not any(tuple(row) in train_rows for row in splits.test.X)
@@ -98,7 +93,7 @@ class TestPretrainThenAdapt:
         assert mse_model <= 1.1 * mse_ls
 
     def test_backbone_stays_frozen_during_adaptation(self):
-        task = _hetero_task(12)
+        task = hetero_task(12)
         aspec = AdapterSpec(rank=2, lora_alpha=4.0, alphanet_hidden=(8,))
         pre = V.TrainConfig(lr=5e-3, epochs=5, batch_size=64, kl_weight=0.0)
         ad = V.TrainConfig(lr=1e-2, epochs=5, batch_size=64)
@@ -112,34 +107,20 @@ class TestPretrainThenAdapt:
         assert all(not w.requires_grad for w in backbone.weights)
 
     def test_adapters_carry_signal_after_training(self):
-        task = _hetero_task(13)
-        aspec = AdapterSpec(rank=4, lora_alpha=8.0, alphanet_hidden=(8,))
-        pre = V.TrainConfig(lr=5e-3, epochs=20, batch_size=64, kl_weight=0.0)
-        ad = V.TrainConfig(lr=1e-2, epochs=15, batch_size=64)
-        trained = TK.pretrain_then_adapt(task, (32, 32), aspec, "balora", pre, ad,
-                                         V.PriorConfig(0.5), seed=13)
-        assert any(np.any(l.WB.data != 0) for l in trained.model.adapters.values())
-        Xte, yte = trained.target.test.X, trained.target.test.y
-        frozen_only = trained.model.merged_forward(Xte)
+        trained = protocol(2000).balora
+        model, test = trained.model, trained.target.test
+        assert any(np.any(l.WB.data != 0) for l in model.adapters.values())
         # Deterministic-mode prediction beats the unadapted backbone.
-        base, _ = TK.pretrain_backbone(task, (32, 32), pre, Rng(13))
-        from balora.model import AdaptedModel
-        shell = AdaptedModel(base, {}, None, "lora")
-        mse_adapted = np.mean((frozen_only - yte) ** 2)
-        mse_base = np.mean((shell.predict(Xte) - yte) ** 2)
-        assert mse_adapted < mse_base
+        shell = AdaptedModel(model.backbone, {}, None, "lora")
+        assert np.mean((model.merged_forward(test.X) - test.y) ** 2) \
+            < np.mean((shell.predict(test.X) - test.y) ** 2)
 
     def test_predicted_variance_tracks_true_noise(self):
         # The adapted posterior's predictive variance rank-correlates with
         # the generator's ground-truth noise scale on most seeds.
         positives = 0
         for seed in range(10):
-            task = _hetero_task(100 + seed)
-            aspec = AdapterSpec(rank=4, lora_alpha=8.0, alphanet_hidden=(16,))
-            pre = V.TrainConfig(lr=5e-3, epochs=25, batch_size=64, kl_weight=0.0)
-            ad = V.TrainConfig(lr=1e-2, epochs=15, batch_size=64, kl_weight=1.0)
-            trained = TK.pretrain_then_adapt(task, (32, 32), aspec, "balora", pre, ad,
-                                             V.PriorConfig(0.5), seed=100 + seed)
+            trained = protocol(100 + seed).balora
             rep = U.uq_report(trained.model, trained.target.test.X,
                               trained.target.test.y, 64, Rng(500 + seed))
             var = [row["var_total"] for row in rep.per_sample]
@@ -150,35 +131,23 @@ class TestPretrainThenAdapt:
 
 class TestEnsemble:
     def test_balora_vs_ensemble_spearman_reported(self, capsys):
-        # Comparative uncertainty quality over 10 seeds; reported rather than
-        # gated. The single-run adapter is compared against a 5-member
-        # plain-adapter ensemble on variance/error rank correlation.
+        # The paper's claim: balora's variance tracks its error better than a
+        # 5-member LoRA ensemble's does, paired by seed on criterion 8's
+        # models and S=100 reports. Reported rather than gated.
         bal_rhos, ens_rhos = [], []
-        for seed in range(10):
-            task = _hetero_task(5000 + seed)
-            aspec = AdapterSpec(rank=4, lora_alpha=8.0, alphanet_hidden=(16,))
-            pre = V.TrainConfig(lr=5e-3, epochs=25, batch_size=64, kl_weight=0.0)
-            ad = V.TrainConfig(lr=1e-2, epochs=15, batch_size=64, kl_weight=1.0)
-            prior = V.PriorConfig(0.5)
-            bal = TK.pretrain_then_adapt(task, (32, 32), aspec, "balora", pre, ad,
-                                         prior, seed=5000 + seed)
-            ens = TK.train_ensemble(task, (32, 32), aspec, pre, ad, prior,
-                                    seed=5000 + seed, m=5, backbone=bal.model.backbone)
-            Xte, yte = bal.target.test.X, bal.target.test.y
-            rep = U.uq_report(bal.model, Xte, yte, 100, Rng(61_000 + seed))
-            bal_rhos.append(rep.metrics["spearman_var_err"])
-            mean, var = TK.run_ensemble(ens, Xte)
-            sq = np.mean((mean - yte) ** 2, axis=1)
-            ens_rhos.append(U.spearman(var.mean(axis=1), sq))
-        bal_med, ens_med = float(np.median(bal_rhos)), float(np.median(ens_rhos))
-        flag = "PASS" if bal_med >= ens_med else "WARN"
+        for seed in range(2000, 2010):
+            run = protocol(seed)
+            bal_rhos.append(run.report.metrics["spearman_var_err"])
+            test = run.balora.target.test
+            mean, var = TK.run_ensemble(run.ensemble, test.X)
+            ens_rhos.append(U.spearman(var.mean(axis=1), np.mean((mean - test.y) ** 2, axis=1)))
         with capsys.disabled():
-            print(f"\n[{flag}] comparative uncertainty quality: median Spearman "
-                  f"balora {bal_med:.3f} vs 5-member ensemble {ens_med:.3f} over "
-                  "10 seeds (reported, not gated)")
+            print()
+            paired_report("balora vs 5-member lora ensemble, Spearman(variance, error)",
+                          bal_rhos, ens_rhos, ".3f", higher_is_better=True)
 
     def _small_setup(self):
-        task = _hetero_task(21)
+        task = hetero_task(21)
         aspec = AdapterSpec(rank=2, lora_alpha=4.0, alphanet_hidden=(8,))
         pre = V.TrainConfig(lr=5e-3, epochs=10, batch_size=64, kl_weight=0.0)
         ad = V.TrainConfig(lr=1e-2, epochs=8, batch_size=64, kl_weight=0.0)
@@ -192,22 +161,10 @@ class TestEnsemble:
         _, var = TK.run_ensemble(ens, TK.generate(task).test.X)
         assert np.max(var) == 0.0
 
-    def test_m5_spearman_logged(self):
-        task, aspec, pre, ad = self._small_setup()
-        ens = TK.train_ensemble(task, (16,), aspec, pre, ad, V.PriorConfig(0.5),
-                                seed=22, m=5)
-        splits = TK.generate(task)
-        mean, var = TK.run_ensemble(ens, splits.test.X)
-        sq_err = np.mean((mean - splits.test.y) ** 2, axis=1)
-        rho = U.spearman(var.mean(axis=1), sq_err)
-        assert -1.0 <= rho <= 1.0
-
     def test_training_cost_bookkeeping(self):
-        task, aspec, pre, ad = self._small_setup()
-        ens = TK.train_ensemble(task, (16,), aspec, pre, ad, V.PriorConfig(0.5),
-                                seed=23, m=3)
-        assert len(ens.member_seconds) == 3
-        assert all(t > 0 for t in ens.member_seconds)
+        seconds = protocol(2000).ensemble.member_seconds
+        assert len(seconds) == 5
+        assert all(t > 0 for t in seconds)
 
     def test_passed_in_backbone_gives_identical_members(self):
         task, aspec, pre, ad = self._small_setup()
@@ -229,3 +186,10 @@ class TestEnsemble:
         ens = TK.EnsembleBaseline(members=[object()])
         with pytest.raises(DomainError):
             TK.run_ensemble(ens, np.ones((2, 6)))
+
+
+def test_sign_test_p_on_hand_cases():
+    assert sign_test_p([1.0] * 10) == 2 / 1024
+    assert sign_test_p([1.0] * 5 + [-1.0] * 5) == 1.0
+    assert sign_test_p([-0.5] * 3 + [0.5] * 7) == 2 * 176 / 1024
+    assert sign_test_p([1.0] * 10 + [0.0] * 4) == 2 / 1024  # ties leave n
