@@ -23,6 +23,13 @@ _threads = os.environ.get("BALORA_THREADS", "")
 if re.fullmatch("[1-9][0-9]*", _threads) and "numpy" not in sys.modules:
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, _threads))
 
+
+def blas_pinned() -> bool:
+    """Whether the BLAS runs on one thread: every BLAS thread variable is 1,
+    as ``BALORA_THREADS=1`` sets them before numpy loads."""
+    return all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
+
+
 from .rng import Rng  # noqa: E402
 from .tensor import Tensor, backward  # noqa: E402
 

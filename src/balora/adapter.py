@@ -351,9 +351,9 @@ class AlphaNet:
 
     feature_dim: int
     num_layers: int
-    hidden_dims: tuple = (256, 256)
-    alpha_min: float = ALPHA_MIN
-    alpha_max: float = ALPHA_MAX
+    hidden_dims: tuple
+    alpha_min: float
+    alpha_max: float
     weights: list = field(default_factory=list)
     biases: list = field(default_factory=list)
 
@@ -369,9 +369,9 @@ def _inverse_softplus(a: float) -> float:
     return float(a + np.log(-np.expm1(-a)))
 
 
-def init_alphanet(rng: Rng, feature_dim: int, num_layers: int,
-                  hidden_dims=(256, 256), alpha_min: float = ALPHA_MIN,
-                  alpha_max: float = ALPHA_MAX, init_alpha: float = 0.05) -> AlphaNet:
+def init_alphanet(rng: Rng, feature_dim: int, num_layers: int, hidden_dims,
+                  alpha_min: float = ALPHA_MIN, alpha_max: float = ALPHA_MAX,
+                  init_alpha: float = 0.05) -> AlphaNet:
     """AlphaNet with 1/sqrt(fan_in) weight init and output bias set so the
     initial noise scale is ``init_alpha`` (small noise eases early training),
     which must lie in the clamp ``[alpha_min, alpha_max]``."""

@@ -5,20 +5,18 @@ slopes. The low-rank sampler should scale roughly linearly in ``k`` at
 fixed rank; the dense oracle pays for materializing and factorizing a
 k-by-k matrix and grows at least quadratically. The slopes are reliable
 only on one BLAS thread: run with ``BALORA_THREADS=1`` (or the BLAS thread
-variables set to 1 before numpy loads); :func:`blas_pinned` says whether
-they were.
+variables set to 1 before numpy loads); :func:`balora.blas_pinned` says
+whether they were.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS
 from . import adapter as A
 from .checkpoint import atomic_open
 from .rng import Rng
@@ -41,12 +39,6 @@ D_IN = 64
 DENSE_MAX_K = A._ORACLE_MAX_DIM
 
 
-def blas_pinned() -> bool:
-    """Whether timing runs on a single BLAS thread: every BLAS thread
-    variable is 1, as ``BALORA_THREADS=1`` sets them before numpy loads."""
-    return all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
-
-
 def _time_ns(fn, reps: int) -> tuple[float, float, float]:
     fn()  # warm up caches and allocator
     times = []
@@ -60,8 +52,7 @@ def _time_ns(fn, reps: int) -> tuple[float, float, float]:
 
 
 def run_bench(k_values, r: int = 8, n_samples: int = 4096, reps: int = 9,
-              seed: int = 0, d: int = D_IN,
-              max_naive_k: int = DENSE_MAX_K) -> tuple[list[BenchRow], dict]:
+              seed: int = 0) -> tuple[list[BenchRow], dict]:
     """Benchmark both samplers over ``k_values`` and fit log-log slopes.
 
     Each method is timed in its own pass so the dense oracle's large
@@ -71,7 +62,7 @@ def run_bench(k_values, r: int = 8, n_samples: int = 4096, reps: int = 9,
     construction and factorization, not the draws, carry the k-scaling of
     interest. Slopes are fit per arm, so the differing batch sizes do not
     affect them. An arm timed at fewer than two distinct ``k`` (the dense
-    one skips every ``k > max_naive_k``) has the slope None.
+    one skips every ``k > DENSE_MAX_K``) has the slope None.
     """
     rng = Rng(seed)
     rows: list[BenchRow] = []
@@ -79,9 +70,9 @@ def run_bench(k_values, r: int = 8, n_samples: int = 4096, reps: int = 9,
     cases = []
     for k in k_values:
         k = int(k)
-        layer = A.init_layer(rng.stream_of(k), d=d, k=k, r=r, init_std=0.3)
+        layer = A.init_layer(rng.stream_of(k), d=D_IN, k=k, r=r, init_std=0.3)
         layer.WB = Tensor(rng.stream_of(k + 1).normal((k, r)))
-        x = Tensor(rng.stream_of(k + 2).normal((d,)))
+        x = Tensor(rng.stream_of(k + 2).normal((D_IN,)))
         cases.append((k, layer, x, rng.stream_of(k + 3)))
     for k, layer, x, draw_rng in cases:
         def low(layer=layer, x=x, draw_rng=draw_rng):
@@ -89,7 +80,7 @@ def run_bench(k_values, r: int = 8, n_samples: int = 4096, reps: int = 9,
 
         rows.append(BenchRow(k, r, "lowrank", *_time_ns(low, reps)))
     for k, layer, x, draw_rng in cases:
-        if k > max_naive_k:
+        if k > DENSE_MAX_K:
             continue
 
         def naive(layer=layer, x=x, draw_rng=draw_rng):

@@ -286,7 +286,7 @@ def load_model(path) -> tuple[AdaptedModel, dict]:
     net_kwargs = None
     if "alphanet" in header or kind == "balora":
         net_kwargs, net_shapes = _alphanet_meta_checked(header)
-        feature_dim = spec.d_in if spec.head == "regression" else widths[-2]
+        feature_dim = spec.alpha_feature_dim
         if (net_kwargs["feature_dim"], net_kwargs["num_layers"]) != (feature_dim,
                                                                       len(layer_kwargs)):
             raise CheckpointError(

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS, __version__
+from . import BLAS_THREAD_VARS, __version__, blas_pinned
 from . import bench as B
 from . import checkpoint as CK
 from . import config as C
@@ -377,7 +377,7 @@ def cmd_sample(args) -> int:
         rng = Rng(args.seed).stream_of(11)
         manifest.data["mc_workers"] = model.mc_workers(args.n)
         try:
-            draws = U._stochastic_draws(model, x, args.n, rng)[:, 0, :]
+            draws = model.predict_stochastic(x, args.n, rng)[:, 0, :]
         except T.NonFiniteError as err:
             if args.input is None:
                 raise
@@ -413,7 +413,7 @@ def cmd_bench(args) -> int:
                                    reps=args.reps, seed=args.seed)
         csv_path = out / "bench.csv"
         B.write_csv(csv_path, rows)
-        pinned = B.blas_pinned()
+        pinned = blas_pinned()
         slopes_path = out / "slopes.json"
         _write_text(slopes_path, json.dumps({**slopes, "blas_pinned": pinned},
                                             sort_keys=True) + "\n")

@@ -5,8 +5,8 @@ then frozen; adapters are attached to a configurable subset of the linear
 layers. The stochastic forward takes one latent noise vector per sample
 per adapted layer (drawn by ``AdaptedModel.draw_eps``) and is one tape
 node, so the training objective differentiates through the sampler by
-reparametrization. ``predict_stochastic`` is its untaped Monte Carlo
-counterpart: it runs what does not depend on the draw once per input row.
+reparametrization. ``predict_stochastic``, its untaped counterpart, draws
+every Monte Carlo sample and runs what does not depend on the draw once.
 Every forward, taped or not (``forward``, the frozen prefix, alpha
 features, ``predict``, ``merged_forward``, Monte Carlo blocks), is one
 plain-numpy walk over a per-layer plan (:meth:`AdaptedModel._plan`). The
@@ -26,12 +26,15 @@ from typing import Optional
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS
+from . import blas_pinned
 from . import adapter as A
 from . import tensor as T
 from .adapter import ALPHA_MAX, ALPHA_MIN, AlphaNet, BaLoRALayer
 from .rng import Rng
 from .tensor import DomainError, ShapeError, Tensor
+
+# Draw rows per noise chunk of ``predict_stochastic``: the noise it holds at once.
+_MAX_ROWS = 1 << 22
 
 # Draw rows per block of ``predict_stochastic``. Each worker thread runs its
 # blocks in two reused buffers of this many rows by the widest layer, 1 MB
@@ -53,7 +56,7 @@ def _cpu_workers() -> int:
     """Threads the Monte Carlo evaluator may use: every CPU this process may
     run on when the BLAS is pinned to one thread, else 1, because an unpinned
     BLAS already runs its own thread pool."""
-    if any(os.environ.get(var) != "1" for var in BLAS_THREAD_VARS):
+    if not blas_pinned():
         return 1
     try:
         return len(os.sched_getaffinity(0))
@@ -100,6 +103,11 @@ class BackboneSpec:
 
     def widths(self) -> list[int]:
         return [self.d_in, *self.hidden, self.d_out]
+
+    @property
+    def alpha_feature_dim(self) -> int:
+        """Width of the AlphaNet's rows, :meth:`AdaptedModel.alpha_features`."""
+        return self.d_in if self.head == "regression" else self.widths()[-2]
 
 
 @dataclass
@@ -221,9 +229,9 @@ class AdaptedModel:
         """Feature vectors driving the noise scales (computed off-tape).
 
         Regression uses the raw input; classification uses the frozen
-        backbone's last hidden representation, standing in for a
-        pretrained feature extractor. ``prefix`` is :meth:`frozen_prefix`
-        of ``X`` when the caller already has it.
+        backbone's last hidden representation, standing in for a pretrained
+        feature extractor (:attr:`BackboneSpec.alpha_feature_dim` wide).
+        ``prefix`` is :meth:`frozen_prefix` of ``X`` when the caller has it.
         """
         if self.head == "regression":
             return np.asarray(X, dtype=np.float64)
@@ -314,25 +322,28 @@ class AdaptedModel:
         return h
 
     def predict_stochastic(self, X: np.ndarray, S: int, rng: Rng) -> np.ndarray:
-        """``S`` stochastic forwards of every row of ``X``, off the tape:
-        an ``(S, B, k)`` array.
+        """``S`` stochastic forwards of every row of ``X``, off the tape: an
+        ``(S, B, k)`` array. Every Monte Carlo draw comes from here.
 
-        The noise is that of :meth:`forward` on ``X`` tiled ``S`` times:
-        ``draw_eps(S * B, rng)``, whose row ``j`` is draw ``j // B`` of input
-        ``j % B``. What does not depend on the draw runs once per input row:
-        the frozen prefix, the alphas, and the first adapted layer's
-        :func:`~balora.adapter.layer_terms`. Each block of ``_BLOCK_ROWS``
-        draw rows takes those terms of its input rows, adds its noise and
-        runs the remaining layers, so activation memory does not grow with
-        ``S``. The blocks are dealt out in turn to :meth:`mc_workers`
-        threads, each with two reused buffers; every block runs the same ops
-        whatever the thread count, so the result is too. The per-row terms
-        and every block's output are checked for finiteness; NaN and Inf
-        propagate to them through every op in between.
+        The draws go in chunks of whole draws, at most ``_MAX_ROWS`` rows (or
+        one draw) each. Chunk ``c`` has the noise of :meth:`forward` on ``X``
+        tiled over its draws, ``draw_eps`` from ``rng.stream_of(c)``, whose row
+        ``j`` is draw ``j // B`` of input ``j % B``. What does not depend on the
+        draw runs once per call: the frozen prefix, the alphas, and the first
+        adapted layer's :func:`~balora.adapter.layer_terms`. Each block of
+        ``_BLOCK_ROWS`` draw rows of a chunk takes those terms of its input
+        rows, adds its noise and runs the remaining layers into the output, so
+        activation memory does not grow with ``S``. A chunk's blocks are dealt
+        out in turn to :meth:`mc_workers` threads, each with two reused
+        buffers; every block runs the same ops whatever the thread count, so
+        the result is too. The per-row terms and every block's output are
+        checked for finiteness; NaN and Inf propagate to them through every
+        op in between.
         """
+        if self.kind != "balora":
+            raise DomainError("stochastic forward requires a balora model")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         B, n = X.shape[0], S * X.shape[0]
-        eps = self.draw_eps(n, rng)
         first = self.prefix_layers
         prefix = self.frozen_prefix(X)
         alphas = A.alpha_scales(self.alphanet, self.alpha_features(X, prefix))[0]
@@ -341,18 +352,23 @@ class AdaptedModel:
         for t in terms:
             T.check_finite(t, "per-row terms of the stochastic forward")
         out = np.empty((n, self.backbone.spec.d_out))
-        size = min(_BLOCK_ROWS, n) * max(self.backbone.spec.widths()[first + 1:])
+        chunk = max(1, _MAX_ROWS // B) * B
+        size = min(_BLOCK_ROWS, chunk, n) * max(self.backbone.spec.widths()[first + 1:])
         plan = self._plan(first, self.backbone.n_layers, self.adapters)
-        blocks = [slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
-        rows = np.arange(n) % B
+        rows = np.arange(min(chunk, n)) % B
 
-        def work(share):
+        def work(share, eps, dest):
             bufs = (np.empty(size), np.empty(size))
             for blk in share:
-                self._draw_block(blk, rows, plan, terms, alphas, eps, out, bufs)
+                self._draw_block(blk, rows, plan, terms, alphas, eps, dest, bufs)
 
-        workers = self.mc_workers(n)
-        _run_all([functools.partial(work, blocks[w::workers]) for w in range(workers)])
+        for c, lo in enumerate(range(0, n, chunk)):
+            m = min(chunk, n - lo)
+            eps = self.draw_eps(m, rng.stream_of(c))
+            blocks = [slice(a, min(a + _BLOCK_ROWS, m)) for a in range(0, m, _BLOCK_ROWS)]
+            workers = self.mc_workers(m)
+            _run_all([functools.partial(work, blocks[w::workers], eps, out[lo:lo + m])
+                      for w in range(workers)])
         return out.reshape(S, B, -1)
 
     def mc_workers(self, n_rows: int) -> int:
@@ -383,9 +399,9 @@ class AdaptedModel:
 
     def _draw_block(self, blk: slice, rows: np.ndarray, plan: list[tuple], terms,
                     alphas: np.ndarray, eps: list[np.ndarray], out: np.ndarray, bufs) -> None:
-        """Draw rows ``blk`` of :meth:`predict_stochastic` into ``out[blk]``:
-        walk ``plan`` in ``bufs`` from the first adapted layer's ``terms`` and
-        the ``alphas`` of input rows ``rows[blk]``, views unless the block wraps."""
+        """Draw rows ``blk`` of a chunk into ``out[blk]``, ``out`` being its output
+        rows: walk ``plan`` in ``bufs`` from the first adapted layer's ``terms``
+        and the ``alphas`` of input rows ``rows[blk]``, views unless it wraps."""
         lo, m = rows[blk.start], blk.stop - blk.start
         pick = slice(lo, lo + m) if lo + m <= len(alphas) else rows[blk]
         h = A.walk(plan, None, tuple(t[pick] for t in terms), alphas[pick],
@@ -413,10 +429,8 @@ def attach_adapters(backbone: ToyBackbone, aspec: AdapterSpec, kind: str,
             w0=backbone.weights[idx], lora_scale=aspec.lora_alpha / r)
     alphanet = None
     if kind == "balora":
-        feature_dim = backbone.spec.d_in if backbone.spec.head == "regression" \
-            else widths[-2]
         alphanet = A.init_alphanet(
-            rng.stream_of(10_000), feature_dim=feature_dim, num_layers=len(adapters),
-            hidden_dims=aspec.alphanet_hidden, alpha_min=aspec.alpha_min,
-            alpha_max=aspec.alpha_max, init_alpha=aspec.init_alpha)
+            rng.stream_of(10_000), feature_dim=backbone.spec.alpha_feature_dim,
+            num_layers=len(adapters), hidden_dims=aspec.alphanet_hidden,
+            alpha_min=aspec.alpha_min, alpha_max=aspec.alpha_max, init_alpha=aspec.init_alpha)
     return AdaptedModel(backbone, adapters, alphanet, kind)

@@ -262,25 +262,21 @@ def train_ensemble(task: SyntheticTask, hidden, aspec: AdapterSpec,
                    pretrain_cfg: V.TrainConfig, adapt_cfg: V.TrainConfig,
                    prior: V.PriorConfig, seed: int, m: int,
                    backbone: Optional[ToyBackbone] = None) -> EnsembleBaseline:
-    """Train ``m`` plain-LoRA members differing only by training seed.
-
-    A passed-in ``backbone`` must be the frozen one that pretraining from
-    ``seed`` gives; it is reused instead of pretrained again.
+    """Train ``m`` plain-LoRA members differing only by training seed: member
+    ``i`` is :func:`pretrain_then_adapt` of ``"lora"`` at seed ``seed + 1 + i``
+    on the frozen backbone that pretraining from ``seed`` gives, which a
+    passed-in ``backbone`` must be. ``member_seconds`` are their adapt times.
     """
     if m < 2:
         raise DomainError("an ensemble needs at least 2 members")
     if backbone is None:
         backbone, _ = pretrain_backbone(task, hidden, pretrain_cfg, Rng(seed))
-    target = generate(task, shifted=True)
     ensemble = EnsembleBaseline()
     for i in range(m):
-        t0 = time.perf_counter()
-        member_rng = Rng(seed + 1 + i)
-        model = attach_adapters(backbone, aspec, "lora", member_rng.stream_of(3))
-        V.train_model(model, (target.train.X, target.train.y), prior, adapt_cfg,
-                      member_rng.stream_of(4))
-        ensemble.members.append(model)
-        ensemble.member_seconds.append(time.perf_counter() - t0)
+        member = pretrain_then_adapt(task, hidden, aspec, "lora", pretrain_cfg, adapt_cfg,
+                                     prior, seed=seed + 1 + i, backbone=backbone)
+        ensemble.members.append(member.model)
+        ensemble.member_seconds.append(member.phases["adapt"]["wall_s"])
     return ensemble
 
 

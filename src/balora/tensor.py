@@ -171,9 +171,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def detach(self) -> "Tensor":
         return Tensor._from_op(self.data, (), None, "detach")
 

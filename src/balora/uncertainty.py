@@ -1,8 +1,9 @@
 """Monte Carlo uncertainty report and calibration metrics.
 
-:func:`uq_report` is the one Monte Carlo evaluator; :func:`_stochastic_draws`
-is the draw primitive under it. Variance estimators use the population
-(1/S) form throughout. The epistemic/aleatoric split follows the law of
+:func:`uq_report` is the one Monte Carlo evaluator. It takes its draws from
+:meth:`~balora.model.AdaptedModel.predict_stochastic`, the one draw
+primitive, which also serves ``balora sample``. Variance estimators use the
+population (1/S) form throughout. The epistemic/aleatoric split follows the law of
 total variance: epistemic is the variance over weight draws of the
 conditional mean, aleatoric is the mean over draws of the conditional
 variance. For classification the conditional variance of a draw is taken
@@ -21,23 +22,6 @@ import numpy as np
 from .model import AdaptedModel
 from .rng import Rng
 from .tensor import DomainError, ShapeError
-
-# Cap the draw rows (draws x inputs) of one ``predict_stochastic`` call so
-# memory stays bounded and chunking stays deterministic.
-_MAX_ROWS = 1 << 22
-
-
-def _stochastic_draws(model: AdaptedModel, X: np.ndarray, S: int, rng: Rng) -> np.ndarray:
-    """(S, B, k) stochastic forward outputs with per-draw noise.
-
-    Draw chunks use substreams keyed by chunk index, so results depend
-    only on (seed, S, B) and are reproducible regardless of memory limits.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    chunk = max(1, _MAX_ROWS // X.shape[0])
-    outs = [model.predict_stochastic(X, min(chunk, S - start), rng.stream_of(c))
-            for c, start in enumerate(range(0, S, chunk))]
-    return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -171,7 +155,7 @@ def uq_report(model: AdaptedModel, X, y, S: int, rng: Rng) -> UQReport:
         raise DomainError(f"uq_report needs S >= 2, got {S}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
-    draws = _stochastic_draws(model, X, S, rng)  # (S, B, k)
+    draws = model.predict_stochastic(X, S, rng)  # (S, B, k)
     if model.head == "regression":
         preds = draws.mean(axis=0)
         epi = np.mean(np.mean((draws - preds) ** 2, axis=0), axis=1)

@@ -94,7 +94,7 @@ def test_criterion_5_merge_deterministic_equivalence():
     # deterministic output is exactly the predictive mean.
     model = single_linear_model(40)
     x = Rng(41).normal((3,))
-    draws = U._stochastic_draws(model, x, N_DRAWS, Rng(43))[:, 0, :]
+    draws = model.predict_stochastic(x, N_DRAWS, Rng(43))[:, 0, :]
     mc_mean = draws.mean(axis=0)
     mc_var = np.mean((draws - mc_mean) ** 2, axis=0)
     se_model = np.sqrt(np.maximum(mc_var, 1e-300) / N_DRAWS)

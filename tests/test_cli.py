@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from balora import BLAS_THREAD_VARS
 from balora import bench as B
 from balora import checkpoint as CK
 from balora import adapter, cli, tasks, tensor, variational
@@ -181,7 +182,7 @@ class TestTrain:
         assert manifest["status"] == "ok"
         assert manifest["command"] == "train"
         assert manifest["started"] <= manifest["finished"]
-        assert set(manifest["thread_env"]) == {"BALORA_THREADS", *B.BLAS_THREAD_VARS}
+        assert set(manifest["thread_env"]) == {"BALORA_THREADS", *BLAS_THREAD_VARS}
         for name in ("checkpoint.bin", "metrics.jsonl", "train.csv", "test.csv"):
             assert (out / name).exists()
         record = _adapt_records(out)[0]
@@ -550,7 +551,8 @@ class TestUsageErrors:
         ckpt = str(tmp_path / "run" / "checkpoint.bin")
         capsys.readouterr()
         monkeypatch.setattr(tasks, "generate", lambda *a, **k: pytest.fail("task generated"))
-        monkeypatch.setattr(cli.U, "_stochastic_draws", lambda *a: pytest.fail("noise drawn"))
+        monkeypatch.setattr(AdaptedModel, "predict_stochastic",
+                            lambda *a: pytest.fail("noise drawn"))
         for argv, named in ((["eval"], "--mode mc"), (["sample"], "sample")):
             out = tmp_path / argv[0]
             assert main([*argv, "--checkpoint", ckpt, "--out", str(out)]) == 2
@@ -957,7 +959,7 @@ class TestThreads:
     def test_threads_not_in_effect_exit_2(self, monkeypatch, capsys):
         # numpy is already loaded here, so BALORA_THREADS holds only where
         # the BLAS thread variables already equal it.
-        for var in B.BLAS_THREAD_VARS:
+        for var in BLAS_THREAD_VARS:
             monkeypatch.setenv(var, "1")
         monkeypatch.setenv("BALORA_THREADS", "1")
         assert main(["verify", "--filter", "kl_minimum"]) == 0
@@ -966,24 +968,24 @@ class TestThreads:
             assert main(["verify", "--filter", "kl_minimum"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: BALORA_THREADS")
-            assert all(var in err for var in B.BLAS_THREAD_VARS)
+            assert all(var in err for var in BLAS_THREAD_VARS)
 
     def test_balora_threads_pins_a_fresh_process(self, tmp_path):
         out = tmp_path / "bench"
         proc = _python(["-m", "balora.cli", "bench", "--k-range", "16,32", "--r", "2",
                         "--samples", "8", "--reps", "1", "--out", str(out)],
-                       BALORA_THREADS="1", **dict.fromkeys(B.BLAS_THREAD_VARS))
+                       BALORA_THREADS="1", **dict.fromkeys(BLAS_THREAD_VARS))
         assert proc.returncode == 0, proc.stderr
         assert json.loads((out / "slopes.json").read_text())["blas_pinned"] is True
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["thread_env"] == {var: "1" for var in
-                                          ("BALORA_THREADS", *B.BLAS_THREAD_VARS)}
+                                          ("BALORA_THREADS", *BLAS_THREAD_VARS)}
 
     def test_manifest_records_one_thread_under_balora_threads_1(self, tmp_path, fast_config):
         out = tmp_path / "train"
         proc = _python(["-m", "balora.cli", "train", "--config", str(fast_config),
                         "--out", str(out)],
-                       BALORA_THREADS="1", **dict.fromkeys(B.BLAS_THREAD_VARS))
+                       BALORA_THREADS="1", **dict.fromkeys(BLAS_THREAD_VARS))
         assert proc.returncode == 0, proc.stderr
         assert json.loads((out / "manifest.json").read_text())["threads"] == 1
 
@@ -996,7 +998,7 @@ class TestThreads:
         out = tmp_path / "eval"
         proc = _python(["-m", "balora.cli", "eval", "--checkpoint",
                         str(run / "checkpoint.bin"), "--out", str(out)],
-                       BALORA_THREADS="1", **dict.fromkeys(B.BLAS_THREAD_VARS))
+                       BALORA_THREADS="1", **dict.fromkeys(BLAS_THREAD_VARS))
         assert proc.returncode == 0, proc.stderr
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["threads"] == 1

@@ -46,7 +46,7 @@ class TestStochasticForward:
 
     def test_predict_stochastic_matches_forward(self):
         model, X, _ = _tiny_model(3)
-        expected = model.forward(X, eps=model.draw_eps(X.shape[0], Rng(4))).data
+        expected = model.forward(X, eps=model.draw_eps(X.shape[0], Rng(4).stream_of(0))).data
         got = model.predict_stochastic(X, 1, Rng(4))
         assert got.shape == (1, *expected.shape)
         np.testing.assert_allclose(got[0], expected, rtol=1e-12, atol=0)
@@ -97,10 +97,10 @@ def _adapted(seed: int, hidden: tuple, adapt_layers, head: str = "regression",
 
 
 def _tiled_reference(model, X, S, rng):
-    """``_stochastic_draws`` rebuilt from ``forward``: each chunk of draws is
+    """``predict_stochastic`` rebuilt from ``forward``: each chunk of draws is
     one forward of ``X`` tiled, with ``draw_eps`` from the chunk's stream."""
     B = X.shape[0]
-    chunk = max(1, U._MAX_ROWS // B)
+    chunk = max(1, M._MAX_ROWS // B)
     outs = []
     for c, start in enumerate(range(0, S, chunk)):
         s = min(chunk, S - start)
@@ -123,7 +123,7 @@ class TestEvaluator:
     def test_matches_tiled_forward(self, hidden, adapt, head, S, B):
         model = _adapted(11, hidden, adapt, head)
         X = Rng(12).normal((B, 5))
-        got = U._stochastic_draws(model, X, S, Rng(13))
+        got = model.predict_stochastic(X, S, Rng(13))
         want = _tiled_reference(model, X, S, Rng(13))
         assert got.shape == want.shape == (S, B, 3)
         assert np.std(got, axis=0).min() > 0  # the noise is live
@@ -132,13 +132,36 @@ class TestEvaluator:
     def test_chunks_and_ragged_blocks(self, monkeypatch):
         # 20 draws of 7 rows: chunks of 7, 7 and 6 draws (49, 49 and 42
         # rows) in blocks of 10 rows, so every chunk ends in a ragged block.
-        monkeypatch.setattr(U, "_MAX_ROWS", 50)
+        monkeypatch.setattr(M, "_MAX_ROWS", 50)
         monkeypatch.setattr(M, "_BLOCK_ROWS", 10)
         model = _adapted(14, (6, 7), (1,), "classification")
         X = Rng(15).normal((7, 5))
-        got = U._stochastic_draws(model, X, 20, Rng(16))
+        got = model.predict_stochastic(X, 20, Rng(16))
         want = _tiled_reference(model, X, 20, Rng(16))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_draw_independent_work_runs_once_per_call(self, monkeypatch):
+        # The same 3 chunks of 7, 7 and 6 draws share one frozen prefix and
+        # one run of the AlphaNet.
+        monkeypatch.setattr(M, "_MAX_ROWS", 50)
+        monkeypatch.setattr(M, "_BLOCK_ROWS", 10)
+        calls = {"alpha_scales": 0, "frozen_prefix": 0, "draw_eps": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(A, "alpha_scales")
+        counted(AdaptedModel, "frozen_prefix")
+        counted(AdaptedModel, "draw_eps")
+        model = _adapted(14, (6, 7), (1,), "classification")
+        U.uq_report(model, Rng(15).normal((7, 5)), np.zeros(7, dtype=int), 20, Rng(16))
+        assert calls == {"alpha_scales": 1, "frozen_prefix": 1, "draw_eps": 3}
 
     def test_mc_head_peak_memory(self):
         # S=100 x 1024 rows of a 16 -> 128 -> 128 -> 10 classifier adapted
@@ -150,7 +173,7 @@ class TestEvaluator:
         assert model.mc_workers(100 * 1024) == 2
         tracemalloc.start()
         try:
-            U._stochastic_draws(model, X, 100, Rng(19))
+            model.predict_stochastic(X, 100, Rng(19))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -185,7 +208,7 @@ class TestThreadedEvaluator:
     def _draws(monkeypatch, workers, model, X, S):
         monkeypatch.setattr(M, "_cpu_workers", lambda: workers)
         assert model.mc_workers(S * X.shape[0]) == workers
-        return U._stochastic_draws(model, X, S, Rng(31))
+        return model.predict_stochastic(X, S, Rng(31))
 
     def test_threads_only_under_a_one_thread_blas(self, monkeypatch):
         monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
@@ -276,7 +299,7 @@ class TestThreadedEvaluator:
         model = _adapted(36, (6, 7), None)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"block {failing} failed"):
-            U._stochastic_draws(model, Rng(37).normal((7, 5)), 19, Rng(38))
+            model.predict_stochastic(Rng(37).normal((7, 5)), 19, Rng(38))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -592,7 +615,8 @@ class TestForwardPathFuzz:
         scale = max(1.0, float(np.max(np.abs(mean))))
         assert np.max(np.abs(model.merged_forward(X) - mean)) <= 1e-12 * scale
 
-        tiled = model.forward(np.tile(X, (S, 1)), eps=model.draw_eps(S * B, rng.stream_of(1)))
+        tiled = model.forward(np.tile(X, (S, 1)),
+                              eps=model.draw_eps(S * B, rng.stream_of(1).stream_of(0)))
         block, workers = data.draw(st.sampled_from([3, 10, 512])), data.draw(st.integers(1, 3))
         with pytest.MonkeyPatch.context() as mp:
             draws = {}

@@ -223,7 +223,7 @@ class TestFiniteDifferenceSweep:
             for p, g in zip(params, numeric):
                 assert scaled_gradient_error(p.grad, g, rtol=1e-4, atol=1e-7) <= 1.0, name
             for p in params:
-                p.zero_grad()
+                p.grad = None
 
 
 class TestFiniteness:

@@ -1,8 +1,8 @@
 """Metric hand-values, Monte Carlo convergence, and decomposition identities.
 
 Monte Carlo properties are checked on ``uq_report`` and, for per-dim
-moments, on its draw primitive ``_stochastic_draws``, which runs on two
-threads here (``two_mc_workers``)."""
+moments, on its draw primitive ``AdaptedModel.predict_stochastic``, which
+runs on two threads here (``two_mc_workers``)."""
 
 import tracemalloc
 
@@ -24,7 +24,7 @@ pytestmark = pytest.mark.usefixtures("two_mc_workers")
 
 def _draw_moments(model, x, S, rng):
     """Per-dim mean and population variance of S stochastic outputs at x."""
-    draws = U._stochastic_draws(model, x, S, rng)[:, 0, :]
+    draws = model.predict_stochastic(x, S, rng)[:, 0, :]
     mean = draws.mean(axis=0)
     return mean, np.mean((draws - mean) ** 2, axis=0)
 
@@ -125,11 +125,11 @@ class TestBlockedDraws:
         # 52, 2048 fill four blocks, 1025 end in a one-row block.
         model = _wide_model(44, (48, 40))
         X = Rng(45).normal((B, 32))
-        blocked = U._stochastic_draws(model, X, S, Rng(46))
-        again = U._stochastic_draws(model, X, S, Rng(46))
+        blocked = model.predict_stochastic(X, S, Rng(46))
+        again = model.predict_stochastic(X, S, Rng(46))
         assert blocked.tobytes() == again.tobytes()
         monkeypatch.setattr(M, "_BLOCK_ROWS", 1 << 30)
-        whole = U._stochastic_draws(model, X, S, Rng(46))
+        whole = model.predict_stochastic(X, S, Rng(46))
         assert blocked.shape == whole.shape == (S, B, 1)
         assert np.std(whole, axis=0).min() > 0  # the noise is live
         assert np.max(np.abs(blocked - whole)) <= 1e-12 * np.max(np.abs(whole))
@@ -162,7 +162,7 @@ class TestDecomposition:
         x = Rng(21).normal((3,))
         S_outer, S_inner = 10_000, 8
         total = _single_report(model, x, S_outer, Rng(22))["var_total"]
-        draws = U._stochastic_draws(model, x, S_outer, Rng(22))[:, 0, :]  # same draws
+        draws = model.predict_stochastic(x, S_outer, Rng(22))[:, 0, :]  # same draws
         eps = Rng(22).stream_of(987_654_321).normal((S_outer, S_inner, draws.shape[1]))
         ys = (draws[:, None, :] + model.sigma_obs() * eps).reshape(-1, draws.shape[1])
         joint = float(np.mean(np.mean((ys - ys.mean(axis=0)) ** 2, axis=0)))

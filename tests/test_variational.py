@@ -3,6 +3,7 @@ finite differences for the ELBO, the one-node ELBO step against the same step
 built from the public nodes, and closed-form first-step behavior for AdamW.
 The KL's quadrature oracles live in ``balora.verify``."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -326,7 +327,11 @@ class _ReferenceAdamW:
     def step(self) -> dict:
         b1, b2, eps = V.AdamW.BETA1, V.AdamW.BETA2, V.AdamW.EPS
         lr = self.schedule.lr_at(self.t)
-        raw_norm = V.global_grad_norm(self.params)
+        total = 0.0
+        for p in self.params:
+            if p.grad is not None:
+                total += float(np.sum(p.grad * p.grad))
+        raw_norm = math.sqrt(total)
         clip = self.cfg.grad_clip_norm
         scale = clip / raw_norm if raw_norm > clip else 1.0
         self.t += 1
