@@ -116,14 +116,24 @@ def layer_terms(layer: BaLoRALayer, x: np.ndarray, bias: Optional[np.ndarray] = 
     shape that may be ``x`` itself, the squared input; without them both
     are allocated.
     """
+    return _layer_terms(layer, x, bias, noisy, out, scratch)[:3]
+
+
+def _layer_terms(layer, x, bias, noisy, out, scratch):
+    """:func:`layer_terms`, then the squares ``x**2`` and ``WA**2`` that made
+    the latent variance (None each unless ``noisy``), which :func:`layer_vjp`
+    reads again."""
     wa = layer.WA.data
     z = x @ wa.T
     base = np.matmul(x, layer.W0.data.T, out=out)
     if bias is not None:
         base += bias
-    # Last, because ``scratch`` may be ``x``.
-    q = np.multiply(x, x, out=scratch) @ (wa * wa).T if noisy else None
-    return base, z, q
+    q = xx = wa2 = None
+    if noisy:
+        # Last, because ``scratch`` may be ``x``.
+        xx, wa2 = np.multiply(x, x, out=scratch), wa * wa
+        q = xx @ wa2.T
+    return base, z, q, xx, wa2
 
 
 def layer_output(layer: BaLoRALayer, base: np.ndarray, z: np.ndarray,
@@ -156,14 +166,19 @@ def adapted_kernel(layer: BaLoRALayer, x: np.ndarray, bias: Optional[np.ndarray]
     return layer_output(layer, base, z, q, a, eps)[0]
 
 
-def layer_vjp(layer: BaLoRALayer, g: np.ndarray, x: np.ndarray, z: np.ndarray,
-              q: Optional[np.ndarray] = None, sd: Optional[np.ndarray] = None, a=None,
-              eps: Optional[np.ndarray] = None, need_x: bool = True):
+def layer_vjp(layer: BaLoRALayer, g: np.ndarray, x: np.ndarray, kept: tuple,
+              need_x: bool = True):
     """The layer's cotangents ``(gx, gwa, gwb, ga)`` for output cotangent
-    ``g``, in plain numpy, from its input ``x`` and what :func:`layer_output`
-    used and returned (``q``, ``sd``, ``a``, ``eps`` None for the posterior
-    mean): ``gx`` if ``need_x``, ``gwa``/``gwb`` if ``WA``/``WB`` require grad,
-    ``ga``, that of the ``(n,)`` alpha column, if noisy; None otherwise."""
+    ``g``, in plain numpy, from its input ``x`` and what a taped :func:`walk`
+    kept of it, ``kept = (z, q, sd, a, eps, xx, wa2)``: the latent and ``sd``
+    that :func:`layer_output` returned, the ``q``, ``a`` and ``eps`` it used
+    and the squares ``x**2`` and ``WA**2`` of ``q``, all None but ``z`` for
+    the posterior mean. ``gx`` if ``need_x``, ``gwa``/``gwb`` if ``WA``/``WB``
+    require grad, ``ga``, that of the ``(n,)`` alpha column, if noisy; None
+    otherwise. Each chain runs in place with the rounding of ``gz * eps *
+    inv``, ``2 * wa * M`` and ``2 * x * N``: doubling is exact, so doubling
+    last gives the same floats (but for results in the subnormal range)."""
+    z, q, sd, a, eps, xx, wa2 = kept
     w0, wa, wb, s = layer.W0.data, layer.WA.data, layer.WB.data, layer.lora_scale
     gu = g * s
     gz = gu @ wb
@@ -174,17 +189,25 @@ def layer_vjp(layer: BaLoRALayer, g: np.ndarray, x: np.ndarray, z: np.ndarray,
         # Subgradient 0 where the latent variance is exactly zero keeps
         # zero-variance directions noise-free instead of Inf * 0.
         inv = np.divide(0.5, sd, out=np.zeros_like(sd), where=sd > 0.0)
-        gv = gz * eps * inv
-        ga = (gv * q).sum(axis=-1)
-        gq = gv * a
+        gq = gz * eps
+        gq *= inv
+        ga = np.multiply(gq, q, out=inv).sum(axis=-1)
+        gq *= a
     if layer.WA.requires_grad:
         gwa = gz.T @ x
         if eps is not None:
-            gwa += 2.0 * wa * (gq.T @ (x * x))
+            m = gq.T @ xx
+            m *= wa
+            m *= 2.0
+            gwa += m
     if need_x:
-        gx = g @ w0 + gz @ wa
+        gx = g @ w0
+        gx += gz @ wa
         if eps is not None:
-            gx += 2.0 * x * (gq @ (wa * wa))
+            m = gq @ wa2
+            m *= x
+            m *= 2.0
+            gx += m
     return gx, gwa, gwb, ga
 
 
@@ -201,9 +224,10 @@ def walk(plan: list[tuple], h: Optional[np.ndarray], terms=None, alphas=None,
     scales in ``alphas``, else give the posterior mean. With ``bufs``, two
     flat arrays, the layer input lives in the first and the base term (but
     that of ``terms``) or GELU gate in the second; without, each op allocates.
-    The output goes to ``out`` if given. A ``tape`` list (no ``bufs``) gets
-    per layer its input, its adapter's ``layer_output`` terms and its GELU's
-    input and gate (else None; the gate then applies out of place)."""
+    The output goes to ``out`` if given. A ``tape`` list (no ``bufs`` nor
+    ``terms``) gets per layer its input, what its adapter's :func:`layer_vjp`
+    reads and its GELU's input and gate (else None; the gate then applies out
+    of place)."""
     cur, spare = bufs if bufs is not None else (None, None)
     n = len(h if terms is None else terms[0])
 
@@ -219,13 +243,15 @@ def walk(plan: list[tuple], h: Optional[np.ndarray], terms=None, alphas=None,
             h = np.matmul(h, weight.T, out=view(cur, k) if dest is None else dest)
             h += bias
         else:
-            base, z, q = terms if j == 0 and terms is not None else layer_terms(
-                layer, h, bias, noisy=eps is not None, out=view(spare, k),
-                scratch=view(cur, h.shape[1]))
+            if j == 0 and terms is not None:
+                (base, z, q), squares = terms, (None, None)
+            else:
+                base, z, q, *squares = _layer_terms(layer, h, bias, eps is not None,
+                                                    view(spare, k), view(cur, h.shape[1]))
             a, e = (None, None) if eps is None else (alphas[:, col:col + 1], eps[col])
             h, z, sd = layer_output(layer, base, z, q, a, e,
                                     out=view(cur, k) if dest is None else dest)
-            drawn = (z, q, sd, a, e)
+            drawn = (z, q, sd, a, e, *squares)
         if gelu and tape is not None:
             act = (h, T.gelu_gate(h))
             h = h * act[1]
@@ -243,19 +269,21 @@ def walk_vjp(plan: list[tuple], tape: list, g: np.ndarray, params: list[tuple],
     flat (None where no grad is required), then of the noise scales
     ``alphas`` if given. One reverse walk, back to the first layer with
     something to train."""
-    first = min((j for j, ps in enumerate(params) if any(p.requires_grad for p in ps)
-                 or alphas is not None and plan[j][2] is not None), default=len(plan))
+    first = next((j for j, ps in enumerate(params) if any(p.requires_grad for p in ps)
+                  or alphas is not None and plan[j][2] is not None), len(plan))
     grads, galpha = [(None,) * len(ps) for ps in params], None
     for j in range(len(plan) - 1, first - 1, -1):
         (weight, _, layer, col, _), (x, drawn, act) = plan[j], tape[j]
         if act is not None:
-            g = T.gelu_grad(*act) * g
+            dg = T.gelu_grad(*act)
+            dg *= g
+            g = dg
         gb = g.sum(axis=0) if params[j][-1].requires_grad else None
         if layer is None:
             grads[j] = (g.T @ x if params[j][0].requires_grad else None, gb)
             g = g @ weight if j > first else None
             continue
-        g, gwa, gwb, ga = layer_vjp(layer, g, x, *drawn, need_x=j > first)
+        g, gwa, gwb, ga = layer_vjp(layer, g, x, drawn, need_x=j > first)
         grads[j] = (gwa, gwb, gb)
         if ga is not None:  # summed as the tape sums one cotangent per layer
             full = np.zeros(alphas.shape)
@@ -411,16 +439,26 @@ def alpha_scales(net: AlphaNet, feat: np.ndarray):
     tape: list = []
     z = walk(plan, feat, tape=tape)
     T.check_finite(z, "the AlphaNet")
-    e = np.exp(-np.abs(z))
-    soft = np.log1p(e) + np.maximum(z, 0.0)
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    soft = np.log1p(e)
+    soft += np.maximum(z, 0.0)
 
     def vjp(g):
-        sig = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-        inside = (soft > net.alpha_min) & (soft < net.alpha_max)
-        return walk_vjp(plan, tape, sig * np.where(inside, g, 0.0), params)
+        # The softplus' slope, 1 / (1 + e) where z >= 0 and e / (1 + e) below,
+        # times g inside the clamp and 0 outside it.
+        sig = np.where(z >= 0.0, 1.0, e)
+        sig /= e + 1.0
+        inside = soft > net.alpha_min
+        inside &= soft < net.alpha_max
+        gz = np.where(inside, g, 0.0)
+        gz *= sig
+        return walk_vjp(plan, tape, gz, params)
 
-    return (np.clip(soft, net.alpha_min, net.alpha_max), [p for ps in params for p in ps],
-            vjp)
+    alphas = np.maximum(soft, net.alpha_min)
+    np.minimum(alphas, net.alpha_max, out=alphas)
+    return alphas, [p for ps in params for p in ps], vjp
 
 
 def alpha_forward(net: AlphaNet, feat: Tensor) -> Tensor:

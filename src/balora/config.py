@@ -13,7 +13,7 @@ from pathlib import Path
 from .model import AdapterSpec
 from .tasks import KINDS, SyntheticTask, _backbone_spec
 from .tensor import DomainError
-from .variational import PriorConfig, TrainConfig
+from .variational import MAX_STEPS, PriorConfig, TrainConfig, total_steps
 
 
 class ConfigError(Exception):
@@ -202,8 +202,9 @@ def adapter_spec_from_config(cfg: dict) -> AdapterSpec:
 
 
 def train_configs_from_config(cfg: dict):
-    """The pretraining and adaptation configs and the prior. ``mc_steps`` is
-    checked here too, so a run that ``eval --mode mc`` would reject never trains."""
+    """The pretraining and adaptation configs and the prior. ``mc_steps`` and
+    each phase's step count are checked here too, so a run that ``eval --mode
+    mc`` or ``train_model`` would reject never trains."""
     if cfg["mc_steps"] < 2:
         raise ConfigError(f"out-of-range config value: mc_steps {cfg['mc_steps']} is below "
                           f"the 2 draws a Monte Carlo variance needs", key="mc_steps")
@@ -221,5 +222,12 @@ def train_configs_from_config(cfg: dict):
                    warmup_fraction=cfg["warmup_fraction"],
                    weight_decay=cfg["weight_decay"],
                    grad_clip_norm=cfg["grad_clip_norm"], nll=cfg["nll"])
+    # Both phases train on the n_train rows of their split.
+    for prefix, phase in (("pretrain_", pretrain), ("", adapt)):
+        steps = total_steps(cfg["n_train"], phase)
+        if steps > MAX_STEPS:
+            raise ConfigError(f"out-of-range config value: n_train, {prefix}epochs and "
+                              f"{prefix}batch_size give {steps} training steps, above the "
+                              f"{MAX_STEPS} a phase may take", key=f"{prefix}epochs")
     prior = _build(PriorConfig, p=cfg["prior_p"])
     return pretrain, adapt, prior

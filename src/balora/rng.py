@@ -43,8 +43,23 @@ class Rng:
 
     def stream_of(self, index: int) -> "Rng":
         """Return an independent substream for ``index`` (worker, draw, member)."""
-        child = _splitmix64(self.stream ^ _splitmix64(int(index) + 1))
-        return Rng(self.seed, child)
+        return Rng(self.seed, self._child(index))
+
+    def _child(self, index: int) -> int:
+        return _splitmix64(self.stream ^ _splitmix64(int(index) + 1))
+
+    def _rekey(self, parent: "Rng", index: int) -> "Rng":
+        """Make this generator ``parent.stream_of(index)`` in place and return
+        it. Key, counter and buffer are all reset, so it draws exactly what a
+        fresh substream would, without building a new bit generator (whose
+        constructor also draws OS entropy only to discard it)."""
+        self.seed, self.stream = parent.seed, parent._child(index)
+        # Philox's key words are little-endian: (seed << 64) | stream.
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (self.stream, self.seed)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return self
 
     def normal(self, shape=()) -> np.ndarray:
         """I.i.d. standard-normal draws with the given shape."""

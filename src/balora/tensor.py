@@ -360,8 +360,16 @@ def gelu_gate(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 def gelu_grad(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """The GELU's derivative at ``z``, ``Phi(z) + z pdf(z)``, given ``phi = gelu_gate(z)``."""
-    return phi + z * (_INV_SQRT2PI * np.exp(-0.5 * z * z))
+    """The GELU's derivative at ``z``, ``Phi(z) + z pdf(z)``, given ``phi = gelu_gate(z)``:
+    ``phi + z * (c * exp(-0.5 * z * z))`` with ``c = 1 / sqrt(2 pi)``, with
+    that rounding, in one array."""
+    d = np.multiply(z, -0.5)
+    d *= z
+    np.exp(d, out=d)
+    d *= _INV_SQRT2PI
+    d *= z
+    d += phi
+    return d
 
 
 def gelu(a: Tensor) -> Tensor:

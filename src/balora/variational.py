@@ -40,6 +40,12 @@ from .tensor import DomainError, NonFiniteError, Tensor
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _mean(a):
+    """``np.mean(a)`` of an array or a float, with numpy's own arithmetic,
+    without its wrapper."""
+    return np.add.reduce(a, axis=None) / np.size(a)
+
+
 class TrainingDivergence(RuntimeError):
     """Training step produced a non-finite loss; carries diagnostics."""
 
@@ -94,8 +100,12 @@ def kl_per_entry(alpha, p: float, alpha_min: float = ALPHA_MIN,
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie strictly in (0, 1), got {p}")
     alpha = np.asarray(alpha, dtype=np.float64)
-    if not np.all((alpha_min <= alpha) & (alpha <= alpha_max)):
-        raise DomainError(f"alpha {alpha} outside clamp range [{alpha_min}, {alpha_max}]")
+    if alpha.size:
+        # NaN fails the check: min and max propagate it.
+        lo, hi = alpha.min(), alpha.max()
+        if not (alpha_min <= lo and hi <= alpha_max):
+            raise DomainError(f"alpha outside clamp range [{alpha_min}, {alpha_max}]: "
+                              f"min {lo}, max {hi}")
     c = (1.0 - p) / p
     kl = 0.5 * ((alpha + 1.0) * c - 1.0 - math.log(c) - np.log(alpha))
     return float(kl) if kl.ndim == 0 else kl
@@ -130,7 +140,7 @@ def _kl(a: np.ndarray, p: float, alpha_min: float, alpha_max: float):
     def vjp(g):
         return ((0.5 * scale / a.size) * (c - 1.0 / a) * g,)
 
-    return np.asarray(np.mean(kl) * scale), vjp
+    return np.asarray(_mean(kl) * scale), vjp
 
 
 def kl_normalized(alphas, p: float, alpha_min: float = ALPHA_MIN,
@@ -155,11 +165,14 @@ def _gaussian_nll(pred: np.ndarray, target, log_sigma: np.ndarray):
     resid = np.asarray(target, dtype=np.float64).reshape(pred.shape) - pred
     with np.errstate(over="ignore", invalid="ignore"):
         inv_var = np.exp(log_sigma * -2.0)
-        scaled = resid * resid * inv_var
-        out = (scaled + (log_sigma * 2.0 + _LOG_2PI)).mean() * 0.5
+        scaled = resid * resid
+        scaled *= inv_var
+        out = _mean(scaled + (log_sigma * 2.0 + _LOG_2PI)) * 0.5
 
     def vjp(g):
-        return (-g / resid.size) * resid * inv_var, np.asarray(g * np.mean(1.0 - scaled))
+        gpred = resid * (-g / resid.size)
+        gpred *= inv_var
+        return gpred, np.asarray(g * _mean(1.0 - scaled))
 
     return np.asarray(out), vjp
 
@@ -261,7 +274,7 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
         if alphas is not None:
             kl, kl_vjp = _kl(alphas, prior.p, model.alphanet.alpha_min,
                              model.alphanet.alpha_max)
-            metrics["alpha_per_layer"] = alphas.mean(axis=0).tolist()
+            metrics["alpha_per_layer"] = (np.add.reduce(alphas) / len(alphas)).tolist()
             metrics["kl_normalized"] = float(kl)
             if cfg.kl_weight > 0:
                 kl_weight = cfg.kl_weight
@@ -329,7 +342,9 @@ class AdamW:
     of them, so one step is one multi-tensor update over every parameter
     with the per-element arithmetic of the textbook per-tensor loop. Each
     updated parameter gets a read-only view of that step's fresh result
-    array, which is never written again.
+    array, which is never written again. So when the last step updated every
+    parameter and each still holds its view, that array is the current
+    values; else they are gathered from the parameters.
     """
 
     BETA1 = 0.9
@@ -350,6 +365,8 @@ class AdamW:
         self._g_views = [self._g[a:b].reshape(p.shape)
                          for p, (a, b) in zip(self.params, self._spans)]
         self._s_views = [self._s[a:b] for a, b in self._spans]
+        # The last step's result array and its views, if it updated every parameter.
+        self._last, self._handed = None, []
 
     def lr_at(self, step: int) -> float:
         if step < self.warmup_steps:
@@ -396,9 +413,13 @@ class AdamW:
         np.multiply(s, 1.0 - self.BETA2, out=s, where=where)
         np.multiply(v, self.BETA2, out=v, where=where)
         np.add(v, s, out=v, where=where)
-        # The gradients are spent: g now holds the current parameter values.
-        for i in live:
-            np.copyto(self._g_views[i], self.params[i].data)
+        cur = self._last
+        if cur is None or any(p.data is not view
+                              for p, view in zip(self.params, self._handed)):
+            # The gradients are spent: g now holds the current parameter values.
+            cur = g
+            for i in live:
+                np.copyto(self._g_views[i], self.params[i].data)
         np.divide(v, bc2, out=s, where=where)
         np.sqrt(s, out=s, where=where)
         np.add(s, self.EPS, out=s, where=where)
@@ -406,16 +427,26 @@ class AdamW:
         np.divide(m, bc1, out=new, where=where)
         np.multiply(new, lr, out=new, where=where)
         np.divide(new, s, out=new, where=where)
-        np.subtract(g, new, out=new, where=where)
+        np.subtract(cur, new, out=new, where=where)
         if self.cfg.weight_decay > 0:
-            np.multiply(g, lr * self.cfg.weight_decay, out=s, where=where)
+            np.multiply(cur, lr * self.cfg.weight_decay, out=s, where=where)
             np.subtract(new, s, out=new, where=where)
         new.flags.writeable = False
         for i in live:
             a, b = self._spans[i]
             self.params[i].data = new[a:b].reshape(self.params[i].shape)
+        if where is True:
+            self._last, self._handed = new, [p.data for p in self.params]
+        else:
+            self._last = None
         return {"lr": lr, "grad_norm": raw_norm, "applied_norm": min(raw_norm, clip),
                 "clipped": raw_norm > clip}
+
+
+# Step ``i`` of a training phase draws its noise from substream ``i`` and
+# epoch ``e`` its permutation from substream ``MAX_STEPS + e``, so a phase
+# may take at most this many steps.
+MAX_STEPS = 900_000
 
 
 def total_steps(n: int, cfg: TrainConfig) -> int:
@@ -428,24 +459,32 @@ def train_model(model: AdaptedModel, train_xy, prior: PriorConfig, cfg: TrainCon
                 rng: Rng, record_hook=None) -> list[dict]:
     """Minibatch training loop; returns one metrics record per step.
 
-    Asserts the freeze contract on every step: frozen backbone parameters
-    must never accumulate gradient. A non-finite loss or gradient norm
-    raises :class:`TrainingDivergence` with the step and epoch.
+    Step ``i`` draws its noise from ``rng.stream_of(i)``, made by re-keying one
+    generator, and each epoch's permutation from ``rng.stream_of(MAX_STEPS +
+    epoch)``; more than :data:`MAX_STEPS` steps raise :class:`DomainError`
+    before the first. Asserts the freeze contract on every step: frozen
+    backbone parameters must never accumulate gradient. A non-finite loss or
+    gradient norm raises :class:`TrainingDivergence` with the step and epoch.
     """
     X, y = train_xy
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
+    steps = total_steps(n, cfg)
+    if steps > MAX_STEPS:
+        raise DomainError(f"{steps} training steps exceed the {MAX_STEPS} whose noise "
+                          f"streams stay apart from the epoch permutations")
     params = model.trainables()
-    opt = AdamW(params, cfg, total_steps=total_steps(n, cfg))
+    opt = AdamW(params, cfg, total_steps=steps)
+    noise = rng.stream_of(0)
     records: list[dict] = []
     step = 0
     for epoch in range(cfg.epochs):
-        perm = rng.stream_of(900_000 + epoch).permutation(n)
+        perm = rng.stream_of(MAX_STEPS + epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             try:
                 loss, metrics = elbo_step(model, (X[idx], y[idx]), prior, cfg,
-                                          rng.stream_of(step))
+                                          noise._rekey(rng, step))
                 T.backward(loss)
                 if model.backbone.frozen and any(p.grad is not None
                                                  for p in model.backbone.parameters()):

@@ -3,6 +3,8 @@ geometric invariants of the low-rank update."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from balora import adapter as A
 from balora import tensor as T
@@ -220,9 +222,10 @@ class TestAdaptedLinearKernel:
     def _vjp(self, layer, x, bias, alphas, eps, proj, need_x):
         """``layer_vjp`` of ``sum(proj * layer(x))`` from the forward's terms."""
         a = None if eps is None else alphas.data[:, self.COL:self.COL + 1]
-        base, z, q = A.layer_terms(layer, x.data, bias.data, noisy=eps is not None)
+        base, z, q, *squares = A._layer_terms(layer, x.data, bias.data, eps is not None,
+                                              None, None)
         out, z, sd = A.layer_output(layer, base, z, q, a, eps)
-        return out, A.layer_vjp(layer, proj, x.data, z, q, sd, a, eps, need_x=need_x)
+        return out, A.layer_vjp(layer, proj, x.data, (z, q, sd, a, eps, *squares), need_x)
 
     CASES = [("deterministic-batch", False), ("batch-2d-alphas", True)]
 
@@ -280,6 +283,139 @@ class TestAdaptedLinearKernel:
             model.forward(X, Tensor(alphas.data[:, :1]), eps)
         with pytest.raises(DomainError):
             model.forward(X, Tensor(-alphas.data), eps)
+
+
+# The layer, GELU and AlphaNet-head VJPs as written before their chains ran in
+# place, one temporary per op: the references the rewrites must match bit for bit.
+
+
+def _reference_layer_vjp(layer, g, x, z, q=None, sd=None, a=None, eps=None, need_x=True):
+    w0, wa, wb, s = layer.W0.data, layer.WA.data, layer.WB.data, layer.lora_scale
+    gu = g * s
+    gz = gu @ wb
+    gx = gwa = gwb = ga = None
+    if layer.WB.requires_grad:
+        gwb = gu.T @ z
+    if eps is not None:
+        inv = np.divide(0.5, sd, out=np.zeros_like(sd), where=sd > 0.0)
+        gv = gz * eps * inv
+        ga = (gv * q).sum(axis=-1)
+        gq = gv * a
+    if layer.WA.requires_grad:
+        gwa = gz.T @ x
+        if eps is not None:
+            gwa += 2.0 * wa * (gq.T @ (x * x))
+    if need_x:
+        gx = g @ w0 + gz @ wa
+        if eps is not None:
+            gx += 2.0 * x * (gq @ (wa * wa))
+    return gx, gwa, gwb, ga
+
+
+def _reference_gelu_grad(z, phi):
+    return phi + z * (T._INV_SQRT2PI * np.exp(-0.5 * z * z))
+
+
+def _reference_logits(net, feat):
+    """The AlphaNet's logits and, per layer, its input and GELU input and gate."""
+    h, tape = feat, []
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        x, h = h, h @ w.data.T + b.data
+        act = None
+        if i < len(net.weights) - 1:
+            act = (h, T.gelu_gate(h))
+            h = h * act[1]
+        tape.append((x, act))
+    return h, tape
+
+
+def _reference_alpha_scales(net, feat, g):
+    """The AlphaNet's scales and its parameters' cotangents for the scales'
+    cotangent ``g``, layer by layer: per layer its weight's, then its bias'."""
+    z, tape = _reference_logits(net, feat)
+    e = np.exp(-np.abs(z))
+    soft = np.log1p(e) + np.maximum(z, 0.0)
+    sig = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    inside = (soft > net.alpha_min) & (soft < net.alpha_max)
+    g = sig * np.where(inside, g, 0.0)
+    grads = []
+    for i in range(len(net.weights) - 1, -1, -1):
+        x, act = tape[i]
+        if act is not None:
+            g = _reference_gelu_grad(*act) * g
+        grads[:0] = [g.T @ x, g.sum(axis=0)]
+        g = g @ net.weights[i].data
+    return np.clip(soft, net.alpha_min, net.alpha_max), grads
+
+
+def _same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelsMatchReferences:
+    """``layer_vjp``, ``gelu_grad`` and the AlphaNet's VJP against their
+    references, byte for byte. The ELBO-step fuzz cannot see a change here:
+    its public-node graph calls the same kernels."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_layer_vjp(self, data):
+        n, d, k = (data.draw(st.integers(1, 7)) for _ in range(3))
+        r = data.draw(st.integers(1, min(d, k)))
+        rng = Rng(data.draw(st.integers(0, 2**16)))
+        layer = _random_layer(rng.stream_of(0), d=d, k=k, r=r,
+                              scale=data.draw(st.sampled_from([0.5, 1.0, 3.0])))
+        layer.WA.requires_grad = data.draw(st.booleans())
+        layer.WB.requires_grad = data.draw(st.booleans())
+        x = rng.stream_of(1).normal((n, d))
+        x[rng.stream_of(2).uniform(0.0, 1.0, (n,)) < 0.3] = 0.0  # rows with sd == 0
+        a = eps = None
+        if data.draw(st.booleans()):
+            a = np.exp(rng.stream_of(3).uniform(np.log(A.ALPHA_MIN), np.log(A.ALPHA_MAX),
+                                                (n, 1)))
+            a[::3], a[1::3] = A.ALPHA_MIN, A.ALPHA_MAX  # both clamp ends
+            eps = rng.stream_of(4).normal((n, r))
+        g = rng.stream_of(5).normal((n, k))
+        need_x = data.draw(st.booleans())
+        base, z, q, *squares = A._layer_terms(layer, x, None, eps is not None, None, None)
+        _, z, sd = A.layer_output(layer, base, z, q, a, eps)
+        got = A.layer_vjp(layer, g, x, (z, q, sd, a, eps, *squares), need_x)
+        _same_bytes(got, _reference_layer_vjp(layer, g, x, z, q, sd, a, eps, need_x))
+        if eps is not None and (x == 0.0).all(axis=1).any():
+            assert (sd == 0.0).all(axis=1).any()
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_alpha_net_and_gelu_grad(self, data):
+        rng = Rng(data.draw(st.integers(0, 2**16)))
+        n, f, layers = (data.draw(st.integers(1, 6)) for _ in range(3))
+        hidden = data.draw(st.lists(st.integers(1, 6), max_size=2))
+        net = A.init_alphanet(rng.stream_of(0), f, layers, hidden)
+        feat = rng.stream_of(1).normal((n, f)) * data.draw(st.sampled_from([0.1, 1.0, 30.0]))
+        # Centre each output's logits on zero, so both signs occur, and put
+        # the clamp at two of the softplus values, so some sit on and past its ends.
+        z = _reference_logits(net, feat)[0]
+        net.biases[-1] = Tensor(net.biases[-1].data - np.median(z, axis=0), requires_grad=True)
+        z = _reference_logits(net, feat)[0]
+        soft = np.sort(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0), axis=None)
+        net.alpha_min, net.alpha_max = soft[len(soft) // 4], soft[(3 * len(soft)) // 4]
+        g = rng.stream_of(2).normal((n, layers))
+        want, want_grads = _reference_alpha_scales(net, feat, g)
+        got, params, vjp = A.alpha_scales(net, feat)
+        assert got.tobytes() == want.tobytes()
+        _same_bytes(vjp(g), want_grads)
+        assert len(params) == len(want_grads)
+
+        h = rng.stream_of(3).normal((n, f)) * data.draw(st.sampled_from([1.0, 10.0, 40.0]))
+        h[0, 0] = -0.0
+        phi = T.gelu_gate(h)
+        assert T.gelu_grad(h, phi).tobytes() == _reference_gelu_grad(h, phi).tobytes()
 
 
 class TestAnalyticPredictive:

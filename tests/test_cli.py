@@ -316,11 +316,15 @@ class TestTrain:
     @pytest.mark.parametrize("lines,key", [
         ("mc_steps = -1", "mc_steps"), ("mc_steps = 0", "mc_steps"), ("mc_steps = 1", "mc_steps"),
         ("task = multiclass-gaussian-blobs\nd_out = 0", "d_out"),
-        ("task = two-moons-classification\nd_in = 2\nd_out = -1", "d_out")])
+        ("task = two-moons-classification\nd_in = 2\nd_out = -1", "d_out"),
+        ("n_train = 1000\nbatch_size = 1\nepochs = 901", "n_train, epochs and batch_size"),
+        ("n_train = 1000\npretrain_batch_size = 1\npretrain_epochs = 901",
+         "n_train, pretrain_epochs and pretrain_batch_size")])
     def test_out_of_range_value_exits_2_before_pretraining(self, tmp_path, lines, key,
                                                            monkeypatch, capsys):
-        # A run whose checkpoint eval --mode mc would reject, and a d_out
-        # that a classification head does not read, fail before any work.
+        # A run whose checkpoint eval --mode mc would reject, a d_out that a
+        # classification head does not read, and a phase of more steps than
+        # train_model has noise streams for fail before any work.
         monkeypatch.setattr(tasks, "pretrain_then_adapt",
                             lambda *a, **k: pytest.fail("training started"))
         cfg = tmp_path / "range.cfg"

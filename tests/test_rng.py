@@ -32,6 +32,22 @@ class TestDeterminism:
         b = Rng(5).stream_of(2).normal((32,))
         assert not np.array_equal(a, b)
 
+    def test_rekeyed_generator_draws_as_a_fresh_substream(self):
+        # One generator re-keyed to substream i draws what a fresh
+        # stream_of(i) draws, whatever the last draw left in Philox's buffer:
+        # a half-used block (uniform) or a spare 32-bit word (integers).
+        parent = Rng(77).stream_of(4)
+        rekeyed = parent.stream_of(0)
+        left = (lambda g: g.normal((3,)), lambda g: g.uniform(),
+                lambda g: g.integers(0, 10, (3,)), lambda g: g.permutation(5))
+        for i in range(200):
+            left[i % len(left)](rekeyed)
+            got, fresh = rekeyed._rekey(parent, i * 7919), parent.stream_of(i * 7919)
+            assert (got.seed, got.stream) == (fresh.seed, fresh.stream)
+            assert got.normal((4, 3)).tobytes() == fresh.normal((4, 3)).tobytes()
+            assert got.uniform(shape=(5,)).tobytes() == fresh.uniform(shape=(5,)).tobytes()
+            assert np.array_equal(got.integers(0, 1000, (5,)), fresh.integers(0, 1000, (5,)))
+
     def test_bit_identical_across_processes(self):
         code = ("import numpy as np; from balora.rng import Rng; "
                 "print(Rng(2024).normal((100,)).tobytes().hex())")

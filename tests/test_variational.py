@@ -60,6 +60,15 @@ class TestKlPerEntry:
             V.kl_per_entry(1e-9, 0.5)
         with pytest.raises(DomainError):
             V.kl_per_entry(1.0, 1.0)
+        # An (n, L) batch of alphas is reported by its extremes, on one line.
+        alphas = np.full((64, 3), 0.5)
+        alphas[7, 2], alphas[9, 0] = 2e3, 0.25
+        with pytest.raises(DomainError) as err:
+            V.kl_per_entry(alphas, 0.5)
+        assert str(err.value) == "alpha outside clamp range [1e-06, 1000.0]: min 0.25, max 2000.0"
+        alphas[7, 2] = np.nan
+        with pytest.raises(DomainError, match="max nan"):
+            V.kl_per_entry(alphas, 0.5)
 
 
 class TestKlNormalized:
@@ -366,9 +375,12 @@ def _shadowed_params(seed):
 
 
 class TestAdamW:
+    # Every gradient on every step (False); parameter 2's on one step in three
+    # (True); every gradient, with parameter 1's data replaced before some
+    # steps; every gradient but parameter 3's on step 100, after 100 full steps.
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-    @pytest.mark.parametrize("sometimes_missing", [False, True])
-    def test_fused_step_matches_per_tensor_loop(self, weight_decay, sometimes_missing):
+    @pytest.mark.parametrize("case", [False, True, "data-replaced", "masked-then-full"])
+    def test_fused_step_matches_per_tensor_loop(self, weight_decay, case):
         fused_params, ref_params, rng = _shadowed_params(7)
         cfg = V.TrainConfig(lr=0.05, epochs=1, batch_size=1, warmup_fraction=0.1,
                             weight_decay=weight_decay, grad_clip_norm=4.0)
@@ -376,11 +388,15 @@ class TestAdamW:
         ref = _ReferenceAdamW(ref_params, cfg, total_steps=200)
         clipped = 0
         for step in range(200):
+            if case == "data-replaced" and step % 40 == 20:
+                values = rng.normal(size=fused_params[1].shape)
+                fused_params[1].data, ref_params[1].data = values.copy(), values.copy()
             # Gradient scales straddle the clip norm, so clipping engages on
             # some steps and not on others.
             gscale = 10.0 ** rng.uniform(-1.5, 1.0)
             for i, (a, b) in enumerate(zip(fused_params[:-1], ref_params[:-1])):
-                if sometimes_missing and i == 2 and step % 3:
+                if (case is True and i == 2 and step % 3
+                        or case == "masked-then-full" and i == 3 and step == 100):
                     a.grad = b.grad = None
                     continue
                 grad = gscale * rng.normal(size=a.shape)
@@ -445,6 +461,48 @@ class TestAdamW:
                           record_hook=records.append)
         assert (err.value.diagnostics["step"], err.value.diagnostics["epoch"]) == (3, 1)
         assert [r["step"] for r in records] == [0, 1, 2]
+
+    def test_more_steps_than_noise_streams_rejected(self, monkeypatch):
+        # Step i draws from substream i and epoch e permutes from substream
+        # MAX_STEPS + e, so one step more than MAX_STEPS would share a stream.
+        model, X, y = _tiny_model(86)
+        cfg = V.TrainConfig(lr=1e-3, epochs=V.MAX_STEPS // len(X) + 1, batch_size=1)
+        assert V.total_steps(len(X), cfg) == V.MAX_STEPS + len(X)
+        with pytest.raises(DomainError, match="900004 training steps exceed the 900000"):
+            V.train_model(model, (X, y), V.PriorConfig(0.5), cfg, Rng(87))
+
+        class Started(Exception):
+            pass
+
+        def first_step(*args):
+            raise Started
+
+        monkeypatch.setattr(V, "elbo_step", first_step)
+        cfg = V.TrainConfig(lr=1e-3, epochs=V.MAX_STEPS // len(X), batch_size=1)
+        with pytest.raises(Started):
+            V.train_model(model, (X, y), V.PriorConfig(0.5), cfg, Rng(87))
+
+    def test_one_step_generator_per_run(self, monkeypatch):
+        # A Philox for the steps' noise, re-keyed each step, and one per
+        # epoch for the permutation: 3 epochs of 2 steps build 4.
+        model, X, y = _tiny_model(88)
+        rng, built = Rng(89), []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(kwargs.get("key"))
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        records = V.train_model(model, (X, y), V.PriorConfig(0.5),
+                                V.TrainConfig(lr=1e-3, epochs=3, batch_size=2), rng)
+        assert len(records) == 6 and len(built) == 4
+        # A fresh stream_of(step) per step, as the loop built before, trains
+        # the same bits.
+        monkeypatch.setattr(Rng, "_rekey", lambda self, parent, index: parent.stream_of(index))
+        model, X, y = _tiny_model(88)
+        assert V.train_model(model, (X, y), V.PriorConfig(0.5),
+                             V.TrainConfig(lr=1e-3, epochs=3, batch_size=2), rng) == records
 
     def test_empty_optimizer_steps(self):
         cfg = V.TrainConfig(lr=0.1, epochs=1, batch_size=1)
