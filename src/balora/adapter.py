@@ -109,20 +109,14 @@ def layer_terms(layer: BaLoRALayer, x: np.ndarray, bias: Optional[np.ndarray] = 
                 scratch: Optional[np.ndarray] = None):
     """The draw-independent terms of the layer at input rows ``x``, in plain
     numpy: the base output ``W0 x + b``, the latent mean ``WA x`` and, when
-    ``noisy``, the latent variance per unit alpha ``(WA**2)(x**2)`` (else
-    None). A Monte Carlo evaluator computes them once per input row.
+    ``noisy``, the latent variance per unit alpha ``(WA**2)(x**2)`` and the
+    squares ``x**2`` and ``WA**2`` that :func:`layer_vjp` reads again (else
+    None each). A Monte Carlo evaluator computes them once per input row.
 
     ``out`` receives the base output and ``scratch``, an array of ``x``'s
     shape that may be ``x`` itself, the squared input; without them both
     are allocated.
     """
-    return _layer_terms(layer, x, bias, noisy, out, scratch)[:3]
-
-
-def _layer_terms(layer, x, bias, noisy, out, scratch):
-    """:func:`layer_terms`, then the squares ``x**2`` and ``WA**2`` that made
-    the latent variance (None each unless ``noisy``), which :func:`layer_vjp`
-    reads again."""
     wa = layer.WA.data
     z = x @ wa.T
     base = np.matmul(x, layer.W0.data.T, out=out)
@@ -162,7 +156,7 @@ def adapted_kernel(layer: BaLoRALayer, x: np.ndarray, bias: Optional[np.ndarray]
     inputs unchecked: one input ``(d,)`` with noise ``(r,)`` or ``(n, r)`` and
     a scalar ``a``, or a batch ``(n, d)`` with noise ``(n, r)`` and ``a``
     scalar or ``(n, 1)``. Without ``eps``, the posterior mean."""
-    base, z, q = layer_terms(layer, x, bias, eps is not None)
+    base, z, q, _, _ = layer_terms(layer, x, bias, eps is not None)
     return layer_output(layer, base, z, q, a, eps)[0]
 
 
@@ -219,7 +213,8 @@ def walk(plan: list[tuple], h: Optional[np.ndarray], terms=None, alphas=None,
     None), that adapter's AlphaNet column and whether a GELU follows: the
     adapted network (``balora.model.AdaptedModel._plan``) and the AlphaNet
     (:func:`alpha_scales`) are both walks.
-    ``terms``, the first layer's ``layer_terms``, replace ``h`` (then None).
+    ``terms``, the first layer's ``(base, z, q)`` of :func:`layer_terms`,
+    replace ``h`` (then None).
     Adapted layers draw with ``eps`` (one array per AlphaNet column) at the
     scales in ``alphas``, else give the posterior mean. With ``bufs``, two
     flat arrays, the layer input lives in the first and the base term (but
@@ -246,8 +241,8 @@ def walk(plan: list[tuple], h: Optional[np.ndarray], terms=None, alphas=None,
             if j == 0 and terms is not None:
                 (base, z, q), squares = terms, (None, None)
             else:
-                base, z, q, *squares = _layer_terms(layer, h, bias, eps is not None,
-                                                    view(spare, k), view(cur, h.shape[1]))
+                base, z, q, *squares = layer_terms(layer, h, bias, eps is not None,
+                                                   view(spare, k), view(cur, h.shape[1]))
             a, e = (None, None) if eps is None else (alphas[:, col:col + 1], eps[col])
             h, z, sd = layer_output(layer, base, z, q, a, e,
                                     out=view(cur, k) if dest is None else dest)
@@ -267,11 +262,12 @@ def walk_vjp(plan: list[tuple], tape: list, g: np.ndarray, params: list[tuple],
     """From output cotangent ``g``, those of ``params`` (per layer of a taped
     :func:`walk`: its weight, or an adapter's WA and WB, then its bias),
     flat (None where no grad is required), then of the noise scales
-    ``alphas`` if given. One reverse walk, back to the first layer with
-    something to train."""
+    ``alphas`` if given, one column per adapted layer. One reverse walk,
+    back to the first layer with something to train."""
     first = next((j for j, ps in enumerate(params) if any(p.requires_grad for p in ps)
                   or alphas is not None and plan[j][2] is not None), len(plan))
-    grads, galpha = [(None,) * len(ps) for ps in params], None
+    grads = [(None,) * len(ps) for ps in params]
+    galpha = None if alphas is None else np.zeros(alphas.shape)
     for j in range(len(plan) - 1, first - 1, -1):
         (weight, _, layer, col, _), (x, drawn, act) = plan[j], tape[j]
         if act is not None:
@@ -285,10 +281,8 @@ def walk_vjp(plan: list[tuple], tape: list, g: np.ndarray, params: list[tuple],
             continue
         g, gwa, gwb, ga = layer_vjp(layer, g, x, drawn, need_x=j > first)
         grads[j] = (gwa, gwb, gb)
-        if ga is not None:  # summed as the tape sums one cotangent per layer
-            full = np.zeros(alphas.shape)
-            full[:, col] = ga
-            galpha = full if galpha is None else galpha + full
+        if ga is not None:
+            galpha[:, col] = ga
     flat = tuple(gr for gs in grads for gr in gs)
     return flat if alphas is None else (*flat, galpha)
 
@@ -300,7 +294,7 @@ def analytic_predictive(layer: BaLoRALayer, x: Tensor, alpha: float) -> Predicti
     xd = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
     if xd.shape != (layer.d,):
         raise ShapeError(f"expected input of shape ({layer.d},), got {xd.shape}")
-    base, z, q = layer_terms(layer, xd, noisy=True)
+    base, z, q, _, _ = layer_terms(layer, xd, noisy=True)
     mean = layer_output(layer, base, z)[0]
     # d_vec[i] = alpha * scale^2 * sum_j WA[i,j]^2 x[j]^2
     s2 = layer.lora_scale * layer.lora_scale
@@ -326,6 +320,8 @@ def sample_lowrank(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng,
     alpha = float(alpha)
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
+    if n is not None and n < 0:
+        raise DomainError(f"n, the number of draws, must be non-negative, got {n}")
     eps = rng.normal((layer.rank,) if n is None else (int(n), layer.rank))
     return Tensor._from_op(adapted_kernel(layer, xd, None, alpha, eps), (), None,
                            "sample_lowrank")

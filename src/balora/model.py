@@ -323,7 +323,8 @@ class AdaptedModel:
 
     def predict_stochastic(self, X: np.ndarray, S: int, rng: Rng) -> np.ndarray:
         """``S`` stochastic forwards of every row of ``X``, off the tape: an
-        ``(S, B, k)`` array. Every Monte Carlo draw comes from here.
+        ``(S, B, k)`` array. Every Monte Carlo draw comes from here. No rows
+        or an ``S`` not a positive integer (nor a bool) raise before any work.
 
         The draws go in chunks of whole draws, at most ``_MAX_ROWS`` rows (or
         one draw) each. Chunk ``c`` has the noise of :meth:`forward` on ``X``
@@ -342,25 +343,28 @@ class AdaptedModel:
         """
         if self.kind != "balora":
             raise DomainError("stochastic forward requires a balora model")
+        if isinstance(S, bool) or not isinstance(S, (int, np.integer)) or S < 1:
+            raise DomainError(f"S, the number of draws, must be a positive integer, got {S!r}")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        if X.shape[0] == 0:
+            raise ShapeError(f"X must hold at least one input row, got shape {X.shape}")
         B, n = X.shape[0], S * X.shape[0]
         first = self.prefix_layers
         prefix = self.frozen_prefix(X)
         alphas = A.alpha_scales(self.alphanet, self.alpha_features(X, prefix))[0]
         terms = A.layer_terms(self.adapters[first], prefix,
-                              self.backbone.biases[first].data, noisy=True)
+                              self.backbone.biases[first].data, noisy=True)[:3]
         for t in terms:
             T.check_finite(t, "per-row terms of the stochastic forward")
         out = np.empty((n, self.backbone.spec.d_out))
         chunk = max(1, _MAX_ROWS // B) * B
         size = min(_BLOCK_ROWS, chunk, n) * max(self.backbone.spec.widths()[first + 1:])
         plan = self._plan(first, self.backbone.n_layers, self.adapters)
-        rows = np.arange(min(chunk, n)) % B
 
         def work(share, eps, dest):
             bufs = (np.empty(size), np.empty(size))
             for blk in share:
-                self._draw_block(blk, rows, plan, terms, alphas, eps, dest, bufs)
+                self._draw_block(blk, plan, terms, alphas, eps, dest, bufs)
 
         for c, lo in enumerate(range(0, n, chunk)):
             m = min(chunk, n - lo)
@@ -397,13 +401,15 @@ class AdaptedModel:
                  i < self.backbone.n_layers - 1)
                 for i in range(start, stop)]
 
-    def _draw_block(self, blk: slice, rows: np.ndarray, plan: list[tuple], terms,
-                    alphas: np.ndarray, eps: list[np.ndarray], out: np.ndarray, bufs) -> None:
+    def _draw_block(self, blk: slice, plan: list[tuple], terms, alphas: np.ndarray,
+                    eps: list[np.ndarray], out: np.ndarray, bufs) -> None:
         """Draw rows ``blk`` of a chunk into ``out[blk]``, ``out`` being its output
         rows: walk ``plan`` in ``bufs`` from the first adapted layer's ``terms``
-        and the ``alphas`` of input rows ``rows[blk]``, views unless it wraps."""
-        lo, m = rows[blk.start], blk.stop - blk.start
-        pick = slice(lo, lo + m) if lo + m <= len(alphas) else rows[blk]
+        and the ``alphas`` of its input rows (draw row ``j`` of input ``j % B``),
+        views unless the block wraps past input ``B``."""
+        B, m = len(alphas), blk.stop - blk.start
+        lo = blk.start % B
+        pick = slice(lo, lo + m) if lo + m <= B else np.arange(blk.start, blk.stop) % B
         h = A.walk(plan, None, tuple(t[pick] for t in terms), alphas[pick],
                   [e[blk] for e in eps], bufs, out[blk])
         T.check_finite(h, "the stochastic forward")

@@ -95,13 +95,15 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
 def spearman(u, v) -> float:
     """Rank correlation: Pearson correlation of average-ranked data.
 
-    Constant input is an error, not zero; silent zeros would mask
-    degenerate evaluation runs.
+    Constant or non-finite input is an error, not a value; a silent value
+    would mask degenerate evaluation runs.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1 or len(u) < 2:
         raise ShapeError("spearman needs two equal-length vectors of length >= 2")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise DomainError("spearman undefined for non-finite input")
     if np.all(u == u[0]) or np.all(v == v[0]):
         raise DomainError("spearman undefined for constant input")
     ru, rv = _average_ranks(u), _average_ranks(v)
@@ -184,7 +186,7 @@ def uq_report(model: AdaptedModel, X, y, S: int, rng: Rng) -> UQReport:
 
 def _safe_spearman(u, v) -> Optional[float]:
     """Spearman correlation, or None where it is undefined: fewer than two
-    rows or constant input."""
+    rows, or constant or non-finite input."""
     if len(u) < 2:
         return None
     try:

@@ -16,9 +16,9 @@ KL divides by the clamp-endpoint maximum.
 
 Each term of the objective is written once, as a plain-numpy function
 that returns its value and its VJP, which gives one cotangent per array
-input. :func:`elbo_step` composes them into one tape node per step;
-:func:`kl_normalized`, :func:`gaussian_nll`, :func:`l1_loss` and
-:func:`cross_entropy` wrap each as a node of its own.
+input. :func:`elbo_step` composes them into one tape node per step, for
+every model kind; :func:`kl_normalized`, :func:`gaussian_nll`,
+:func:`l1_loss` and :func:`cross_entropy` wrap each as a node of its own.
 """
 
 from __future__ import annotations
@@ -235,15 +235,16 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
     the KL-weighted normalized divergence (averaged over the batch when the
     noise scale varies per sample).
 
-    Returns the loss, one tape node whose parents are ``model.trainables()``
-    (then any other parameter of the step that requires grad), and a
-    metrics dict. The KL term is always measured and logged, but
-    enters the loss only when ``kl_weight > 0``. The forward is plain numpy:
-    the AlphaNet (:func:`~balora.adapter.alpha_scales`), the network
-    (:meth:`~balora.model.AdaptedModel.network`), the NLL and the KL. The
-    node's VJP runs their VJPs in one fixed reverse order: the NLL's, the
-    network's, then the AlphaNet's from the noise scales' cotangent, the
-    KL's plus the network's.
+    Returns the loss, one tape node, and a metrics dict; the KL is always
+    logged but enters the loss only when ``kl_weight > 0``. The forward is
+    plain numpy and one path for every kind: a frozen backbone's prefix off
+    the tape, the AlphaNet (:func:`~balora.adapter.alpha_scales`) and noise
+    for balora only, :meth:`~balora.model.AdaptedModel.network`, the NLL
+    and the KL. The node's parents are the tensors the step reads, in
+    cotangent order: ``log_sigma`` under the Gaussian NLL, the network's,
+    the AlphaNet's; ``backward`` skips those that do not require grad. Its
+    VJP runs the NLL's, the network's, then the AlphaNet's from the noise
+    scales' cotangent, the KL's plus the network's.
     """
     X, y = batch
     X = np.asarray(X, dtype=np.float64)
@@ -252,21 +253,21 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
     if X.shape[0] == 0:
         raise DomainError("empty batch")
     try:
+        prefix = model.frozen_prefix(X) if model.backbone.frozen else None
+        alphas, eps, alpha_params = None, None, []
         if model.kind == "balora":
-            prefix = model.frozen_prefix(X)
             alphas, alpha_params, alpha_vjp = A.alpha_scales(
                 model.alphanet, model.alpha_features(X, prefix))
-            pred, net_params, net_vjp = model.network(
-                X, alphas, model.draw_eps(X.shape[0], rng), prefix)
-        else:
-            alphas, alpha_params = None, []
-            pred, net_params, net_vjp = model.network(X)
+            eps = model.draw_eps(X.shape[0], rng)
+        pred, net_params, net_vjp = model.network(X, alphas, eps, prefix)
         T.check_finite(pred, "the taped forward")
+        sigma = []
         if model.head == "classification":
             nll, nll_vjp = _cross_entropy(pred, y)
         elif cfg.nll == "l1":
             nll, nll_vjp = _l1(pred, y)
         else:
+            sigma = [model.log_sigma]
             nll, nll_vjp = _gaussian_nll(pred, y, model.log_sigma.data)
 
         metrics = {"nll": float(nll)}
@@ -282,35 +283,21 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
         else:
             metrics["kl_normalized"] = 0.0
         metrics["loss"] = float(loss)
-
-        # The parents: the trainables, then anything else that requires grad,
-        # so that a frozen weight set to require it still gets its gradient
-        # and fails the freeze check of train_model.
-        params = model.trainables()
-        slot = {id(p): i for i, p in enumerate(params)}
         net_flat = [p for ps in net_params for p in ps]
-        for p in (*net_flat, *alpha_params):
-            if p.requires_grad and id(p) not in slot:
-                slot[id(p)] = len(params)
-                params.append(p)
 
         def vjp(g):
             gpred, *gsigma = nll_vjp(g)
             gnet = net_vjp(gpred)
-            cotangents = [*zip([model.log_sigma], gsigma), *zip(net_flat, gnet)]
-            if alphas is not None:
-                galpha = gnet[-1]
-                if kl_weight > 0:
-                    # The KL's part first, as the tape summed them.
-                    galpha = kl_vjp(g * kl_weight)[0] + galpha
-                cotangents += zip(alpha_params, alpha_vjp(galpha))
-            grads = [None] * len(params)
-            for t, c in cotangents:
-                if c is not None:
-                    grads[slot[id(t)]] = c
-            return grads
+            if alphas is None:
+                return [*gsigma, *gnet]
+            galpha = gnet[-1]
+            if kl_weight > 0:
+                # The KL's part first, as the tape summed them.
+                galpha = kl_vjp(g * kl_weight)[0] + galpha
+            return [*gsigma, *gnet[:-1], *alpha_vjp(galpha)]
 
-        loss = Tensor._from_op(np.asarray(loss), params, vjp, "the ELBO")
+        loss = Tensor._from_op(np.asarray(loss), [*sigma, *net_flat, *alpha_params], vjp,
+                               "the ELBO")
     except NonFiniteError as err:
         raise TrainingDivergence(
             f"non-finite loss during ELBO step: {err}",
@@ -461,14 +448,16 @@ def train_model(model: AdaptedModel, train_xy, prior: PriorConfig, cfg: TrainCon
 
     Step ``i`` draws its noise from ``rng.stream_of(i)``, made by re-keying one
     generator, and each epoch's permutation from ``rng.stream_of(MAX_STEPS +
-    epoch)``; more than :data:`MAX_STEPS` steps raise :class:`DomainError`
-    before the first. Asserts the freeze contract on every step: frozen
-    backbone parameters must never accumulate gradient. A non-finite loss or
+    epoch)``; no rows or more than :data:`MAX_STEPS` steps raise
+    :class:`DomainError` before the first. Asserts the freeze contract on
+    every step: frozen backbone parameters must never accumulate gradient. A non-finite loss or
     gradient norm raises :class:`TrainingDivergence` with the step and epoch.
     """
     X, y = train_xy
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
+    if n == 0:
+        raise DomainError("train_model needs at least one training row")
     steps = total_steps(n, cfg)
     if steps > MAX_STEPS:
         raise DomainError(f"{steps} training steps exceed the {MAX_STEPS} whose noise "

@@ -222,8 +222,7 @@ class TestAdaptedLinearKernel:
     def _vjp(self, layer, x, bias, alphas, eps, proj, need_x):
         """``layer_vjp`` of ``sum(proj * layer(x))`` from the forward's terms."""
         a = None if eps is None else alphas.data[:, self.COL:self.COL + 1]
-        base, z, q, *squares = A._layer_terms(layer, x.data, bias.data, eps is not None,
-                                              None, None)
+        base, z, q, *squares = A.layer_terms(layer, x.data, bias.data, eps is not None)
         out, z, sd = A.layer_output(layer, base, z, q, a, eps)
         return out, A.layer_vjp(layer, proj, x.data, (z, q, sd, a, eps, *squares), need_x)
 
@@ -382,7 +381,7 @@ class TestKernelsMatchReferences:
             eps = rng.stream_of(4).normal((n, r))
         g = rng.stream_of(5).normal((n, k))
         need_x = data.draw(st.booleans())
-        base, z, q, *squares = A._layer_terms(layer, x, None, eps is not None, None, None)
+        base, z, q, *squares = A.layer_terms(layer, x, None, eps is not None)
         _, z, sd = A.layer_output(layer, base, z, q, a, eps)
         got = A.layer_vjp(layer, g, x, (z, q, sd, a, eps, *squares), need_x)
         _same_bytes(got, _reference_layer_vjp(layer, g, x, z, q, sd, a, eps, need_x))
@@ -492,6 +491,8 @@ class TestLowRankSampler:
         for alpha in (0.0, -1.0, float("nan")):
             with pytest.raises(DomainError):
                 A.sample_lowrank(layer, x, alpha, Rng(21), n=4)
+        with pytest.raises(DomainError, match="n, the number of draws"):
+            A.sample_lowrank(layer, x, 1.0, Rng(21), n=-1)
 
 
 class TestFullCovOracle:

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, determinism, manifests, and fault injection."""
 
+import argparse
 import contextlib
 import importlib.metadata
 import io
@@ -543,6 +544,34 @@ class TestEval:
         manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert manifest["wall_s"] > 0.0 and manifest["peak_rss_mb"] > 0.0
+
+
+class TestOptionSurface:
+    """The knobs a user can turn: every config key and every flag of each
+    subcommand. A change that adds or drops one updates this pin and says
+    why."""
+
+    FLAGS = {
+        "train": ["--config", "--out", "--seed"],
+        "eval": ["--checkpoint", "--config", "--mode", "--mc-steps", "--csv", "--out"],
+        "sample": ["--checkpoint", "--n", "--input", "--seed", "--out"],
+        "bench": ["--k-range", "--r", "--samples", "--reps", "--seed", "--out"],
+        "verify": ["--filter", "--seed", "--out"],
+    }
+
+    def test_config_keys_are_pinned(self):
+        assert len(C.SCHEMA) == 36
+
+    def test_subcommand_flags_are_pinned(self):
+        parser = cli.build_parser()
+        top = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert [a.dest for a in top] == ["command"]
+        subcommands = top[0].choices
+        got = {name: [opt for a in sub._actions if a.option_strings
+                      and not isinstance(a, argparse._HelpAction) for opt in a.option_strings]
+               for name, sub in subcommands.items()}
+        assert got == self.FLAGS
+        assert sum(map(len, got.values())) == 23
 
 
 class TestUsageErrors:

@@ -78,6 +78,10 @@ class TestStochasticForward:
             model.forward(np.ones((2, 3)), eps=[])
 
 
+def _no_work(*args):
+    raise AssertionError("the draws started before the arguments were checked")
+
+
 def _adapted(seed: int, hidden: tuple, adapt_layers, head: str = "regression",
              d_in: int = 5, d_out: int = 3, rank: int = 2) -> AdaptedModel:
     """Untrained balora model with non-zero WB, so the noise reaches the output."""
@@ -128,6 +132,24 @@ class TestEvaluator:
         assert got.shape == want.shape == (S, B, 3)
         assert np.std(got, axis=0).min() > 0  # the noise is live
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("S", [0, -1, 2.5, True, np.float64(3.0), "3"])
+    def test_bad_draw_count_rejected_before_any_work(self, monkeypatch, S):
+        model = _adapted(11, (6, 7), None)
+        monkeypatch.setattr(model, "frozen_prefix", _no_work)
+        with pytest.raises(DomainError, match="S, the number of draws"):
+            model.predict_stochastic(Rng(12).normal((3, 5)), S, Rng(13))
+
+    def test_no_rows_rejected_before_any_work(self, monkeypatch):
+        model = _adapted(11, (6, 7), None)
+        X = Rng(12).normal((3, 5))
+        np.testing.assert_array_equal(model.predict_stochastic(X, np.int64(4), Rng(13)),
+                                      model.predict_stochastic(X, 4, Rng(13)))
+        monkeypatch.setattr(model, "frozen_prefix", _no_work)
+        for call in (lambda: model.predict_stochastic(X[:0], 4, Rng(13)),
+                     lambda: U.uq_report(model, X[:0], np.zeros((0, 3)), 4, Rng(13))):
+            with pytest.raises(ShapeError, match="X must hold at least one input row"):
+                call()
 
     def test_chunks_and_ragged_blocks(self, monkeypatch):
         # 20 draws of 7 rows: chunks of 7, 7 and 6 draws (49, 49 and 42
@@ -447,7 +469,7 @@ def _reference_adapted_linear(layer, x, bias, alphas=None, col=0, eps=None):
     the layer-by-layer taped forward used."""
     xd, stochastic = x.data, eps is not None
     a = alphas.data[:, col, None] if stochastic else None
-    base, z, q = A.layer_terms(layer, xd, bias.data, stochastic)
+    base, z, q, _, _ = A.layer_terms(layer, xd, bias.data, stochastic)
     out, z, sd = A.layer_output(layer, base, z, q, a, eps)
     w0, wa, wb, s = layer.W0.data, layer.WA.data, layer.WB.data, layer.lora_scale
 
@@ -597,10 +619,11 @@ def _fuzz_model(data) -> AdaptedModel:
 
 
 class TestForwardPathFuzz:
-    """Differential fuzz of every forward path of one drawn model: the taped
-    ``forward``, ``predict``, ``predict_stochastic`` at any block size and
-    thread count, ``merged_forward``, its lora twin, and the gradients of
-    the layer-by-layer chain."""
+    """Differential fuzz of every forward path of one drawn model, on inputs
+    with rows of signed zeros: the taped ``forward``, ``predict``,
+    ``predict_stochastic`` at any block size and thread count,
+    ``merged_forward``, its lora twin, and the gradients of the
+    layer-by-layer chain."""
 
     @settings(derandomize=True, max_examples=250, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -610,6 +633,12 @@ class TestForwardPathFuzz:
         B, S = data.draw(st.integers(1, 9)), data.draw(st.integers(2, 9))
         rng = Rng(data.draw(st.integers(0, 2**16)))
         X, proj = rng.stream_of(0).normal((B, model.backbone.spec.d_in)), None
+        # All-zero rows of either sign: an adapted first layer's latent
+        # variance is zero there, so the alphas' cotangent holds zeros.
+        for i, zero in enumerate(data.draw(st.lists(st.sampled_from([None, 0.0, -0.0]),
+                                                    min_size=B, max_size=B))):
+            if zero is not None:
+                X[i] = zero
         mean = model.predict(X)
         assert mean.tobytes() == model.forward(X).data.tobytes()
         scale = max(1.0, float(np.max(np.abs(mean))))

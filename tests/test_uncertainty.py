@@ -271,6 +271,13 @@ class TestSpearman:
         with pytest.raises(ShapeError):
             U.spearman([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input_is_error(self, bad):
+        for u, v in (([1.0, bad, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [bad, 2.0, 3.0])):
+            with pytest.raises(DomainError, match="non-finite"):
+                U.spearman(u, v)
+            assert U._safe_spearman(u, v) is None
+
 
 class TestMae:
     def test_exact_predictions(self):

@@ -3,6 +3,7 @@ finite differences for the ELBO, the one-node ELBO step against the same step
 built from the public nodes, and closed-form first-step behavior for AdamW.
 The KL's quadrature oracles live in ``balora.verify``."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -248,6 +249,14 @@ class TestElboStep:
         with pytest.raises(V.TrainingDivergence) as err:
             V.elbo_step(model, (X, y), V.PriorConfig(0.5), cfg, Rng(83))
         assert err.value.diagnostics["batch_size"] == 4
+
+    def test_no_rows_rejected_before_the_first_step(self):
+        model, X, y = _tiny_model(88)
+        cfg = V.TrainConfig(lr=1e-3, epochs=1, batch_size=4)
+        before = [p.data.copy() for p in model.trainables()]
+        with pytest.raises(DomainError, match="at least one training row"):
+            V.train_model(model, (X[:0], y[:0]), V.PriorConfig(0.5), cfg, Rng(89))
+        assert all((p.data == b).all() for p, b in zip(model.trainables(), before))
 
     def test_frozen_weight_that_requires_grad_fails_the_freeze_check(self):
         model, X, y = _tiny_model(86)
@@ -592,12 +601,30 @@ class TestConfigs:
             V.TrainConfig(warmup_fraction=1.5)
 
 
+def _read_tensors(model, nll: str) -> list:
+    """The tensors one ELBO step reads, in the order of their cotangents:
+    ``log_sigma`` under the Gaussian NLL, per network layer past a frozen
+    prefix its weight or its adapter's WA and WB, then its bias, then per
+    AlphaNet layer its weight and bias."""
+    sigma = [model.log_sigma] if model.head == "regression" and nll == "gaussian" else []
+    start = model.prefix_layers if model.backbone.frozen else 0
+    net = [t for i in range(start, model.backbone.n_layers)
+           for t in ((model.adapters[i].WA, model.adapters[i].WB) if i in model.adapters
+                     else (model.backbone.weights[i],)) + (model.backbone.biases[i],)]
+    alpha = [] if model.alphanet is None else [
+        t for pair in zip(model.alphanet.weights, model.alphanet.biases) for t in pair]
+    return sigma + net + alpha
+
+
 class TestTapeSize:
     def test_one_node_per_elbo_step(self):
         # A refactor that splits the step back into generic ops multiplies
         # the per-step tape work; this pins the graph of one ELBO step: the
-        # loss is one node whose parents are the model's trainables, for
-        # balora, lora and the pretraining shell on the toy config's shapes.
+        # loss is one node whose parents are the tensors the step reads, and
+        # those that require grad are the model's trainables (but log_sigma
+        # under the L1 loss), for balora, lora (all layers adapted, or the
+        # output layer behind a frozen prefix) and the pretraining shell on
+        # the toy config's shapes.
         cfg = C.load_config(Path(__file__).resolve().parents[1] / "configs" / "toy_hetero.cfg")
         spec = BackboneSpec(d_in=cfg["d_in"], d_out=cfg["d_out"], hidden=cfg["hidden"])
         _, adapt_cfg, prior = C.train_configs_from_config(cfg)
@@ -605,18 +632,24 @@ class TestTapeSize:
         y = Rng(3).normal((cfg["batch_size"], cfg["d_out"]))
         shell = AdaptedModel(ToyBackbone(spec, Rng(0)), {}, None, "lora")
         models = [shell]
-        for kind in ("balora", "lora"):
+        aspec = C.adapter_spec_from_config(cfg)
+        for kind, layers in (("balora", None), ("lora", None), ("lora", (2,))):
             backbone = ToyBackbone(spec, Rng(0))
             backbone.freeze()
-            models.append(attach_adapters(backbone, C.adapter_spec_from_config(cfg), kind,
-                                          Rng(1)))
-        assert len(models[1].adapters) == 3
-        for model in models:
+            aspec.adapt_layers = layers
+            models.append(attach_adapters(backbone, aspec, kind, Rng(1)))
+        assert len(models[1].adapters) == 3 and models[3].prefix_layers == 2
+        for model, nll in itertools.product(models, ("gaussian", "l1")):
+            adapt_cfg.nll = nll
             loss, _ = V.elbo_step(model, (X, y), prior, adapt_cfg, Rng(4))
             nodes = [node for node in (loss, *loss._parents) if node._vjp is not None]
             assert nodes == [loss]
             assert loss._vjp.__qualname__.startswith("elbo_step.")
-            assert list(loss._parents) == model.trainables()
+            assert list(loss._parents) == _read_tensors(model, nll)
+            trained = [p for p in model.trainables()
+                       if nll == "gaussian" or p is not model.log_sigma]
+            assert {id(p) for p in loss._parents if p.requires_grad} == {id(p) for p in trained}
+            assert len(trained) == sum(p.requires_grad for p in loss._parents)
 
 
 def _drawn_model(data) -> AdaptedModel:
@@ -677,7 +710,8 @@ def _reference_step(model, batch, prior, cfg, rng):
 
 class TestElboStepFuzz:
     """The one-node ELBO step against the same step built from the public
-    nodes: loss, metrics and every trainable's gradient, byte for byte."""
+    nodes: loss, metrics and every trainable's gradient, byte for byte, on
+    inputs with rows of signed zeros."""
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -687,6 +721,13 @@ class TestElboStepFuzz:
         n = data.draw(st.integers(1, 6))
         rng = Rng(data.draw(st.integers(0, 2**16)))
         X = rng.stream_of(0).normal((n, model.backbone.spec.d_in))
+        # All-zero rows of either sign: the latent variance is zero there
+        # (through a fresh backbone's prefix too, its biases being zero), so
+        # the noise scales' cotangent holds zeros.
+        for i, zero in enumerate(data.draw(st.lists(st.sampled_from([None, 0.0, -0.0]),
+                                                    min_size=n, max_size=n))):
+            if zero is not None:
+                X[i] = zero
         if model.head == "classification":
             y = rng.stream_of(1).integers(0, model.backbone.spec.d_out, (n,))
         else:
