@@ -5,8 +5,11 @@ Core pieces: a float64 tensor engine with a reverse-mode tape
 posteriors (:mod:`balora.adapter`), the KL-regularized training objective
 (:mod:`balora.variational`), Monte Carlo uncertainty quantification
 (:mod:`balora.uncertainty`), synthetic tasks and baselines
-(:mod:`balora.tasks`), and a CLI (:mod:`balora.cli`). The package exports
-``Rng``, ``Tensor`` and ``backward``; the tape has no switch to turn off.
+(:mod:`balora.tasks`), and a CLI (:mod:`balora.cli`, with the commands
+in :mod:`balora.commands`). The package exports ``Rng``, ``Tensor`` and
+``backward``; the tape has no switch to turn off. Importing the package
+loads no numpy: the exports load their modules on first use, so that
+``balora --help`` answers from argparse alone.
 """
 
 import os
@@ -18,7 +21,7 @@ __version__ = "0.1.0"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # BALORA_THREADS=n pins the BLAS to n threads. The BLAS reads its thread
-# variables once, when numpy loads, so they are set before the imports below.
+# variables once, when numpy loads, and nothing here loads numpy.
 _threads = os.environ.get("BALORA_THREADS", "")
 if re.fullmatch("[1-9][0-9]*", _threads) and "numpy" not in sys.modules:
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, _threads))
@@ -30,7 +33,15 @@ def blas_pinned() -> bool:
     return all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
 
 
-from .rng import Rng  # noqa: E402
-from .tensor import Tensor, backward  # noqa: E402
+def __getattr__(name: str):
+    """``Rng``, ``Tensor`` and ``backward``, imported on first use (PEP 562)."""
+    if name == "Rng":
+        from .rng import Rng
+        return Rng
+    if name in ("Tensor", "backward"):
+        from . import tensor
+        return getattr(tensor, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = ["Rng", "Tensor", "backward", "__version__"]

@@ -151,12 +151,15 @@ class UQReport:
 
 
 def uq_report(model: AdaptedModel, X, y, S: int, rng: Rng) -> UQReport:
-    """Full Monte Carlo evaluation of a test split. Regression epistemic
-    variance is the mean over output dims of each dim's variance over draws."""
+    """Full Monte Carlo evaluation of a test split: ``y`` holds one target
+    row per row of ``X``. Regression epistemic variance is the mean over
+    output dims of each dim's variance over draws."""
     if S < 2:
         raise DomainError(f"uq_report needs S >= 2, got {S}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
+    if y.shape[:1] != X.shape[:1]:
+        raise ShapeError(f"y of shape {y.shape} needs the {X.shape[0]} rows of X")
     draws = model.predict_stochastic(X, S, rng)  # (S, B, k)
     if model.head == "regression":
         preds = draws.mean(axis=0)

@@ -35,7 +35,7 @@ from . import tensor as T
 from .adapter import ALPHA_MAX, ALPHA_MIN
 from .model import AdaptedModel
 from .rng import Rng
-from .tensor import DomainError, NonFiniteError, Tensor
+from .tensor import DomainError, NonFiniteError, ShapeError, Tensor
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -235,6 +235,9 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
     the KL-weighted normalized divergence (averaged over the batch when the
     noise scale varies per sample).
 
+    ``batch`` is ``(X, y)`` with one row of ``y`` per row of ``X`` (a 1-D
+    ``X`` is one row); an empty batch raises :class:`DomainError` and a
+    ``y`` with another row count :class:`ShapeError`, before any work.
     Returns the loss, one tape node, and a metrics dict; the KL is always
     logged but enters the loss only when ``kl_weight > 0``. The forward is
     plain numpy and one path for every kind: a frozen backbone's prefix off
@@ -252,6 +255,8 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
         X = X[None, :]
     if X.shape[0] == 0:
         raise DomainError("empty batch")
+    if len(y) != X.shape[0]:
+        raise ShapeError(f"y has {len(y)} rows, X has {X.shape[0]}")
     try:
         prefix = model.frozen_prefix(X) if model.backbone.frozen else None
         alphas, eps, alpha_params = None, None, []
@@ -449,7 +454,8 @@ def train_model(model: AdaptedModel, train_xy, prior: PriorConfig, cfg: TrainCon
     Step ``i`` draws its noise from ``rng.stream_of(i)``, made by re-keying one
     generator, and each epoch's permutation from ``rng.stream_of(MAX_STEPS +
     epoch)``; no rows or more than :data:`MAX_STEPS` steps raise
-    :class:`DomainError` before the first. Asserts the freeze contract on
+    :class:`DomainError` before the first, and a ``y`` whose row count is not
+    ``X``'s a :class:`ShapeError`. Asserts the freeze contract on
     every step: frozen backbone parameters must never accumulate gradient. A non-finite loss or
     gradient norm raises :class:`TrainingDivergence` with the step and epoch.
     """
@@ -458,6 +464,8 @@ def train_model(model: AdaptedModel, train_xy, prior: PriorConfig, cfg: TrainCon
     n = X.shape[0]
     if n == 0:
         raise DomainError("train_model needs at least one training row")
+    if len(y) != n:
+        raise ShapeError(f"y has {len(y)} rows, X has {n}")
     steps = total_steps(n, cfg)
     if steps > MAX_STEPS:
         raise DomainError(f"{steps} training steps exceed the {MAX_STEPS} whose noise "

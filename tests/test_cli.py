@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from balora import BLAS_THREAD_VARS
 from balora import bench as B
 from balora import checkpoint as CK
+from balora import commands as CM
 from balora import adapter, cli, tasks, tensor, variational
 from balora import config as C
 from balora import verify as VF
@@ -192,7 +193,7 @@ class TestTrain:
 
     def test_split_csvs_parse_back_bit_for_bit(self, tmp_path, fast_config):
         _, out = _train(tmp_path, fast_config)
-        splits = tasks.generate(cli.C.task_from_config(load_config(fast_config)),
+        splits = tasks.generate(C.task_from_config(load_config(fast_config)),
                                 shifted=True)
         for name in ("train", "val", "test"):
             split = getattr(splits, name)
@@ -704,7 +705,7 @@ class TestManifestTiming:
 class TestImportBudget:
     TRACKED = ("balora.verify", "scipy.integrate", "scipy.special",
                "scipy.special._special_ufuncs", "scipy._lib._array_api", "scipy",
-               "importlib.metadata")
+               "importlib.metadata", "numpy")
 
     @classmethod
     def _loaded(cls, code: str, tmp_path) -> dict:
@@ -719,6 +720,27 @@ class TestImportBudget:
     def test_cli_import_leaves_oracle_suite_unloaded(self, tmp_path):
         # The oracle suite loads in `verify`, erf at the first GELU.
         assert not any(self._loaded("import balora.cli", tmp_path).values())
+
+    def test_parser_exits_leave_numpy_unloaded(self, tmp_path):
+        # --help and usage errors end in argparse, before the commands load.
+        assert not self._loaded("import balora", tmp_path)["numpy"]
+        for argv, code in ((["--help"], 0), (["train", "--help"], 0), (["train"], 2)):
+            loaded = self._loaded(
+                "from balora.cli import main\n"
+                "try:\n"
+                f"    main({argv!r})\n"
+                "    raise AssertionError('argparse did not exit')\n"
+                "except SystemExit as exit:\n"
+                f"    assert exit.code == {code}, exit.code\n", tmp_path)
+            assert not loaded["numpy"], argv
+
+    def test_package_exports_resolve(self):
+        import balora
+        from balora import rng
+        assert (balora.Rng, balora.Tensor, balora.backward) == (
+            rng.Rng, tensor.Tensor, tensor.backward)
+        with pytest.raises(AttributeError, match="no attribute 'tape'"):
+            balora.tape
 
     def test_bench_never_loads_scipy_special(self, tmp_path):
         loaded = self._loaded(
@@ -759,13 +781,13 @@ class TestImportBudget:
         # A loaded scipy answers itself; else its version.py; else, where
         # that file is missing, the installed metadata.
         monkeypatch.setitem(sys.modules, "scipy", types.SimpleNamespace(__version__="9.8"))
-        assert cli._scipy_version() == "9.8"
+        assert CM._scipy_version() == "9.8"
         monkeypatch.delitem(sys.modules, "scipy")
-        monkeypatch.setattr(cli.importlib.util, "find_spec", lambda name: types.SimpleNamespace(
+        monkeypatch.setattr(CM.importlib.util, "find_spec", lambda name: types.SimpleNamespace(
             submodule_search_locations=[str(tmp_path)]))
-        assert cli._scipy_version() == importlib.metadata.version("scipy")
+        assert CM._scipy_version() == importlib.metadata.version("scipy")
         (tmp_path / "version.py").write_text('"""x"""\nversion = "1.2.3.dev0"\nfull = version\n')
-        assert cli._scipy_version() == "1.2.3.dev0"
+        assert CM._scipy_version() == "1.2.3.dev0"
 
     def test_later_scipy_special_import_shares_the_ufunc(self, tmp_path):
         loaded = self._loaded(
@@ -1041,8 +1063,8 @@ class TestThreads:
     def test_thread_count_is_null_where_unreadable(self, monkeypatch):
         def unreadable(*args, **kwargs):
             raise FileNotFoundError("/proc/self/status")
-        monkeypatch.setattr(cli, "open", unreadable, raising=False)
-        assert cli._os_threads() is None
+        monkeypatch.setattr(CM, "open", unreadable, raising=False)
+        assert CM._os_threads() is None
 
 
 class TestVerify:

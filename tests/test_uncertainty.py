@@ -42,6 +42,17 @@ class TestMcPredict:
         with pytest.raises(DomainError):
             U.uq_report(model, np.ones((1, 3)), np.zeros((1, 2)), 1, Rng(0))
 
+    def test_wrong_target_rows_rejected_before_any_draw(self, monkeypatch):
+        model, X, y = _tiny_model(3)
+
+        def no_draws(*args):
+            raise AssertionError("the draws started before y was checked")
+
+        monkeypatch.setattr(model, "predict_stochastic", no_draws)
+        for bad in (y[:-1], np.vstack([y, y[:1]]), y[0, 0]):
+            with pytest.raises(ShapeError, match="y of shape"):
+                U.uq_report(model, X, bad, 4, Rng(0))
+
     def test_zero_noise_limit(self):
         model = _single_linear_model(2)
         model.alphanet.alpha_min = 1e-12

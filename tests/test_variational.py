@@ -17,7 +17,7 @@ from balora import tensor as T
 from balora import variational as V
 from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone, attach_adapters
 from balora.rng import Rng
-from balora.tensor import DomainError, Tensor, backward
+from balora.tensor import DomainError, ShapeError, Tensor, backward
 from balora.verify import _tiny_model, finite_difference_grads, scaled_gradient_error
 
 
@@ -257,6 +257,30 @@ class TestElboStep:
         with pytest.raises(DomainError, match="at least one training row"):
             V.train_model(model, (X[:0], y[:0]), V.PriorConfig(0.5), cfg, Rng(89))
         assert all((p.data == b).all() for p, b in zip(model.trainables(), before))
+
+    def test_wrong_target_rows_rejected_before_the_forward(self, monkeypatch):
+        model, X, y = _tiny_model(3)
+
+        def no_work(*args):
+            raise AssertionError("the forward started before y was checked")
+
+        monkeypatch.setattr(model, "frozen_prefix", no_work)
+        cfg = V.TrainConfig(lr=1e-3, epochs=1, batch_size=4)
+        for bad in (y[:-1], np.vstack([y, y[:1]])):
+            with pytest.raises(ShapeError, match="y has"):
+                V.elbo_step(model, (X, bad), V.PriorConfig(0.5), cfg, Rng(0))
+
+    def test_wrong_target_rows_rejected_before_the_first_step(self, monkeypatch):
+        model, X, y = _tiny_model(3)
+
+        def no_step(*args):
+            raise AssertionError("a step ran before y was checked")
+
+        monkeypatch.setattr(V, "elbo_step", no_step)
+        cfg = V.TrainConfig(lr=1e-3, epochs=1, batch_size=2)
+        for bad in (y[:-1], np.vstack([y, y[:1]])):
+            with pytest.raises(ShapeError, match="y has"):
+                V.train_model(model, (X, bad), V.PriorConfig(0.5), cfg, Rng(0))
 
     def test_frozen_weight_that_requires_grad_fails_the_freeze_check(self):
         model, X, y = _tiny_model(86)
