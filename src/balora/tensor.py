@@ -8,28 +8,28 @@ creation order, accumulates gradients into the ``grad`` field of every
 leaf that requires them, and consumes the tape.
 
 Taped ops follow one shape rule: :func:`add` and :func:`mul` take operands
-of equal shape and never broadcast, and :func:`linear` takes a batch
-``(n, d)``. (:func:`matmul` keeps its vector cases.) Every completed
-operation is checked for NaN/Inf and raises instead of propagating poison.
+of equal shape and never broadcast, :func:`matmul` takes two matrices and
+:func:`linear` a batch ``(n, d)``. Every completed operation is checked for
+NaN/Inf and raises instead of propagating poison.
 
 Of the generic ops the package calls only :func:`backward`. Its nodes are
 built with ``Tensor._from_op`` and hand-written vector-Jacobian products,
-checked against central finite differences in the test suite. A training
-step is one node (``balora.variational.elbo_step``) whose closure runs the
-plain-numpy VJPs of the loss terms, of the adapted network
+checked against central finite differences by ``balora.verify`` and the
+test suite. A training step is one node
+(``balora.variational.elbo_step``) whose closure runs the plain-numpy
+VJPs of the loss terms, of the adapted network
 (``balora.model.AdaptedModel.network``) and of the AlphaNet
 (``balora.adapter.alpha_scales``), each network one reverse walk using
-:func:`gelu_gate` and :func:`gelu_grad`. Their tensor wrappers
-(``AdaptedModel.forward``, ``balora.adapter.alpha_forward`` and the loss
-nodes of ``balora.variational``) are one node each over the same
-functions. :func:`add` and :func:`mul` stay for the benchmark, which
-rebinds them by name, and for the tests, which build the ELBO step from
-the public nodes with them. :func:`linear`, :func:`gelu`, :func:`matmul`,
-:func:`square`, :func:`sqrt`, :func:`reshape` and :func:`transpose` stay
-because the benchmark rebinds them by name, and, with :func:`tsum`, as the
-tests' layer-by-layer references and finite-difference fixtures. Closures
-that cost real work form a cotangent only for parents that require grad,
-so frozen weights cost nothing in the backward pass.
+:func:`gelu_gate` and :func:`gelu_grad`. ``AdaptedModel.forward``,
+``balora.adapter.alpha_forward`` and ``balora.variational.kl_normalized``
+wrap the same functions as one node each; the tests build the ELBO step
+from them, their own loss nodes, :func:`add` and :func:`mul`. Those two, :func:`linear`,
+:func:`gelu`, :func:`matmul`, :func:`square`, :func:`sqrt`,
+:func:`reshape` and :func:`transpose` stay because the benchmark rebinds
+them by name, and, with :func:`tsum`, as the tests' layer-by-layer
+references and finite-difference fixtures. Closures that cost real work
+form a cotangent only for parents that require grad, so frozen weights
+cost nothing in the backward pass.
 """
 
 from __future__ import annotations
@@ -420,28 +420,18 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product covering matrix-matrix, matrix-vector, and inner products."""
+    """Matrix product of two matrices."""
     ad, bd = a.data, b.data
-    if a.ndim == 0 or b.ndim == 0 or a.ndim > 2 or b.ndim > 2:
-        raise ShapeError(f"matmul operands must be 1-D or 2-D, got {a.shape} @ {b.shape}")
-    inner_a = ad.shape[-1]
-    inner_b = bd.shape[0]
-    if inner_a != inner_b:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul expects two matrices, got {a.shape} @ {b.shape}")
+    if ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = ad @ bd
 
     def vjp(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            rules = (lambda: g @ bd.T, lambda: ad.T @ g)
-        elif ad.ndim == 2:
-            rules = (lambda: np.outer(g, bd), lambda: ad.T @ g)
-        elif bd.ndim == 2:
-            rules = (lambda: bd @ g, lambda: np.outer(ad, g))
-        else:
-            rules = (lambda: float(g) * bd, lambda: float(g) * ad)
-        return tuple(rule() if p.requires_grad else None for p, rule in zip((a, b), rules))
+        return (g @ bd.T if a.requires_grad else None,
+                ad.T @ g if b.requires_grad else None)
 
-    return Tensor._from_op(out, (a, b), vjp, "matmul")
+    return Tensor._from_op(ad @ bd, (a, b), vjp, "matmul")
 
 
 # -- composites -----------------------------------------------------------------

@@ -79,17 +79,8 @@ def accuracy(probs, labels) -> float:
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
     """Ranks starting at 1; ties get the average of their rank block."""
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(len(v), dtype=np.float64)
-    sorted_v = v[order]
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - counts + 0.5 * (counts - 1) + 1.0)[inverse]
 
 
 def spearman(u, v) -> float:

@@ -17,8 +17,7 @@ KL divides by the clamp-endpoint maximum.
 Each term of the objective is written once, as a plain-numpy function
 that returns its value and its VJP, which gives one cotangent per array
 input. :func:`elbo_step` composes them into one tape node per step, for
-every model kind; :func:`kl_normalized`, :func:`gaussian_nll`,
-:func:`l1_loss` and :func:`cross_entropy` wrap each as a node of its own.
+every model kind; :func:`kl_normalized` wraps the KL as a node of its own.
 """
 
 from __future__ import annotations
@@ -162,6 +161,8 @@ def kl_normalized(alphas, p: float, alpha_min: float = ALPHA_MIN,
 
 
 def _gaussian_nll(pred: np.ndarray, target, log_sigma: np.ndarray):
+    """Mean Gaussian negative log-likelihood with homoscedastic learned noise
+    and its VJP, for ``pred`` and ``log_sigma``."""
     resid = np.asarray(target, dtype=np.float64).reshape(pred.shape) - pred
     with np.errstate(over="ignore", invalid="ignore"):
         inv_var = np.exp(log_sigma * -2.0)
@@ -177,14 +178,8 @@ def _gaussian_nll(pred: np.ndarray, target, log_sigma: np.ndarray):
     return np.asarray(out), vjp
 
 
-def gaussian_nll(pred: Tensor, target: np.ndarray, log_sigma: Tensor) -> Tensor:
-    """Mean Gaussian negative log-likelihood with homoscedastic learned noise,
-    as one tape node."""
-    value, vjp = _gaussian_nll(pred.data, target, log_sigma.data)
-    return Tensor._from_op(value, (pred, log_sigma), vjp, "gaussian_nll")
-
-
 def _l1(pred: np.ndarray, target):
+    """Mean absolute error and its VJP."""
     resid = np.asarray(target, dtype=np.float64).reshape(pred.shape) - pred
 
     def vjp(g):
@@ -193,13 +188,8 @@ def _l1(pred: np.ndarray, target):
     return np.asarray(np.abs(resid).mean()), vjp
 
 
-def l1_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean absolute error, as one tape node."""
-    value, vjp = _l1(pred.data, target)
-    return Tensor._from_op(value, (pred,), vjp, "l1_loss")
-
-
 def _cross_entropy(logits: np.ndarray, labels):
+    """Mean negative log-softmax of the labelled class and its VJP."""
     labels = np.asarray(labels)
     n, c = logits.shape
     if labels.shape != (n,):
@@ -218,12 +208,6 @@ def _cross_entropy(logits: np.ndarray, labels):
         return (grad * (g / n),)
 
     return np.asarray(picked.sum() * (-1.0 / n)), vjp
-
-
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-softmax of the labelled class, as one tape node."""
-    value, vjp = _cross_entropy(logits.data, labels)
-    return Tensor._from_op(value, (logits,), vjp, "cross_entropy")
 
 
 # -- ELBO step -----------------------------------------------------------------

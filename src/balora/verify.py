@@ -2,10 +2,13 @@
 
 Each oracle checks an implementation against an independent route:
 numerical quadrature for the closed-form KL, Monte Carlo moments for the
-sampler, central finite differences for tape gradients, merged-weight
-forwards for the deterministic path, and orthogonal-complement residuals
-for the subspace claims. Oracles are looked up through their modules at
-call time so fault-injection tests can monkeypatch the implementation.
+sampler (one z-score, :func:`_moment_z`, against exact moments or a second
+sampler), central finite differences for the gradients of the tape node
+training differentiates and of the KL (:func:`gradient_error`, which the
+tests' gradient checks call too), merged-weight forwards for the
+deterministic path, and orthogonal-complement residuals for the subspace
+claims. Oracles are looked up through their modules at call time so
+fault-injection tests can monkeypatch the implementation.
 
 Each property is checked here only. The acceptance suite
 (``tests/test_acceptance.py``) calls these oracles with its own seeds,
@@ -99,6 +102,22 @@ def scaled_gradient_error(analytic: np.ndarray, numeric: np.ndarray,
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
 
 
+def gradient_error(loss_fn, params, rtol: float = 1e-4, atol: float = 1e-7) -> float:
+    """Worst :func:`scaled_gradient_error` over ``params`` of the tape's
+    gradients of ``loss_fn()``, a 0-d tape node, against its central
+    differences; a parameter the tape leaves without a gradient counts as
+    zeros. The gradients of ``params`` are cleared before and after."""
+    V.zero_grad(params)
+    backward(loss_fn())
+    numeric = finite_difference_grads(lambda: loss_fn().item(), params)
+    worst = 0.0
+    for p, g_num in zip(params, numeric):
+        g_ana = p.grad if p.grad is not None else np.zeros(p.shape)
+        worst = max(worst, scaled_gradient_error(g_ana, g_num, rtol, atol))
+    V.zero_grad(params)
+    return worst
+
+
 def _random_layer(rng: Rng, d: int, k: int, r: int, scale: float = 1.5) -> A.BaLoRALayer:
     layer = A.init_layer(rng, d=d, k=k, r=r, init_std=0.5, lora_scale=scale)
     layer.WB = Tensor(rng.normal((k, r)), requires_grad=True)
@@ -120,19 +139,6 @@ def _random_case(crng: Rng, r_cap: int | None = None):
     return layer, x, alpha
 
 
-def _cov_z_scores(emp_mean, emp_cov, ref_mean, ref_cov, n: int):
-    """Entrywise z-scores of empirical vs reference moments under the
-    Gaussian sampling distribution of the estimators."""
-    k = len(ref_mean)
-    se_mean = np.sqrt(np.maximum(np.diag(ref_cov), 1e-300) / n)
-    z_mean = np.abs(emp_mean - ref_mean) / se_mean
-    dd = np.outer(np.diag(ref_cov), np.diag(ref_cov))
-    var_cov = (dd + ref_cov ** 2) / n
-    z_cov = np.abs(emp_cov - ref_cov) / np.sqrt(np.maximum(var_cov, 1e-300))
-    iu = np.triu_indices(k)
-    return float(np.max(z_mean)), float(np.max(z_cov[iu]))
-
-
 def _empirical_moments(samples: np.ndarray):
     mean = samples.mean(axis=0)
     centered = samples - mean
@@ -140,16 +146,18 @@ def _empirical_moments(samples: np.ndarray):
     return mean, cov
 
 
-def _two_sample_z(samples_a: np.ndarray, samples_b: np.ndarray, ref_cov: np.ndarray):
-    na, nb = samples_a.shape[0], samples_b.shape[0]
-    mean_a, cov_a = _empirical_moments(samples_a)
-    mean_b, cov_b = _empirical_moments(samples_b)
-    se_mean = np.sqrt(np.diag(ref_cov) * (1.0 / na + 1.0 / nb) + 1e-300)
-    z_mean = np.abs(mean_a - mean_b) / se_mean
-    dd = np.outer(np.diag(ref_cov), np.diag(ref_cov))
-    var_cov = (dd + ref_cov ** 2) * (1.0 / na + 1.0 / nb)
+def _moment_z(a, b, ref_cov: np.ndarray, scale: float):
+    """Max entrywise z-scores of the gap between two ``(mean, cov)`` pairs,
+    over the mean and over the covariance's upper triangle, under the
+    Gaussian sampling distribution of the estimators for draws of
+    covariance ``ref_cov``. ``scale`` is ``1/n`` for a sample of ``n`` draws
+    against exact moments, ``1/na + 1/nb`` for two samples."""
+    (mean_a, cov_a), (mean_b, cov_b) = a, b
+    var = np.diag(ref_cov)
+    z_mean = np.abs(mean_a - mean_b) / np.sqrt(np.maximum(var * scale, 1e-300))
+    var_cov = (np.outer(var, var) + ref_cov ** 2) * scale
     z_cov = np.abs(cov_a - cov_b) / np.sqrt(np.maximum(var_cov, 1e-300))
-    iu = np.triu_indices(len(mean_a))
+    iu = np.triu_indices(len(var))
     return float(np.max(z_mean)), float(np.max(z_cov[iu]))
 
 
@@ -204,8 +212,9 @@ def check_covariance_mc(seed: int, n_configs: int = 10, n_samples: int = 100_000
         law = A.analytic_predictive(layer, Tensor(x), alpha)
         samples = A.sample_lowrank(layer, Tensor(x), alpha, crng.stream_of(4),
                                    n=n_samples).data
-        z_mean, z_cov = _cov_z_scores(*_empirical_moments(samples),
-                                      law.mean.data, law.covariance(), n_samples)
+        cov = law.covariance()
+        z_mean, z_cov = _moment_z(_empirical_moments(samples), (law.mean.data, cov), cov,
+                                  1.0 / n_samples)
         worst = max(worst, z_mean, z_cov)
     return OracleResult("covariance_mc_match", "covariance", worst < 3.0, worst, 3.0,
                         f"{n_configs} random configs, {n_samples} draws, entrywise z-scores")
@@ -224,7 +233,8 @@ def check_sampler_equivalence(seed: int, n_configs: int = 8, n_samples: int = 10
         slow = A.sample_full_cov_oracle(layer, Tensor(x), alpha, crng.stream_of(streams[1]),
                                         n=n_samples).data
         ref_cov = A.analytic_predictive(layer, Tensor(x), alpha).covariance()
-        z_mean, z_cov = _two_sample_z(fast, slow, ref_cov)
+        z_mean, z_cov = _moment_z(_empirical_moments(fast), _empirical_moments(slow), ref_cov,
+                                  1.0 / len(fast) + 1.0 / len(slow))
         worst = max(worst, z_mean, z_cov)
     return OracleResult("sampler_equivalence", "covariance", worst < 3.0, worst, 3.0,
                         "low-rank vs dense-factorization sampler, two-sample moments")
@@ -250,36 +260,24 @@ def _tiny_model(seed: int):
 
 
 def check_gradient_fd(seed: int) -> OracleResult:
+    """The ELBO step training differentiates, at ``kl_weight`` 0 (the NLL
+    alone) and 0.7 with frozen noise from ``Rng(seed + 9)``, and the
+    normalized KL over ``(4, 2)`` alphas log-uniform on ``[1e-3, 1e2]`` from
+    substream 5 of ``Rng(seed)``."""
     model, X, y = _tiny_model(seed)
     prior = V.PriorConfig(0.4)
-    params = model.trainables()
-    worst = 0.0
-
-    def nll() -> Tensor:
-        alphas = model.alphas(X)
-        pred = model.forward(X, alphas=alphas, eps=model.draw_eps(X.shape[0], Rng(seed + 9)))
-        return V.gaussian_nll(pred, y, model.log_sigma)
-
-    def kl() -> Tensor:
-        return V.kl_normalized(model.alphas(X), prior.p, model.alphanet.alpha_min,
-                               model.alphanet.alpha_max)
-
-    def elbo(kl_weight: float):
-        # The node training differentiates, with the same frozen noise.
+    alphas = Tensor(np.exp(Rng(seed).stream_of(5).uniform(math.log(1e-3), math.log(1e2),
+                                                          (4, 2))), requires_grad=True)
+    worst = gradient_error(lambda: V.kl_normalized(alphas, prior.p), [alphas])
+    for kl_weight in (0.0, 0.7):
         cfg = V.TrainConfig(kl_weight=kl_weight)
-        return lambda: V.elbo_step(model, (X, y), prior, cfg, Rng(seed + 9))[0]
-
-    for term in (nll, kl, elbo(0.0), elbo(0.7)):
-        V.zero_grad(params)
-        backward(term())
-        numeric = finite_difference_grads(lambda: term().item(), params)
-        for p, g_num in zip(params, numeric):
-            g_ana = p.grad if p.grad is not None else np.zeros(p.shape)
-            worst = max(worst, scaled_gradient_error(np.asarray(g_ana), g_num))
-    V.zero_grad(params)
+        worst = max(worst, gradient_error(
+            lambda: V.elbo_step(model, (X, y), prior, cfg, Rng(seed + 9))[0],
+            model.trainables()))
     return OracleResult("gradient_finite_difference", "gradient", worst < 1.0, worst, 1.0,
-                        "tape vs central differences with frozen noise, for the NLL, the KL and "
-                        "the ELBO step at kl_weight 0 and 0.7; scaled by rtol=1e-4, atol=1e-7")
+                        "tape vs central differences for the ELBO step at kl_weight 0 and 0.7 "
+                        "with frozen noise, and the normalized KL; scaled by rtol=1e-4, "
+                        "atol=1e-7")
 
 
 def check_merge_equivalence(seed: int, n_layers: int = 100) -> OracleResult:

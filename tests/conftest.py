@@ -16,6 +16,38 @@ from balora.rng import Rng
 from balora.tensor import Tensor
 
 
+def loss_node(term, parents) -> Tensor:
+    """A plain ``(value, vjp)`` loss term of ``balora.variational`` as one tape
+    node over ``parents``, the tensors whose data it was given, in order."""
+    return Tensor._from_op(term[0], parents, term[1], "loss")
+
+
+def reference_layer_vjp(layer, g, x, z, q=None, sd=None, a=None, eps=None, need_x=True):
+    """The adapter's cotangents ``(gx, gwa, gwb, ga)`` as written before their
+    chains ran in place, one temporary per op: the reference that
+    ``balora.adapter.layer_vjp`` must match bit for bit."""
+    w0, wa, wb, s = layer.W0.data, layer.WA.data, layer.WB.data, layer.lora_scale
+    gu = g * s
+    gz = gu @ wb
+    gx = gwa = gwb = ga = None
+    if layer.WB.requires_grad:
+        gwb = gu.T @ z
+    if eps is not None:
+        inv = np.divide(0.5, sd, out=np.zeros_like(sd), where=sd > 0.0)
+        gv = gz * eps * inv
+        ga = (gv * q).sum(axis=-1)
+        gq = gv * a
+    if layer.WA.requires_grad:
+        gwa = gz.T @ x
+        if eps is not None:
+            gwa += 2.0 * wa * (gq.T @ (x * x))
+    if need_x:
+        gx = g @ w0 + gz @ wa
+        if eps is not None:
+            gx += 2.0 * x * (gq @ (wa * wa))
+    return gx, gwa, gwb, ga
+
+
 def single_linear_model(seed: int, d: int = 3, k: int = 2, r: int = 1,
                         init_alpha: float = 0.8) -> AdaptedModel:
     """One adapted linear layer without activation: the predictive law of the

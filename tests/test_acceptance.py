@@ -73,9 +73,9 @@ def test_criterion_4_gradient_fidelity():
     assert len(model.adapters) == 2  # two adapted layers
     result = VF.check_gradient_fd(79)  # frozen noise from Rng(88)
     _report("criterion 4 (gradient fidelity)", result.passed,
-            f"max scaled error {result.measured:.3f} over all trainables on both objective "
-            "terms and the ELBO step at kl_weight 0 and 0.7 (frozen noise, rtol 1e-4, "
-            "atol 1e-7)")
+            f"max scaled error {result.measured:.3f} over all trainables of the ELBO step at "
+            "kl_weight 0 and 0.7 (frozen noise) and over the normalized KL's alphas (rtol "
+            "1e-4, atol 1e-7)")
 
 
 def test_criterion_5_merge_deterministic_equivalence():

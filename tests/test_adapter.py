@@ -3,6 +3,7 @@ geometric invariants of the low-rank update."""
 
 import numpy as np
 import pytest
+from conftest import reference_layer_vjp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -11,9 +12,9 @@ from balora import tensor as T
 from balora.model import AdapterSpec, BackboneSpec, ToyBackbone, attach_adapters
 from balora.rng import Rng
 from balora.tensor import DomainError, ShapeError, Tensor, backward
-from balora.verify import (_cov_z_scores, _empirical_moments, _random_layer, _tiny_model,
-                           _two_sample_z, check_nullspace_variance, check_subspace_residual,
-                           finite_difference_grads, scaled_gradient_error)
+from balora.verify import (_empirical_moments, _moment_z, _random_layer, _tiny_model,
+                           check_nullspace_variance, check_subspace_residual,
+                           finite_difference_grads, gradient_error, scaled_gradient_error)
 
 
 def _tiny_case():
@@ -157,11 +158,7 @@ class TestAlphaNetNode:
             assert (out[:, 0] == net.alpha_min).all() and (out[:, 2] == net.alpha_max).all()
         else:
             assert ((out > net.alpha_min) & (out < net.alpha_max)).all()
-        params = net.trainables()
-        backward(loss_fn())
-        numeric = finite_difference_grads(lambda: loss_fn().item(), params)
-        for p, g in zip(params, numeric):
-            assert scaled_gradient_error(p.grad, g, rtol=1e-4, atol=1e-7) <= 1.0
+        assert gradient_error(loss_fn, net.trainables()) <= 1.0
 
 
 class TestDeterministicForward:
@@ -284,31 +281,9 @@ class TestAdaptedLinearKernel:
             model.forward(X, Tensor(-alphas.data), eps)
 
 
-# The layer, GELU and AlphaNet-head VJPs as written before their chains ran in
-# place, one temporary per op: the references the rewrites must match bit for bit.
-
-
-def _reference_layer_vjp(layer, g, x, z, q=None, sd=None, a=None, eps=None, need_x=True):
-    w0, wa, wb, s = layer.W0.data, layer.WA.data, layer.WB.data, layer.lora_scale
-    gu = g * s
-    gz = gu @ wb
-    gx = gwa = gwb = ga = None
-    if layer.WB.requires_grad:
-        gwb = gu.T @ z
-    if eps is not None:
-        inv = np.divide(0.5, sd, out=np.zeros_like(sd), where=sd > 0.0)
-        gv = gz * eps * inv
-        ga = (gv * q).sum(axis=-1)
-        gq = gv * a
-    if layer.WA.requires_grad:
-        gwa = gz.T @ x
-        if eps is not None:
-            gwa += 2.0 * wa * (gq.T @ (x * x))
-    if need_x:
-        gx = g @ w0 + gz @ wa
-        if eps is not None:
-            gx += 2.0 * x * (gq @ (wa * wa))
-    return gx, gwa, gwb, ga
+# The GELU and AlphaNet-head VJPs as written before their chains ran in place,
+# one temporary per op: the references the rewrites must match bit for bit (the
+# layer's is conftest.reference_layer_vjp).
 
 
 def _reference_gelu_grad(z, phi):
@@ -384,7 +359,7 @@ class TestKernelsMatchReferences:
         base, z, q, *squares = A.layer_terms(layer, x, None, eps is not None)
         _, z, sd = A.layer_output(layer, base, z, q, a, eps)
         got = A.layer_vjp(layer, g, x, (z, q, sd, a, eps, *squares), need_x)
-        _same_bytes(got, _reference_layer_vjp(layer, g, x, z, q, sd, a, eps, need_x))
+        _same_bytes(got, reference_layer_vjp(layer, g, x, z, q, sd, a, eps, need_x))
         if eps is not None and (x == 0.0).all(axis=1).any():
             assert (sd == 0.0).all(axis=1).any()
 
@@ -466,8 +441,8 @@ class TestLowRankSampler:
         n = 200_000
         samples = A.sample_lowrank(layer, x, 1.0, Rng(16), n=n).data
         law = A.analytic_predictive(layer, x, 1.0)
-        z_mean, z_cov = _cov_z_scores(*_empirical_moments(samples),
-                                      law.mean.data, law.covariance(), n)
+        cov = law.covariance()
+        z_mean, z_cov = _moment_z(_empirical_moments(samples), (law.mean.data, cov), cov, 1.0 / n)
         assert z_mean < 3.0
         assert z_cov < 3.0
 
@@ -514,7 +489,8 @@ class TestFullCovOracle:
         fast = A.sample_lowrank(layer, x, 0.9, Rng(23), n=n).data
         slow = A.sample_full_cov_oracle(layer, x, 0.9, Rng(24), n=n).data
         ref = A.analytic_predictive(layer, x, 0.9).covariance()
-        z_mean, z_cov = _two_sample_z(fast, slow, ref)
+        z_mean, z_cov = _moment_z(_empirical_moments(fast), _empirical_moments(slow), ref,
+                                  2.0 / n)
         assert z_mean < 3.0
         assert z_cov < 3.0
 

@@ -1150,6 +1150,29 @@ class TestVerify:
         assert main(["verify"]) == 1
         assert capsys.readouterr().err == f"failed oracles: {failing}\n"
 
+    @pytest.mark.parametrize("fault", ["kl_vjp", "layer_vjp_gwa"])
+    def test_gradient_fault_caught(self, monkeypatch, capsys, fault):
+        # A 1% error in one cotangent, of the KL or of an adapter's WA.
+        # Acceptance criterion 4 calls this oracle, so each fault fails it too.
+        if fault == "kl_vjp":
+            real_kl = variational._kl
+
+            def faulty_kl(*args):
+                value, vjp = real_kl(*args)
+                return value, lambda g: tuple(c * 1.01 for c in vjp(g))
+
+            monkeypatch.setattr(variational, "_kl", faulty_kl)
+        else:
+            real_vjp = adapter.layer_vjp
+
+            def faulty_vjp(*args, **kwargs):
+                gx, gwa, gwb, ga = real_vjp(*args, **kwargs)
+                return gx, None if gwa is None else gwa * 1.01, gwb, ga
+
+            monkeypatch.setattr(adapter, "layer_vjp", faulty_vjp)
+        assert main(["verify"]) == 1
+        assert capsys.readouterr().err == "failed oracles: gradient_finite_difference\n"
+
 
 class TestAtomicWrites:
     """Every artifact goes to a temporary file beside it, then one

@@ -273,6 +273,11 @@ class TestSpearman:
         rv = np.array([1.0, 2.0, 3.0])
         expect = np.corrcoef(ru, rv)[0, 1]
         assert got == pytest.approx(expect)
+        # Signed zeros tie with each other; a block of three shares rank 3.
+        u, v = np.array([0.5, -0.0, 0.0, -1.0, 0.0, 2.0, 0.5]), np.arange(7.0)
+        ru = np.array([5.5, 3.0, 3.0, 1.0, 3.0, 7.0, 5.5])
+        assert U._average_ranks(u).tolist() == ru.tolist()
+        assert U.spearman(u, v) == pytest.approx(np.corrcoef(ru, v + 1.0)[0, 1])
 
     def test_constant_input_is_error(self):
         with pytest.raises(DomainError):

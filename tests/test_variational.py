@@ -1,7 +1,8 @@
-"""Objective and optimizer checks: the KL's minimum and bounds, frozen-noise
-finite differences for the ELBO, the one-node ELBO step against the same step
-built from the public nodes, and closed-form first-step behavior for AdamW.
-The KL's quadrature oracles live in ``balora.verify``."""
+"""Objective and optimizer checks: the KL's minimum and bounds, the loss
+terms' values and VJPs, the one-node ELBO step against the same step built
+from the public nodes, and closed-form first-step behavior for AdamW. The
+KL's quadrature oracles and the ELBO step's finite differences live in
+``balora.verify``."""
 
 import itertools
 import math
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import loss_node
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,7 @@ from balora import variational as V
 from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone, attach_adapters
 from balora.rng import Rng
 from balora.tensor import DomainError, ShapeError, Tensor, backward
-from balora.verify import _tiny_model, finite_difference_grads, scaled_gradient_error
+from balora.verify import _tiny_model, gradient_error
 
 
 class TestKlPerEntry:
@@ -117,35 +119,26 @@ class TestKlNormalized:
 
 
 class TestLossNodes:
-    """Each loss term is one tape node with a hand-written VJP: values
-    against the textbook formulas, gradients against central differences."""
-
-    @staticmethod
-    def _fd_check(loss_fn, params):
-        loss = loss_fn()
-        backward(loss)
-        numeric = finite_difference_grads(lambda: loss_fn().item(), params)
-        for p, g in zip(params, numeric):
-            assert scaled_gradient_error(p.grad, g, rtol=1e-4, atol=1e-7) <= 1.0
-        return loss
+    """The plain ``(value, vjp)`` loss terms ``elbo_step`` calls: values
+    against the textbook formulas, VJPs against central differences."""
 
     def test_gaussian_nll_value(self):
         r = Rng(60)
         pred, y = r.stream_of(0).normal((7, 2)), r.stream_of(1).normal((7, 2))
         ls = 0.3
-        got = V.gaussian_nll(Tensor(pred), y, Tensor(ls)).item()
+        got = float(V._gaussian_nll(pred, y, np.asarray(ls))[0])
         expect = 0.5 * np.mean((y - pred) ** 2 * np.exp(-2 * ls) + 2 * ls + np.log(2 * np.pi))
         assert abs(got - expect) < 1e-14
 
     def test_l1_loss_value(self):
         pred = np.array([[0.5, -1.0], [2.0, 0.25]])
         y = np.array([1.5, -3.0, 2.0, 0.0])  # reshaped to pred's shape
-        assert V.l1_loss(Tensor(pred), y).item() == (1.0 + 2.0 + 0.0 + 0.25) / 4
+        assert float(V._l1(pred, y)[0]) == (1.0 + 2.0 + 0.0 + 0.25) / 4
 
     def test_cross_entropy_value(self):
         logits = np.array([[1000.0, 0.0, -1000.0], [0.0, 1000.0, 0.0], [1.0, 2.0, 3.0]])
         labels = np.array([0, 0, 2])
-        got = V.cross_entropy(Tensor(logits), labels).item()
+        got = float(V._cross_entropy(logits, labels)[0])
         last = -(3.0 - np.log(np.exp(1.0) + np.exp(2.0) + np.exp(3.0)))
         assert abs(got - (0.0 + 1000.0 + last) / 3) < 1e-12
 
@@ -153,15 +146,14 @@ class TestLossNodes:
         # Summed over every label, the per-row likelihoods exp(-CE) are one.
         logits = Rng(41).normal((6, 4))
         for row in logits:
-            probs = [np.exp(-V.cross_entropy(Tensor(row[None, :]), np.array([c])).item())
+            probs = [np.exp(-float(V._cross_entropy(row[None, :], np.array([c]))[0]))
                      for c in range(4)]
             assert abs(sum(probs) - 1.0) < 1e-12
 
     def test_cross_entropy_rejects_bad_labels(self):
-        logits = Tensor(np.zeros((2, 3)))
         for labels in ([0, 3], [-1, 0], [0]):
             with pytest.raises(DomainError):
-                V.cross_entropy(logits, np.array(labels))
+                V._cross_entropy(np.zeros((2, 3)), np.array(labels))
 
     def test_gaussian_nll_gradient(self):
         r = Rng(61)
@@ -170,7 +162,9 @@ class TestLossNodes:
             pred = Tensor(rt.normal((6, 2)), requires_grad=True)
             ls = Tensor(rt.uniform(-1.0, 1.0, ()), requires_grad=True)
             y = rt.stream_of(1).normal((6, 2))
-            self._fd_check(lambda: V.gaussian_nll(pred, y, ls), [pred, ls])
+            assert gradient_error(
+                lambda: loss_node(V._gaussian_nll(pred.data, y, ls.data), (pred, ls)),
+                [pred, ls]) <= 1.0
 
     def test_l1_loss_gradient_away_from_kinks(self):
         r = Rng(62)
@@ -178,22 +172,23 @@ class TestLossNodes:
         gap = r.stream_of(1).uniform(0.1, 1.0, (5, 3)) * np.where(
             r.stream_of(2).uniform(0.0, 1.0, (5, 3)) < 0.5, -1.0, 1.0)
         y = pred.data + gap
-        self._fd_check(lambda: V.l1_loss(pred, y), [pred])
+        assert gradient_error(lambda: loss_node(V._l1(pred.data, y), (pred,)), [pred]) <= 1.0
 
     def test_cross_entropy_gradient(self):
         r = Rng(63)
         logits = Tensor(3.0 * r.normal((6, 4)), requires_grad=True)
         labels = r.stream_of(1).integers(0, 4, (6,))
-        self._fd_check(lambda: V.cross_entropy(logits, labels), [logits])
+        assert gradient_error(lambda: loss_node(V._cross_entropy(logits.data, labels),
+                                                (logits,)), [logits]) <= 1.0
 
     @pytest.mark.parametrize("shape", [(), (3,), (5, 3)], ids=["one", "layers", "rows-by-layers"])
     def test_kl_normalized_value_and_gradient(self, shape):
         r = Rng(64)
         alphas = Tensor(np.exp(r.uniform(np.log(1e-3), np.log(1e2), shape)),
                         requires_grad=True)
-        loss = self._fd_check(lambda: V.kl_normalized(alphas, 0.3), [alphas])
+        assert gradient_error(lambda: V.kl_normalized(alphas, 0.3), [alphas]) <= 1.0
         per = [V.kl_per_entry(float(a), 0.3) / V.kl_max(0.3) for a in alphas.data.ravel()]
-        assert abs(loss.item() - np.mean(per)) < 1e-12
+        assert abs(V.kl_normalized(alphas, 0.3).item() - np.mean(per)) < 1e-12
 
 
 class TestElboStep:
@@ -207,7 +202,8 @@ class TestElboStep:
         cfg = V.TrainConfig(lr=1e-3, epochs=1, batch_size=4, kl_weight=0.0)
         loss, metrics = V.elbo_step(model, (X, y), V.PriorConfig(0.5), cfg, Rng(5))
         det_pred = model.forward(X)
-        det_nll = V.gaussian_nll(det_pred, y, model.log_sigma)
+        det_nll = loss_node(V._gaussian_nll(det_pred.data, y, model.log_sigma.data),
+                            (det_pred, model.log_sigma))
         assert abs(loss.item() - det_nll.item()) < 1e-2
         assert metrics["kl_normalized"] >= 0.0
 
@@ -217,24 +213,6 @@ class TestElboStep:
         loss, metrics = V.elbo_step(model, (X, y), V.PriorConfig(0.5), cfg, Rng(6))
         assert metrics["kl_normalized"] > 0.0
         assert abs(loss.item() - metrics["nll"]) < 1e-12
-
-    def test_gradients_match_finite_differences(self):
-        model, X, y = _tiny_model(79)
-        prior = V.PriorConfig(0.4)
-        cfg = V.TrainConfig(lr=1e-3, epochs=1, batch_size=4, kl_weight=0.7)
-        params = model.trainables()
-
-        def loss_fn():
-            loss, _ = V.elbo_step(model, (X, y), prior, cfg, Rng(80))
-            return loss.item()
-
-        loss, _ = V.elbo_step(model, (X, y), prior, cfg, Rng(80))
-        backward(loss)
-        numeric = finite_difference_grads(loss_fn, params)
-        for p, g in zip(params, numeric):
-            g_ana = p.grad if p.grad is not None else np.zeros(p.shape)
-            assert scaled_gradient_error(np.asarray(g_ana), g) <= 1.0
-        V.zero_grad(params)
 
     def test_empty_batch_rejected(self):
         model, X, y = _tiny_model(81)
@@ -715,11 +693,12 @@ def _reference_step(model, batch, prior, cfg, rng):
     else:
         alphas, pred = None, model.forward(X)
     if model.head == "classification":
-        nll = V.cross_entropy(pred, y)
+        nll = loss_node(V._cross_entropy(pred.data, y), (pred,))
     elif cfg.nll == "l1":
-        nll = V.l1_loss(pred, y)
+        nll = loss_node(V._l1(pred.data, y), (pred,))
     else:
-        nll = V.gaussian_nll(pred, y, model.log_sigma)
+        nll = loss_node(V._gaussian_nll(pred.data, y, model.log_sigma.data),
+                        (pred, model.log_sigma))
     metrics, loss = {"nll": nll.item(), "kl_normalized": 0.0}, nll
     if alphas is not None:
         kl = V.kl_normalized(alphas, prior.p, model.alphanet.alpha_min,
