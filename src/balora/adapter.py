@@ -170,8 +170,10 @@ def layer_vjp(layer: BaLoRALayer, g: np.ndarray, x: np.ndarray, kept: tuple,
     the posterior mean. ``gx`` if ``need_x``, ``gwa``/``gwb`` if ``WA``/``WB``
     require grad, ``ga``, that of the ``(n,)`` alpha column, if noisy; None
     otherwise. Each chain runs in place with the rounding of ``gz * eps *
-    inv``, ``2 * wa * M`` and ``2 * x * N``: doubling is exact, so doubling
-    last gives the same floats (but for results in the subnormal range)."""
+    (0.5 / sd)``, ``2 * wa * M`` and ``2 * x * N``, but carries ``1 / sd``
+    and halves the alpha cotangent once instead of doubling ``M`` and ``N``:
+    scaling by a power of two is exact, so the floats are the same (but for
+    results in the subnormal range)."""
     z, q, sd, a, eps, xx, wa2 = kept
     w0, wa, wb, s = layer.W0.data, layer.WA.data, layer.WB.data, layer.lora_scale
     gu = g * s
@@ -180,19 +182,22 @@ def layer_vjp(layer: BaLoRALayer, g: np.ndarray, x: np.ndarray, kept: tuple,
     if layer.WB.requires_grad:
         gwb = gu.T @ z
     if eps is not None:
-        # Subgradient 0 where the latent variance is exactly zero keeps
-        # zero-variance directions noise-free instead of Inf * 0.
-        inv = np.divide(0.5, sd, out=np.zeros_like(sd), where=sd > 0.0)
+        if sd.all():
+            inv = np.divide(1.0, sd)
+        else:
+            # Subgradient 0 where the latent variance is exactly zero keeps
+            # zero-variance directions noise-free instead of Inf * 0.
+            inv = np.divide(1.0, sd, out=np.zeros_like(sd), where=sd > 0.0)
         gq = gz * eps
         gq *= inv
         ga = np.multiply(gq, q, out=inv).sum(axis=-1)
+        ga *= 0.5
         gq *= a
     if layer.WA.requires_grad:
         gwa = gz.T @ x
         if eps is not None:
             m = gq.T @ xx
             m *= wa
-            m *= 2.0
             gwa += m
     if need_x:
         gx = g @ w0
@@ -200,7 +205,6 @@ def layer_vjp(layer: BaLoRALayer, g: np.ndarray, x: np.ndarray, kept: tuple,
         if eps is not None:
             m = gq @ wa2
             m *= x
-            m *= 2.0
             gx += m
     return gx, gwa, gwb, ga
 

@@ -256,11 +256,27 @@ class AdaptedModel:
         constant, so gradients flow through the noise scale, WA, and WB only.
         A ``prefix`` from :meth:`frozen_prefix` of ``X`` (frozen backbone
         only) replaces the layers before the first adapted one. The network is
-        one tape node over :meth:`network`."""
-        if eps is not None and alphas is None and self.kind == "balora":
-            alphas = self.alphas(self._rows(X) if prefix is None else X, prefix)
-        out, params, vjp = self.network(X, None if alphas is None else alphas.data, eps,
-                                        prefix)
+        one tape node over :meth:`network`, and this is where its inputs are
+        checked: rows of the wrong width and ``eps`` or ``alphas`` that do not
+        fit raise :class:`ShapeError`, noise on a lora model and a negative
+        alpha :class:`DomainError`."""
+        start = 0 if prefix is None else self.prefix_layers
+        h = self._rows(X if prefix is None else prefix, start)
+        if eps is not None:
+            if self.kind != "balora":
+                raise DomainError("stochastic forward requires a balora model")
+            if alphas is None:
+                alphas = self.alphas(h if prefix is None else X, prefix)
+            shapes = [(len(h), layer.rank) for layer in self.adapters.values()]
+            got = [np.shape(e) for e in eps]
+            if got != shapes:
+                raise ShapeError(f"eps shapes {got} do not fit {shapes}")
+            if alphas.shape != (len(h), len(self.adapters)):
+                raise ShapeError(f"alphas {alphas.shape} do not fit {shapes}")
+            if (alphas.data < 0.0).any():
+                raise DomainError("alpha must be non-negative")
+        out, params, vjp = self.network(h, None if eps is None else alphas.data, eps,
+                                        None if prefix is None else h)
         scales = [] if eps is None else [alphas]
         return Tensor._from_op(out, [p for ps in params for p in ps] + scales, vjp,
                                "the taped forward")
@@ -274,22 +290,16 @@ class AdaptedModel:
         the parameters per layer (its weight, or an adapter's WA and WB, then
         its bias) and their VJP, :func:`~balora.adapter.walk_vjp`: from the
         output's cotangent, one per parameter, flat, then with ``eps`` that of
-        ``alphas``."""
+        ``alphas``.
+
+        It trusts its caller and checks nothing: the rows (``prefix`` when
+        given, else ``X``) are a float64 batch matrix of the starting layer's
+        width, and ``eps`` and ``alphas`` fit them, as :meth:`forward` and
+        ``balora.variational.elbo_step`` make sure before they call it."""
         start = 0 if prefix is None else self.prefix_layers
-        h = self._rows(X if prefix is None else prefix, start)
+        h = X if prefix is None else prefix
         if eps is None:
             alphas = None
-        else:
-            if self.kind != "balora":
-                raise DomainError("stochastic forward requires a balora model")
-            shapes = [(len(h), layer.rank) for layer in self.adapters.values()]
-            got = [np.shape(e) for e in eps]
-            if got != shapes:
-                raise ShapeError(f"eps shapes {got} do not fit {shapes}")
-            if alphas.shape != (len(h), len(self.adapters)):
-                raise ShapeError(f"alphas {alphas.shape} do not fit {shapes}")
-            if (alphas < 0.0).any():
-                raise DomainError("alpha must be non-negative")
         plan = self._plan(start, self.backbone.n_layers, self.adapters)
         params = [((self.backbone.weights[i],) if layer is None else (layer.WA, layer.WB))
                   + (self.backbone.biases[i],) for i, (_, _, layer, _, _) in enumerate(plan, start)]
@@ -299,10 +309,18 @@ class AdaptedModel:
 
     def draw_eps(self, n: int, rng: Rng) -> list[np.ndarray]:
         """One ``(n, r)`` standard-normal array per adapted layer, in
-        ``adapted_layers`` order: the noise of a stochastic :meth:`forward`."""
+        ``adapted_layers`` order: the noise of a stochastic :meth:`forward`.
+        The arrays are consecutive views of one draw from ``rng``, so they
+        hold what one draw per layer, in that order, would."""
         if self.kind != "balora":
             raise DomainError("stochastic forward requires a balora model")
-        return [rng.normal((n, layer.rank)) for layer in self.adapters.values()]
+        ranks = [layer.rank for layer in self.adapters.values()]
+        flat = rng.normal(n * sum(ranks))
+        eps, lo = [], 0
+        for r in ranks:
+            eps.append(flat[lo:lo + n * r].reshape(n, r))
+            lo += n * r
+        return eps
 
     def merged_forward(self, X: np.ndarray) -> np.ndarray:
         """Pure-numpy forward through the merged weights (zero-overhead mode):
@@ -345,6 +363,7 @@ class AdaptedModel:
             raise DomainError("stochastic forward requires a balora model")
         if isinstance(S, bool) or not isinstance(S, (int, np.integer)) or S < 1:
             raise DomainError(f"S, the number of draws, must be a positive integer, got {S!r}")
+        S = int(S)  # a narrow numpy integer would overflow in the row counts
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[0] == 0:
             raise ShapeError(f"X must hold at least one input row, got shape {X.shape}")

@@ -3,9 +3,10 @@
 The tape is built eagerly, by one rule with no global switch: an operation
 stores its parents and a vector-Jacobian closure on the output node exactly
 when a parent requires grad. Parents are created before their children, so
-:func:`backward` runs the nodes reachable from the loss in descending
-creation order, accumulates gradients into the ``grad`` field of every
-leaf that requires them, and consumes the tape.
+:func:`backward` runs the interior nodes (those with a closure) reachable
+from the loss in descending creation order, sums the cotangents of every
+leaf that requires grad and adds them to its ``grad`` field once, and
+consumes the tape.
 
 Taped ops follow one shape rule: :func:`add` and :func:`mul` take operands
 of equal shape and never broadcast, :func:`matmul` takes two matrices and
@@ -185,9 +186,14 @@ class Tensor:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
 
-    ``loss`` must be a 0-d tensor produced by taped operations. The tape is
-    consumed: a second call on the same graph raises :class:`TapeError`
-    until the forward pass is rebuilt.
+    ``loss`` must be a 0-d tensor produced by taped operations, or a leaf
+    that requires grad. The tape is consumed: a second call on the same
+    graph raises :class:`TapeError` until the forward pass is rebuilt, and
+    so does a graph that reaches a consumed node.
+
+    Only the interior nodes, those with a VJP closure, are walked and
+    sorted. Each leaf's cotangents are summed in the order the closures
+    return them and added to its ``grad`` once, at the end.
     """
     if loss.shape != ():
         raise TapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -196,44 +202,46 @@ def backward(loss: Tensor) -> None:
     if loss._vjp is None and not loss.requires_grad:
         raise TapeError("loss does not depend on any requires_grad tensor")
 
-    # Parents are created before their children, so the nodes reachable from
-    # the loss, in descending creation order, are a reverse topological order.
-    reached, stack = {id(loss): loss}, [loss]
+    # Parents are created before their children, so the interior nodes
+    # reachable from the loss, in descending creation order, are a reverse
+    # topological order. A consumed node has lost its closure and would pass
+    # for a leaf, so every parent is checked.
+    interior, stack = {}, []
+    if loss._vjp is not None:
+        interior[id(loss)] = loss
+        stack.append(loss)
     while stack:
-        node = stack.pop()
-        if node._consumed:
-            raise TapeError("graph shares nodes with an already-consumed tape")
-        for p in node._parents:
-            if p.requires_grad and id(p) not in reached:
-                reached[id(p)] = p
+        for p in stack.pop()._parents:
+            if p._consumed:
+                raise TapeError("graph shares nodes with an already-consumed tape")
+            if p._vjp is not None and id(p) not in interior:
+                interior[id(p)] = p
                 stack.append(p)
-    order = sorted(reached.values(), key=lambda node: node._seq, reverse=True)
+    order = sorted(interior.values(), key=lambda node: node._seq, reverse=True)
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+    # Pending cotangents by node id, each with its node; what is left at the
+    # end belongs to leaves.
+    pending: dict[int, list] = {id(loss): [loss, np.ones((), dtype=np.float64)]}
     for node in order:
-        g = grads.pop(id(node), None)
-        if g is None:
+        entry = pending.pop(id(node), None)
+        if entry is None:
             continue
-        if node._vjp is None:
-            # Leaf: accumulate into the public grad field.
-            node.grad = g.copy() if node.grad is None else node.grad + g
-            continue
-        parent_grads = node._vjp(g)
-        for parent, pg in zip(node._parents, parent_grads):
+        for parent, pg in zip(node._parents, node._vjp(entry[1])):
             if pg is None or not parent.requires_grad:
                 continue
-            pid = id(parent)
-            if pid in grads:
-                grads[pid] = grads[pid] + pg
+            entry = pending.get(id(parent))
+            if entry is None:
+                pending[id(parent)] = [parent, pg]
             else:
-                grads[pid] = pg
+                entry[1] = entry[1] + pg
+    for leaf, g in pending.values():
+        leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
 
     # Consume the tape.
     for node in order:
-        if node._vjp is not None:
-            node._vjp = None
-            node._parents = ()
-            node._consumed = True
+        node._vjp = None
+        node._parents = ()
+        node._consumed = True
     loss._consumed = True
 
 

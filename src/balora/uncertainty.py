@@ -144,9 +144,13 @@ class UQReport:
 def uq_report(model: AdaptedModel, X, y, S: int, rng: Rng) -> UQReport:
     """Full Monte Carlo evaluation of a test split: ``y`` holds one target
     row per row of ``X``. Regression epistemic variance is the mean over
-    output dims of each dim's variance over draws."""
-    if S < 2:
-        raise DomainError(f"uq_report needs S >= 2, got {S}")
+    output dims of each dim's variance over draws. ``S``, the number of
+    draws, must be an integer (a numpy one too, but not a bool) of at least
+    2; anything else raises :class:`DomainError` before any work."""
+    if isinstance(S, bool) or not isinstance(S, (int, np.integer)) or S < 2:
+        raise DomainError(f"uq_report needs an integer S >= 2, the number of draws, "
+                          f"got {S!r}")
+    S = int(S)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
     if y.shape[:1] != X.shape[:1]:

@@ -98,6 +98,13 @@ def kl_per_entry(alpha, p: float, alpha_min: float = ALPHA_MIN,
     elementwise over a scalar or array ``alpha``."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie strictly in (0, 1), got {p}")
+    kl = _kl_entries(_in_clamp(alpha, alpha_min, alpha_max), p)
+    return float(kl) if kl.ndim == 0 else kl
+
+
+def _in_clamp(alpha, alpha_min: float, alpha_max: float) -> np.ndarray:
+    """``alpha`` as a float64 array, after checking that every entry lies in
+    ``[alpha_min, alpha_max]``."""
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.size:
         # NaN fails the check: min and max propagate it.
@@ -105,9 +112,14 @@ def kl_per_entry(alpha, p: float, alpha_min: float = ALPHA_MIN,
         if not (alpha_min <= lo and hi <= alpha_max):
             raise DomainError(f"alpha outside clamp range [{alpha_min}, {alpha_max}]: "
                               f"min {lo}, max {hi}")
+    return alpha
+
+
+def _kl_entries(alpha: np.ndarray, p: float) -> np.ndarray:
+    """The per-entry KL formula, unchecked: :func:`kl_per_entry` of alphas
+    already known to lie in the clamp."""
     c = (1.0 - p) / p
-    kl = 0.5 * ((alpha + 1.0) * c - 1.0 - math.log(c) - np.log(alpha))
-    return float(kl) if kl.ndim == 0 else kl
+    return 0.5 * ((alpha + 1.0) * c - 1.0 - math.log(c) - np.log(alpha))
 
 
 def alpha_star(p: float) -> float:
@@ -129,11 +141,13 @@ def kl_max(p: float, alpha_min: float = ALPHA_MIN, alpha_max: float = ALPHA_MAX)
 
 
 def _kl(a: np.ndarray, p: float, alpha_min: float, alpha_max: float):
-    """:func:`kl_normalized` of the array ``a`` and its VJP."""
+    """:func:`kl_normalized` of the array ``a`` and its VJP. The entries of
+    ``a`` are not checked against the clamp: :func:`kl_normalized` checks
+    them, and the ELBO step's come out of the clamp."""
     if a.size == 0:
         raise DomainError("kl_normalized needs at least one layer")
     scale = 1.0 / kl_max(p, alpha_min, alpha_max)
-    kl = kl_per_entry(a, p, alpha_min, alpha_max)
+    kl = _kl_entries(a, p)
     c = (1.0 - p) / p
 
     def vjp(g):
@@ -149,10 +163,14 @@ def kl_normalized(alphas, p: float, alpha_min: float = ALPHA_MIN,
     ``alphas`` holds one noise scale per layer, ``(L,)``, or per batch row
     and layer, ``(n, L)``; an array is taken as a constant. Every entry of
     one layer shares the same alpha, so the per-parameter average over the
-    layer's r*d entries equals the per-entry value.
+    layer's r*d entries equals the per-entry value. Alphas outside
+    ``[alpha_min, alpha_max]``, or NaN, raise :class:`DomainError` as in
+    :func:`kl_per_entry`.
     """
+    checked = _in_clamp(alphas.data if isinstance(alphas, Tensor) else alphas,
+                       alpha_min, alpha_max)
     if not isinstance(alphas, Tensor):
-        alphas = Tensor(alphas)
+        alphas = Tensor(checked)
     value, vjp = _kl(alphas.data, p, alpha_min, alpha_max)
     return Tensor._from_op(value, (alphas,), vjp, "kl_normalized")
 
@@ -220,8 +238,10 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
     noise scale varies per sample).
 
     ``batch`` is ``(X, y)`` with one row of ``y`` per row of ``X`` (a 1-D
-    ``X`` is one row); an empty batch raises :class:`DomainError` and a
-    ``y`` with another row count :class:`ShapeError`, before any work.
+    ``X`` is one row); an empty batch raises :class:`DomainError`, and rows
+    of another width than the model's input or a ``y`` with another row
+    count :class:`ShapeError`, before any work. These are the step's checks:
+    the network and the KL it calls trust the arrays it built.
     Returns the loss, one tape node, and a metrics dict; the KL is always
     logged but enters the loss only when ``kl_weight > 0``. The forward is
     plain numpy and one path for every kind: a frozen backbone's prefix off
@@ -234,15 +254,15 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
     scales' cotangent, the KL's plus the network's.
     """
     X, y = batch
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
+    X = model._rows(X)
     if X.shape[0] == 0:
         raise DomainError("empty batch")
     if len(y) != X.shape[0]:
         raise ShapeError(f"y has {len(y)} rows, X has {X.shape[0]}")
     try:
-        prefix = model.frozen_prefix(X) if model.backbone.frozen else None
+        prefix = None
+        if model.backbone.frozen and model.prefix_layers:
+            prefix = model.frozen_prefix(X)
         alphas, eps, alpha_params = None, None, []
         if model.kind == "balora":
             alphas, alpha_params, alpha_vjp = A.alpha_scales(
@@ -435,9 +455,10 @@ def train_model(model: AdaptedModel, train_xy, prior: PriorConfig, cfg: TrainCon
                 rng: Rng, record_hook=None) -> list[dict]:
     """Minibatch training loop; returns one metrics record per step.
 
-    Step ``i`` draws its noise from ``rng.stream_of(i)``, made by re-keying one
-    generator, and each epoch's permutation from ``rng.stream_of(MAX_STEPS +
-    epoch)``; no rows or more than :data:`MAX_STEPS` steps raise
+    Step ``i`` draws its noise from ``rng.stream_of(i)`` and each epoch its
+    permutation from ``rng.stream_of(MAX_STEPS + epoch)``, each made by
+    re-keying one generator, so a run builds two whatever its length. No rows
+    or more than :data:`MAX_STEPS` steps raise
     :class:`DomainError` before the first, and a ``y`` whose row count is not
     ``X``'s a :class:`ShapeError`. Asserts the freeze contract on
     every step: frozen backbone parameters must never accumulate gradient. A non-finite loss or
@@ -455,20 +476,20 @@ def train_model(model: AdaptedModel, train_xy, prior: PriorConfig, cfg: TrainCon
         raise DomainError(f"{steps} training steps exceed the {MAX_STEPS} whose noise "
                           f"streams stay apart from the epoch permutations")
     params = model.trainables()
+    frozen = model.backbone.parameters() if model.backbone.frozen else []
     opt = AdamW(params, cfg, total_steps=steps)
-    noise = rng.stream_of(0)
+    noise, shuffle = rng.stream_of(0), rng.stream_of(MAX_STEPS)
     records: list[dict] = []
     step = 0
     for epoch in range(cfg.epochs):
-        perm = rng.stream_of(MAX_STEPS + epoch).permutation(n)
+        perm = shuffle._rekey(rng, MAX_STEPS + epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             try:
                 loss, metrics = elbo_step(model, (X[idx], y[idx]), prior, cfg,
                                           noise._rekey(rng, step))
                 T.backward(loss)
-                if model.backbone.frozen and any(p.grad is not None
-                                                 for p in model.backbone.parameters()):
+                if any(p.grad is not None for p in frozen):
                     raise AssertionError("frozen backbone accumulated gradient")
                 stats = opt.step()
             except TrainingDivergence as err:

@@ -1,6 +1,8 @@
 """Adapter-layer checks: hand cases, Monte Carlo moment oracles, and the
 geometric invariants of the low-rank update."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import reference_layer_vjp
@@ -262,8 +264,20 @@ class TestAdaptedLinearKernel:
         for g_stoch, g_det in zip(grads_s, grads_d):
             assert np.array_equal(g_stoch, g_det)
 
+    def test_zero_latent_variance_warns_nothing(self):
+        # The plain 1 / sd runs only when no sd is zero; rows with sd == 0
+        # take the masked divide, which neither warns nor makes Inf.
+        layer, x, bias, alphas, eps, proj = self._case(5, True, True)
+        xs = x.data.copy()
+        xs[[1, 3]] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, (gx, gwa, gwb, ga) = self._vjp(layer, Tensor(xs), bias, alphas, eps, proj, True)
+        assert (ga[[1, 3]] == 0.0).all() and (ga != 0.0).sum() == self.N - 2
+        assert all(np.isfinite(g).all() for g in (gx, gwa, gwb, ga))
+
     def test_mismatched_shapes_rejected(self):
-        # The network checks its inputs once, before the walk.
+        # forward checks the network's inputs once, before the walk.
         model, X, _ = _tiny_model(4)
         eps = model.draw_eps(len(X), Rng(5))
         alphas = model.alphas(X)

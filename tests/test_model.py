@@ -22,7 +22,7 @@ from balora import tasks as TK
 from balora import tensor as T
 from balora import uncertainty as U
 from balora import variational as V
-from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone
+from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone, attach_adapters
 from balora.rng import Rng
 from balora.tensor import DomainError, ShapeError, Tensor
 from balora.verify import _tiny_model, gradient_error
@@ -67,6 +67,21 @@ class TestStochasticForward:
         eps[-1] = reshape(eps[-1])
         with pytest.raises(ShapeError):
             model.forward(X, eps=eps)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_draw_eps_is_one_draw_per_layer_in_order(self, n):
+        # One draw split into per-layer views holds the bits of one draw per
+        # layer from the same stream, rank 1 and a single row included.
+        backbone = ToyBackbone(BackboneSpec(d_in=3, d_out=1, hidden=(5, 4)), Rng(12))
+        backbone.freeze()
+        model = attach_adapters(backbone, AdapterSpec(rank=3), "balora", Rng(13))
+        ranks = [layer.rank for layer in model.adapters.values()]
+        assert ranks == [3, 3, 1]
+        rng = Rng(14)
+        expect = [rng.normal((n, r)) for r in ranks]
+        got = model.draw_eps(n, Rng(14))
+        assert [e.shape for e in got] == [(n, r) for r in ranks]
+        assert [e.tobytes() for e in got] == [e.tobytes() for e in expect]
 
     def test_lora_model_has_no_noise(self):
         backbone = ToyBackbone(BackboneSpec(d_in=3, d_out=2, hidden=(4,)), Rng(9))
@@ -139,6 +154,13 @@ class TestEvaluator:
         monkeypatch.setattr(model, "frozen_prefix", _no_work)
         with pytest.raises(DomainError, match="S, the number of draws"):
             model.predict_stochastic(Rng(12).normal((3, 5)), S, Rng(13))
+
+    def test_narrow_integer_draw_count(self):
+        # 200 draws of 3 rows are 600 draw rows, more than a uint8 holds.
+        model = _adapted(11, (6, 7), None)
+        X = Rng(12).normal((3, 5))
+        got = model.predict_stochastic(X, np.uint8(200), Rng(13))
+        assert got.tobytes() == model.predict_stochastic(X, 200, Rng(13)).tobytes()
 
     def test_no_rows_rejected_before_any_work(self, monkeypatch):
         model = _adapted(11, (6, 7), None)

@@ -182,6 +182,40 @@ class TestBackward:
             backward(T.tsum(hs[-1]))
             assert hs[0].grad.tolist() == [501.0]
 
+    def test_leaf_cotangents_are_summed_before_the_grad_it_holds(self):
+        # A leaf that already holds a grad, reached from two interior nodes:
+        # their cotangents are summed first, then added to it once. These
+        # values tell the groupings apart: (1 + e) + e rounds back to 1.
+        e = np.finfo(np.float64).eps / 2
+        g0, g1, g2 = np.array([1.0, 3.0]), np.array([e, -0.5]), np.array([e, 0.25])
+        assert ((g0 + g1) + g2).tobytes() != (g0 + (g1 + g2)).tobytes()
+        w = Tensor([0.5, 0.5], requires_grad=True)
+        w.grad = g0.copy()
+        a = Tensor._from_op(w.data, (w,), lambda g: (g1,), "a")
+        b = Tensor._from_op(w.data, (w,), lambda g: (g2,), "b")
+        loss = Tensor._from_op(np.asarray(0.0), (a, b), lambda g: (g, g), "loss")
+        backward(loss)
+        assert w.grad.tobytes() == (g0 + (g1 + g2)).tobytes()
+
+    def test_loss_that_is_a_leaf(self):
+        w = Tensor(2.0, requires_grad=True)
+        backward(w)
+        assert w.grad.tobytes() == np.ones(()).tobytes()
+        with pytest.raises(TapeError, match="already called"):
+            backward(w)
+        with pytest.raises(TapeError, match="does not depend"):
+            backward(Tensor(2.0))
+
+    def test_consumed_node_reached_only_as_a_parent_rejected(self):
+        # A consumed node has lost its closure, so the walk never visits it;
+        # it is still caught as a parent, before any grad is written.
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        h = T.mul(w, w)
+        backward(T.tsum(h))
+        with pytest.raises(TapeError, match="already-consumed"):
+            backward(T.tsum(T.add(T.square(w), h)))
+        assert w.grad.tolist() == [2.0, 4.0]
+
     def test_grad_accumulates_across_graphs(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         backward(T.tsum(T.square(w)))

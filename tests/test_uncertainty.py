@@ -4,6 +4,7 @@ Monte Carlo properties are checked on ``uq_report`` and, for per-dim
 moments, on its draw primitive ``AdaptedModel.predict_stochastic``, which
 runs on two threads here (``two_mc_workers``)."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,26 @@ class TestMcPredict:
         model = _single_linear_model(1)
         with pytest.raises(DomainError):
             U.uq_report(model, np.ones((1, 3)), np.zeros((1, 2)), 1, Rng(0))
+
+    @pytest.mark.parametrize("S", ["3", None, True, False, 2.0, 1, 0, -3, np.int64(1)],
+                             ids=["str", "none", "true", "false", "float", "one", "zero",
+                                  "negative", "np-one"])
+    def test_bad_s_rejected_before_any_draw(self, monkeypatch, S):
+        model, X, y = _tiny_model(3)
+
+        def no_draws(*args):
+            raise AssertionError("the draws started before S was checked")
+
+        monkeypatch.setattr(model, "predict_stochastic", no_draws)
+        with pytest.raises(DomainError, match="integer S >= 2"):
+            U.uq_report(model, X, y, S, Rng(0))
+
+    @pytest.mark.parametrize("S", [2, np.int64(2), np.int32(3), np.uint8(2)])
+    def test_integer_s_accepted(self, S):
+        model, X, y = _tiny_model(3)
+        report = U.uq_report(model, X, y, S, Rng(0))
+        assert len(report.per_sample) == len(X)
+        assert json.loads(report.to_json())["mc_steps"] == S
 
     def test_wrong_target_rows_rejected_before_any_draw(self, monkeypatch):
         model, X, y = _tiny_model(3)

@@ -111,6 +111,23 @@ class TestKlNormalized:
         with pytest.raises(DomainError):
             V.kl_normalized([], 0.5)
 
+    @pytest.mark.parametrize("bad", [[0.5, 2e3], [1e-9, 0.5], [0.5, np.nan], [np.inf, 0.5]],
+                             ids=["above", "below", "nan", "inf"])
+    def test_alphas_outside_the_clamp_rejected(self, bad):
+        # The ELBO step's KL does not check its alphas (they come out of the
+        # clamp), so this is where the check is pinned: the same error and
+        # message as kl_per_entry, for an array and for a node alike.
+        with pytest.raises(DomainError) as expect:
+            V.kl_per_entry(np.array(bad), 0.5)
+        assert str(expect.value).startswith("alpha outside clamp range [1e-06, 1000.0]")
+        with pytest.raises(DomainError) as got:
+            V.kl_normalized(bad, 0.5)
+        assert str(got.value) == str(expect.value)
+        if np.isfinite(bad).all():
+            with pytest.raises(DomainError) as got:
+                V.kl_normalized(Tensor(bad, requires_grad=True), 0.5)
+            assert str(got.value) == str(expect.value)
+
     def test_tensor_path_matches_scalar_path(self):
         alphas = np.array([0.3, 1.7, 42.0])
         got = V.kl_normalized(Tensor(alphas), 0.3, 1e-6, 1e3).item()
@@ -494,9 +511,9 @@ class TestAdamW:
             V.train_model(model, (X, y), V.PriorConfig(0.5), cfg, Rng(87))
 
     def test_one_step_generator_per_run(self, monkeypatch):
-        # A Philox for the steps' noise, re-keyed each step, and one per
-        # epoch for the permutation: 3 epochs of 2 steps build 4.
-        model, X, y = _tiny_model(88)
+        # A Philox for the steps' noise, re-keyed each step, and one for the
+        # permutations, re-keyed each epoch: a run builds 2 whatever its
+        # number of epochs.
         rng, built = Rng(89), []
         philox = np.random.Philox
 
@@ -505,11 +522,14 @@ class TestAdamW:
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counted)
-        records = V.train_model(model, (X, y), V.PriorConfig(0.5),
-                                V.TrainConfig(lr=1e-3, epochs=3, batch_size=2), rng)
-        assert len(records) == 6 and len(built) == 4
-        # A fresh stream_of(step) per step, as the loop built before, trains
-        # the same bits.
+        for epochs in (1, 3):
+            model, X, y = _tiny_model(88)
+            built.clear()
+            records = V.train_model(model, (X, y), V.PriorConfig(0.5),
+                                    V.TrainConfig(lr=1e-3, epochs=epochs, batch_size=2), rng)
+            assert len(records) == 2 * epochs and len(built) == 2
+        # A fresh stream_of(step) per step and stream_of(MAX_STEPS + epoch) per
+        # epoch, as the loop built before, train the same bits.
         monkeypatch.setattr(Rng, "_rekey", lambda self, parent, index: parent.stream_of(index))
         model, X, y = _tiny_model(88)
         assert V.train_model(model, (X, y), V.PriorConfig(0.5),
@@ -652,6 +672,60 @@ class TestTapeSize:
                        if nll == "gaussian" or p is not model.log_sigma]
             assert {id(p) for p in loss._parents if p.requires_grad} == {id(p) for p in trained}
             assert len(trained) == sum(p.requires_grad for p in loss._parents)
+
+
+class TestStepWork:
+    """Exact counts, no timings, of what an adapt step on the toy config
+    does: one noise draw, no generator built and one VJP closure run."""
+
+    def test_counts_per_adapt_step(self, monkeypatch):
+        cfg = C.load_config(Path(__file__).resolve().parents[1] / "configs" / "toy_hetero.cfg")
+        spec = BackboneSpec(d_in=cfg["d_in"], d_out=cfg["d_out"], hidden=cfg["hidden"])
+        _, adapt_cfg, prior = C.train_configs_from_config(cfg)
+        adapt_cfg.epochs = 2
+        backbone = ToyBackbone(spec, Rng(0))
+        backbone.freeze()
+        model = attach_adapters(backbone, C.adapter_spec_from_config(cfg), "balora", Rng(1))
+        # Three batches per epoch, the last one ragged.
+        n = 2 * adapt_cfg.batch_size + 5
+        X, y = Rng(2).normal((n, cfg["d_in"])), Rng(3).normal((n, cfg["d_out"]))
+        rng = Rng(4)
+
+        counts = {"normal": 0, "philox": 0, "vjp": 0}
+        normal, philox, from_op = Rng.normal, np.random.Philox, Tensor._from_op
+
+        def counted_normal(self, shape=()):
+            counts["normal"] += 1
+            return normal(self, shape)
+
+        def counted_philox(*args, **kwargs):
+            counts["philox"] += 1
+            return philox(*args, **kwargs)
+
+        def counted_from_op(data, parents, vjp, what):
+            if vjp is not None:
+                inner = vjp
+
+                def vjp(g):
+                    counts["vjp"] += 1
+                    return inner(g)
+
+            return from_op(data, parents, vjp, what)
+
+        monkeypatch.setattr(Rng, "normal", counted_normal)
+        monkeypatch.setattr(np.random, "Philox", counted_philox)
+        monkeypatch.setattr(Tensor, "_from_op", staticmethod(counted_from_op))
+        per_step, last = [], dict(counts)
+
+        def hook(record):
+            per_step.append({k: counts[k] - last[k] for k in counts})
+            last.update(counts)
+
+        V.train_model(model, (X, y), prior, adapt_cfg, rng, record_hook=hook)
+        # The run's two generators, one for the noise and one for the
+        # permutations, are built before its first step.
+        assert per_step[0] == {"normal": 1, "philox": 2, "vjp": 1}
+        assert per_step[1:] == [{"normal": 1, "philox": 0, "vjp": 1}] * 5
 
 
 def _drawn_model(data) -> AdaptedModel:
