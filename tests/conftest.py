@@ -137,14 +137,24 @@ def sign_test_p(diffs) -> float:
     return min(1.0, 2 * tail / 2 ** (wins + losses))
 
 
+def wins_for_significance(n: int):
+    """The fewest wins out of ``n`` untied pairs whose two-sided sign-test
+    p-value is below 0.05, or None if even ``n`` of ``n`` is not."""
+    return next((w for w in range(n // 2 + 1, n + 1)
+                 if sign_test_p([1.0] * w + [-1.0] * (n - w)) < 0.05), None)
+
+
 def paired_report(what: str, balora, other, fmt: str, higher_is_better: bool) -> None:
     """Print one report-only line comparing balora with a baseline seed by
     seed: its wins, its median paired advantage (positive favours balora),
-    the sign-test p-value and both medians. ``[PASS]`` means the median
-    advantage favours balora."""
+    the sign-test p-value, the wins that p < 0.05 would need and both
+    medians. ``[PASS]`` means the median advantage favours balora."""
     advantage = np.subtract(balora, other) * (1.0 if higher_is_better else -1.0)
-    median = np.median(advantage)
+    median, n = np.median(advantage), len(advantage)
+    needed = wins_for_significance(n)
+    power = "unreachable" if needed is None else f"needs {needed}/{n}"
     print(f"[{'PASS' if median > 0 else 'WARN'}] {what}: balora ahead on "
-          f"{np.sum(advantage > 0)}/{len(advantage)} seeds, median paired advantage "
-          f"{median:+{fmt}}, sign-test p = {sign_test_p(advantage):.3f} (medians "
-          f"{np.median(balora):{fmt}} vs {np.median(other):{fmt}}; reported, not gated)")
+          f"{np.sum(advantage > 0)}/{n} seeds, median paired advantage "
+          f"{median:+{fmt}}, sign-test p = {sign_test_p(advantage):.3f}, p < 0.05 {power} "
+          f"(medians {np.median(balora):{fmt}} vs {np.median(other):{fmt}}; "
+          f"reported, not gated)")

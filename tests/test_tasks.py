@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from conftest import hetero_task, paired_report, protocol, sign_test_p
+from conftest import (hetero_task, paired_report, protocol, sign_test_p,
+                      wins_for_significance)
 
 from balora import tasks as TK
 from balora import uncertainty as U
@@ -193,3 +194,16 @@ def test_sign_test_p_on_hand_cases():
     assert sign_test_p([1.0] * 5 + [-1.0] * 5) == 1.0
     assert sign_test_p([-0.5] * 3 + [0.5] * 7) == 2 * 176 / 1024
     assert sign_test_p([1.0] * 10 + [0.0] * 4) == 2 / 1024  # ties leave n
+
+
+def test_wins_for_significance_on_hand_cases(capsys):
+    # 9/10 gives p = 22/1024 = 0.021 and 8/10 gives 0.109; five pairs cannot
+    # reach 0.05 (5/5 gives 2/32), six can only at 6/6 (2/64).
+    assert wins_for_significance(10) == 9
+    assert [wins_for_significance(n) for n in range(1, 6)] == [None] * 5
+    assert wins_for_significance(6) == 6
+    assert wins_for_significance(20) == 15
+    paired_report("x", [1.0] * 10, [0.0] * 10, ".1f", higher_is_better=True)
+    assert "p < 0.05 needs 9/10" in capsys.readouterr().out
+    paired_report("x", [1.0] * 5, [0.0] * 5, ".1f", higher_is_better=True)
+    assert "p < 0.05 unreachable" in capsys.readouterr().out

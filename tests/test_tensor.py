@@ -206,6 +206,21 @@ class TestBackward:
         with pytest.raises(TapeError, match="does not depend"):
             backward(Tensor(2.0))
 
+    def test_leaf_loss_enters_later_graphs(self):
+        # A leaf loss has no tape to consume: it is not a loss again, but it
+        # is a parent of later graphs. A consumed interior loss is neither.
+        w = Tensor(2.0, requires_grad=True)
+        backward(w)
+        backward(T.mul(w, w))
+        assert w.grad.tolist() == 5.0
+        with pytest.raises(TapeError, match="already called"):
+            backward(w)
+        loss = T.mul(w, w)
+        backward(loss)
+        with pytest.raises(TapeError, match="already-consumed"):
+            backward(T.mul(loss, w))
+        assert w.grad.tolist() == 9.0
+
     def test_consumed_node_reached_only_as_a_parent_rejected(self):
         # A consumed node has lost its closure, so the walk never visits it;
         # it is still caught as a parent, before any grad is written.
@@ -383,3 +398,31 @@ class TestGeluGate:
         assert T.erf_module() == "scipy.special"
         import scipy.special
         assert T._erf is scipy.special.erf
+
+    def test_folded_sign_bitwise_equal_to_unfolded_formula(self):
+        # The gate takes erf of |z / sqrt 2| and the sign from z; compared
+        # bit for bit with 0.5 * (1 + erf(z / sqrt 2)) computed directly.
+        erf = T._load_erf()
+        normals = Rng(5).normal((1_000_000,))
+        root2, tiny = np.sqrt(2.0), np.finfo(np.float64).tiny
+        edges = [0.0, 5e-324, 1e-310, tiny / 2, tiny, root2, np.nextafter(root2, 0.0),
+                 np.nextafter(root2, 3.0), 5.9 * root2, 8.0 * root2, 30.0, 1e300, np.inf]
+        z = np.concatenate([normals * scale for scale in (0.1, 1.0, 3.0, 10.0)]
+                           + [edges, np.negative(edges), [np.nan, -np.nan]])
+        assert np.signbit(z[-len(edges) - 2]) and np.isnan(z[-2:]).all()
+        expected = 0.5 * (1.0 + erf(z * T._INV_SQRT2))
+        nan = np.isnan(expected)
+        out = np.empty_like(z)
+        for gate in (T.gelu_gate(z), T.gelu_gate(z, out=out)):
+            assert (np.isnan(gate) == nan).all()
+            assert (gate[~nan].view(np.int64) == expected[~nan].view(np.int64)).all()
+
+    def test_out_sharing_memory_with_z_rejected(self):
+        # The sign is read from z after out is written, so out may not alias z.
+        z = Rng(6).normal((4, 8)) - 0.5
+        with pytest.raises(ValueError, match="share memory"):
+            T.gelu_gate(z, out=z)
+        with pytest.raises(ValueError, match="share memory"):
+            T.gelu_gate(z[1:], out=z[:-1])
+        buf = np.empty(64)
+        assert T.gelu_gate(z, out=buf[32:].reshape(4, 8)).tobytes() == T.gelu_gate(z).tobytes()
