@@ -6,19 +6,18 @@ fixed rank; the dense oracle pays for materializing and factorizing a
 k-by-k matrix and grows at least quadratically. The slopes are reliable
 only on one BLAS thread: run with ``BALORA_THREADS=1`` (or the BLAS thread
 variables set to 1 before numpy loads); :func:`balora.blas_pinned` says
-whether they were.
+whether they were. :data:`CSV_HEADER` and :meth:`BenchRow.csv_row` are the
+format of ``bench.csv``, which ``balora bench`` writes.
 """
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import adapter as A
-from .checkpoint import atomic_open
 from .rng import Rng
 from .tensor import Tensor
 
@@ -32,6 +31,13 @@ class BenchRow:
     p10_ns: float
     p90_ns: float
 
+    def csv_row(self) -> list:
+        """The row under :data:`CSV_HEADER`, the times in whole nanoseconds."""
+        return [self.k, self.r, self.method,
+                f"{self.median_ns:.0f}", f"{self.p10_ns:.0f}", f"{self.p90_ns:.0f}"]
+
+
+CSV_HEADER = ("k", "r", "method", "median_ns", "p10_ns", "p90_ns")
 
 # Input width of every benchmarked layer; the rank may not exceed it.
 D_IN = 64
@@ -97,11 +103,3 @@ def run_bench(k_values, r: int = 8, n_samples: int = 4096, reps: int = 9,
             slopes[method] = float(np.polyfit(ks, ts, 1)[0])
     return rows, slopes
 
-
-def write_csv(path, rows: list[BenchRow]) -> None:
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "r", "method", "median_ns", "p10_ns", "p90_ns"])
-        for row in rows:
-            writer.writerow([row.k, row.r, row.method,
-                             f"{row.median_ns:.0f}", f"{row.p10_ns:.0f}", f"{row.p90_ns:.0f}"])

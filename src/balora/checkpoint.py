@@ -14,7 +14,7 @@ per-layer clamp and seed still carry ``alpha_min``, ``alpha_max`` and
 Loading checks the header against this schema (required keys, their JSON
 types, and every array's name and shape against the declared widths and
 ranks) before reading any array or building any object; every violation
-raises ``CheckpointError``.
+raises ``CheckpointError``. The model is then built from the arrays, drawing nothing.
 
 Every artifact of a run, this container included, is written through
 :func:`atomic_open`, so a reader sees either the old file or the whole new one.
@@ -34,7 +34,6 @@ import numpy as np
 
 from .adapter import AlphaNet, BaLoRALayer
 from .model import AdaptedModel, BackboneSpec, ToyBackbone
-from .rng import Rng
 from .tensor import Tensor, TensorError
 
 MAGIC = b"BALORA1\n"
@@ -297,10 +296,8 @@ def load_model(path) -> tuple[AdaptedModel, dict]:
     extra = _field(header, "extra", _OBJECT, "header") if "extra" in header else {}
     arrays = _arrays(header, payload, shapes)
 
-    backbone = ToyBackbone(spec, Rng(0))
-    backbone.weights, backbone.biases = _dense_tensors("backbone", arrays, len(widths) - 1,
-                                                       requires_grad=False)
-    backbone.frozen = True
+    backbone = ToyBackbone(spec, *_dense_tensors("backbone", arrays, len(widths) - 1,
+                                                 requires_grad=False), frozen=True)
     adapters = {i: BaLoRALayer(W0=backbone.weights[i],
                                WA=Tensor(arrays[f"adapter{i}.WA"], requires_grad=True),
                                WB=Tensor(arrays[f"adapter{i}.WB"], requires_grad=True),

@@ -3,10 +3,11 @@
 :func:`run` takes the parsed arguments, runs one command and maps its
 exceptions to exit codes: 0 success, 1 verification/assertion failure, 2
 configuration error, 3 I/O or corrupt-artifact error. Every run writes a
-manifest before doing work and finalizes it on exit. This module loads
-numpy and the rest of balora, so ``balora.cli`` imports it only once its
-arguments parse; it never imports ``balora.cli``, which under ``python -m
-balora.cli`` would load that file a second time, as another module.
+manifest before doing work, lists each artifact in it as the artifact is
+written (:meth:`_Manifest.artifact`) and finalizes it on exit. This module
+loads numpy and the rest of balora, so ``balora.cli`` imports it only once
+its arguments parse; it never imports ``balora.cli``, which under ``python
+-m balora.cli`` would load that file a second time, as another module.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ def _peak_rss_mb() -> float:
 
 
 class _Manifest:
-    """Run manifest written before work starts and finalized on exit.
+    """Run manifest written in ``out_dir``, which it creates, before work
+    starts, and finalized on exit.
 
     It records the ``versions`` of Python, numpy, scipy and the BLAS.
     ``finish`` records ``wall_s`` (seconds since the manifest was created),
@@ -121,12 +123,14 @@ class _Manifest:
     ``erf_module``, the module the GELU's ``erf`` came from (null if no GELU
     has run in this process). They live only here, so every other artifact
     stays byte-identical across reruns.
+    ``outputs`` lists every other file of the run, in the order written.
     Used as a context manager, an exception finishes it as "error" with the
     exception's text, and a normal exit finishes it as "ok" unless the block
     already finished it.
     """
 
     def __init__(self, out_dir: Path, command: str, config_path, seed):
+        out_dir.mkdir(parents=True, exist_ok=True)
         self.path = out_dir / "manifest.json"
         self._t0 = time.perf_counter()
         self.data = {
@@ -157,6 +161,14 @@ class _Manifest:
     def add_output(self, path) -> None:
         self.data["outputs"].append(str(path))
 
+    @contextlib.contextmanager
+    def artifact(self, path: Path, mode: str = "w", **kwargs):
+        """Write ``path`` through :func:`~balora.checkpoint.atomic_open`, with
+        its ``mode`` and ``kwargs``; once the file is whole, list it in ``outputs``."""
+        with CK.atomic_open(path, mode, **kwargs) as fh:
+            yield fh
+        self.add_output(path)
+
     def finish(self, status: str, error: str = None) -> None:
         self.data["status"] = status
         self.data["error"] = error
@@ -168,18 +180,8 @@ class _Manifest:
         self._flush()
 
     def _flush(self) -> None:
-        _write_text(self.path, json.dumps(self.data, indent=2, sort_keys=True) + "\n")
-
-
-def _write_text(path: Path, text: str) -> None:
-    with CK.atomic_open(path) as fh:
-        fh.write(text)
-
-
-def _prepare_out(path_str: str) -> Path:
-    out = Path(path_str)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        with CK.atomic_open(self.path) as fh:
+            fh.write(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
 
 
 def _verify_failed(manifest: _Manifest, message: str) -> int:
@@ -189,18 +191,16 @@ def _verify_failed(manifest: _Manifest, message: str) -> int:
     return EXIT_VERIFY
 
 
-def _write_split_csv(path: Path, split: TK.Split) -> None:
-    """The split as CSV: a header ``x0, ..., y0, ...``, then one row per
-    sample (none for an empty split). Class labels become one float column."""
+def _write_split_csv(fh, split: TK.Split) -> None:
+    """The split as CSV to ``fh``: a header ``x0, ..., y0, ...``, then one row
+    per sample (none for an empty split). Class labels become one float column."""
     X = split.X
     y = np.asarray(split.y, dtype=np.float64)
     if y.ndim == 1:
         y = y[:, None]
-    with CK.atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(X.shape[1])]
-                        + [f"y{i}" for i in range(y.shape[1])])
-        writer.writerows(np.hstack([X, y]).tolist())
+    writer = csv.writer(fh)
+    writer.writerow([f"x{i}" for i in range(X.shape[1])] + [f"y{i}" for i in range(y.shape[1])])
+    writer.writerows(np.hstack([X, y]).tolist())
 
 
 def _trainable_params(model) -> dict:
@@ -223,7 +223,7 @@ def cmd_train(args) -> int:
     cfg = C.load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    out = _prepare_out(args.out)
+    out = Path(args.out)
     with _Manifest(out, "train", args.config, cfg["seed"]) as manifest:
         task = C.task_from_config(cfg)
         manifest.data["shift_rank"] = task.used_shift_rank
@@ -238,16 +238,13 @@ def cmd_train(args) -> int:
         manifest.data["phases"] = trained.phases
         for name, split in (("train", trained.target.train), ("val", trained.target.val),
                             ("test", trained.target.test)):
-            path = out / f"{name}.csv"
-            _write_split_csv(path, split)
-            manifest.add_output(path)
-        metrics_path = out / "metrics.jsonl"
-        with CK.atomic_open(metrics_path) as fh:
+            with manifest.artifact(out / f"{name}.csv", newline="") as fh:
+                _write_split_csv(fh, split)
+        with manifest.artifact(out / "metrics.jsonl") as fh:
             for phase, records in (("pretrain", trained.pretrain_records),
                                    ("adapt", trained.adapt_records)):
                 for record in records:
                     fh.write(json.dumps({**record, "phase": phase}, sort_keys=True) + "\n")
-        manifest.add_output(metrics_path)
         ckpt_path = out / "checkpoint.bin"
         CK.save_model(ckpt_path, trained.model, extra={"config": C.config_to_json(cfg)})
         manifest.add_output(ckpt_path)
@@ -300,7 +297,7 @@ def _eval_task(config_path, extra: dict, spec) -> tuple[dict, TK.SyntheticTask]:
 
 
 def cmd_eval(args) -> int:
-    out = _prepare_out(args.out)
+    out = Path(args.out)
     with _Manifest(out, "eval", args.config, None) as manifest:
         if args.mode == "deterministic" and (args.csv or args.mc_steps is not None):
             flag = "--csv" if args.csv else "--mc-steps"
@@ -331,9 +328,8 @@ def cmd_eval(args) -> int:
                            "mae": U.mae(merged.ravel(), y2.ravel())}
             if not np.all(np.isfinite(list(metrics.values()))):
                 return _verify_failed(manifest, f"non-finite metrics: {metrics}")
-            payload = {"mode": "deterministic", "merge_gap": gap, "metrics": metrics}
-            report_path = out / "eval.json"
-            _write_text(report_path, json.dumps(payload, sort_keys=True) + "\n")
+            text = json.dumps({"mode": "deterministic", "merge_gap": gap, "metrics": metrics},
+                              sort_keys=True)
         else:
             mc_steps = cfg["mc_steps"] if args.mc_steps is None else args.mc_steps
             if mc_steps < 2:
@@ -346,23 +342,19 @@ def cmd_eval(args) -> int:
             t0 = time.perf_counter()
             report = U.uq_report(model, X, y, mc_steps, Rng(cfg["seed"]).stream_of(7))
             manifest.data["draws_per_s"] = rows / (time.perf_counter() - t0)
-            report_path = out / "eval.json"
-            _write_text(report_path, report.to_json() + "\n")
-            if args.csv:
-                csv_path = out / "eval.csv"
-                with CK.atomic_open(csv_path, "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["id", "pred", "target", "var_total", "var_epi",
-                                     "var_ale", "sq_error"])
-                    writer.writerows(report.csv_rows())
-                manifest.add_output(csv_path)
-        manifest.add_output(report_path)
+            text = report.to_json()
+        report_path = out / "eval.json"
+        with manifest.artifact(report_path) as fh:
+            fh.write(text + "\n")
+        if args.csv:
+            with manifest.artifact(out / "eval.csv", newline="") as fh:
+                csv.writer(fh).writerows([U.UQReport.CSV_HEADER, *report.csv_rows()])
     print(f"eval ({args.mode}) written to {report_path}")
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    out = _prepare_out(args.out)
+    out = Path(args.out)
     with _Manifest(out, "sample", None, args.seed) as manifest:
         if args.n < 1:
             raise C.ConfigError(f"--n must be at least 1, got {args.n}")
@@ -391,14 +383,14 @@ def cmd_sample(args) -> int:
             "samples": [[float(v) for v in row] for row in draws],
         }
         path = out / "samples.json"
-        _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
-        manifest.add_output(path)
+        with manifest.artifact(path) as fh:
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
     print(f"{args.n} samples written to {path}")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    out = _prepare_out(args.out)
+    out = Path(args.out)
     with _Manifest(out, "bench", None, args.seed) as manifest:
         k_values = _parse_numbers(args.k_range, int, "--k-range")
         if any(k < 1 for k in k_values):
@@ -413,15 +405,12 @@ def cmd_bench(args) -> int:
             raise C.ConfigError("--reps and --samples must be at least 1")
         rows, slopes = B.run_bench(k_values, r=args.r, n_samples=args.samples,
                                    reps=args.reps, seed=args.seed)
-        csv_path = out / "bench.csv"
-        B.write_csv(csv_path, rows)
+        with manifest.artifact(out / "bench.csv", newline="") as fh:
+            csv.writer(fh).writerows([B.CSV_HEADER, *(row.csv_row() for row in rows)])
         pinned = blas_pinned()
-        slopes_path = out / "slopes.json"
-        _write_text(slopes_path, json.dumps({**slopes, "blas_pinned": pinned},
-                                            sort_keys=True) + "\n")
+        with manifest.artifact(out / "slopes.json") as fh:
+            fh.write(json.dumps({**slopes, "blas_pinned": pinned}, sort_keys=True) + "\n")
         manifest.data["blas_pinned"] = pinned
-        manifest.add_output(csv_path)
-        manifest.add_output(slopes_path)
     for method, slope in slopes.items():
         if slope is None:  # only the dense arm skips k values
             print(f"{method}: not fitted: fewer than two distinct --k-range values "
@@ -436,7 +425,7 @@ def cmd_verify(args) -> int:
     # scipy.integrate at start-up.
     from . import verify as VF
     seed = VF.DEFAULT_SEED if args.seed is None else args.seed
-    out = _prepare_out(args.out) if args.out else None
+    out = Path(args.out) if args.out else None
     with _Manifest(out, "verify", None, seed) if out else contextlib.nullcontext() as manifest:
         results = VF.run_oracles(args.filter, seed=seed)
         if not results:
@@ -449,9 +438,9 @@ def cmd_verify(args) -> int:
                   f"vs tolerance {r.tolerance:.3e}")
         if out:
             path = out / "verify.json"
-            _write_text(path, json.dumps([{**r.as_dict(), "seed": seed} for r in results],
-                                         indent=2, sort_keys=True) + "\n")
-            manifest.add_output(path)
+            with manifest.artifact(path) as fh:
+                fh.write(json.dumps([{**r.as_dict(), "seed": seed} for r in results],
+                                    indent=2, sort_keys=True) + "\n")
             manifest.finish("ok" if not failures else "failed")
             print(f"summary written to {path}")
     if failures:

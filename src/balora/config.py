@@ -1,12 +1,14 @@
 """Flat ``key = value`` run configuration with typed parsing.
 
 Unknown keys are rejected by name so config drift fails loudly. Blank
-lines and ``#`` comments are allowed. The documented keys map one-to-one
-onto the task, model, and training dataclasses.
+lines and ``#`` comments are allowed. Each key is either ``task``,
+``hidden``, ``adapter`` or ``mc_steps``, or a field of the task, adapter
+or training dataclasses, which take their fields by name (:func:`_build`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -161,11 +163,15 @@ def config_from_json(stored) -> dict:
 # -- dataclass builders -----------------------------------------------------
 
 
-def _build(cls, **kwargs):
-    """``cls(**kwargs)``, reporting a value the dataclass rejects as out of
-    range as a ``ConfigError`` (exit 2)."""
+def _build(cls, cfg: dict, prefix: str = "", **given):
+    """``cls`` with the fields in ``given`` and every other field from the key
+    ``prefix + name`` if the config has one, else ``name``. A value the
+    dataclass rejects as out of range is a ``ConfigError`` (exit 2)."""
+    for f in dataclasses.fields(cls):
+        if f.name not in given:
+            given[f.name] = cfg[prefix + f.name if prefix + f.name in cfg else f.name]
     try:
-        return cls(**kwargs)
+        return cls(**given)
     except DomainError as err:
         raise ConfigError(f"out-of-range config value: {err}") from err
 
@@ -173,15 +179,11 @@ def _build(cls, **kwargs):
 def task_from_config(cfg: dict) -> SyntheticTask:
     """The task, after checking that it and ``hidden`` give every backbone
     layer a positive width."""
-    task = _build(
-        SyntheticTask,
-        kind=cfg["task"], d_in=cfg["d_in"], d_out=cfg["d_out"],
-        n_train=cfg["n_train"], n_val=cfg["n_val"], n_test=cfg["n_test"],
-        n_classes=cfg["n_classes"], noise_std=cfg["noise_std"],
-        noise_base=cfg["noise_base"], noise_slope=cfg["noise_slope"],
-        shift_rank=cfg["shift_rank"], shift_scale=cfg["shift_scale"],
-        seed=cfg["seed"])
-    _build(_backbone_spec, task=task, hidden=cfg["hidden"])
+    task = _build(SyntheticTask, cfg, kind=cfg["task"])
+    try:
+        _backbone_spec(task, cfg["hidden"])
+    except DomainError as err:
+        raise ConfigError(f"out-of-range config value: {err}") from err
     return task
 
 
@@ -193,12 +195,7 @@ def adapter_spec_from_config(cfg: dict) -> AdapterSpec:
     if layers == () or any(not 0 <= i < n_layers for i in layers or ()):
         raise ConfigError(f"out-of-range config value: adapt_layers {layers} must name one "
                           f"or more of the {n_layers} backbone layers", key="adapt_layers")
-    return _build(
-        AdapterSpec,
-        rank=cfg["rank"], lora_alpha=cfg["lora_alpha"], init_std=cfg["init_std"],
-        adapt_layers=cfg["adapt_layers"], alphanet_hidden=cfg["alphanet_hidden"],
-        alpha_min=cfg["alpha_min"], alpha_max=cfg["alpha_max"],
-        init_alpha=cfg["init_alpha"])
+    return _build(AdapterSpec, cfg)
 
 
 def train_configs_from_config(cfg: dict):
@@ -208,20 +205,14 @@ def train_configs_from_config(cfg: dict):
     if cfg["mc_steps"] < 2:
         raise ConfigError(f"out-of-range config value: mc_steps {cfg['mc_steps']} is below "
                           f"the 2 draws a Monte Carlo variance needs", key="mc_steps")
-    # TrainConfig names its fields, which are these keys without the prefix.
     for key in ("pretrain_lr", "pretrain_epochs", "pretrain_batch_size"):
         if not cfg[key] > 0:
             raise ConfigError(f"out-of-range config value: {key} must be positive, "
                               f"got {cfg[key]}", key=key)
-    pretrain = _build(TrainConfig, lr=cfg["pretrain_lr"], epochs=cfg["pretrain_epochs"],
-                      batch_size=cfg["pretrain_batch_size"], kl_weight=0.0,
-                      warmup_fraction=0.0, weight_decay=0.0,
-                      grad_clip_norm=cfg["grad_clip_norm"], nll=cfg["nll"])
-    adapt = _build(TrainConfig, lr=cfg["lr"], epochs=cfg["epochs"],
-                   batch_size=cfg["batch_size"], kl_weight=cfg["kl_weight"],
-                   warmup_fraction=cfg["warmup_fraction"],
-                   weight_decay=cfg["weight_decay"],
-                   grad_clip_norm=cfg["grad_clip_norm"], nll=cfg["nll"])
+    # No key is pretrain_grad_clip_norm or pretrain_nll: both phases share them.
+    pretrain = _build(TrainConfig, cfg, "pretrain_", kl_weight=0.0, warmup_fraction=0.0,
+                      weight_decay=0.0)
+    adapt = _build(TrainConfig, cfg)
     # Both phases train on the n_train rows of their split.
     for prefix, phase in (("pretrain_", pretrain), ("", adapt)):
         steps = total_steps(cfg["n_train"], phase)
@@ -229,5 +220,5 @@ def train_configs_from_config(cfg: dict):
             raise ConfigError(f"out-of-range config value: n_train, {prefix}epochs and "
                               f"{prefix}batch_size give {steps} training steps, above the "
                               f"{MAX_STEPS} a phase may take", key=f"{prefix}epochs")
-    prior = _build(PriorConfig, p=cfg["prior_p"])
+    prior = _build(PriorConfig, cfg, "prior_")
     return pretrain, adapt, prior

@@ -135,18 +135,14 @@ class AdapterSpec:
 
 
 class ToyBackbone:
-    """GELU MLP with explicit weight/bias tensors per linear layer."""
+    """GELU MLP of ``spec`` over the weight and bias tensors it is given, one
+    each per linear layer. :func:`init_backbone` draws a fresh one."""
 
-    def __init__(self, spec: BackboneSpec, rng: Rng):
+    def __init__(self, spec: BackboneSpec, weights: list, biases: list, frozen: bool = False):
         self.spec = spec
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
-        widths = spec.widths()
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            self.weights.append(Tensor(rng.normal((fan_out, fan_in)) / np.sqrt(fan_in),
-                                       requires_grad=True))
-            self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
-        self.frozen = False
+        self.weights = weights
+        self.biases = biases
+        self.frozen = frozen
 
     @property
     def n_layers(self) -> int:
@@ -163,6 +159,16 @@ class ToyBackbone:
         self.weights = [w.detach() for w in self.weights]
         self.biases = [b.detach() for b in self.biases]
         self.frozen = True
+
+
+def init_backbone(spec: BackboneSpec, rng: Rng) -> ToyBackbone:
+    """Fresh trainable backbone: weights ``N(0, 1 / fan_in)``, drawn from
+    ``rng`` layer by layer, and zero biases."""
+    widths = spec.widths()
+    weights = [Tensor(rng.normal((fan_out, fan_in)) / np.sqrt(fan_in), requires_grad=True)
+               for fan_in, fan_out in zip(widths[:-1], widths[1:])]
+    biases = [Tensor(np.zeros(fan_out), requires_grad=True) for fan_out in widths[1:]]
+    return ToyBackbone(spec, weights, biases)
 
 
 class AdaptedModel:
@@ -341,8 +347,9 @@ class AdaptedModel:
 
     def predict_stochastic(self, X: np.ndarray, S: int, rng: Rng) -> np.ndarray:
         """``S`` stochastic forwards of every row of ``X``, off the tape: an
-        ``(S, B, k)`` array. Every Monte Carlo draw comes from here. No rows
-        or an ``S`` not a positive integer (nor a bool) raise before any work.
+        ``(S, B, k)`` array. Every Monte Carlo draw comes from here. No rows,
+        rows of the wrong width, or an ``S`` not a positive integer (nor a
+        bool) raise before any work.
 
         The draws go in chunks of whole draws, at most ``_MAX_ROWS`` rows (or
         one draw) each. Chunk ``c`` has the noise of :meth:`forward` on ``X``
@@ -364,7 +371,7 @@ class AdaptedModel:
         if isinstance(S, bool) or not isinstance(S, (int, np.integer)) or S < 1:
             raise DomainError(f"S, the number of draws, must be a positive integer, got {S!r}")
         S = int(S)  # a narrow numpy integer would overflow in the row counts
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = self._rows(X)
         if X.shape[0] == 0:
             raise ShapeError(f"X must hold at least one input row, got shape {X.shape}")
         B, n = X.shape[0], S * X.shape[0]

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import variational as V
-from .model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone, attach_adapters
+from .model import (AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone, attach_adapters,
+                    init_backbone)
 from .rng import Rng
 from .tensor import DomainError
 
@@ -212,7 +213,7 @@ def pretrain_backbone(task: SyntheticTask, hidden, cfg: V.TrainConfig,
     """Train a fresh backbone on the source split, then freeze it. Returns
     the backbone and the training records, one per step."""
     source = generate(task, shifted=False)
-    backbone = ToyBackbone(_backbone_spec(task, hidden), rng.stream_of(1))
+    backbone = init_backbone(_backbone_spec(task, hidden), rng.stream_of(1))
     shell = AdaptedModel(backbone, {}, None, kind="lora")
     records = V.train_model(shell, (source.train.X, source.train.y), V.PriorConfig(0.5),
                             cfg, rng.stream_of(2))

@@ -127,13 +127,15 @@ class UQReport:
     metrics: dict
     mc_steps: int
 
+    CSV_HEADER = ("id", "pred", "target", "var_total", "var_epi", "var_ale", "sq_error")
+
     def to_json(self) -> str:
         return json.dumps({"mode": "mc", "mc_steps": self.mc_steps,
                            "metrics": self.metrics, "per_sample": self.per_sample},
                           sort_keys=True)
 
     def csv_rows(self):
-        """Rows of (id, pred, target, var_total, var_epi, var_ale, sq_error)."""
+        """Rows under :attr:`CSV_HEADER`, one per sample."""
         for i, row in enumerate(self.per_sample):
             pred = row["pred_mean"]
             yield (i, pred[0] if len(pred) == 1 else json.dumps(pred), row["target"],

@@ -26,7 +26,7 @@ from scipy.integrate import quad
 
 from . import adapter as A
 from . import variational as V
-from .model import AdapterSpec, BackboneSpec, ToyBackbone, attach_adapters
+from .model import AdapterSpec, BackboneSpec, attach_adapters, init_backbone
 from .rng import Rng
 from .tensor import Tensor, backward
 
@@ -242,8 +242,8 @@ def check_sampler_equivalence(seed: int, n_configs: int = 8, n_samples: int = 10
 
 def _tiny_model(seed: int):
     task_rng = Rng(seed)
-    backbone = ToyBackbone(BackboneSpec(d_in=3, d_out=2, hidden=(5,), head="regression"),
-                           task_rng.stream_of(0))
+    backbone = init_backbone(BackboneSpec(d_in=3, d_out=2, hidden=(5,), head="regression"),
+                             task_rng.stream_of(0))
     backbone.freeze()
     model = attach_adapters(
         backbone,

@@ -11,7 +11,7 @@ from balora import model as M
 from balora import tasks as TK
 from balora import uncertainty as U
 from balora import variational as V
-from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone
+from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, init_backbone
 from balora.rng import Rng
 from balora.tensor import Tensor
 
@@ -53,8 +53,8 @@ def single_linear_model(seed: int, d: int = 3, k: int = 2, r: int = 1,
     """One adapted linear layer without activation: the predictive law of the
     whole model is exactly the layer's Gaussian, handy for exactness tests."""
     rng = Rng(seed)
-    backbone = ToyBackbone(BackboneSpec(d_in=d, d_out=k, hidden=(), head="regression"),
-                           rng.stream_of(0))
+    backbone = init_backbone(BackboneSpec(d_in=d, d_out=k, hidden=(), head="regression"),
+                             rng.stream_of(0))
     backbone.biases = [Tensor(np.zeros(k), requires_grad=True)]
     backbone.freeze()
     layer = A.init_layer(rng.stream_of(1), d=d, k=k, r=r, init_std=0.6,

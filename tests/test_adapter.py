@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from balora import adapter as A
 from balora import tensor as T
-from balora.model import AdapterSpec, BackboneSpec, ToyBackbone, attach_adapters
+from balora.model import AdapterSpec, BackboneSpec, attach_adapters, init_backbone
 from balora.rng import Rng
 from balora.tensor import DomainError, ShapeError, Tensor, backward
 from balora.verify import (_empirical_moments, _moment_z, _random_layer, _tiny_model,
@@ -136,8 +136,8 @@ class TestAlphaNetNode:
         """Feature rows and an AlphaNet of a fresh balora model: the raw
         inputs (regression) or the frozen backbone's last hidden layer."""
         rng = Rng(12)
-        backbone = ToyBackbone(BackboneSpec(d_in=4, d_out=3, hidden=(6, 5), head=head),
-                               rng.stream_of(0))
+        backbone = init_backbone(BackboneSpec(d_in=4, d_out=3, hidden=(6, 5), head=head),
+                                 rng.stream_of(0))
         backbone.freeze()
         model = attach_adapters(backbone, AdapterSpec(rank=2, alphanet_hidden=(4, 3)),
                                 "balora", rng.stream_of(1))

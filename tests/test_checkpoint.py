@@ -89,6 +89,27 @@ class TestModelRoundTrip:
         assert all(p.requires_grad for p in loaded.trainables())
         assert loaded.backbone.frozen
 
+    def test_loading_draws_nothing(self, tmp_path, monkeypatch):
+        # The backbone is built from the stored arrays: no generator, no draw.
+        _, _, path = _saved(tmp_path, 7)
+        built, drawn = [], []
+        philox, normal = np.random.Philox, Rng.normal
+
+        def counted_philox(*args, **kwargs):
+            built.append(kwargs.get("key"))
+            return philox(*args, **kwargs)
+
+        def counted_normal(self, *args, **kwargs):
+            drawn.append(args)
+            return normal(self, *args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted_philox)
+        monkeypatch.setattr(Rng, "normal", counted_normal)
+        loaded, _ = CK.load_model(path)
+        assert built == [] and drawn == []
+        assert loaded.backbone.frozen and not any(p.requires_grad
+                                                  for p in loaded.backbone.parameters())
+
 
 class TestCorruption:
     def test_bad_magic(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import importlib.metadata
 import io
 import json
@@ -30,7 +31,7 @@ from balora import config as C
 from balora import verify as VF
 from balora.cli import main
 from balora.config import ConfigError, load_config, parse_config
-from balora.model import AdaptedModel
+from balora.model import AdaptedModel, AdapterSpec
 from balora.tensor import DomainError, Tensor
 
 FAST_CONFIG = """
@@ -147,6 +148,16 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.cfg")
+
+    def test_every_key_feeds_a_field_or_is_read_by_name(self):
+        # config._build fills fields from keys by name, so a key that is no
+        # field under its dataclass's prefix would feed nothing.
+        fed = {"task", "hidden", "adapter", "mc_steps"}
+        for cls, prefixes in ((tasks.SyntheticTask, ("",)), (AdapterSpec, ("",)),
+                              (variational.TrainConfig, ("", "pretrain_")),
+                              (variational.PriorConfig, ("prior_",))):
+            fed |= {p + f.name for f in dataclasses.fields(cls) for p in prefixes}
+        assert set(C.SCHEMA) <= fed
 
 
 class TestTrain:
@@ -1204,7 +1215,6 @@ class TestAtomicWrites:
             return atomic_open(path, *args, **kwargs)
 
         monkeypatch.setattr(CK, "atomic_open", spy)
-        monkeypatch.setattr(B, "atomic_open", spy)
         code, run = _train(tmp_path, fast_config)
         ckpt = str(run / "checkpoint.bin")
         commands = [["eval", "--checkpoint", ckpt, "--mode", "mc", "--mc-steps", "4", "--csv"],
@@ -1220,6 +1230,11 @@ class TestAtomicWrites:
         files = {p for out in outs for p in out.iterdir()}
         assert len(files) == 18
         assert files == set(written)
+        # Each manifest lists exactly the other files of its directory, once.
+        for out in outs:
+            outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+            assert sorted(outputs) == sorted(str(p) for p in out.iterdir()
+                                             if p.name != "manifest.json")
 
     def test_failed_checkpoint_write_keeps_the_old_checkpoint(self, tmp_path, fast_config,
                                                               monkeypatch):

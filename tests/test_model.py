@@ -22,7 +22,7 @@ from balora import tasks as TK
 from balora import tensor as T
 from balora import uncertainty as U
 from balora import variational as V
-from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone, attach_adapters
+from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, attach_adapters, init_backbone
 from balora.rng import Rng
 from balora.tensor import DomainError, ShapeError, Tensor
 from balora.verify import _tiny_model, gradient_error
@@ -72,7 +72,7 @@ class TestStochasticForward:
     def test_draw_eps_is_one_draw_per_layer_in_order(self, n):
         # One draw split into per-layer views holds the bits of one draw per
         # layer from the same stream, rank 1 and a single row included.
-        backbone = ToyBackbone(BackboneSpec(d_in=3, d_out=1, hidden=(5, 4)), Rng(12))
+        backbone = init_backbone(BackboneSpec(d_in=3, d_out=1, hidden=(5, 4)), Rng(12))
         backbone.freeze()
         model = attach_adapters(backbone, AdapterSpec(rank=3), "balora", Rng(13))
         ranks = [layer.rank for layer in model.adapters.values()]
@@ -84,7 +84,7 @@ class TestStochasticForward:
         assert [e.tobytes() for e in got] == [e.tobytes() for e in expect]
 
     def test_lora_model_has_no_noise(self):
-        backbone = ToyBackbone(BackboneSpec(d_in=3, d_out=2, hidden=(4,)), Rng(9))
+        backbone = init_backbone(BackboneSpec(d_in=3, d_out=2, hidden=(4,)), Rng(9))
         backbone.freeze()
         model = AdaptedModel(backbone, {}, None, "lora")
         with pytest.raises(DomainError):
@@ -101,8 +101,8 @@ def _adapted(seed: int, hidden: tuple, adapt_layers, head: str = "regression",
              d_in: int = 5, d_out: int = 3, rank: int = 2) -> AdaptedModel:
     """Untrained balora model with non-zero WB, so the noise reaches the output."""
     rng = Rng(seed)
-    backbone = ToyBackbone(BackboneSpec(d_in=d_in, d_out=d_out, hidden=hidden, head=head),
-                           rng.stream_of(0))
+    backbone = init_backbone(BackboneSpec(d_in=d_in, d_out=d_out, hidden=hidden, head=head),
+                             rng.stream_of(0))
     backbone.biases = [Tensor(rng.stream_of(5 + i).normal(b.shape) * 0.1)
                        for i, b in enumerate(backbone.biases)]
     model = M.attach_adapters(
@@ -171,6 +171,17 @@ class TestEvaluator:
         for call in (lambda: model.predict_stochastic(X[:0], 4, Rng(13)),
                      lambda: U.uq_report(model, X[:0], np.zeros((0, 3)), 4, Rng(13))):
             with pytest.raises(ShapeError, match="X must hold at least one input row"):
+                call()
+
+    @pytest.mark.parametrize("head, layer", [("classification", 0), ("classification", 1),
+                                             ("regression", 2), ("regression", 0)])
+    def test_wrong_width_rejected_before_any_work(self, monkeypatch, head, layer):
+        model = _adapted(11, (6, 7), (layer,), head)
+        X = Rng(12).normal((3, 4))
+        monkeypatch.setattr(model, "frozen_prefix", _no_work)
+        for call in (lambda: model.predict_stochastic(X, 4, Rng(13)),
+                     lambda: U.uq_report(model, X, np.zeros(3), 4, Rng(13))):
+            with pytest.raises(ShapeError, match=r"width 5, got \(3, 4\)"):
                 call()
 
     def test_chunks_and_ragged_blocks(self, monkeypatch):
@@ -452,7 +463,7 @@ class TestSharedPrefix:
     def test_balora_needs_a_frozen_backbone(self):
         # The prefix runs off the tape, so it must hold no trainable weight.
         model = _adapted(26, (4,), (1,))
-        backbone = ToyBackbone(model.backbone.spec, Rng(27))
+        backbone = init_backbone(model.backbone.spec, Rng(27))
         with pytest.raises(DomainError):
             AdaptedModel(backbone, model.adapters, model.alphanet, "balora")
 
@@ -542,7 +553,7 @@ def _grads(model, make_out, proj, extra=()) -> list[bytes]:
 
 def _shell(seed: int) -> AdaptedModel:
     """The unfrozen, adapter-free model that pretraining trains."""
-    backbone = ToyBackbone(BackboneSpec(d_in=5, d_out=3, hidden=(6, 7)), Rng(seed))
+    backbone = init_backbone(BackboneSpec(d_in=5, d_out=3, hidden=(6, 7)), Rng(seed))
     return AdaptedModel(backbone, {}, None, "lora")
 
 

@@ -15,7 +15,7 @@ from conftest import single_linear_model as _single_linear_model
 from balora import adapter as A
 from balora import model as M
 from balora import uncertainty as U
-from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone
+from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, init_backbone
 from balora.rng import Rng
 from balora.tensor import DomainError, ShapeError, Tensor
 from balora.verify import _tiny_model
@@ -124,7 +124,7 @@ def _wide_model(seed: int, hidden: tuple) -> AdaptedModel:
     """Untrained regression model with every layer adapted and non-zero WB,
     so the noise reaches the output."""
     rng = Rng(seed)
-    backbone = ToyBackbone(BackboneSpec(d_in=32, d_out=1, hidden=hidden), rng.stream_of(0))
+    backbone = init_backbone(BackboneSpec(d_in=32, d_out=1, hidden=hidden), rng.stream_of(0))
     model = M.attach_adapters(backbone, AdapterSpec(rank=8, lora_alpha=16.0), "balora",
                               rng.stream_of(1))
     for j, layer in enumerate(model.adapters.values()):
@@ -203,8 +203,8 @@ class TestDecomposition:
 
     def test_lora_model_rejected(self):
         rng = Rng(23)
-        backbone = ToyBackbone(BackboneSpec(d_in=3, d_out=2, hidden=(4,),
-                                            head="regression"), rng)
+        backbone = init_backbone(BackboneSpec(d_in=3, d_out=2, hidden=(4,),
+                                              head="regression"), rng)
         backbone.freeze()
         model = AdaptedModel(backbone, {}, None, "lora")
         with pytest.raises(DomainError):

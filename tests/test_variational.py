@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from balora import config as C
 from balora import tensor as T
 from balora import variational as V
-from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, ToyBackbone, attach_adapters
+from balora.model import AdaptedModel, AdapterSpec, BackboneSpec, attach_adapters, init_backbone
 from balora.rng import Rng
 from balora.tensor import DomainError, ShapeError, Tensor, backward
 from balora.verify import _tiny_model, gradient_error
@@ -294,8 +294,8 @@ class TestElboStep:
             g = rng.stream_of(0).normal((2, 5))
             X = rng.stream_of(1).normal((64, 5))
             y = X @ g.T
-            backbone = ToyBackbone(BackboneSpec(d_in=5, d_out=2, hidden=(16,),
-                                                head="regression"), rng.stream_of(2))
+            backbone = init_backbone(BackboneSpec(d_in=5, d_out=2, hidden=(16,),
+                                                  head="regression"), rng.stream_of(2))
             backbone.freeze()
             model = attach_adapters(backbone,
                                     AdapterSpec(rank=2, lora_alpha=4.0, init_std=0.05,
@@ -652,11 +652,11 @@ class TestTapeSize:
         _, adapt_cfg, prior = C.train_configs_from_config(cfg)
         X = Rng(2).normal((cfg["batch_size"], cfg["d_in"]))
         y = Rng(3).normal((cfg["batch_size"], cfg["d_out"]))
-        shell = AdaptedModel(ToyBackbone(spec, Rng(0)), {}, None, "lora")
+        shell = AdaptedModel(init_backbone(spec, Rng(0)), {}, None, "lora")
         models = [shell]
         aspec = C.adapter_spec_from_config(cfg)
         for kind, layers in (("balora", None), ("lora", None), ("lora", (2,))):
-            backbone = ToyBackbone(spec, Rng(0))
+            backbone = init_backbone(spec, Rng(0))
             backbone.freeze()
             aspec.adapt_layers = layers
             models.append(attach_adapters(backbone, aspec, kind, Rng(1)))
@@ -683,7 +683,7 @@ class TestStepWork:
         spec = BackboneSpec(d_in=cfg["d_in"], d_out=cfg["d_out"], hidden=cfg["hidden"])
         _, adapt_cfg, prior = C.train_configs_from_config(cfg)
         adapt_cfg.epochs = 2
-        backbone = ToyBackbone(spec, Rng(0))
+        backbone = init_backbone(spec, Rng(0))
         backbone.freeze()
         model = attach_adapters(backbone, C.adapter_spec_from_config(cfg), "balora", Rng(1))
         # Three batches per epoch, the last one ragged.
@@ -737,9 +737,9 @@ def _drawn_model(data) -> AdaptedModel:
     if head == "classification":
         widths[-1] = max(2, widths[-1])
     rng = Rng(data.draw(st.integers(0, 2**16)))
-    backbone = ToyBackbone(BackboneSpec(d_in=widths[0], d_out=widths[-1],
-                                        hidden=tuple(widths[1:-1]), head=head),
-                           rng.stream_of(0))
+    backbone = init_backbone(BackboneSpec(d_in=widths[0], d_out=widths[-1],
+                                          hidden=tuple(widths[1:-1]), head=head),
+                             rng.stream_of(0))
     kind = data.draw(st.sampled_from(["balora", "lora", "shell"]))
     if kind == "shell":
         return AdaptedModel(backbone, {}, None, "lora")
