@@ -160,11 +160,6 @@ def _field(meta: dict, key: str, kind, where: str):
     return meta[key]
 
 
-def _check_kind(header: dict, kind: str) -> None:
-    if header.get("kind") != kind:
-        raise CheckpointError(f"expected a {kind} checkpoint, got kind={header.get('kind')!r:.60}")
-
-
 def _layer_meta(meta: dict, where: str) -> tuple[int, int, dict]:
     """Validated ``(d, k, BaLoRALayer keyword arguments)``."""
     d, k, r = (_field(meta, key, _COUNT, where) for key in ("d", "k", "r"))
@@ -215,12 +210,6 @@ def _alphanet_meta_checked(header: dict) -> tuple[dict, dict[str, tuple]]:
     return kwargs, _dense_shapes("alphanet", [f, *hidden, n])
 
 
-def _load_alphanet(kwargs: dict, arrays: dict) -> AlphaNet:
-    weights, biases = _dense_tensors("alphanet", arrays, len(kwargs["hidden_dims"]) + 1,
-                                     requires_grad=True)
-    return AlphaNet(**kwargs, weights=weights, biases=biases)
-
-
 # -- full model -------------------------------------------------------------------
 
 
@@ -253,7 +242,8 @@ def save_model(path, model: AdaptedModel, extra: Optional[dict] = None) -> None:
 
 def load_model(path) -> tuple[AdaptedModel, dict]:
     header, payload = _read(path)
-    _check_kind(header, "model")
+    if header.get("kind") != "model":
+        raise CheckpointError(f"expected a model checkpoint, got kind={header.get('kind')!r:.60}")
     kind = _field(header, "adapter_kind", _one_of("balora", "lora"), "header")
     meta = _field(header, "backbone", _OBJECT, "header")
     spec = BackboneSpec(d_in=_field(meta, "d_in", _COUNT, "backbone"),
@@ -303,7 +293,11 @@ def load_model(path) -> tuple[AdaptedModel, dict]:
                                WB=Tensor(arrays[f"adapter{i}.WB"], requires_grad=True),
                                **kwargs)
                 for i, kwargs in layer_kwargs.items()}
-    alphanet = _load_alphanet(net_kwargs, arrays) if net_kwargs is not None else None
+    alphanet = None
+    if net_kwargs is not None:
+        weights, biases = _dense_tensors("alphanet", arrays, len(net_kwargs["hidden_dims"]) + 1,
+                                         requires_grad=True)
+        alphanet = AlphaNet(**net_kwargs, weights=weights, biases=biases)
     model = AdaptedModel(backbone, adapters, alphanet, kind)
     if spec.head == "regression":
         model.log_sigma = Tensor(arrays["log_sigma"], requires_grad=True)

@@ -26,10 +26,6 @@ class ConfigError(Exception):
         self.key = key
 
 
-def _int(s: str) -> int:
-    return int(s)
-
-
 def _float(s: str) -> float:
     value = float(s)
     if not math.isfinite(value):
@@ -60,22 +56,22 @@ def _layers(s: str):
 SCHEMA = {
     # task
     "task": (_choice(*KINDS), "heteroscedastic-regression"),
-    "d_in": (_int, 6),
-    "d_out": (_int, 1),
-    "n_train": (_int, 512),
-    "n_val": (_int, 128),
-    "n_test": (_int, 256),
-    "n_classes": (_int, 3),
+    "d_in": (int, 6),
+    "d_out": (int, 1),
+    "n_train": (int, 512),
+    "n_val": (int, 128),
+    "n_test": (int, 256),
+    "n_classes": (int, 3),
     "noise_std": (_float, 0.1),
     "noise_base": (_float, 0.05),
     "noise_slope": (_float, 0.4),
-    "shift_rank": (_int, 2),
+    "shift_rank": (int, 2),
     "shift_scale": (_float, 1.0),
     # model
     "hidden": (_int_list, (32, 32)),
     "adapter": (_choice("balora", "lora"), "balora"),
     "adapt_layers": (_layers, None),
-    "rank": (_int, 4),
+    "rank": (int, 4),
     "lora_alpha": (_float, 8.0),
     "init_std": (_float, 0.02),
     "init_alpha": (_float, 0.05),
@@ -88,17 +84,17 @@ SCHEMA = {
     "nll": (_choice("gaussian", "l1"), "gaussian"),
     # optimization
     "lr": (_float, 1e-2),
-    "epochs": (_int, 10),
-    "batch_size": (_int, 64),
+    "epochs": (int, 10),
+    "batch_size": (int, 64),
     "warmup_fraction": (_float, 0.1),
     "weight_decay": (_float, 0.0),
     "grad_clip_norm": (_float, 1.0),
-    "seed": (_int, 0),
+    "seed": (int, 0),
     "pretrain_lr": (_float, 1e-2),
-    "pretrain_epochs": (_int, 30),
-    "pretrain_batch_size": (_int, 64),
+    "pretrain_epochs": (int, 30),
+    "pretrain_batch_size": (int, 64),
     # evaluation
-    "mc_steps": (_int, 100),
+    "mc_steps": (int, 100),
 }
 
 
@@ -134,7 +130,7 @@ def config_to_json(cfg: dict) -> dict:
 
 
 # JSON types each value parser accepts; the choice parsers take strings.
-_JSON_TYPES = {_int: (int,), _float: (int, float), _int_list: (list,),
+_JSON_TYPES = {int: (int,), _float: (int, float), _int_list: (list,),
                _layers: (list, type(None))}
 
 

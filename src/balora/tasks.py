@@ -10,9 +10,10 @@ known ground truth for uncertainty checks.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -151,24 +152,18 @@ def generate(task: SyntheticTask, shifted: bool = True) -> Splits:
     """
     root = Rng(task.seed)
     param_rng = root.stream_of(0)  # shared ground truth across source/target
-    base = 100 if shifted else 200
-    splits = []
-    if task.is_classification:
-        if task.kind == "two-moons-classification":
-            rotate = 0.0 if shifted else math.pi / 6.0
-            for i, n in enumerate((task.n_train, task.n_val, task.n_test)):
-                splits.append(_moons_split(task, root.stream_of(base + i), n, rotate))
-        else:
-            centers = 2.5 * param_rng.normal((task.n_classes, task.d_in))
-            if not shifted:
-                centers = centers + 0.8 * param_rng.normal((task.n_classes, task.d_in))
-            for i, n in enumerate((task.n_train, task.n_val, task.n_test)):
-                splits.append(_blobs_split(task, centers, root.stream_of(base + i), n))
+    if task.kind == "two-moons-classification":
+        split = functools.partial(_moons_split, task, rotate=0.0 if shifted else math.pi / 6.0)
+    elif task.kind == "multiclass-gaussian-blobs":
+        centers = 2.5 * param_rng.normal((task.n_classes, task.d_in))
+        if not shifted:
+            centers = centers + 0.8 * param_rng.normal((task.n_classes, task.d_in))
+        split = functools.partial(_blobs_split, task, centers)
     else:
-        g = _true_map(task, param_rng, shifted)
-        for i, n in enumerate((task.n_train, task.n_val, task.n_test)):
-            splits.append(_regression_split(task, g, root.stream_of(base + i), n))
-    return Splits(*splits)
+        split = functools.partial(_regression_split, task, _true_map(task, param_rng, shifted))
+    base = 100 if shifted else 200
+    return Splits(*(split(root.stream_of(base + i), n)
+                    for i, n in enumerate((task.n_train, task.n_val, task.n_test))))
 
 
 def true_map(task: SyntheticTask, shifted: bool = True) -> np.ndarray:
@@ -247,45 +242,28 @@ def pretrain_then_adapt(task: SyntheticTask, hidden, aspec: AdapterSpec,
 # -- ensemble baseline ------------------------------------------------------------
 
 
-@dataclass
-class EnsembleBaseline:
-    """Independently trained plain-LoRA adapter sets over one shared backbone."""
-
-    members: list = field(default_factory=list)
-    member_seconds: list = field(default_factory=list)
-
-    @property
-    def m(self) -> int:
-        return len(self.members)
-
-
 def train_ensemble(task: SyntheticTask, hidden, aspec: AdapterSpec,
                    pretrain_cfg: V.TrainConfig, adapt_cfg: V.TrainConfig,
                    prior: V.PriorConfig, seed: int, m: int,
-                   backbone: Optional[ToyBackbone] = None) -> EnsembleBaseline:
+                   backbone: Optional[ToyBackbone] = None) -> list[TrainedModel]:
     """Train ``m`` plain-LoRA members differing only by training seed: member
     ``i`` is :func:`pretrain_then_adapt` of ``"lora"`` at seed ``seed + 1 + i``
     on the frozen backbone that pretraining from ``seed`` gives, which a
-    passed-in ``backbone`` must be. ``member_seconds`` are their adapt times.
+    passed-in ``backbone`` must be. Returns the members' runs.
     """
     if m < 2:
         raise DomainError("an ensemble needs at least 2 members")
     if backbone is None:
         backbone, _ = pretrain_backbone(task, hidden, pretrain_cfg, Rng(seed))
-    ensemble = EnsembleBaseline()
-    for i in range(m):
-        member = pretrain_then_adapt(task, hidden, aspec, "lora", pretrain_cfg, adapt_cfg,
-                                     prior, seed=seed + 1 + i, backbone=backbone)
-        ensemble.members.append(member.model)
-        ensemble.member_seconds.append(member.phases["adapt"]["wall_s"])
-    return ensemble
+    return [pretrain_then_adapt(task, hidden, aspec, "lora", pretrain_cfg, adapt_cfg, prior,
+                                seed=seed + 1 + i, backbone=backbone) for i in range(m)]
 
 
-def run_ensemble(baseline: EnsembleBaseline, X) -> tuple[np.ndarray, np.ndarray]:
+def run_ensemble(members: list[TrainedModel], X) -> tuple[np.ndarray, np.ndarray]:
     """Member-prediction mean and population variance per sample and dim."""
-    if baseline.m < 2:
+    if len(members) < 2:
         raise DomainError("an ensemble needs at least 2 members")
-    preds = np.stack([member.predict(X) for member in baseline.members])
+    preds = np.stack([member.model.predict(X) for member in members])
     mean = preds.mean(axis=0)
     var = np.mean((preds - mean) ** 2, axis=0)
     return mean, var

@@ -36,16 +36,32 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 # -- metrics --------------------------------------------------------------------
 
 
+def class_labels(labels, classes: int) -> np.ndarray:
+    """``labels`` as integers, after checking that they are a vector of
+    integer-valued class indices in ``[0, classes)``: a column of labels, a
+    fraction, a NaN or an index out of range raises :class:`DomainError`."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise DomainError(f"class labels must be a vector, one per row, got {labels.shape}")
+    if not np.all((labels >= 0) & (labels < classes)):
+        raise DomainError(f"class label out of range [0, {classes})")
+    ints = labels.astype(np.int64, copy=False)
+    if labels.dtype.kind == "f" and not np.array_equal(ints, labels):
+        raise DomainError("class labels must be integers")
+    return ints
+
+
 def _checked_probs(probs, labels):
     """``probs`` and ``labels`` as arrays, after checking that ``probs`` is a
-    batch of rows summing to 1 (a NaN row fails) with one label per row."""
+    batch of rows summing to 1 (a NaN row fails) with one label per row
+    (:func:`class_labels`)."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    if probs.ndim != 2 or probs.shape[0] != labels.shape[0]:
+    if probs.ndim != 2 or probs.shape[:1] != labels.shape[:1]:
         raise ShapeError(f"probs {probs.shape} vs labels {labels.shape}")
     if not np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-6):
         raise DomainError("probability rows must sum to 1 (tol 1e-6)")
-    return probs, labels
+    return probs, class_labels(labels, probs.shape[1])
 
 
 def ece(probs, labels, bins: int = 15) -> float:
@@ -55,8 +71,6 @@ def ece(probs, labels, bins: int = 15) -> float:
     Boundary confidences go to the upper bin; empty bins contribute zero.
     """
     probs, labels = _checked_probs(probs, labels)
-    if labels.min() < 0 or labels.max() >= probs.shape[1]:
-        raise DomainError("label out of range")
     conf = probs.max(axis=1)
     correct = (probs.argmax(axis=1) == labels).astype(np.float64)
     edges = np.arange(1, bins) / bins
@@ -145,10 +159,12 @@ class UQReport:
 
 def uq_report(model: AdaptedModel, X, y, S: int, rng: Rng) -> UQReport:
     """Full Monte Carlo evaluation of a test split: ``y`` holds one target
-    row per row of ``X``. Regression epistemic variance is the mean over
+    row per row of ``X``, for a classifier one class label
+    (:func:`class_labels`). Regression epistemic variance is the mean over
     output dims of each dim's variance over draws. ``S``, the number of
     draws, must be an integer (a numpy one too, but not a bool) of at least
-    2; anything else raises :class:`DomainError` before any work."""
+    2; anything else, or a bad label, raises :class:`DomainError` before any
+    work."""
     if isinstance(S, bool) or not isinstance(S, (int, np.integer)) or S < 2:
         raise DomainError(f"uq_report needs an integer S >= 2, the number of draws, "
                           f"got {S!r}")
@@ -157,6 +173,8 @@ def uq_report(model: AdaptedModel, X, y, S: int, rng: Rng) -> UQReport:
     y = np.asarray(y)
     if y.shape[:1] != X.shape[:1]:
         raise ShapeError(f"y of shape {y.shape} needs the {X.shape[0]} rows of X")
+    if model.head == "classification":
+        y = class_labels(y, model.backbone.spec.d_out)
     draws = model.predict_stochastic(X, S, rng)  # (S, B, k)
     if model.head == "regression":
         preds = draws.mean(axis=0)
@@ -172,7 +190,7 @@ def uq_report(model: AdaptedModel, X, y, S: int, rng: Rng) -> UQReport:
         win = probs.max(axis=2)  # (S, B)
         epi = np.mean((win - win.mean(axis=0)) ** 2, axis=0)
         ale = np.mean(win * (1.0 - win), axis=0)
-        targets = y.astype(int)
+        targets = y
         sq_err = (preds.argmax(axis=1) != targets).astype(np.float64)
         metrics = {"mae": float(np.mean(1.0 - preds[np.arange(len(y)), targets])),
                    "accuracy": accuracy(preds, y), "ece": ece(preds, y)}

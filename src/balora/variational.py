@@ -35,6 +35,7 @@ from .adapter import ALPHA_MAX, ALPHA_MIN
 from .model import AdaptedModel
 from .rng import Rng
 from .tensor import DomainError, NonFiniteError, ShapeError, Tensor
+from .uncertainty import class_labels
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -206,15 +207,11 @@ def _l1(pred: np.ndarray, target):
     return np.asarray(np.abs(resid).mean()), vjp
 
 
-def _cross_entropy(logits: np.ndarray, labels):
-    """Mean negative log-softmax of the labelled class and its VJP."""
-    labels = np.asarray(labels)
-    n, c = logits.shape
-    if labels.shape != (n,):
-        raise DomainError(f"labels of shape {labels.shape} for logits {logits.shape}")
-    if labels.min() < 0 or labels.max() >= c:
-        raise DomainError("label index out of range")
-    rows, labels = np.arange(n), labels.astype(int)
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean negative log-softmax of the labelled class and its VJP; ``labels``
+    holds one checked class index per row (:func:`~balora.uncertainty.class_labels`)."""
+    n = logits.shape[0]
+    rows = np.arange(n)
     shifted = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     total = expd.sum(axis=1)
@@ -240,7 +237,9 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
     ``batch`` is ``(X, y)`` with one row of ``y`` per row of ``X`` (a 1-D
     ``X`` is one row); an empty batch raises :class:`DomainError`, and rows
     of another width than the model's input or a ``y`` with another row
-    count :class:`ShapeError`, before any work. These are the step's checks:
+    count :class:`ShapeError`, and a classifier's ``y`` that is not one class
+    label per row (:func:`~balora.uncertainty.class_labels`)
+    :class:`DomainError`, before any work. These are the step's checks:
     the network and the KL it calls trust the arrays it built.
     Returns the loss, one tape node, and a metrics dict; the KL is always
     logged but enters the loss only when ``kl_weight > 0``. The forward is
@@ -259,6 +258,8 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
         raise DomainError("empty batch")
     if len(y) != X.shape[0]:
         raise ShapeError(f"y has {len(y)} rows, X has {X.shape[0]}")
+    if model.head == "classification":
+        y = class_labels(y, model.backbone.spec.d_out)
     try:
         prefix = None
         if model.backbone.frozen and model.prefix_layers:

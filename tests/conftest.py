@@ -116,7 +116,7 @@ class Protocol:
                                       seed=self.seed, backbone=self.balora.model.backbone)
 
     @functools.cached_property
-    def ensemble(self) -> TK.EnsembleBaseline:
+    def ensemble(self) -> list[TK.TrainedModel]:
         return TK.train_ensemble(self.task, *self.arch, *self.cfgs, seed=self.seed, m=5,
                                  backbone=self.balora.model.backbone)
 

@@ -1,6 +1,7 @@
 """Adapter-layer checks: hand cases, Monte Carlo moment oracles, and the
 geometric invariants of the low-rank update."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -534,6 +535,41 @@ class TestFullCovOracle:
                               rank=1)
         with pytest.raises(DomainError):
             A.sample_full_cov_oracle(layer, Tensor(np.ones(2)), 1.0, Rng(25))
+
+
+class TestSamplerMemory:
+    """The paper's O(k r) against O(k^2) as a byte count: the dense covariance
+    never exists in ``sample_lowrank``. ``tracemalloc`` sees numpy's
+    allocations, so this gates where criterion 7's timings cannot."""
+
+    D, R, N = 64, 8, 256
+    # What does not grow with k or the draw count: the generator, the (d,)
+    # and (r,) vectors, and numpy's small temporaries.
+    ALLOWANCE = 256 * 2**10
+
+    def _peak(self, sampler, k: int) -> int:
+        layer = A.init_layer(Rng(k), d=self.D, k=k, r=self.R, init_std=0.3)
+        layer.WB = Tensor(Rng(k).stream_of(1).normal((k, self.R)), requires_grad=True)
+        x = Tensor(Rng(1).normal((self.D,)))
+        tracemalloc.start()
+        try:
+            sampler(layer, x, 0.5, Rng(2), n=self.N)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("k", [512, 1024, 2048, 4096])
+    def test_lowrank_peak_holds_no_k_by_k_array(self, k):
+        # The arrays the draws need: the (n, k) output, the (n, r) latent
+        # noise and at most one more (k, r) factor.
+        peak = self._peak(A.sample_lowrank, k)
+        assert peak < 8 * k * k
+        assert peak < 8 * (self.N * k + self.N * self.R + k * self.R) + self.ALLOWANCE
+
+    @pytest.mark.parametrize("k", [512, 1024])
+    def test_dense_oracle_peak_holds_one(self, k):
+        # The positive control: the same measurement sees the oracle's covariance.
+        assert self._peak(A.sample_full_cov_oracle, k) >= 8 * k * k
 
 
 class TestMerge:

@@ -184,6 +184,15 @@ class TestEvaluator:
             with pytest.raises(ShapeError, match=r"width 5, got \(3, 4\)"):
                 call()
 
+    @pytest.mark.parametrize("y", [[0, 1, 3, 2], [0, 1, -1, 2], [0.5, 1, 2, 0],
+                                   [[0], [1], [2], [0]]],
+                             ids=["too-large", "negative", "fraction", "column"])
+    def test_bad_class_labels_rejected_before_any_work(self, monkeypatch, y):
+        model = _adapted(11, (6, 7), None, "classification")
+        monkeypatch.setattr(model, "predict_stochastic", _no_work)
+        with pytest.raises(DomainError, match="class label"):
+            U.uq_report(model, Rng(12).normal((4, 5)), np.array(y), 4, Rng(13))
+
     def test_chunks_and_ragged_blocks(self, monkeypatch):
         # 20 draws of 7 rows: chunks of 7, 7 and 6 draws (49, 49 and 42
         # rows) in blocks of 10 rows, so every chunk ends in a ragged block.

@@ -1,5 +1,7 @@
 """Data generators, the pretrain-then-adapt protocol, and ensemble baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import (hetero_task, paired_report, protocol, sign_test_p,
@@ -70,6 +72,30 @@ class TestGenerate:
                                              n_test=32, seed=7))
         assert blobs.train.X.shape == (64, 3)
         assert set(np.unique(blobs.train.y)) <= {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("shifted, base", [(True, 100), (False, 200)],
+                             ids=["target", "source"])
+    def test_split_streams(self, shifted, base):
+        # Split i of the target distribution draws from stream 100 + i of the
+        # task's seed, of the source from 200 + i: a regression split's X is
+        # that stream's first normal draw, a blobs split's labels its first
+        # integers draw. So an empty val split leaves the test split as it is.
+        sizes = {"n_train": 9, "n_val": 4, "n_test": 5}
+        reg = TK.SyntheticTask(kind="linear-regression", d_in=3, d_out=2, seed=13, **sizes)
+        blobs = TK.SyntheticTask(kind="multiclass-gaussian-blobs", d_in=3, n_classes=4,
+                                 seed=13, **sizes)
+        for task in (reg, blobs):
+            splits = TK.generate(task, shifted)
+            for i, (name, n) in enumerate(zip(("train", "val", "test"), sizes.values())):
+                split, stream = getattr(splits, name), Rng(13).stream_of(base + i)
+                if task is reg:
+                    assert split.X.tobytes() == stream.normal((n, 3)).tobytes()
+                else:
+                    assert split.y.tobytes() == stream.integers(0, 4, (n,)).tobytes()
+            no_val = TK.generate(dataclasses.replace(task, n_val=0), shifted)
+            assert len(no_val.val.X) == 0
+            for got, want in ((no_val.test.X, splits.test.X), (no_val.test.y, splits.test.y)):
+                assert got.tobytes() == want.tobytes()
 
     def test_bad_kind_rejected(self):
         with pytest.raises(DomainError):
@@ -158,12 +184,12 @@ class TestEnsemble:
         task, aspec, pre, ad = self._small_setup()
         ens = TK.train_ensemble(task, (16,), aspec, pre, ad, V.PriorConfig(0.5),
                                 seed=21, m=2)
-        ens.members[1] = ens.members[0]
+        ens[1] = ens[0]
         _, var = TK.run_ensemble(ens, TK.generate(task).test.X)
         assert np.max(var) == 0.0
 
     def test_training_cost_bookkeeping(self):
-        seconds = protocol(2000).ensemble.member_seconds
+        seconds = [member.phases["adapt"]["wall_s"] for member in protocol(2000).ensemble]
         assert len(seconds) == 5
         assert all(t > 0 for t in seconds)
 
@@ -175,18 +201,17 @@ class TestEnsemble:
         shared = TK.train_ensemble(task, (16,), aspec, pre, ad, prior, seed=25, m=2,
                                    backbone=backbone)
         X = TK.generate(task).test.X
-        for a, b in zip(own.members, shared.members):
-            assert b.backbone is backbone
-            assert a.predict(X).tobytes() == b.predict(X).tobytes()
+        for a, b in zip(own, shared):
+            assert b.model.backbone is backbone
+            assert a.model.predict(X).tobytes() == b.model.predict(X).tobytes()
 
     def test_single_member_rejected(self):
         task, aspec, pre, ad = self._small_setup()
         with pytest.raises(DomainError):
             TK.train_ensemble(task, (16,), aspec, pre, ad, V.PriorConfig(0.5),
                               seed=24, m=1)
-        ens = TK.EnsembleBaseline(members=[object()])
         with pytest.raises(DomainError):
-            TK.run_ensemble(ens, np.ones((2, 6)))
+            TK.run_ensemble([object()], np.ones((2, 6)))
 
 
 def test_sign_test_p_on_hand_cases():

@@ -4,6 +4,7 @@ Monte Carlo properties are checked on ``uq_report`` and, for per-dim
 moments, on its draw primitive ``AdaptedModel.predict_stochastic``, which
 runs on two threads here (``two_mc_workers``)."""
 
+import itertools
 import json
 import tracemalloc
 
@@ -250,8 +251,11 @@ class TestEce:
             assert U.ece(probs[perm], labels[perm]) == pytest.approx(base)
 
     def test_label_out_of_range(self):
-        with pytest.raises(DomainError):
-            U.ece(np.array([[0.5, 0.5]]), np.array([2]))
+        # A fraction, a NaN or a column is no class label either.
+        for metric, labels in itertools.product((U.ece, U.accuracy),
+                                                ([2], [-1], [0.5], [np.nan], [[0]])):
+            with pytest.raises(DomainError, match="class label"):
+                metric(np.array([[0.5, 0.5]]), np.array(labels))
 
     def test_unnormalized_probs_rejected(self):
         with pytest.raises(DomainError):

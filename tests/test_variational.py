@@ -167,10 +167,21 @@ class TestLossNodes:
                      for c in range(4)]
             assert abs(sum(probs) - 1.0) < 1e-12
 
-    def test_cross_entropy_rejects_bad_labels(self):
-        for labels in ([0, 3], [-1, 0], [0]):
-            with pytest.raises(DomainError):
-                V._cross_entropy(np.zeros((2, 3)), np.array(labels))
+    def test_cross_entropy_rejects_bad_labels(self, monkeypatch):
+        # elbo_step checks a classifier's labels before the forward; the
+        # cross-entropy it then calls trusts them.
+        spec = BackboneSpec(d_in=2, d_out=3, hidden=(4,), head="classification")
+        model = AdaptedModel(init_backbone(spec, Rng(0)), {}, None, kind="lora")
+
+        def no_work(*args):
+            raise AssertionError("the forward started before the labels were checked")
+
+        monkeypatch.setattr(model, "network", no_work)
+        cfg = V.TrainConfig(lr=1e-3, epochs=1, batch_size=2)
+        for labels in ([0, 3], [-1, 0], [[0], [1]], [0.5, 1]):
+            with pytest.raises(DomainError, match="class label"):
+                V.elbo_step(model, (np.zeros((2, 2)), np.array(labels)), V.PriorConfig(0.5),
+                            cfg, Rng(0))
 
     def test_gaussian_nll_gradient(self):
         r = Rng(61)
