@@ -16,7 +16,7 @@ it: :func:`walk` and its reverse :func:`walk_vjp` serve every forward of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,13 +43,12 @@ class BaLoRALayer:
 
     ``W0`` never participates in the tape; only ``WA`` and ``WB`` train.
     Right after :func:`init_layer` the update is exactly zero because
-    ``WB`` starts at zero.
+    ``WB`` starts at zero. The sizes are those of ``W0`` and ``WA``.
     """
 
     W0: Tensor
     WA: Tensor
     WB: Tensor
-    rank: int
     lora_scale: float = 1.0
 
     @property
@@ -59,6 +58,10 @@ class BaLoRALayer:
     @property
     def k(self) -> int:
         return self.W0.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.WA.shape[0]
 
     def trainables(self) -> list[Tensor]:
         return [self.WA, self.WB]
@@ -101,7 +104,7 @@ def init_layer(rng: Rng, d: int, k: int, r: int, init_std: float,
         raise ShapeError(f"W0 shape {w0.shape} does not match (k, d) = ({k}, {d})")
     wa = Tensor(init_std * rng.normal((r, d)), requires_grad=True)
     wb = Tensor(np.zeros((k, r)), requires_grad=True)
-    return BaLoRALayer(W0=w0.detach(), WA=wa, WB=wb, rank=r, lora_scale=float(lora_scale))
+    return BaLoRALayer(W0=w0.detach(), WA=wa, WB=wb, lora_scale=float(lora_scale))
 
 
 def layer_terms(layer: BaLoRALayer, x: np.ndarray, bias: Optional[np.ndarray] = None,
@@ -291,18 +294,35 @@ def walk_vjp(plan: list[tuple], tape: list, g: np.ndarray, params: list[tuple],
     return flat if alphas is None else (*flat, galpha)
 
 
+def draw_count(n, least: int, name: str) -> int:
+    """``n``, the number of draws called ``name``, as an ``int`` (a narrow numpy
+    integer would overflow in row counts) if it is an integer, not a bool,
+    of at least ``least``; anything else raises :class:`DomainError`."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise DomainError(f"{name}, the number of draws, must be an integer >= {least}, "
+                          f"got {n!r}")
+    return int(n)
+
+
+def _noise_scale(alpha) -> float:
+    """``alpha`` as a float if it is finite and positive, else :class:`DomainError`."""
+    if not 0.0 < float(alpha) < np.inf:
+        raise DomainError(f"alpha must be finite and positive, got {alpha}")
+    return float(alpha)
+
+
 def analytic_predictive(layer: BaLoRALayer, x: Tensor, alpha: float) -> PredictiveGaussian:
-    """Exact Gaussian output law: mean plus low-rank covariance factor."""
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    xd = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    """Exact Gaussian output law at one input ``x`` of shape ``(d,)``: mean plus
+    low-rank covariance factor. ``alpha`` must be finite and positive."""
+    alpha = _noise_scale(alpha)
+    xd = x.data
     if xd.shape != (layer.d,):
         raise ShapeError(f"expected input of shape ({layer.d},), got {xd.shape}")
     base, z, q, _, _ = layer_terms(layer, xd, noisy=True)
     mean = layer_output(layer, base, z)[0]
     # d_vec[i] = alpha * scale^2 * sum_j WA[i,j]^2 x[j]^2
     s2 = layer.lora_scale * layer.lora_scale
-    return PredictiveGaussian(mean=Tensor(mean), d_vec=Tensor(float(alpha) * s2 * q),
+    return PredictiveGaussian(mean=Tensor(mean), d_vec=Tensor(alpha * s2 * q),
                               wb=layer.WB.detach())
 
 
@@ -312,21 +332,17 @@ def sample_lowrank(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng,
     of shape ``(d,)``, O(k r) per sample and off the tape.
 
     Noise is drawn in the rank-``r`` latent space and lifted through ``WB``;
-    the k-by-k covariance never exists. ``alpha`` is a positive scalar. With
-    ``n=None`` one ``(k,)`` draw is returned, else an ``(n, k)`` batch; both
-    come from one :func:`adapted_kernel` call. Training differentiates
-    through the same math batched, in ``AdaptedModel.forward`` and
-    :func:`layer_vjp`.
+    the k-by-k covariance never exists. ``alpha`` is finite and positive.
+    With ``n=None`` one ``(k,)`` draw is returned, else an ``(n, k)`` batch
+    for ``n`` an integer >= 0 (:func:`draw_count`), from one
+    :func:`adapted_kernel` call; bad arguments raise before any draw. Training
+    differentiates through the same math batched, in :func:`layer_vjp`.
     """
     xd = x.data
     if xd.shape != (layer.d,):
         raise ShapeError(f"expected input of shape ({layer.d},), got {xd.shape}")
-    alpha = float(alpha)
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if n is not None and n < 0:
-        raise DomainError(f"n, the number of draws, must be non-negative, got {n}")
-    eps = rng.normal((layer.rank,) if n is None else (int(n), layer.rank))
+    alpha = _noise_scale(alpha)
+    eps = rng.normal((layer.rank,) if n is None else (draw_count(n, 0, "n"), layer.rank))
     return Tensor._from_op(adapted_kernel(layer, xd, None, alpha, eps), (), None,
                            "sample_lowrank")
 
@@ -336,13 +352,14 @@ def sample_full_cov_oracle(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng
     """Reference sampler that materializes and factorizes the full covariance.
 
     Kept as a test/benchmark oracle: O(k^2) memory and at least O(k^2) time
-    per draw, versus O(k r) for :func:`sample_lowrank`. The rank-deficient
-    PSD matrix needs a ridge before Cholesky; the ridge escalates from
-    1e-10 to at most 1e-6 before giving up.
+    per draw, versus O(k r) for :func:`sample_lowrank`, whose arguments it
+    takes. The rank-deficient PSD matrix needs a ridge before Cholesky; the
+    ridge escalates from 1e-10 to at most 1e-6 before giving up.
     """
     if layer.k > _ORACLE_MAX_DIM:
         raise DomainError(
             f"oracle sampler refuses k={layer.k} > {_ORACLE_MAX_DIM} (dense covariance)")
+    shape = (layer.k,) if n is None else (draw_count(n, 0, "n"), layer.k)
     law = analytic_predictive(layer, x, alpha)
     mean, cov = law.mean.data, law.covariance()
     ridge = _ORACLE_RIDGE
@@ -355,11 +372,8 @@ def sample_full_cov_oracle(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng
             if ridge > _ORACLE_RIDGE_CAP:
                 raise FactorizationError(
                     f"covariance factorization failed at ridge {ridge:.1e}") from None
-    if n is None:
-        z = rng.normal((layer.k,))
-        return Tensor(mean + chol @ z)
-    z = rng.normal((int(n), layer.k))
-    return Tensor(mean + z @ chol.T)
+    z = rng.normal(shape)
+    return Tensor(mean + (chol @ z if n is None else z @ chol.T))
 
 
 def merge_weights(layer: BaLoRALayer) -> Tensor:
@@ -377,13 +391,18 @@ class AlphaNet:
     constant used by the KL regularizer.
     """
 
-    feature_dim: int
-    num_layers: int
-    hidden_dims: tuple
+    weights: list
+    biases: list
     alpha_min: float
     alpha_max: float
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
+
+    @property
+    def feature_dim(self) -> int:
+        return self.weights[0].shape[1]
+
+    @property
+    def num_layers(self) -> int:
+        return self.weights[-1].shape[0]
 
     def trainables(self) -> list[Tensor]:
         return list(self.weights) + list(self.biases)
@@ -408,17 +427,15 @@ def init_alphanet(rng: Rng, feature_dim: int, num_layers: int, hidden_dims,
     if not alpha_min <= init_alpha <= alpha_max:
         raise DomainError(f"init_alpha {init_alpha} outside [alpha_min, alpha_max] = "
                           f"[{alpha_min}, {alpha_max}]")
-    net = AlphaNet(feature_dim=int(feature_dim), num_layers=int(num_layers),
-                   hidden_dims=tuple(int(h) for h in hidden_dims),
-                   alpha_min=float(alpha_min), alpha_max=float(alpha_max))
-    dims = [net.feature_dim, *net.hidden_dims, net.num_layers]
+    dims = [int(feature_dim), *(int(h) for h in hidden_dims), int(num_layers)]
     out_bias = _inverse_softplus(float(init_alpha))
+    weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         w = rng.normal((fan_out, fan_in)) / np.sqrt(fan_in)
         b = np.full(fan_out, out_bias) if i == len(dims) - 2 else np.zeros(fan_out)
-        net.weights.append(Tensor(w, requires_grad=True))
-        net.biases.append(Tensor(b, requires_grad=True))
-    return net
+        weights.append(Tensor(w, requires_grad=True))
+        biases.append(Tensor(b, requires_grad=True))
+    return AlphaNet(weights, biases, float(alpha_min), float(alpha_max))
 
 
 def alpha_scales(net: AlphaNet, feat: np.ndarray):

@@ -160,12 +160,12 @@ def _field(meta: dict, key: str, kind, where: str):
     return meta[key]
 
 
-def _layer_meta(meta: dict, where: str) -> tuple[int, int, dict]:
-    """Validated ``(d, k, BaLoRALayer keyword arguments)``."""
+def _layer_meta(meta: dict, where: str) -> tuple[int, int, int, float]:
+    """Validated ``(d, k, r, lora_scale)``."""
     d, k, r = (_field(meta, key, _COUNT, where) for key in ("d", "k", "r"))
     if r > min(d, k):
         raise CheckpointError(f"{where}: rank {r} exceeds min(d, k) = {min(d, k)}")
-    return d, k, {"rank": r, "lora_scale": float(_field(meta, "lora_scale", _NUMBER, where))}
+    return d, k, r, float(_field(meta, "lora_scale", _NUMBER, where))
 
 
 def _dense_shapes(prefix: str, widths: list) -> dict[str, tuple]:
@@ -196,18 +196,17 @@ def _dense_tensors(prefix: str, arrays: dict, n_layers: int,
     return weights, biases
 
 
-def _alphanet_meta_checked(header: dict) -> tuple[dict, dict[str, tuple]]:
-    """Validated AlphaNet keyword arguments and the shapes of its arrays."""
+def _alphanet_meta_checked(header: dict) -> tuple[list, tuple, dict[str, tuple]]:
+    """Validated AlphaNet widths (features, hidden, scales), its clamp and the
+    shapes of its arrays."""
     meta = _field(header, "alphanet", _OBJECT, "header")
     lo = float(_field(meta, "alpha_min", _NUMBER, "alphanet"))
     hi = float(_field(meta, "alpha_max", _NUMBER, "alphanet"))
     if not 0.0 < lo <= hi:
         raise CheckpointError(f"alphanet: need 0 < alpha_min <= alpha_max, got {lo}, {hi}")
     f, n = (_field(meta, key, _COUNT, "alphanet") for key in ("feature_dim", "num_layers"))
-    hidden = _field(meta, "hidden_dims", _COUNTS, "alphanet")
-    kwargs = {"feature_dim": f, "num_layers": n, "hidden_dims": tuple(hidden),
-              "alpha_min": lo, "alpha_max": hi}
-    return kwargs, _dense_shapes("alphanet", [f, *hidden, n])
+    widths = [f, *_field(meta, "hidden_dims", _COUNTS, "alphanet"), n]
+    return widths, (lo, hi), _dense_shapes("alphanet", widths)
 
 
 # -- full model -------------------------------------------------------------------
@@ -232,7 +231,7 @@ def save_model(path, model: AdaptedModel, extra: Optional[dict] = None) -> None:
     net = model.alphanet
     if net is not None:
         header["alphanet"] = {"feature_dim": net.feature_dim, "num_layers": net.num_layers,
-                              "hidden_dims": list(net.hidden_dims),
+                              "hidden_dims": [w.shape[0] for w in net.weights[:-1]],
                               "alpha_min": net.alpha_min, "alpha_max": net.alpha_max}
         arrays += _dense_arrays("alphanet", net.weights, net.biases)
     if model.log_sigma is not None:
@@ -253,7 +252,7 @@ def load_model(path) -> tuple[AdaptedModel, dict]:
                                     "backbone"))
     widths = spec.widths()
     shapes = _dense_shapes("backbone", widths)
-    layer_kwargs = {}
+    scales = {}
     for key, ameta in _field(header, "adapters", _OBJECT, "header").items():
         where = f"adapters[{key!r}]"
         if key not in {str(i) for i in range(len(widths) - 1)}:
@@ -261,27 +260,24 @@ def load_model(path) -> tuple[AdaptedModel, dict]:
         if not isinstance(ameta, dict):
             raise CheckpointError(f"{where} must be a JSON object")
         i = int(key)
-        d, k, kwargs = _layer_meta(ameta, where)
+        d, k, r, scales[i] = _layer_meta(ameta, where)
         if (d, k) != (widths[i], widths[i + 1]):
             raise CheckpointError(f"{where}: (d, k) = ({d}, {k}) does not match backbone "
                                   f"layer {i} ({widths[i]}, {widths[i + 1]})")
-        shapes[f"adapter{i}.WA"] = (kwargs["rank"], d)
-        shapes[f"adapter{i}.WB"] = (k, kwargs["rank"])
-        layer_kwargs[i] = kwargs
+        shapes[f"adapter{i}.WA"] = (r, d)
+        shapes[f"adapter{i}.WB"] = (k, r)
     if _field(header, "has_log_sigma", _BOOL, "header") != (spec.head == "regression"):
         raise CheckpointError("has_log_sigma must be true exactly for regression heads")
     if spec.head == "regression":
         shapes["log_sigma"] = ()
-    net_kwargs = None
+    net_widths = None
     if "alphanet" in header or kind == "balora":
-        net_kwargs, net_shapes = _alphanet_meta_checked(header)
-        feature_dim = spec.alpha_feature_dim
-        if (net_kwargs["feature_dim"], net_kwargs["num_layers"]) != (feature_dim,
-                                                                      len(layer_kwargs)):
+        net_widths, clamp, net_shapes = _alphanet_meta_checked(header)
+        need = (spec.alpha_feature_dim, len(scales))
+        if (net_widths[0], net_widths[-1]) != need:
             raise CheckpointError(
-                f"alphanet maps {net_kwargs['feature_dim']} features to "
-                f"{net_kwargs['num_layers']} scales; the model needs {feature_dim} "
-                f"features and {len(layer_kwargs)} scales")
+                f"alphanet maps {net_widths[0]} features to {net_widths[-1]} scales; "
+                f"the model needs {need[0]} features and {need[1]} scales")
         shapes.update(net_shapes)
     extra = _field(header, "extra", _OBJECT, "header") if "extra" in header else {}
     arrays = _arrays(header, payload, shapes)
@@ -291,13 +287,12 @@ def load_model(path) -> tuple[AdaptedModel, dict]:
     adapters = {i: BaLoRALayer(W0=backbone.weights[i],
                                WA=Tensor(arrays[f"adapter{i}.WA"], requires_grad=True),
                                WB=Tensor(arrays[f"adapter{i}.WB"], requires_grad=True),
-                               **kwargs)
-                for i, kwargs in layer_kwargs.items()}
+                               lora_scale=scale)
+                for i, scale in scales.items()}
     alphanet = None
-    if net_kwargs is not None:
-        weights, biases = _dense_tensors("alphanet", arrays, len(net_kwargs["hidden_dims"]) + 1,
-                                         requires_grad=True)
-        alphanet = AlphaNet(**net_kwargs, weights=weights, biases=biases)
+    if net_widths is not None:
+        alphanet = AlphaNet(*_dense_tensors("alphanet", arrays, len(net_widths) - 1,
+                                            requires_grad=True), *clamp)
     model = AdaptedModel(backbone, adapters, alphanet, kind)
     if spec.head == "regression":
         model.log_sigma = Tensor(arrays["log_sigma"], requires_grad=True)

@@ -23,6 +23,7 @@ import re
 import resource
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -162,10 +163,10 @@ class _Manifest:
         self.data["outputs"].append(str(path))
 
     @contextlib.contextmanager
-    def artifact(self, path: Path, mode: str = "w", **kwargs):
-        """Write ``path`` through :func:`~balora.checkpoint.atomic_open`, with
-        its ``mode`` and ``kwargs``; once the file is whole, list it in ``outputs``."""
-        with CK.atomic_open(path, mode, **kwargs) as fh:
+    def artifact(self, path: Path, **kwargs):
+        """Write text to ``path`` through :func:`~balora.checkpoint.atomic_open`,
+        with its ``kwargs``; once the file is whole, list it in ``outputs``."""
+        with CK.atomic_open(path, **kwargs) as fh:
             yield fh
         self.add_output(path)
 
@@ -439,7 +440,7 @@ def cmd_verify(args) -> int:
         if out:
             path = out / "verify.json"
             with manifest.artifact(path) as fh:
-                fh.write(json.dumps([{**r.as_dict(), "seed": seed} for r in results],
+                fh.write(json.dumps([{**asdict(r), "seed": seed} for r in results],
                                     indent=2, sort_keys=True) + "\n")
             manifest.finish("ok" if not failures else "failed")
             print(f"summary written to {path}")

@@ -245,34 +245,30 @@ class AdaptedModel:
             prefix = self.frozen_prefix(X)
         return A.walk(self._plan(self.prefix_layers, self.backbone.n_layers - 1, {}), prefix)
 
-    def alphas(self, X: np.ndarray, prefix: Optional[np.ndarray] = None) -> Tensor:
-        feats = Tensor(self.alpha_features(X, prefix))
-        return A.alpha_forward(self.alphanet, feats)
+    def alphas(self, X: np.ndarray) -> Tensor:
+        """The AlphaNet's scales of :meth:`alpha_features` of ``X``, one tape node."""
+        return A.alpha_forward(self.alphanet, Tensor(self.alpha_features(X)))
 
     # -- forward passes --------------------------------------------------------
 
     def forward(self, X: np.ndarray, alphas: Optional[Tensor] = None,
-                eps: Optional[list[np.ndarray]] = None,
-                prefix: Optional[np.ndarray] = None) -> Tensor:
+                eps: Optional[list[np.ndarray]] = None) -> Tensor:
         """Batched forward. Without ``eps`` this is the posterior-mean forward,
         identical to the merged weights. With ``eps`` it is stochastic: ``eps``
         holds one ``(n, r)`` noise array per adapted layer, in
         ``adapted_layers`` order (see :meth:`draw_eps`), at the noise scales
         ``alphas`` (by default :meth:`alphas` of ``X``). eps enters as a
         constant, so gradients flow through the noise scale, WA, and WB only.
-        A ``prefix`` from :meth:`frozen_prefix` of ``X`` (frozen backbone
-        only) replaces the layers before the first adapted one. The network is
-        one tape node over :meth:`network`, and this is where its inputs are
-        checked: rows of the wrong width and ``eps`` or ``alphas`` that do not
-        fit raise :class:`ShapeError`, noise on a lora model and a negative
-        alpha :class:`DomainError`."""
-        start = 0 if prefix is None else self.prefix_layers
-        h = self._rows(X if prefix is None else prefix, start)
+        The network is one tape node over :meth:`network`, and this is where
+        its inputs are checked: rows of the wrong width and ``eps`` or
+        ``alphas`` that do not fit raise :class:`ShapeError`, noise on a lora
+        model and a negative alpha :class:`DomainError`."""
+        h = self._rows(X)
         if eps is not None:
             if self.kind != "balora":
                 raise DomainError("stochastic forward requires a balora model")
             if alphas is None:
-                alphas = self.alphas(h if prefix is None else X, prefix)
+                alphas = self.alphas(h)
             shapes = [(len(h), layer.rank) for layer in self.adapters.values()]
             got = [np.shape(e) for e in eps]
             if got != shapes:
@@ -281,8 +277,7 @@ class AdaptedModel:
                 raise ShapeError(f"alphas {alphas.shape} do not fit {shapes}")
             if (alphas.data < 0.0).any():
                 raise DomainError("alpha must be non-negative")
-        out, params, vjp = self.network(h, None if eps is None else alphas.data, eps,
-                                        None if prefix is None else h)
+        out, params, vjp = self.network(h, None if eps is None else alphas.data, eps)
         scales = [] if eps is None else [alphas]
         return Tensor._from_op(out, [p for ps in params for p in ps] + scales, vjp,
                                "the taped forward")
@@ -348,8 +343,8 @@ class AdaptedModel:
     def predict_stochastic(self, X: np.ndarray, S: int, rng: Rng) -> np.ndarray:
         """``S`` stochastic forwards of every row of ``X``, off the tape: an
         ``(S, B, k)`` array. Every Monte Carlo draw comes from here. No rows,
-        rows of the wrong width, or an ``S`` not a positive integer (nor a
-        bool) raise before any work.
+        rows of the wrong width, or an ``S`` not an integer >= 1
+        (:func:`~balora.adapter.draw_count`) raise before any work.
 
         The draws go in chunks of whole draws, at most ``_MAX_ROWS`` rows (or
         one draw) each. Chunk ``c`` has the noise of :meth:`forward` on ``X``
@@ -368,9 +363,7 @@ class AdaptedModel:
         """
         if self.kind != "balora":
             raise DomainError("stochastic forward requires a balora model")
-        if isinstance(S, bool) or not isinstance(S, (int, np.integer)) or S < 1:
-            raise DomainError(f"S, the number of draws, must be a positive integer, got {S!r}")
-        S = int(S)  # a narrow numpy integer would overflow in the row counts
+        S = A.draw_count(S, 1, "S")
         X = self._rows(X)
         if X.shape[0] == 0:
             raise ShapeError(f"X must hold at least one input row, got shape {X.shape}")
@@ -409,12 +402,12 @@ class AdaptedModel:
             return 1
         return max(1, min(_cpu_workers(), -(-n_rows // _BLOCK_ROWS)))
 
-    def _rows(self, X: np.ndarray, start: int = 0) -> np.ndarray:
-        """``X`` as a float64 batch copy that fits the input of layer ``start``."""
+    def _rows(self, X: np.ndarray) -> np.ndarray:
+        """``X`` as a float64 batch copy that fits the model's input."""
         h = np.array(X, dtype=np.float64, ndmin=2, order="C")
-        if h.ndim != 2 or h.shape[1] != self.backbone.spec.widths()[start]:
+        if h.ndim != 2 or h.shape[1] != self.backbone.spec.d_in:
             raise ShapeError(f"model forward expects a batch matrix of width "
-                             f"{self.backbone.spec.widths()[start]}, got {h.shape}")
+                             f"{self.backbone.spec.d_in}, got {h.shape}")
         return h
 
     def _plan(self, start: int, stop: int, adapters: dict) -> list[tuple]:

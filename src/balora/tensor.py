@@ -31,10 +31,10 @@ each; the tests build the ELBO step from them, their own loss nodes,
 :func:`add` and :func:`mul`. Those two, :func:`linear`,
 :func:`gelu`, :func:`matmul`, :func:`square`, :func:`sqrt`,
 :func:`reshape` and :func:`transpose` stay because the benchmark rebinds
-them by name, and, with :func:`tsum`, as the tests' layer-by-layer
-references and finite-difference fixtures. Closures that cost real work
-form a cotangent only for parents that require grad, so frozen weights
-cost nothing in the backward pass.
+them by name, and as the tests' layer-by-layer references and
+finite-difference fixtures, which sum with ``tests/reference.py``'s ``tsum``.
+Closures that cost real work form a cotangent only for parents that
+require grad, so frozen weights cost nothing in the backward pass.
 """
 
 from __future__ import annotations
@@ -419,16 +419,7 @@ def gelu(a: Tensor) -> Tensor:
     return Tensor._from_op(z * phi, (a,), vjp, "gelu")
 
 
-# -- reductions and shape ops ---------------------------------------------------
-
-
-def tsum(a: Tensor) -> Tensor:
-    shape = a.shape
-
-    def vjp(g):
-        return (np.full(shape, float(g), dtype=np.float64),)
-
-    return Tensor._from_op(np.asarray(a.data.sum()), (a,), vjp, "sum")
+# -- shape ops -----------------------------------------------------------------
 
 
 def reshape(a: Tensor, shape) -> Tensor:

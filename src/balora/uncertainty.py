@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .adapter import draw_count
 from .model import AdaptedModel
 from .rng import Rng
 from .tensor import DomainError, ShapeError
@@ -64,20 +65,20 @@ def _checked_probs(probs, labels):
     return probs, class_labels(labels, probs.shape[1])
 
 
-def ece(probs, labels, bins: int = 15) -> float:
+def ece(probs, labels) -> float:
     """Expected calibration error: L1 gap between confidence and accuracy
-    over equal-width bins of the max-probability confidence.
+    over 15 equal-width bins of the max-probability confidence.
 
     Boundary confidences go to the upper bin; empty bins contribute zero.
     """
     probs, labels = _checked_probs(probs, labels)
     conf = probs.max(axis=1)
     correct = (probs.argmax(axis=1) == labels).astype(np.float64)
-    edges = np.arange(1, bins) / bins
+    edges = np.arange(1, 15) / 15
     idx = np.digitize(conf, edges, right=False)
     n = conf.shape[0]
     total = 0.0
-    for m in range(bins):
+    for m in range(15):
         mask = idx == m
         cnt = int(mask.sum())
         if cnt == 0:
@@ -162,13 +163,10 @@ def uq_report(model: AdaptedModel, X, y, S: int, rng: Rng) -> UQReport:
     row per row of ``X``, for a classifier one class label
     (:func:`class_labels`). Regression epistemic variance is the mean over
     output dims of each dim's variance over draws. ``S``, the number of
-    draws, must be an integer (a numpy one too, but not a bool) of at least
-    2; anything else, or a bad label, raises :class:`DomainError` before any
+    draws, must be an integer >= 2 (:func:`~balora.adapter.draw_count`);
+    anything else, or a bad label, raises :class:`DomainError` before any
     work."""
-    if isinstance(S, bool) or not isinstance(S, (int, np.integer)) or S < 2:
-        raise DomainError(f"uq_report needs an integer S >= 2, the number of draws, "
-                          f"got {S!r}")
-    S = int(S)
+    S = draw_count(S, 2, "S")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y)
     if y.shape[:1] != X.shape[:1]:

@@ -386,7 +386,7 @@ class AdamW:
         for i in live:
             np.copyto(self._g_views[i], self.params[i].grad)
         # Span by span in parameter order, the summation order of the per-tensor
-        # loop of tests/test_variational.py::_ReferenceAdamW: bit-identical norms.
+        # loop of tests/reference.py::ReferenceAdamW: bit-identical norms.
         np.multiply(g, g, out=s, where=where)
         total = 0.0
         for i in live:

@@ -19,7 +19,7 @@ sizes, rank caps and substreams; those are the oracles' parameters beyond
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -41,9 +41,6 @@ class OracleResult:
     measured: float
     tolerance: float
     detail: str = ""
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -68,14 +65,15 @@ def kl_quadrature(alpha: float, p: float, w: float = 1.0) -> float:
     return val
 
 
-def finite_difference_grads(loss_fn, params, h: float = 1e-5) -> list[np.ndarray]:
-    """Central finite differences of ``loss_fn()`` w.r.t. every parameter entry.
+def finite_difference_grads(loss_fn, params) -> list[np.ndarray]:
+    """Central finite differences, step 1e-5, of ``loss_fn()`` w.r.t. every
+    parameter entry.
 
     ``loss_fn`` must rebuild its forward pass (and redraw any noise from a
     fixed seed) on every call so the only change between evaluations is the
     perturbed entry.
     """
-    grads = []
+    h, grads = 1e-5, []
     for p in params:
         original = p.data
         g = np.zeros(p.size)
@@ -95,14 +93,14 @@ def finite_difference_grads(loss_fn, params, h: float = 1e-5) -> list[np.ndarray
     return grads
 
 
-def scaled_gradient_error(analytic: np.ndarray, numeric: np.ndarray,
-                          rtol: float = 1e-4, atol: float = 1e-7) -> float:
-    """Max of |a - n| / (atol + rtol * |n|); values <= 1 mean agreement."""
-    denom = atol + rtol * np.abs(numeric)
+def scaled_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Max of |a - n| / (atol + rtol * |n|) at rtol 1e-4 and atol 1e-7;
+    values <= 1 mean agreement."""
+    denom = 1e-7 + 1e-4 * np.abs(numeric)
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
 
 
-def gradient_error(loss_fn, params, rtol: float = 1e-4, atol: float = 1e-7) -> float:
+def gradient_error(loss_fn, params) -> float:
     """Worst :func:`scaled_gradient_error` over ``params`` of the tape's
     gradients of ``loss_fn()``, a 0-d tape node, against its central
     differences; a parameter the tape leaves without a gradient counts as
@@ -113,7 +111,7 @@ def gradient_error(loss_fn, params, rtol: float = 1e-4, atol: float = 1e-7) -> f
     worst = 0.0
     for p, g_num in zip(params, numeric):
         g_ana = p.grad if p.grad is not None else np.zeros(p.shape)
-        worst = max(worst, scaled_gradient_error(g_ana, g_num, rtol, atol))
+        worst = max(worst, scaled_gradient_error(g_ana, g_num))
     V.zero_grad(params)
     return worst
 
@@ -280,10 +278,10 @@ def check_gradient_fd(seed: int) -> OracleResult:
                         "atol=1e-7")
 
 
-def check_merge_equivalence(seed: int, n_layers: int = 100) -> OracleResult:
+def check_merge_equivalence(seed: int) -> OracleResult:
     rng = Rng(seed + 2)
     worst = 0.0
-    for c in range(n_layers):
+    for c in range(100):
         crng = rng.stream_of(c)
         dims = crng.integers(2, 12, (2,))
         d, k = int(dims[0]), int(dims[1])
@@ -295,16 +293,15 @@ def check_merge_equivalence(seed: int, n_layers: int = 100) -> OracleResult:
         scale = max(1.0, float(np.max(np.abs(direct))))
         worst = max(worst, float(np.max(np.abs(merged @ x - direct))) / scale)
     return OracleResult("merge_equivalence", "merge", worst < 1e-12, worst, 1e-12,
-                        f"{n_layers} random layers, merged forward vs layered forward")
+                        "100 random layers, merged forward vs layered forward")
 
 
-def check_subspace_residual(seed: int, n_cases: int = 50, dims=(6, 9, 3),
-                            alpha: float = 1.3) -> OracleResult:
-    """Over ``n_cases`` random layers of ``dims``, ``(d, k, r)``."""
+def check_subspace_residual(seed: int, dims=(6, 9, 3), alpha: float = 1.3) -> OracleResult:
+    """Over 50 random layers of ``dims``, ``(d, k, r)``."""
     rng = Rng(seed + 3)
     d, k, r = dims
     worst = 0.0
-    for c in range(n_cases):
+    for c in range(50):
         crng = rng.stream_of(c)
         layer = _random_layer(crng.stream_of(1), d, k, r)
         x = crng.stream_of(2).normal((d,))

@@ -74,11 +74,15 @@ MUTANTS = (
            ("test_tensor.py::TestBackward::"
             "test_leaf_cotangents_are_summed_before_the_grad_it_holds",)),
     Mutant("predict-stochastic-no-int-s", "model.py",
-           "        S = int(S)  # a narrow numpy integer would overflow in the row counts\n", "",
+           "        S = A.draw_count(S, 1, \"S\")\n", "        A.draw_count(S, 1, \"S\")\n",
            ("test_model.py::TestEvaluator::test_narrow_integer_draw_count",)),
     Mutant("uq-report-no-int-s", "uncertainty.py",
-           "    S = int(S)\n", "",
+           "    S = draw_count(S, 2, \"S\")\n", "    draw_count(S, 2, \"S\")\n",
            ("test_uncertainty.py::TestMcPredict::test_integer_s_accepted",)),
+    Mutant("draw-count-no-int", "adapter.py",
+           "    return int(n)\n", "    return n\n",
+           ("test_model.py::TestEvaluator::test_narrow_integer_draw_count",
+            "test_uncertainty.py::TestMcPredict::test_integer_s_accepted")),
     Mutant("draw-eps-one-draw-per-layer", "model.py",
            "        flat = rng.normal(n * sum(ranks))\n        eps, lo = [], 0\n"
            "        for r in ranks:\n            eps.append(flat[lo:lo + n * r].reshape(n, r))\n"
@@ -101,10 +105,36 @@ MUTANTS = (
            ("test_uncertainty.py::TestEce::test_label_out_of_range",
             "test_model.py::TestEvaluator::test_bad_class_labels_rejected_before_any_work")),
     Mutant("sampler-builds-dense-covariance", "adapter.py",
-           "    eps = rng.normal((layer.rank,) if n is None else (int(n), layer.rank))\n",
+           "    eps = rng.normal((layer.rank,) if n is None else (draw_count(n, 0, \"n\"), "
+           "layer.rank))\n",
            "    analytic_predictive(layer, x, alpha).covariance()\n"
-           "    eps = rng.normal((layer.rank,) if n is None else (int(n), layer.rank))\n",
+           "    eps = rng.normal((layer.rank,) if n is None else (draw_count(n, 0, \"n\"), "
+           "layer.rank))\n",
            ("test_adapter.py::TestSamplerMemory::test_lowrank_peak_holds_no_k_by_k_array",)),
+    Mutant("oracle-no-count-check", "adapter.py",
+           "(draw_count(n, 0, \"n\"), layer.k)", "(int(n), layer.k)",
+           ("test_uncertainty.py::TestMcPredict::test_bad_s_rejected_before_any_draw",)),
+    Mutant("analytic-predictive-no-alpha-check", "adapter.py",
+           "    alpha = _noise_scale(alpha)\n    xd = x.data\n", "    xd = x.data\n",
+           ("test_adapter.py::TestAnalyticPredictive::test_nonpositive_alpha_rejected",)),
+    Mutant("sample-lowrank-no-alpha-check", "adapter.py",
+           "    alpha = _noise_scale(alpha)\n    eps = rng.normal(", "    eps = rng.normal(",
+           ("test_adapter.py::TestLowRankSampler::test_bad_input_or_alpha_rejected",)),
+    Mutant("adamw-steps-on-non-finite-norm", "variational.py",
+           "        if not math.isfinite(raw_norm):\n", "        if False:\n",
+           ("test_variational.py::TestAdamW::test_non_finite_gradient_raises_before_any_write",)),
+    Mutant("adamw-writes-state-before-norm-check", "variational.py",
+           "        raw_norm = math.sqrt(total)\n", "        raw_norm = math.sqrt(total)\n"
+           "        self.t += 1\n",
+           ("test_variational.py::TestAdamW::test_non_finite_gradient_raises_before_any_write",)),
+    Mutant("checkpoint-trailing-bytes-accepted", "checkpoint.py",
+           "    if offset != len(payload):\n", "    if False:\n",
+           ("test_checkpoint.py::TestCorruption::test_trailing_bytes_rejected",)),
+    Mutant("train-model-no-frozen-gradient-check", "variational.py",
+           "                if any(p.grad is not None for p in frozen):\n",
+           "                if False:\n",
+           ("test_variational.py::TestElboStep::"
+            "test_frozen_weight_that_requires_grad_fails_the_freeze_check",)),
 )
 
 

@@ -6,9 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import reference_layer_vjp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference import (reference_alpha_scales, reference_gelu_grad, reference_layer_vjp,
+                       reference_logits, tsum)
 
 from balora import adapter as A
 from balora import tensor as T
@@ -26,7 +27,7 @@ def _tiny_case():
         W0=Tensor(np.zeros((2, 1))),
         WA=Tensor(np.array([[3.0]]), requires_grad=True),
         WB=Tensor(np.array([[1.0], [2.0]]), requires_grad=True),
-        rank=1, lora_scale=1.0)
+        lora_scale=1.0)
     return layer, Tensor(np.array([1.0]))
 
 
@@ -114,21 +115,21 @@ class TestAlphaNetNode:
         net = _head_net([0.0], alpha_min=0.0)
         out = A.alpha_forward(net, Tensor(Rng(4).normal((1, 2))))
         assert abs(out.item() - np.log(2.0)) < 1e-12
-        backward(T.tsum(out))
+        backward(tsum(out))
         assert abs(net.biases[1].grad[0] - 0.5) < 1e-15
 
     def test_softplus_stable_at_extremes(self):
         net = _head_net([-745.0, 0.0, 745.0], alpha_min=0.0)
         out = A.alpha_forward(net, Tensor(Rng(4).normal((1, 2))))
         assert out.data[0, 0] < 1e-300 and abs(out.data[0, 2] - 745.0) < 1e-9
-        backward(T.tsum(out))
+        backward(tsum(out))
         assert np.allclose(net.biases[1].grad, [0.0, 0.5, 1.0], rtol=0.0, atol=1e-15)
 
     def test_clamp(self):
         net = _head_net([-5.0, 0.3, 5.0], alpha_min=0.5, alpha_max=2.0)
         out = A.alpha_forward(net, Tensor(Rng(4).normal((1, 2))))
         assert out.data.tolist() == [[0.5, np.log1p(np.exp(-0.3)) + 0.3, 2.0]]
-        backward(T.tsum(out))
+        backward(tsum(out))
         # No gradient where the clamp holds.
         assert net.biases[1].grad.tolist() == [0.0, 1.0 / (1.0 + np.exp(-0.3)), 0.0]
 
@@ -154,7 +155,7 @@ class TestAlphaNetNode:
         proj = Tensor(Rng(13).normal((len(feats), net.num_layers)))
 
         def loss_fn():
-            return T.tsum(T.mul(A.alpha_forward(net, Tensor(feats)), proj))
+            return tsum(T.mul(A.alpha_forward(net, Tensor(feats)), proj))
 
         out = A.alpha_forward(net, Tensor(feats)).data
         if clamped:
@@ -175,13 +176,13 @@ class TestDeterministicForward:
         layer = A.BaLoRALayer(W0=Tensor(np.zeros((3, 3))),
                               WA=Tensor(np.eye(3)[:2], requires_grad=True),
                               WB=Tensor(np.eye(3)[:, :2], requires_grad=True),
-                              rank=2, lora_scale=1.0)
+                              lora_scale=1.0)
         e1 = np.array([[1.0, 0.0, 0.0]])
         assert A.adapted_kernel(layer, e1).tolist() == [[1.0, 0.0, 0.0]]
 
     def test_base_weights_never_reach_the_tape(self):
         model, X, _ = _tiny_model(33)
-        backward(T.tsum(model.forward(X, eps=model.draw_eps(len(X), Rng(34)))))
+        backward(tsum(model.forward(X, eps=model.draw_eps(len(X), Rng(34)))))
         for layer in model.adapters.values():
             assert not layer.W0.requires_grad
             assert layer.W0.grad is None
@@ -247,7 +248,7 @@ class TestAdaptedLinearKernel:
         pairs += [(col, ga)] if stochastic else []
         numeric = finite_difference_grads(loss, [p for p, _ in pairs])
         for (p, analytic), g in zip(pairs, numeric):
-            assert scaled_gradient_error(analytic, g, rtol=1e-4, atol=1e-7) <= 1.0, name
+            assert scaled_gradient_error(analytic, g) <= 1.0, name
 
     def test_zero_latent_variance_has_zero_subgradient(self):
         # Input supported only where WA's columns vanish: the latent variance
@@ -294,47 +295,6 @@ class TestAdaptedLinearKernel:
             model.forward(X, Tensor(alphas.data[:, :1]), eps)
         with pytest.raises(DomainError):
             model.forward(X, Tensor(-alphas.data), eps)
-
-
-# The GELU and AlphaNet-head VJPs as written before their chains ran in place,
-# one temporary per op: the references the rewrites must match bit for bit (the
-# layer's is conftest.reference_layer_vjp).
-
-
-def _reference_gelu_grad(z, phi):
-    return phi + z * (T._INV_SQRT2PI * np.exp(-0.5 * z * z))
-
-
-def _reference_logits(net, feat):
-    """The AlphaNet's logits and, per layer, its input and GELU input and gate."""
-    h, tape = feat, []
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        x, h = h, h @ w.data.T + b.data
-        act = None
-        if i < len(net.weights) - 1:
-            act = (h, T.gelu_gate(h))
-            h = h * act[1]
-        tape.append((x, act))
-    return h, tape
-
-
-def _reference_alpha_scales(net, feat, g):
-    """The AlphaNet's scales and its parameters' cotangents for the scales'
-    cotangent ``g``, layer by layer: per layer its weight's, then its bias'."""
-    z, tape = _reference_logits(net, feat)
-    e = np.exp(-np.abs(z))
-    soft = np.log1p(e) + np.maximum(z, 0.0)
-    sig = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    inside = (soft > net.alpha_min) & (soft < net.alpha_max)
-    g = sig * np.where(inside, g, 0.0)
-    grads = []
-    for i in range(len(net.weights) - 1, -1, -1):
-        x, act = tape[i]
-        if act is not None:
-            g = _reference_gelu_grad(*act) * g
-        grads[:0] = [g.T @ x, g.sum(axis=0)]
-        g = g @ net.weights[i].data
-    return np.clip(soft, net.alpha_min, net.alpha_max), grads
 
 
 def _same_bytes(got, want):
@@ -389,13 +349,13 @@ class TestKernelsMatchReferences:
         feat = rng.stream_of(1).normal((n, f)) * data.draw(st.sampled_from([0.1, 1.0, 30.0]))
         # Centre each output's logits on zero, so both signs occur, and put
         # the clamp at two of the softplus values, so some sit on and past its ends.
-        z = _reference_logits(net, feat)[0]
+        z = reference_logits(net, feat)[0]
         net.biases[-1] = Tensor(net.biases[-1].data - np.median(z, axis=0), requires_grad=True)
-        z = _reference_logits(net, feat)[0]
+        z = reference_logits(net, feat)[0]
         soft = np.sort(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0), axis=None)
         net.alpha_min, net.alpha_max = soft[len(soft) // 4], soft[(3 * len(soft)) // 4]
         g = rng.stream_of(2).normal((n, layers))
-        want, want_grads = _reference_alpha_scales(net, feat, g)
+        want, want_grads = reference_alpha_scales(net, feat, g)
         got, params, vjp = A.alpha_scales(net, feat)
         assert got.tobytes() == want.tobytes()
         _same_bytes(vjp(g), want_grads)
@@ -404,7 +364,7 @@ class TestKernelsMatchReferences:
         h = rng.stream_of(3).normal((n, f)) * data.draw(st.sampled_from([1.0, 10.0, 40.0]))
         h[0, 0] = -0.0
         phi = T.gelu_gate(h)
-        assert T.gelu_grad(h, phi).tobytes() == _reference_gelu_grad(h, phi).tobytes()
+        assert T.gelu_grad(h, phi).tobytes() == reference_gelu_grad(h, phi).tobytes()
 
 
 class TestAnalyticPredictive:
@@ -430,13 +390,14 @@ class TestAnalyticPredictive:
 
     def test_nonpositive_alpha_rejected(self):
         layer, x = _tiny_case()
-        with pytest.raises(DomainError):
-            A.analytic_predictive(layer, x, 0.0)
+        for alpha in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(DomainError, match="alpha must be finite and positive"):
+                A.analytic_predictive(layer, x, alpha)
 
     def test_lora_scale_enters_variance_quadratically(self):
         rng = Rng(12)
         base = _random_layer(rng, d=3, k=4, r=2, scale=1.0)
-        scaled = A.BaLoRALayer(W0=base.W0, WA=base.WA, WB=base.WB, rank=2, lora_scale=3.0)
+        scaled = A.BaLoRALayer(W0=base.W0, WA=base.WA, WB=base.WB, lora_scale=3.0)
         x = Tensor(rng.normal((3,)))
         v1 = A.analytic_predictive(base, x, 0.7).d_vec.data
         v3 = A.analytic_predictive(scaled, x, 0.7).d_vec.data
@@ -478,11 +439,9 @@ class TestLowRankSampler:
         layer, x = _tiny_case()
         with pytest.raises(ShapeError):
             A.sample_lowrank(layer, Tensor(x.data[None, :]), 1.0, Rng(21))
-        for alpha in (0.0, -1.0, float("nan")):
-            with pytest.raises(DomainError):
+        for alpha in (0.0, -1.0, float("nan"), np.inf):
+            with pytest.raises(DomainError, match="alpha must be finite and positive"):
                 A.sample_lowrank(layer, x, alpha, Rng(21), n=4)
-        with pytest.raises(DomainError, match="n, the number of draws"):
-            A.sample_lowrank(layer, x, 1.0, Rng(21), n=-1)
 
 
 class TestFullCovOracle:
@@ -531,8 +490,7 @@ class TestFullCovOracle:
     def test_dimension_guard(self):
         layer = A.BaLoRALayer(W0=Tensor(np.zeros((2049, 2))),
                               WA=Tensor(np.zeros((1, 2)), requires_grad=True),
-                              WB=Tensor(np.zeros((2049, 1)), requires_grad=True),
-                              rank=1)
+                              WB=Tensor(np.zeros((2049, 1)), requires_grad=True))
         with pytest.raises(DomainError):
             A.sample_full_cov_oracle(layer, Tensor(np.ones(2)), 1.0, Rng(25))
 

@@ -127,6 +127,12 @@ class TestCorruption:
         with pytest.raises(CK.CheckpointError):
             CK.load_model(tmp_path / "trunc.bin")
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, _, path = _saved(tmp_path, 8)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(CK.CheckpointError, match="trailing bytes"):
+            CK.load_model(path)
+
     def test_garbage_header(self, tmp_path):
         path = tmp_path / "garbage.bin"
         blob = b"{not json"

@@ -11,9 +11,10 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import loss_node, reference_layer_vjp, single_linear_model
+from conftest import loss_node, single_linear_model
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference import reference_chain, tiled_reference, tsum
 
 from balora import BLAS_THREAD_VARS
 from balora import adapter as A
@@ -115,19 +116,6 @@ def _adapted(seed: int, hidden: tuple, adapt_layers, head: str = "regression",
     return model
 
 
-def _tiled_reference(model, X, S, rng):
-    """``predict_stochastic`` rebuilt from ``forward``: each chunk of draws is
-    one forward of ``X`` tiled, with ``draw_eps`` from the chunk's stream."""
-    B = X.shape[0]
-    chunk = max(1, M._MAX_ROWS // B)
-    outs = []
-    for c, start in enumerate(range(0, S, chunk)):
-        s = min(chunk, S - start)
-        eps = model.draw_eps(s * B, rng.stream_of(c))
-        outs.append(model.forward(np.tile(X, (s, 1)), eps=eps).data.reshape(s, B, -1))
-    return np.concatenate(outs)
-
-
 class TestEvaluator:
     """``predict_stochastic`` runs the draw-independent work once per input
     row; it must agree with the tiled, fully taped-op forward on the same
@@ -143,7 +131,7 @@ class TestEvaluator:
         model = _adapted(11, hidden, adapt, head)
         X = Rng(12).normal((B, 5))
         got = model.predict_stochastic(X, S, Rng(13))
-        want = _tiled_reference(model, X, S, Rng(13))
+        want = tiled_reference(model, X, S, Rng(13))
         assert got.shape == want.shape == (S, B, 3)
         assert np.std(got, axis=0).min() > 0  # the noise is live
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
@@ -201,7 +189,7 @@ class TestEvaluator:
         model = _adapted(14, (6, 7), (1,), "classification")
         X = Rng(15).normal((7, 5))
         got = model.predict_stochastic(X, 20, Rng(16))
-        want = _tiled_reference(model, X, 20, Rng(16))
+        want = tiled_reference(model, X, 20, Rng(16))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_draw_independent_work_runs_once_per_call(self, monkeypatch):
@@ -506,55 +494,11 @@ class TestSharedPrefix:
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
-def _reference_adapted_linear(layer, x, bias, alphas=None, col=0, eps=None):
-    """One adapted layer as its own tape node, with the cotangent rules of
-    ``reference_layer_vjp``, which the network node's reverse walk must
-    reproduce bit for bit: the reference the layer-by-layer taped forward
-    used."""
-    xd, stochastic = x.data, eps is not None
-    a = alphas.data[:, col, None] if stochastic else None
-    base, z, q, _, _ = A.layer_terms(layer, xd, bias.data, stochastic)
-    out, z, sd = A.layer_output(layer, base, z, q, a, eps)
-
-    def vjp(g):
-        gx, gwa, gwb, ga = reference_layer_vjp(layer, g, xd, z, q, sd, a, eps,
-                                               x.requires_grad)
-        gb = g.sum(axis=0) if bias.requires_grad else None
-        galpha = None
-        if stochastic and alphas.requires_grad:
-            galpha = np.zeros(alphas.shape)
-            galpha[:, col] = ga
-        grads = (gx, gwa, gwb, gb, galpha)
-        return tuple(gr for p, gr in zip(slots, grads) if p is not None)
-
-    slots = (x, layer.WA, layer.WB, bias, alphas if stochastic else None)  # W0 is frozen
-    return Tensor._from_op(out, tuple(p for p in slots if p is not None), vjp,
-                           "adapted_linear")
-
-
-def _reference_chain(model, X, alphas=None, eps=None, prefix=None) -> Tensor:
-    """The network taped layer by layer: one node per adapted layer,
-    ``tensor.linear`` for the others and ``tensor.gelu`` between them."""
-    h, start = (Tensor(X), 0) if prefix is None else (Tensor(prefix), model.prefix_layers)
-    last = model.backbone.n_layers - 1
-    for i in range(start, last + 1):
-        w, b, layer = model.backbone.weights[i], model.backbone.biases[i], model.adapters.get(i)
-        if layer is None:
-            h = T.linear(h, w, b)
-        else:
-            col = model.adapted_layers.index(i)
-            h = _reference_adapted_linear(layer, h, b, alphas, col,
-                                          None if eps is None else eps[col])
-        if i != last:
-            h = T.gelu(h)
-    return h
-
-
 def _grads(model, make_out, proj, extra=()) -> list[bytes]:
     """The bytes of every gradient of ``sum(proj * make_out())``."""
     params = [*model.trainables(), *model.backbone.parameters(), *extra]
     V.zero_grad(params)
-    T.backward(T.tsum(T.mul(make_out(), Tensor(proj))))
+    T.backward(tsum(T.mul(make_out(), Tensor(proj))))
     grads = [None if p.grad is None else p.grad.tobytes() for p in params]
     V.zero_grad(params)
     return grads
@@ -589,7 +533,7 @@ class TestNetworkNode:
         network += model.backbone.trainables() + ([alphas] if stochastic else [])
 
         def loss() -> Tensor:
-            return T.tsum(T.mul(model.forward(X, alphas, eps), Tensor(proj)))
+            return tsum(T.mul(model.forward(X, alphas, eps), Tensor(proj)))
 
         assert len(network) > 2
         assert gradient_error(loss, network) <= 1.0
@@ -598,20 +542,18 @@ class TestNetworkNode:
     def test_bits_match_the_layer_chain(self, adapt, head):
         model = _shell(54) if adapt == "shell" else _adapted(54, (6, 7), adapt, head)
         X, proj = Rng(55).normal((6, 5)), Rng(56).normal((6, 3))
-        runs = [(None, None, None)]
+        runs = [(None, None)]
         if model.kind == "balora":
-            noise = (Tensor(model.alphas(X).data, requires_grad=True),
-                     model.draw_eps(len(X), Rng(57)))
-            runs += [(*noise, None), (*noise, model.frozen_prefix(X))]
-        for alphas, eps, prefix in runs:
+            runs.append((Tensor(model.alphas(X).data, requires_grad=True),
+                         model.draw_eps(len(X), Rng(57))))
+        for alphas, eps in runs:
             extra = () if alphas is None else (alphas,)
-            got = model.forward(X, alphas, eps, prefix)
-            want = _reference_chain(model, X, alphas, eps, prefix)
+            got = model.forward(X, alphas, eps)
+            want = reference_chain(model, X, alphas, eps)
             assert got.requires_grad
             assert got.data.tobytes() == want.data.tobytes()
-            assert _grads(model, lambda: model.forward(X, alphas, eps, prefix), proj, extra) \
-                == _grads(model, lambda: _reference_chain(model, X, alphas, eps, prefix),
-                          proj, extra)
+            assert _grads(model, lambda: model.forward(X, alphas, eps), proj, extra) \
+                == _grads(model, lambda: reference_chain(model, X, alphas, eps), proj, extra)
 
     def test_zero_latent_variance_has_zero_subgradient(self):
         # Inputs supported only where WA's columns vanish: the latent
@@ -697,4 +639,4 @@ class TestForwardPathFuzz:
         for a, e in ((None, None), (alphas, eps)):
             extra = () if a is None else (a,)
             assert _grads(model, lambda: model.forward(X, a, e), proj, extra) \
-                == _grads(model, lambda: _reference_chain(model, X, a, e), proj, extra)
+                == _grads(model, lambda: reference_chain(model, X, a, e), proj, extra)

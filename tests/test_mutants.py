@@ -1,6 +1,7 @@
 """The mutant catalogue (``tests/mutants.py``) stays in step with the code:
-each mutant's ``old`` snippet occurs exactly once in its file, and its
-killers name tests that exist. ``python tests/mutants.py`` runs the mutants."""
+each mutant's ``old`` snippet occurs exactly once in its file, the mutated
+file still compiles, and its killers name tests that exist.
+``python tests/mutants.py`` runs the mutants."""
 
 import pytest
 from mutants import MUTANTS, ROOT
@@ -14,6 +15,7 @@ def test_ids_are_unique():
 def test_old_snippet_occurs_once(mutant):
     text = (ROOT / "src" / "balora" / mutant.file).read_text()
     assert text.count(mutant.old) == 1
+    compile(text.replace(mutant.old, mutant.new), mutant.file, "exec")
     assert mutant.new != mutant.old and mutant.killers
     for killer in mutant.killers:
         path, *names = killer.split("::")

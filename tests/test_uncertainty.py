@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import single_linear_model as _single_linear_model
+from reference import reference_softmax
 
 from balora import adapter as A
 from balora import model as M
@@ -44,18 +45,33 @@ class TestMcPredict:
         with pytest.raises(DomainError):
             U.uq_report(model, np.ones((1, 3)), np.zeros((1, 2)), 1, Rng(0))
 
-    @pytest.mark.parametrize("S", ["3", None, True, False, 2.0, 1, 0, -3, np.int64(1)],
-                             ids=["str", "none", "true", "false", "float", "one", "zero",
-                                  "negative", "np-one"])
-    def test_bad_s_rejected_before_any_draw(self, monkeypatch, S):
+    # Each bad count with the largest least count it meets (-1 for none):
+    # None asks the samplers for one draw.
+    @pytest.mark.parametrize("S,meets", [
+        ("3", -1), (None, 0), (True, -1), (False, -1), (2.0, -1), (1, 1), (0, 0), (-3, -1),
+        (np.int64(1), 1), (2.5, -1), (np.float64(3.0), -1), (np.int64(-1), -1)],
+        ids=["str", "none", "true", "false", "float", "one", "zero", "negative", "np-one",
+             "fraction", "np-float", "np-negative"])
+    def test_bad_s_rejected_before_any_draw(self, monkeypatch, S, meets):
+        # The one count rule, adapter.draw_count, at its four entry points,
+        # each with its least count: every one rejects S before any work.
         model, X, y = _tiny_model(3)
+        layer, x = model.adapters[0], Tensor(X[0])
+        entries = ((2, "S", lambda: U.uq_report(model, X, y, S, Rng(0))),
+                   (1, "S", lambda: model.predict_stochastic(X, S, Rng(0))),
+                   (0, "n", lambda: A.sample_lowrank(layer, x, 0.5, Rng(0), n=S)),
+                   (0, "n", lambda: A.sample_full_cov_oracle(layer, x, 0.5, Rng(0), n=S)))
 
-        def no_draws(*args):
-            raise AssertionError("the draws started before S was checked")
+        def no_work(*args):
+            raise AssertionError("the work started before the count was checked")
 
-        monkeypatch.setattr(model, "predict_stochastic", no_draws)
-        with pytest.raises(DomainError, match="integer S >= 2"):
-            U.uq_report(model, X, y, S, Rng(0))
+        for owner, name in ((model, "frozen_prefix"), (A, "analytic_predictive"),
+                            (A, "adapted_kernel"), (Rng, "normal")):
+            monkeypatch.setattr(owner, name, no_work)
+        for least, name, call in entries:
+            if least > meets:
+                with pytest.raises(DomainError, match=f"{name}, the number of draws"):
+                    call()
 
     @pytest.mark.parametrize("S", [2, np.int64(2), np.int32(3), np.uint8(2)])
     def test_integer_s_accepted(self, S):
@@ -348,19 +364,12 @@ class TestReport:
 
 
 class TestSoftmax:
-    @staticmethod
-    def _reference(z):
-        """The three-temporary softmax that ``_softmax`` replaced."""
-        z = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=-1, keepdims=True)
-
     @pytest.mark.parametrize("shape", [(100, 128, 10), (7, 3), (1, 1, 2)])
     def test_bitwise_equal_to_reference_and_input_unchanged(self, shape):
         z = 30.0 * Rng(40).normal(shape)
         z.flat[0] = 800.0  # exp would overflow without the max shift
         before = z.copy()
         probs = U._softmax(z)
-        assert probs.tobytes() == self._reference(before).tobytes()
+        assert probs.tobytes() == reference_softmax(before).tobytes()
         assert z.tobytes() == before.tobytes()
         assert not np.shares_memory(probs, z)

@@ -5,7 +5,6 @@ KL's quadrature oracles and the ELBO step's finite differences live in
 ``balora.verify``."""
 
 import itertools
-import math
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 from conftest import loss_node
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference import ReferenceAdamW, reference_step
 
 from balora import config as C
 from balora import tensor as T
@@ -361,46 +361,6 @@ class TestAlphaDrift:
                   f"over 10 seeds (reported, not gated)")
 
 
-class _ReferenceAdamW:
-    """The per-tensor AdamW loop the fused optimizer must match bit for bit."""
-
-    def __init__(self, params, cfg, total_steps):
-        self.params = [p for p in params if p.requires_grad]
-        self.cfg = cfg
-        self.schedule = V.AdamW([], cfg, total_steps)
-        self.t = 0
-        self._m = [np.zeros(p.shape) for p in self.params]
-        self._v = [np.zeros(p.shape) for p in self.params]
-
-    def step(self) -> dict:
-        b1, b2, eps = V.AdamW.BETA1, V.AdamW.BETA2, V.AdamW.EPS
-        lr = self.schedule.lr_at(self.t)
-        total = 0.0
-        for p in self.params:
-            if p.grad is not None:
-                total += float(np.sum(p.grad * p.grad))
-        raw_norm = math.sqrt(total)
-        clip = self.cfg.grad_clip_norm
-        scale = clip / raw_norm if raw_norm > clip else 1.0
-        self.t += 1
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad * scale
-            self._m[i] = b1 * self._m[i] + (1.0 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1.0 - b2) * (g * g)
-            m_hat = self._m[i] / bc1
-            v_hat = self._v[i] / bc2
-            new = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
-            if self.cfg.weight_decay > 0:
-                new = new - lr * self.cfg.weight_decay * p.data
-            p.data = np.array(new, dtype=np.float64)
-        return {"lr": lr, "grad_norm": raw_norm, "applied_norm": min(raw_norm, clip),
-                "clipped": raw_norm > clip}
-
-
 def _shadowed_params(seed):
     """Two identical sets of 0-d, 1-d and 2-d parameters plus a frozen one."""
     rng = np.random.default_rng(seed)
@@ -424,7 +384,7 @@ class TestAdamW:
         cfg = V.TrainConfig(lr=0.05, epochs=1, batch_size=1, warmup_fraction=0.1,
                             weight_decay=weight_decay, grad_clip_norm=4.0)
         fused = V.AdamW(fused_params, cfg, total_steps=200)
-        ref = _ReferenceAdamW(ref_params, cfg, total_steps=200)
+        ref = ReferenceAdamW(ref_params, cfg, total_steps=200)
         clipped = 0
         for step in range(200):
             if case == "data-replaced" and step % 40 == 20:
@@ -548,7 +508,7 @@ class TestAdamW:
 
     def test_empty_optimizer_steps(self):
         cfg = V.TrainConfig(lr=0.1, epochs=1, batch_size=1)
-        opt, ref = V.AdamW([], cfg, total_steps=5), _ReferenceAdamW([], cfg, total_steps=5)
+        opt, ref = V.AdamW([], cfg, total_steps=5), ReferenceAdamW([], cfg, total_steps=5)
         for _ in range(5):
             stats = opt.step()
             assert stats == ref.step()
@@ -766,36 +726,6 @@ def _drawn_model(data) -> AdaptedModel:
     return model
 
 
-def _reference_step(model, batch, prior, cfg, rng):
-    """The ELBO step as a graph of the public nodes: the AlphaNet, the
-    network, the NLL, the KL, and the ``mul`` and ``add`` that weight and
-    sum them."""
-    X, y = batch
-    if model.kind == "balora":
-        prefix = model.frozen_prefix(X)
-        alphas = model.alphas(X, prefix)
-        pred = model.forward(X, alphas, model.draw_eps(len(X), rng), prefix)
-    else:
-        alphas, pred = None, model.forward(X)
-    if model.head == "classification":
-        nll = loss_node(V._cross_entropy(pred.data, y), (pred,))
-    elif cfg.nll == "l1":
-        nll = loss_node(V._l1(pred.data, y), (pred,))
-    else:
-        nll = loss_node(V._gaussian_nll(pred.data, y, model.log_sigma.data),
-                        (pred, model.log_sigma))
-    metrics, loss = {"nll": nll.item(), "kl_normalized": 0.0}, nll
-    if alphas is not None:
-        kl = V.kl_normalized(alphas, prior.p, model.alphanet.alpha_min,
-                             model.alphanet.alpha_max)
-        metrics["alpha_per_layer"] = [float(v) for v in alphas.data.mean(axis=0)]
-        metrics["kl_normalized"] = kl.item()
-        if cfg.kl_weight > 0:
-            loss = T.add(nll, T.mul(kl, Tensor(cfg.kl_weight)))
-    metrics["loss"] = loss.item()
-    return loss, metrics
-
-
 class TestElboStepFuzz:
     """The one-node ELBO step against the same step built from the public
     nodes: loss, metrics and every trainable's gradient, byte for byte, on
@@ -825,7 +755,7 @@ class TestElboStepFuzz:
         prior = V.PriorConfig(data.draw(st.sampled_from([0.2, 0.5])))
         params = model.trainables()
         runs = {}
-        for name, step in (("node", V.elbo_step), ("graph", _reference_step)):
+        for name, step in (("node", V.elbo_step), ("graph", reference_step)):
             loss, metrics = step(model, (X, y), prior, cfg, rng.stream_of(2))
             backward(loss)
             runs[name] = (loss.data.tobytes(), metrics,
