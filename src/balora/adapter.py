@@ -311,13 +311,20 @@ def _noise_scale(alpha) -> float:
     return float(alpha)
 
 
+def _one_input(layer: BaLoRALayer, x: Tensor) -> np.ndarray:
+    """The array of ``x`` if it is a :class:`Tensor` of shape ``(d,)``, one input of
+    ``layer``; anything else raises :class:`ShapeError`. The samplers' input rule."""
+    if not isinstance(x, Tensor) or x.shape != (layer.d,):
+        raise ShapeError(f"expected a Tensor of shape ({layer.d},), got "
+                         f"{x.shape if isinstance(x, Tensor) else type(x).__name__}")
+    return x.data
+
+
 def analytic_predictive(layer: BaLoRALayer, x: Tensor, alpha: float) -> PredictiveGaussian:
-    """Exact Gaussian output law at one input ``x`` of shape ``(d,)``: mean plus
-    low-rank covariance factor. ``alpha`` must be finite and positive."""
+    """Exact Gaussian output law at one input ``x`` (:func:`_one_input`): mean
+    plus low-rank covariance factor. ``alpha`` must be finite and positive."""
+    xd = _one_input(layer, x)
     alpha = _noise_scale(alpha)
-    xd = x.data
-    if xd.shape != (layer.d,):
-        raise ShapeError(f"expected input of shape ({layer.d},), got {xd.shape}")
     base, z, q, _, _ = layer_terms(layer, xd, noisy=True)
     mean = layer_output(layer, base, z)[0]
     # d_vec[i] = alpha * scale^2 * sum_j WA[i,j]^2 x[j]^2
@@ -329,7 +336,7 @@ def analytic_predictive(layer: BaLoRALayer, x: Tensor, alpha: float) -> Predicti
 def sample_lowrank(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng,
                    n: Optional[int] = None) -> Tensor:
     """Exact draw(s) from the layer's predictive Gaussian at one input ``x``
-    of shape ``(d,)``, O(k r) per sample and off the tape.
+    (:func:`_one_input`), O(k r) per sample and off the tape.
 
     Noise is drawn in the rank-``r`` latent space and lifted through ``WB``;
     the k-by-k covariance never exists. ``alpha`` is finite and positive.
@@ -338,9 +345,7 @@ def sample_lowrank(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng,
     :func:`adapted_kernel` call; bad arguments raise before any draw. Training
     differentiates through the same math batched, in :func:`layer_vjp`.
     """
-    xd = x.data
-    if xd.shape != (layer.d,):
-        raise ShapeError(f"expected input of shape ({layer.d},), got {xd.shape}")
+    xd = _one_input(layer, x)
     alpha = _noise_scale(alpha)
     eps = rng.normal((layer.rank,) if n is None else (draw_count(n, 0, "n"), layer.rank))
     return Tensor._from_op(adapted_kernel(layer, xd, None, alpha, eps), (), None,
@@ -376,9 +381,9 @@ def sample_full_cov_oracle(layer: BaLoRALayer, x: Tensor, alpha: float, rng: Rng
     return Tensor(mean + (chol @ z if n is None else z @ chol.T))
 
 
-def merge_weights(layer: BaLoRALayer) -> Tensor:
+def merge_weights(layer: BaLoRALayer) -> np.ndarray:
     """Collapsed weights ``W0 + lora_scale * WB WA``; pure function of the layer."""
-    return Tensor(layer.W0.data + layer.lora_scale * (layer.WB.data @ layer.WA.data))
+    return layer.W0.data + layer.lora_scale * (layer.WB.data @ layer.WA.data)
 
 
 @dataclass

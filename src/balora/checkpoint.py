@@ -270,8 +270,9 @@ def load_model(path) -> tuple[AdaptedModel, dict]:
         raise CheckpointError("has_log_sigma must be true exactly for regression heads")
     if spec.head == "regression":
         shapes["log_sigma"] = ()
-    net_widths = None
-    if "alphanet" in header or kind == "balora":
+    if ("alphanet" in header) != (kind == "balora"):
+        raise CheckpointError(f"adapter_kind {kind!r}: balora has an alphanet, lora none")
+    if kind == "balora":
         net_widths, clamp, net_shapes = _alphanet_meta_checked(header)
         need = (spec.alpha_feature_dim, len(scales))
         if (net_widths[0], net_widths[-1]) != need:
@@ -290,10 +291,10 @@ def load_model(path) -> tuple[AdaptedModel, dict]:
                                lora_scale=scale)
                 for i, scale in scales.items()}
     alphanet = None
-    if net_widths is not None:
+    if kind == "balora":
         alphanet = AlphaNet(*_dense_tensors("alphanet", arrays, len(net_widths) - 1,
                                             requires_grad=True), *clamp)
-    model = AdaptedModel(backbone, adapters, alphanet, kind)
+    model = AdaptedModel(backbone, adapters, alphanet)
     if spec.head == "regression":
         model.log_sigma = Tensor(arrays["log_sigma"], requires_grad=True)
     return model, extra

@@ -311,6 +311,7 @@ def cmd_eval(args) -> int:
         splits = TK.generate(task, shifted=True)
         X, y = splits.test.X, splits.test.y
         if args.mode == "deterministic":
+            X, y = model.batch(X, y)
             layered = model.predict(X)
             merged = model.merged_forward(X)
             scale = max(1.0, float(np.max(np.abs(layered))))
@@ -322,11 +323,10 @@ def cmd_eval(args) -> int:
                 probs = U._softmax(merged)
                 metrics = {"accuracy": U.accuracy(probs, y), "ece": U.ece(probs, y)}
             else:
-                y2 = np.asarray(y, dtype=np.float64).reshape(merged.shape)
                 clean = X @ TK.true_map(task).T
-                metrics = {"mse": float(np.mean((merged - y2) ** 2)),
+                metrics = {"mse": float(np.mean((merged - y) ** 2)),
                            "excess_mse": float(np.mean((merged - clean) ** 2)),
-                           "mae": U.mae(merged.ravel(), y2.ravel())}
+                           "mae": U.mae(merged.ravel(), y.ravel())}
             if not np.all(np.isfinite(list(metrics.values()))):
                 return _verify_failed(manifest, f"non-finite metrics: {metrics}")
             text = json.dumps({"mode": "deterministic", "merge_gap": gap, "metrics": metrics},

@@ -89,6 +89,23 @@ def _run_all(jobs) -> None:
             raise err
 
 
+def class_labels(labels, classes: int) -> np.ndarray:
+    """``labels`` as integers, after checking that they are a vector of real,
+    integer-valued class indices in ``[0, classes)``: a column, a string, a bool,
+    a complex number, a fraction, a NaN or an index out of range raises :class:`DomainError`."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise DomainError(f"class labels must be a vector, one per row, got {labels.shape}")
+    if labels.dtype.kind not in "iuf":
+        raise DomainError(f"class labels must be real numbers, got dtype {labels.dtype}")
+    if not np.all((labels >= 0) & (labels < classes)):
+        raise DomainError(f"class label out of range [0, {classes})")
+    ints = labels.astype(np.int64, copy=False)
+    if labels.dtype.kind == "f" and not np.array_equal(ints, labels):
+        raise DomainError("class labels must be integers")
+    return ints
+
+
 @dataclass
 class BackboneSpec:
     d_in: int
@@ -174,32 +191,32 @@ def init_backbone(spec: BackboneSpec, rng: Rng) -> ToyBackbone:
 class AdaptedModel:
     """Frozen backbone plus adapters, optional AlphaNet, and a likelihood head.
 
-    ``kind`` is "balora" (stochastic adapters with input-adaptive noise)
-    or "lora" (plain deterministic adapters). Regression heads carry a
-    trainable homoscedastic observation-noise parameter ``log_sigma``.
+    Its :attr:`kind` is "balora" (stochastic adapters, input-adaptive noise from
+    the AlphaNet) or "lora" (no AlphaNet, deterministic adapters). Regression heads
+    carry a trainable homoscedastic observation-noise parameter ``log_sigma``.
     """
 
     def __init__(self, backbone: ToyBackbone, adapters: dict[int, BaLoRALayer],
-                 alphanet: Optional[AlphaNet], kind: str):
-        if kind not in ("balora", "lora"):
-            raise DomainError(f"unknown adapter kind: {kind}")
-        if kind == "balora" and alphanet is None:
-            raise DomainError("balora models need an AlphaNet")
-        if kind == "balora" and not backbone.frozen:
+                 alphanet: Optional[AlphaNet]):
+        if alphanet is not None and not backbone.frozen:
             raise DomainError("balora models need a frozen backbone")
-        if kind == "balora" and alphanet.num_layers != len(adapters):
+        if alphanet is not None and alphanet.num_layers != len(adapters):
             raise ShapeError(
                 f"AlphaNet emits {alphanet.num_layers} scales for {len(adapters)} adapters")
         self.backbone = backbone
         self.adapters = dict(sorted(adapters.items()))
         self.alphanet = alphanet
-        self.kind = kind
         self.head = backbone.spec.head
         self.log_sigma = Tensor(np.log(0.5), requires_grad=True) \
             if self.head == "regression" else None
         # Fixed order of adapted layer indices; AlphaNet output column i
         # corresponds to adapted_layers[i].
         self.adapted_layers = list(self.adapters.keys())
+
+    @property
+    def kind(self) -> str:
+        """The model's kind: "balora" if it has an AlphaNet, else "lora"."""
+        return "lora" if self.alphanet is None else "balora"
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -327,7 +344,7 @@ class AdaptedModel:
         """Pure-numpy forward through the merged weights (zero-overhead mode):
         each adapter folded into its base weight (:func:`~balora.adapter.merge_weights`)."""
         plan = self._plan(0, self.backbone.n_layers, self.adapters)
-        merged = [(w if layer is None else A.merge_weights(layer).data, b, None, None, gelu)
+        merged = [(w if layer is None else A.merge_weights(layer), b, None, None, gelu)
                   for w, b, layer, _, gelu in plan]
         return A.walk(merged, self._rows(X))
 
@@ -342,9 +359,9 @@ class AdaptedModel:
 
     def predict_stochastic(self, X: np.ndarray, S: int, rng: Rng) -> np.ndarray:
         """``S`` stochastic forwards of every row of ``X``, off the tape: an
-        ``(S, B, k)`` array. Every Monte Carlo draw comes from here. No rows,
-        rows of the wrong width, or an ``S`` not an integer >= 1
-        (:func:`~balora.adapter.draw_count`) raise before any work.
+        ``(S, B, k)`` array. Every Monte Carlo draw comes from here. Rows
+        that :meth:`batch` refuses, or an ``S`` not an integer >= 1
+        (:func:`~balora.adapter.draw_count`), raise before any work.
 
         The draws go in chunks of whole draws, at most ``_MAX_ROWS`` rows (or
         one draw) each. Chunk ``c`` has the noise of :meth:`forward` on ``X``
@@ -364,9 +381,7 @@ class AdaptedModel:
         if self.kind != "balora":
             raise DomainError("stochastic forward requires a balora model")
         S = A.draw_count(S, 1, "S")
-        X = self._rows(X)
-        if X.shape[0] == 0:
-            raise ShapeError(f"X must hold at least one input row, got shape {X.shape}")
+        X = self.batch(X)[0]
         B, n = X.shape[0], S * X.shape[0]
         first = self.prefix_layers
         prefix = self.frozen_prefix(X)
@@ -402,6 +417,26 @@ class AdaptedModel:
             return 1
         return max(1, min(_cpu_workers(), -(-n_rows // _BLOCK_ROWS)))
 
+    def batch(self, X, y=None) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """``X`` as :meth:`_rows`, at least one, and its targets ``y`` if given: a regressor's
+        ``(n, d_out)``, or ``(n,)`` if ``d_out`` is 1, as ``(n, d_out)`` float64, a classifier's
+        ``n`` :func:`class_labels`. Bad rows or shapes raise :class:`ShapeError`, bad labels
+        :class:`DomainError`; every batch of rows and targets is checked here, before any work."""
+        X = self._rows(X)
+        n, d = X.shape[0], self.backbone.spec.d_out
+        if n == 0:
+            raise ShapeError(f"X must hold at least one input row, got shape {X.shape}")
+        if y is None:
+            return X, None
+        y = np.asarray(y)
+        if y.shape[:1] != (n,):
+            raise ShapeError(f"y of shape {y.shape} needs the {n} rows of X")
+        if self.head == "classification":
+            return X, class_labels(y, d)
+        if y.shape[1:] != (d,) and not (d == 1 and y.ndim == 1):
+            raise ShapeError(f"y of shape {y.shape} needs {d} target columns")
+        return X, y.reshape(n, d).astype(np.float64, copy=False)
+
     def _rows(self, X: np.ndarray) -> np.ndarray:
         """``X`` as a float64 batch copy that fits the model's input."""
         h = np.array(X, dtype=np.float64, ndmin=2, order="C")
@@ -436,7 +471,10 @@ class AdaptedModel:
 
 def attach_adapters(backbone: ToyBackbone, aspec: AdapterSpec, kind: str,
                     rng: Rng) -> AdaptedModel:
-    """Freeze the backbone and wire adapters (and AlphaNet for balora) onto it."""
+    """Freeze the backbone and wire adapters onto it, and an AlphaNet if ``kind`` is
+    "balora"; a ``kind`` other than "balora" or "lora" raises :class:`DomainError`."""
+    if kind not in ("balora", "lora"):
+        raise DomainError(f"unknown adapter kind: {kind}")
     if not backbone.frozen:
         backbone.freeze()
     widths = backbone.spec.widths()
@@ -458,4 +496,4 @@ def attach_adapters(backbone: ToyBackbone, aspec: AdapterSpec, kind: str,
             rng.stream_of(10_000), feature_dim=backbone.spec.alpha_feature_dim,
             num_layers=len(adapters), hidden_dims=aspec.alphanet_hidden,
             alpha_min=aspec.alpha_min, alpha_max=aspec.alpha_max, init_alpha=aspec.init_alpha)
-    return AdaptedModel(backbone, adapters, alphanet, kind)
+    return AdaptedModel(backbone, adapters, alphanet)

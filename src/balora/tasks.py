@@ -209,7 +209,7 @@ def pretrain_backbone(task: SyntheticTask, hidden, cfg: V.TrainConfig,
     the backbone and the training records, one per step."""
     source = generate(task, shifted=False)
     backbone = init_backbone(_backbone_spec(task, hidden), rng.stream_of(1))
-    shell = AdaptedModel(backbone, {}, None, kind="lora")
+    shell = AdaptedModel(backbone, {}, None)
     records = V.train_model(shell, (source.train.X, source.train.y), V.PriorConfig(0.5),
                             cfg, rng.stream_of(2))
     backbone.freeze()

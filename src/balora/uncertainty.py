@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .adapter import draw_count
-from .model import AdaptedModel
+from .model import AdaptedModel, class_labels
 from .rng import Rng
 from .tensor import DomainError, ShapeError
 
@@ -35,21 +35,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 # -- metrics --------------------------------------------------------------------
-
-
-def class_labels(labels, classes: int) -> np.ndarray:
-    """``labels`` as integers, after checking that they are a vector of
-    integer-valued class indices in ``[0, classes)``: a column of labels, a
-    fraction, a NaN or an index out of range raises :class:`DomainError`."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise DomainError(f"class labels must be a vector, one per row, got {labels.shape}")
-    if not np.all((labels >= 0) & (labels < classes)):
-        raise DomainError(f"class label out of range [0, {classes})")
-    ints = labels.astype(np.int64, copy=False)
-    if labels.dtype.kind == "f" and not np.array_equal(ints, labels):
-        raise DomainError("class labels must be integers")
-    return ints
 
 
 def _checked_probs(probs, labels):
@@ -159,28 +144,20 @@ class UQReport:
 
 
 def uq_report(model: AdaptedModel, X, y, S: int, rng: Rng) -> UQReport:
-    """Full Monte Carlo evaluation of a test split: ``y`` holds one target
-    row per row of ``X``, for a classifier one class label
-    (:func:`class_labels`). Regression epistemic variance is the mean over
-    output dims of each dim's variance over draws. ``S``, the number of
-    draws, must be an integer >= 2 (:func:`~balora.adapter.draw_count`);
-    anything else, or a bad label, raises :class:`DomainError` before any
-    work."""
+    """Full Monte Carlo evaluation of a test split ``X`` with targets ``y``,
+    which :meth:`~balora.model.AdaptedModel.batch` checks. Regression
+    epistemic variance is the mean over output dims of each dim's variance
+    over draws. ``S``, the number of draws, must be an integer >= 2
+    (:func:`~balora.adapter.draw_count`). Every check runs before any work."""
     S = draw_count(S, 2, "S")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y)
-    if y.shape[:1] != X.shape[:1]:
-        raise ShapeError(f"y of shape {y.shape} needs the {X.shape[0]} rows of X")
-    if model.head == "classification":
-        y = class_labels(y, model.backbone.spec.d_out)
+    X, y = model.batch(X, y)
     draws = model.predict_stochastic(X, S, rng)  # (S, B, k)
     if model.head == "regression":
         preds = draws.mean(axis=0)
         epi = np.mean(np.mean((draws - preds) ** 2, axis=0), axis=1)
         ale = np.full_like(epi, model.sigma_obs() ** 2)
-        targets = y.reshape(X.shape[0], -1).astype(np.float64)
-        sq_err = np.mean((preds - targets) ** 2, axis=1)
-        metrics = {"mae": mae(preds.ravel(), targets.ravel()), "mse": float(np.mean(sq_err))}
+        sq_err = np.mean((preds - y) ** 2, axis=1)
+        metrics = {"mae": mae(preds.ravel(), y.ravel()), "mse": float(np.mean(sq_err))}
     else:
         probs = _softmax(draws)  # (S, B, C)
         preds = probs.mean(axis=0)
@@ -188,14 +165,13 @@ def uq_report(model: AdaptedModel, X, y, S: int, rng: Rng) -> UQReport:
         win = probs.max(axis=2)  # (S, B)
         epi = np.mean((win - win.mean(axis=0)) ** 2, axis=0)
         ale = np.mean(win * (1.0 - win), axis=0)
-        targets = y
-        sq_err = (preds.argmax(axis=1) != targets).astype(np.float64)
-        metrics = {"mae": float(np.mean(1.0 - preds[np.arange(len(y)), targets])),
+        sq_err = (preds.argmax(axis=1) != y).astype(np.float64)
+        metrics = {"mae": float(np.mean(1.0 - preds[np.arange(len(y)), y])),
                    "accuracy": accuracy(preds, y), "ece": ece(preds, y)}
     var_tot = epi + ale
     metrics["spearman_var_err"] = _safe_spearman(var_tot, sq_err)
     keys = ("pred_mean", "target", "var_total", "var_epistemic", "var_aleatoric", "sq_error")
-    columns = (preds, targets, var_tot, epi, ale, sq_err)
+    columns = (preds, y, var_tot, epi, ale, sq_err)
     per_sample = [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
     return UQReport(per_sample=per_sample, metrics=metrics, mc_steps=S)
 

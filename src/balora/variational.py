@@ -34,8 +34,7 @@ from . import tensor as T
 from .adapter import ALPHA_MAX, ALPHA_MIN
 from .model import AdaptedModel
 from .rng import Rng
-from .tensor import DomainError, NonFiniteError, ShapeError, Tensor
-from .uncertainty import class_labels
+from .tensor import DomainError, NonFiniteError, Tensor
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -209,7 +208,7 @@ def _l1(pred: np.ndarray, target):
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean negative log-softmax of the labelled class and its VJP; ``labels``
-    holds one checked class index per row (:func:`~balora.uncertainty.class_labels`)."""
+    holds one checked class index per row (:func:`~balora.model.class_labels`)."""
     n = logits.shape[0]
     rows = np.arange(n)
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -234,13 +233,9 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
     the KL-weighted normalized divergence (averaged over the batch when the
     noise scale varies per sample).
 
-    ``batch`` is ``(X, y)`` with one row of ``y`` per row of ``X`` (a 1-D
-    ``X`` is one row); an empty batch raises :class:`DomainError`, and rows
-    of another width than the model's input or a ``y`` with another row
-    count :class:`ShapeError`, and a classifier's ``y`` that is not one class
-    label per row (:func:`~balora.uncertainty.class_labels`)
-    :class:`DomainError`, before any work. These are the step's checks:
-    the network and the KL it calls trust the arrays it built.
+    ``batch`` is ``(X, y)``, which :meth:`~balora.model.AdaptedModel.batch`
+    checks before any work. That is the step's check: the network and the KL
+    it calls trust the arrays it built.
     Returns the loss, one tape node, and a metrics dict; the KL is always
     logged but enters the loss only when ``kl_weight > 0``. The forward is
     plain numpy and one path for every kind: a frozen backbone's prefix off
@@ -252,14 +247,7 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
     VJP runs the NLL's, the network's, then the AlphaNet's from the noise
     scales' cotangent, the KL's plus the network's.
     """
-    X, y = batch
-    X = model._rows(X)
-    if X.shape[0] == 0:
-        raise DomainError("empty batch")
-    if len(y) != X.shape[0]:
-        raise ShapeError(f"y has {len(y)} rows, X has {X.shape[0]}")
-    if model.head == "classification":
-        y = class_labels(y, model.backbone.spec.d_out)
+    X, y = model.batch(*batch)
     try:
         prefix = None
         if model.backbone.frozen and model.prefix_layers:
@@ -458,20 +446,15 @@ def train_model(model: AdaptedModel, train_xy, prior: PriorConfig, cfg: TrainCon
 
     Step ``i`` draws its noise from ``rng.stream_of(i)`` and each epoch its
     permutation from ``rng.stream_of(MAX_STEPS + epoch)``, each made by
-    re-keying one generator, so a run builds two whatever its length. No rows
-    or more than :data:`MAX_STEPS` steps raise
-    :class:`DomainError` before the first, and a ``y`` whose row count is not
-    ``X``'s a :class:`ShapeError`. Asserts the freeze contract on
-    every step: frozen backbone parameters must never accumulate gradient. A non-finite loss or
-    gradient norm raises :class:`TrainingDivergence` with the step and epoch.
+    re-keying one generator, so a run builds two whatever its length. Rows
+    and targets that :meth:`~balora.model.AdaptedModel.batch` refuses, or
+    more than :data:`MAX_STEPS` steps, raise before the first. Asserts the
+    freeze contract on every step: frozen backbone parameters must never
+    accumulate gradient. A non-finite loss or gradient norm raises
+    :class:`TrainingDivergence` with the step and epoch.
     """
-    X, y = train_xy
-    X = np.asarray(X, dtype=np.float64)
+    X, y = model.batch(*train_xy)
     n = X.shape[0]
-    if n == 0:
-        raise DomainError("train_model needs at least one training row")
-    if len(y) != n:
-        raise ShapeError(f"y has {len(y)} rows, X has {n}")
     steps = total_steps(n, cfg)
     if steps > MAX_STEPS:
         raise DomainError(f"{steps} training steps exceed the {MAX_STEPS} whose noise "

@@ -287,7 +287,7 @@ def check_merge_equivalence(seed: int) -> OracleResult:
         d, k = int(dims[0]), int(dims[1])
         r = int(crng.integers(1, min(d, k) + 1, ()))
         layer = _random_layer(crng.stream_of(1), d, k, r, scale=float(crng.uniform(0.25, 4.0, ())))
-        merged = A.merge_weights(layer).data
+        merged = A.merge_weights(layer)
         x = crng.stream_of(2).normal((d,))
         direct = A.adapted_kernel(layer, x)
         scale = max(1.0, float(np.max(np.abs(direct))))

@@ -36,7 +36,7 @@ def single_linear_model(seed: int, d: int = 3, k: int = 2, r: int = 1,
     layer.WB = Tensor(rng.stream_of(2).normal((k, r)), requires_grad=True)
     net = A.init_alphanet(rng.stream_of(3), feature_dim=d, num_layers=1,
                           hidden_dims=(4,), init_alpha=init_alpha)
-    return AdaptedModel(backbone, {0: layer}, net, "balora")
+    return AdaptedModel(backbone, {0: layer}, net)
 
 
 @pytest.fixture

@@ -95,11 +95,11 @@ MUTANTS = (
            "    checked = np.asarray(alphas.data if isinstance(alphas, Tensor) else alphas,\n"
            "                         dtype=np.float64)\n",
            ("test_variational.py::TestKlNormalized::test_alphas_outside_the_clamp_rejected",)),
-    Mutant("elbo-step-no-label-check", "variational.py",
-           "    if model.head == \"classification\":\n"
-           "        y = class_labels(y, model.backbone.spec.d_out)\n", "",
-           ("test_variational.py::TestLossNodes::test_cross_entropy_rejects_bad_labels",)),
-    Mutant("class-labels-fractions-accepted", "uncertainty.py",
+    Mutant("elbo-step-no-label-check", "model.py",
+           "            return X, class_labels(y, d)\n", "            return X, y\n",
+           ("test_variational.py::TestLossNodes::test_cross_entropy_rejects_bad_labels",
+            "test_model.py::TestEvaluator::test_bad_class_labels_rejected_before_any_work")),
+    Mutant("class-labels-fractions-accepted", "model.py",
            '    if labels.dtype.kind == "f" and not np.array_equal(ints, labels):\n',
            "    if False:\n",
            ("test_uncertainty.py::TestEce::test_label_out_of_range",
@@ -115,7 +115,7 @@ MUTANTS = (
            "(draw_count(n, 0, \"n\"), layer.k)", "(int(n), layer.k)",
            ("test_uncertainty.py::TestMcPredict::test_bad_s_rejected_before_any_draw",)),
     Mutant("analytic-predictive-no-alpha-check", "adapter.py",
-           "    alpha = _noise_scale(alpha)\n    xd = x.data\n", "    xd = x.data\n",
+           "    alpha = _noise_scale(alpha)\n    base, z, q", "    base, z, q",
            ("test_adapter.py::TestAnalyticPredictive::test_nonpositive_alpha_rejected",)),
     Mutant("sample-lowrank-no-alpha-check", "adapter.py",
            "    alpha = _noise_scale(alpha)\n    eps = rng.normal(", "    eps = rng.normal(",
@@ -135,6 +135,22 @@ MUTANTS = (
            "                if False:\n",
            ("test_variational.py::TestElboStep::"
             "test_frozen_weight_that_requires_grad_fails_the_freeze_check",)),
+    Mutant("batch-no-column-check", "model.py",
+           "        if y.shape[1:] != (d,) and not (d == 1 and y.ndim == 1):\n",
+           "        if False:\n",
+           ("test_variational.py::TestElboStep::test_wrong_target_rows_rejected_before_the_forward",
+            "test_uncertainty.py::TestMcPredict::test_wrong_target_rows_rejected_before_any_draw")),
+    Mutant("load-model-no-kind-check", "checkpoint.py",
+           "    if (\"alphanet\" in header) != (kind == \"balora\"):\n", "    if False:\n",
+           ("test_checkpoint.py::TestCorruption::test_kind_and_alphanet_entry_must_agree",)),
+    Mutant("sampler-input-not-a-tensor", "adapter.py",
+           "    if not isinstance(x, Tensor) or x.shape != (layer.d,):\n",
+           "    if x.shape != (layer.d,):\n",
+           ("test_adapter.py::TestAnalyticPredictive::test_input_not_a_tensor_of_shape_d_rejected",
+            "test_adapter.py::TestLowRankSampler::test_bad_input_or_alpha_rejected")),
+    Mutant("class-labels-no-dtype-check", "model.py",
+           "    if labels.dtype.kind not in \"iuf\":\n", "    if False:\n",
+           ("test_uncertainty.py::TestEce::test_label_out_of_range",)),
 )
 
 

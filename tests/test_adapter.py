@@ -194,7 +194,7 @@ class TestDeterministicForward:
         for i in range(20):
             r = rng.stream_of(i)
             layer = _random_layer(r, d=6, k=5, r=3, scale=float(r.uniform(0.5, 3.0, ())))
-            merged = A.merge_weights(layer).data
+            merged = A.merge_weights(layer)
             x = r.normal((6,))
             direct = A.adapted_kernel(layer, x)
             scale = max(1.0, np.max(np.abs(direct)))
@@ -394,6 +394,15 @@ class TestAnalyticPredictive:
             with pytest.raises(DomainError, match="alpha must be finite and positive"):
                 A.analytic_predictive(layer, x, alpha)
 
+    def test_input_not_a_tensor_of_shape_d_rejected(self):
+        # The dense oracle takes its input through analytic_predictive.
+        layer, x = _tiny_case()
+        for bad in (x.data, [1.0], Tensor(x.data[None, :]), Tensor(np.ones(2))):
+            for call in (lambda: A.analytic_predictive(layer, bad, 1.0),
+                         lambda: A.sample_full_cov_oracle(layer, bad, 1.0, Rng(21))):
+                with pytest.raises(ShapeError, match="expected a Tensor of shape"):
+                    call()
+
     def test_lora_scale_enters_variance_quadratically(self):
         rng = Rng(12)
         base = _random_layer(rng, d=3, k=4, r=2, scale=1.0)
@@ -437,8 +446,9 @@ class TestLowRankSampler:
 
     def test_bad_input_or_alpha_rejected(self):
         layer, x = _tiny_case()
-        with pytest.raises(ShapeError):
-            A.sample_lowrank(layer, Tensor(x.data[None, :]), 1.0, Rng(21))
+        for bad in (Tensor(x.data[None, :]), x.data, [1.0]):
+            with pytest.raises(ShapeError):
+                A.sample_lowrank(layer, bad, 1.0, Rng(21))
         for alpha in (0.0, -1.0, float("nan"), np.inf):
             with pytest.raises(DomainError, match="alpha must be finite and positive"):
                 A.sample_lowrank(layer, x, alpha, Rng(21), n=4)
@@ -533,12 +543,12 @@ class TestSamplerMemory:
 class TestMerge:
     def test_zero_wb_returns_base_exactly(self):
         layer = A.init_layer(Rng(26), d=5, k=4, r=2, init_std=0.2)
-        assert np.array_equal(A.merge_weights(layer).data, layer.W0.data)
+        assert np.array_equal(A.merge_weights(layer), layer.W0.data)
 
     def test_merge_forward_agreement_over_many_inputs(self):
         rng = Rng(27)
         layer = _random_layer(rng, d=6, k=5, r=3, scale=2.0)
-        merged = A.merge_weights(layer).data
+        merged = A.merge_weights(layer)
         for i in range(100):
             x = rng.stream_of(i).normal((6,))
             direct = A.adapted_kernel(layer, x)
@@ -547,7 +557,7 @@ class TestMerge:
 
     def test_merge_is_idempotent(self):
         layer = _random_layer(Rng(28), d=4, k=4, r=2)
-        assert np.array_equal(A.merge_weights(layer).data, A.merge_weights(layer).data)
+        assert np.array_equal(A.merge_weights(layer), A.merge_weights(layer))
 
 
 class TestGeometry:

@@ -15,6 +15,7 @@ from balora import checkpoint as CK
 from balora import tasks as TK
 from balora import uncertainty as U
 from balora.cli import main
+from balora.model import AdaptedModel
 from balora.rng import Rng
 from balora.verify import _tiny_model
 
@@ -144,6 +145,19 @@ class TestCorruption:
         with pytest.raises(CK.CheckpointError):
             CK.load_model(tmp_path / "absent.bin")
 
+    def test_kind_and_alphanet_entry_must_agree(self, tmp_path):
+        # A balora header carries an AlphaNet entry and a lora header none,
+        # even an entry that declares no arrays.
+        model, _, path = _saved(tmp_path, 8)
+        balora, payload = _split(path.read_bytes())
+        CK.save_model(path, AdaptedModel(model.backbone, model.adapters, None))
+        lora, lora_payload = _split(path.read_bytes())
+        for header, data in (({**lora, "alphanet": balora["alphanet"]}, lora_payload),
+                             ({k: v for k, v in balora.items() if k != "alphanet"}, payload)):
+            path.write_bytes(_join(header, data))
+            with pytest.raises(CK.CheckpointError, match="adapter_kind"):
+                CK.load_model(path)
+
     def test_wrong_kind(self, tmp_path):
         _, _, path = _saved(tmp_path, 8)
         header, payload = _split(path.read_bytes())
@@ -271,6 +285,7 @@ class TestModelHeaderSchema:
         lambda h: h["extra"]["config"].update(d_out=2),
         lambda h: h["extra"]["config"].update(task="multiclass-gaussian-blobs"),
         lambda h: h["extra"]["config"].update(n_test=0),
+        lambda h: h.update(adapter_kind="lora"),      # a lora model has no AlphaNet
     ])
     def test_eval_exits_3(self, model_checkpoint, mutate):
         root, raw = model_checkpoint

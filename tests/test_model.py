@@ -87,11 +87,20 @@ class TestStochasticForward:
     def test_lora_model_has_no_noise(self):
         backbone = init_backbone(BackboneSpec(d_in=3, d_out=2, hidden=(4,)), Rng(9))
         backbone.freeze()
-        model = AdaptedModel(backbone, {}, None, "lora")
+        model = AdaptedModel(backbone, {}, None)
         with pytest.raises(DomainError):
             model.draw_eps(2, Rng(10))
         with pytest.raises(DomainError):
             model.forward(np.ones((2, 3)), eps=[])
+
+    def test_kind_is_whether_the_model_has_an_alphanet(self):
+        backbone = init_backbone(BackboneSpec(d_in=3, d_out=2, hidden=(4,)), Rng(9))
+        with pytest.raises(DomainError, match="unknown adapter kind"):
+            attach_adapters(backbone, AdapterSpec(rank=2), "bayes", Rng(10))
+        assert not backbone.frozen  # rejected before any work
+        for kind in ("balora", "lora"):
+            model = attach_adapters(backbone, AdapterSpec(rank=2), kind, Rng(10))
+            assert model.kind == kind and (model.alphanet is not None) == (kind == "balora")
 
 
 def _no_work(*args):
@@ -373,6 +382,21 @@ class TestThreadedEvaluator:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+class TestBatch:
+    """``AdaptedModel.batch``: the one rule for a batch of rows and targets."""
+
+    def test_targets_come_back_as_checked_arrays(self):
+        X = Rng(12).normal((3, 5))
+        one = _adapted(11, (6,), None, d_out=1)
+        for y in ([0.5, 1, 2], [[0.5], [1], [2]], np.array([0.5, 1, 2], dtype=np.float32)):
+            rows, targets = one.batch(X.tolist(), y)
+            assert rows.tobytes() == X.tobytes() and targets.dtype == np.float64
+            np.testing.assert_array_equal(targets, [[0.5], [1], [2]])
+        labels = _adapted(11, (6,), None, "classification").batch(X[0], [2.0])[1]
+        assert labels.dtype == np.int64 and labels.tolist() == [2]
+        assert one.batch(X)[1] is None
+
+
 class TestPredict:
     """``predict`` is the posterior-mean ``forward`` in plain numpy."""
 
@@ -382,7 +406,7 @@ class TestPredict:
     def test_bits_match_forward(self, adapt, kind):
         model = _adapted(40, (6, 7), adapt)
         if kind == "lora":
-            model = AdaptedModel(model.backbone, model.adapters, None, "lora")
+            model = AdaptedModel(model.backbone, model.adapters, None)
         X = Rng(41).normal((9, 5))
         assert model.predict(X).tobytes() == model.forward(X).data.tobytes()
         assert model.predict(X[0]).tobytes() == model.forward(X[:1]).data.tobytes()
@@ -462,7 +486,7 @@ class TestSharedPrefix:
         model = _adapted(26, (4,), (1,))
         backbone = init_backbone(model.backbone.spec, Rng(27))
         with pytest.raises(DomainError):
-            AdaptedModel(backbone, model.adapters, model.alphanet, "balora")
+            AdaptedModel(backbone, model.adapters, model.alphanet)
 
     def test_elbo_step_matches_separate_calls_bit_for_bit(self):
         # The step computes the frozen prefix once for the alphas and the
@@ -507,7 +531,7 @@ def _grads(model, make_out, proj, extra=()) -> list[bytes]:
 def _shell(seed: int) -> AdaptedModel:
     """The unfrozen, adapter-free model that pretraining trains."""
     backbone = init_backbone(BackboneSpec(d_in=5, d_out=3, hidden=(6, 7)), Rng(seed))
-    return AdaptedModel(backbone, {}, None, "lora")
+    return AdaptedModel(backbone, {}, None)
 
 
 _SUBSETS = pytest.mark.parametrize("adapt,head", [
@@ -627,7 +651,7 @@ class TestForwardPathFuzz:
         # row count at small widths (a ragged one-row block, or a 3-row one).
         np.testing.assert_allclose(draws[block, 1], draws[512, 1], rtol=1e-12, atol=1e-14)
 
-        lora = AdaptedModel(model.backbone, model.adapters, None, "lora")
+        lora = AdaptedModel(model.backbone, model.adapters, None)
         for noisy in (lambda: lora.draw_eps(B, rng), lambda: lora.forward(X, eps=[])):
             with pytest.raises(DomainError):
                 noisy()

@@ -138,7 +138,7 @@ class TestPretrainThenAdapt:
         model, test = trained.model, trained.target.test
         assert any(np.any(l.WB.data != 0) for l in model.adapters.values())
         # Deterministic-mode prediction beats the unadapted backbone.
-        shell = AdaptedModel(model.backbone, {}, None, "lora")
+        shell = AdaptedModel(model.backbone, {}, None)
         assert np.mean((model.merged_forward(test.X) - test.y) ** 2) \
             < np.mean((shell.predict(test.X) - test.y) ** 2)
 

@@ -87,7 +87,9 @@ class TestMcPredict:
             raise AssertionError("the draws started before y was checked")
 
         monkeypatch.setattr(model, "predict_stochastic", no_draws)
-        for bad in (y[:-1], np.vstack([y, y[:1]]), y[0, 0]):
+        # Rows, then the columns of a regressor with two outputs.
+        for bad in (y[:-1], np.vstack([y, y[:1]]), y[0, 0], y[:, :1], y[:, 0],
+                    np.hstack([y, y]), y[:, :1].tolist()):
             with pytest.raises(ShapeError, match="y of shape"):
                 U.uq_report(model, X, bad, 4, Rng(0))
 
@@ -223,7 +225,7 @@ class TestDecomposition:
         backbone = init_backbone(BackboneSpec(d_in=3, d_out=2, hidden=(4,),
                                               head="regression"), rng)
         backbone.freeze()
-        model = AdaptedModel(backbone, {}, None, "lora")
+        model = AdaptedModel(backbone, {}, None)
         with pytest.raises(DomainError):
             U.uq_report(model, np.ones((1, 3)), np.zeros((1, 2)), 100, Rng(0))
 
@@ -267,9 +269,11 @@ class TestEce:
             assert U.ece(probs[perm], labels[perm]) == pytest.approx(base)
 
     def test_label_out_of_range(self):
-        # A fraction, a NaN or a column is no class label either.
-        for metric, labels in itertools.product((U.ece, U.accuracy),
-                                                ([2], [-1], [0.5], [np.nan], [[0]])):
+        # A fraction, a NaN, a column, or what is not a real number is no
+        # class label either.
+        for metric, labels in itertools.product(
+                (U.ece, U.accuracy),
+                ([2], [-1], [0.5], [np.nan], [[0]], ["a"], [None], [1j], [True])):
             with pytest.raises(DomainError, match="class label"):
                 metric(np.array([[0.5, 0.5]]), np.array(labels))
 

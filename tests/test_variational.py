@@ -171,7 +171,7 @@ class TestLossNodes:
         # elbo_step checks a classifier's labels before the forward; the
         # cross-entropy it then calls trusts them.
         spec = BackboneSpec(d_in=2, d_out=3, hidden=(4,), head="classification")
-        model = AdaptedModel(init_backbone(spec, Rng(0)), {}, None, kind="lora")
+        model = AdaptedModel(init_backbone(spec, Rng(0)), {}, None)
 
         def no_work(*args):
             raise AssertionError("the forward started before the labels were checked")
@@ -245,7 +245,7 @@ class TestElboStep:
     def test_empty_batch_rejected(self):
         model, X, y = _tiny_model(81)
         cfg = V.TrainConfig(lr=1e-3, epochs=1, batch_size=4)
-        with pytest.raises(DomainError):
+        with pytest.raises(ShapeError, match="X must hold at least one input row"):
             V.elbo_step(model, (X[:0], y[:0]), V.PriorConfig(0.5), cfg, Rng(0))
 
     def test_divergence_aborts_with_diagnostics(self):
@@ -260,20 +260,22 @@ class TestElboStep:
         model, X, y = _tiny_model(88)
         cfg = V.TrainConfig(lr=1e-3, epochs=1, batch_size=4)
         before = [p.data.copy() for p in model.trainables()]
-        with pytest.raises(DomainError, match="at least one training row"):
+        with pytest.raises(ShapeError, match="X must hold at least one input row"):
             V.train_model(model, (X[:0], y[:0]), V.PriorConfig(0.5), cfg, Rng(89))
         assert all((p.data == b).all() for p, b in zip(model.trainables(), before))
 
     def test_wrong_target_rows_rejected_before_the_forward(self, monkeypatch):
+        # Rows, then the columns of a regressor with two outputs.
         model, X, y = _tiny_model(3)
 
         def no_work(*args):
             raise AssertionError("the forward started before y was checked")
 
-        monkeypatch.setattr(model, "frozen_prefix", no_work)
+        for name in ("frozen_prefix", "alpha_features", "network"):
+            monkeypatch.setattr(model, name, no_work)
         cfg = V.TrainConfig(lr=1e-3, epochs=1, batch_size=4)
-        for bad in (y[:-1], np.vstack([y, y[:1]])):
-            with pytest.raises(ShapeError, match="y has"):
+        for bad in (y[:-1], np.vstack([y, y[:1]]), y[:, :1], y[:, 0], np.hstack([y, y])):
+            with pytest.raises(ShapeError, match="y of shape"):
                 V.elbo_step(model, (X, bad), V.PriorConfig(0.5), cfg, Rng(0))
 
     def test_wrong_target_rows_rejected_before_the_first_step(self, monkeypatch):
@@ -284,8 +286,9 @@ class TestElboStep:
 
         monkeypatch.setattr(V, "elbo_step", no_step)
         cfg = V.TrainConfig(lr=1e-3, epochs=1, batch_size=2)
-        for bad in (y[:-1], np.vstack([y, y[:1]])):
-            with pytest.raises(ShapeError, match="y has"):
+        for bad in (y[:-1], np.vstack([y, y[:1]]), y[:, :1], y[:, 0], np.hstack([y, y]),
+                    y[:, :1].tolist()):
+            with pytest.raises(ShapeError, match="y of shape"):
                 V.train_model(model, (X, bad), V.PriorConfig(0.5), cfg, Rng(0))
 
     def test_frozen_weight_that_requires_grad_fails_the_freeze_check(self):
@@ -623,7 +626,7 @@ class TestTapeSize:
         _, adapt_cfg, prior = C.train_configs_from_config(cfg)
         X = Rng(2).normal((cfg["batch_size"], cfg["d_in"]))
         y = Rng(3).normal((cfg["batch_size"], cfg["d_out"]))
-        shell = AdaptedModel(init_backbone(spec, Rng(0)), {}, None, "lora")
+        shell = AdaptedModel(init_backbone(spec, Rng(0)), {}, None)
         models = [shell]
         aspec = C.adapter_spec_from_config(cfg)
         for kind, layers in (("balora", None), ("lora", None), ("lora", (2,))):
@@ -713,7 +716,7 @@ def _drawn_model(data) -> AdaptedModel:
                              rng.stream_of(0))
     kind = data.draw(st.sampled_from(["balora", "lora", "shell"]))
     if kind == "shell":
-        return AdaptedModel(backbone, {}, None, "lora")
+        return AdaptedModel(backbone, {}, None)
     first = data.draw(st.integers(0, len(widths) - 2))  # the frozen prefix's length
     adapt = {first} | data.draw(st.sets(st.integers(first, len(widths) - 2)))
     model = attach_adapters(backbone, AdapterSpec(rank=data.draw(st.integers(1, 4)),
