@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .adapter import AlphaNet, BaLoRALayer
-from .model import AdaptedModel, BackboneSpec, ToyBackbone
+from .model import ADAPTER_KINDS, HEADS, AdaptedModel, BackboneSpec, ToyBackbone
 from .tensor import Tensor, TensorError
 
 MAGIC = b"BALORA1\n"
@@ -243,13 +243,12 @@ def load_model(path) -> tuple[AdaptedModel, dict]:
     header, payload = _read(path)
     if header.get("kind") != "model":
         raise CheckpointError(f"expected a model checkpoint, got kind={header.get('kind')!r:.60}")
-    kind = _field(header, "adapter_kind", _one_of("balora", "lora"), "header")
+    kind = _field(header, "adapter_kind", _one_of(*ADAPTER_KINDS), "header")
     meta = _field(header, "backbone", _OBJECT, "header")
     spec = BackboneSpec(d_in=_field(meta, "d_in", _COUNT, "backbone"),
                         d_out=_field(meta, "d_out", _COUNT, "backbone"),
                         hidden=tuple(_field(meta, "hidden", _COUNTS, "backbone")),
-                        head=_field(meta, "head", _one_of("regression", "classification"),
-                                    "backbone"))
+                        head=_field(meta, "head", _one_of(*HEADS), "backbone"))
     widths = spec.widths()
     shapes = _dense_shapes("backbone", widths)
     scales = {}

@@ -1,9 +1,10 @@
 """Flat ``key = value`` run configuration with typed parsing.
 
 Unknown keys are rejected by name so config drift fails loudly. Blank
-lines and ``#`` comments are allowed. Each key is either ``task``,
-``hidden``, ``adapter`` or ``mc_steps``, or a field of the task, adapter
-or training dataclasses, which take their fields by name (:func:`_build`).
+lines and ``#`` comments are allowed. Most keys are fields of the task,
+adapter, training or prior dataclasses: the schema reads their parsers and
+defaults off the fields (:func:`_numeric_fields`), and :func:`_build` fills
+the fields from the keys by name.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import dataclasses
 import math
 from pathlib import Path
 
-from .model import AdapterSpec
+from .model import ADAPTER_KINDS, AdapterSpec, BackboneSpec
 from .tasks import KINDS, SyntheticTask, _backbone_spec
 from .tensor import DomainError
-from .variational import MAX_STEPS, PriorConfig, TrainConfig, total_steps
+from .variational import MAX_STEPS, NLL_KINDS, PriorConfig, TrainConfig, total_steps
 
 
 class ConfigError(Exception):
@@ -42,58 +43,41 @@ def _choice(*options):
 
 
 def _int_list(s: str) -> tuple:
-    if s.strip() == "":
-        return ()
-    return tuple(int(part) for part in s.split(","))
+    return tuple(int(part) for part in s.split(",")) if s.strip() else ()
 
 
 def _layers(s: str):
-    if s.strip() == "all":
-        return None
-    return _int_list(s)
+    return None if s.strip() == "all" else _int_list(s)
+
+
+_NUMBER_PARSERS = {int: int, float: _float}
+
+
+def _numeric_fields(cls, prefix: str = "") -> dict:
+    """Schema entries for the fields of ``cls`` whose default is a number: the
+    key ``prefix + name``, parsed by the type of the default, which it keeps."""
+    return {prefix + f.name: (_NUMBER_PARSERS[type(f.default)], f.default)
+            for f in dataclasses.fields(cls) if type(f.default) in _NUMBER_PARSERS}
 
 
 SCHEMA = {
-    # task
-    "task": (_choice(*KINDS), "heteroscedastic-regression"),
-    "d_in": (int, 6),
-    "d_out": (int, 1),
-    "n_train": (int, 512),
-    "n_val": (int, 128),
-    "n_test": (int, 256),
-    "n_classes": (int, 3),
-    "noise_std": (_float, 0.1),
-    "noise_base": (_float, 0.05),
-    "noise_slope": (_float, 0.4),
-    "shift_rank": (int, 2),
-    "shift_scale": (_float, 1.0),
-    # model
-    "hidden": (_int_list, (32, 32)),
-    "adapter": (_choice("balora", "lora"), "balora"),
-    "adapt_layers": (_layers, None),
-    "rank": (int, 4),
-    "lora_alpha": (_float, 8.0),
-    "init_std": (_float, 0.02),
-    "init_alpha": (_float, 0.05),
-    "alphanet_hidden": (_int_list, (16, 16)),
-    "alpha_min": (_float, 1e-6),
-    "alpha_max": (_float, 1e3),
-    # objective
-    "prior_p": (_float, 0.5),
-    "kl_weight": (_float, 1.0),
-    "nll": (_choice("gaussian", "l1"), "gaussian"),
-    # optimization
-    "lr": (_float, 1e-2),
-    "epochs": (int, 10),
+    "task": (_choice(*KINDS), SyntheticTask.kind),
+    **_numeric_fields(SyntheticTask),
+    "hidden": (_int_list, BackboneSpec.hidden),
+    "adapter": (_choice(*ADAPTER_KINDS), "balora"),
+    "adapt_layers": (_layers, AdapterSpec.adapt_layers),
+    "alphanet_hidden": (_int_list, AdapterSpec.alphanet_hidden),
+    **_numeric_fields(AdapterSpec),
+    "nll": (_choice(*NLL_KINDS), TrainConfig.nll),
+    **_numeric_fields(TrainConfig),
+    **_numeric_fields(PriorConfig, "prior_"),
+    # The CLI's own defaults: these two replace TrainConfig's 32 and 0.0 for
+    # adaptation, and the pretraining phase has keys of its own.
     "batch_size": (int, 64),
     "warmup_fraction": (_float, 0.1),
-    "weight_decay": (_float, 0.0),
-    "grad_clip_norm": (_float, 1.0),
-    "seed": (int, 0),
     "pretrain_lr": (_float, 1e-2),
     "pretrain_epochs": (int, 30),
     "pretrain_batch_size": (int, 64),
-    # evaluation
     "mc_steps": (int, 100),
 }
 

@@ -51,6 +51,9 @@ _BLOCK_ROWS = 512
 # the output layer adapted (no GELU in the blocks) about twice as slow.
 _MIN_GELUS_PER_ROW = 256
 
+ADAPTER_KINDS = ("balora", "lora")  # a "balora" model has an AlphaNet, a "lora" one none
+HEADS = ("regression", "classification")
+
 
 def _cpu_workers() -> int:
     """Threads the Monte Carlo evaluator may use: every CPU this process may
@@ -111,9 +114,11 @@ class BackboneSpec:
     d_in: int
     d_out: int
     hidden: tuple = (32, 32)
-    head: str = "regression"  # or "classification"
+    head: str = "regression"  # one of HEADS
 
     def __post_init__(self):
+        if self.head not in HEADS:
+            raise DomainError(f"head must be one of {HEADS}, got {self.head!r}")
         if min(self.widths()) < 1:
             raise DomainError(f"layer widths (d_in, hidden, output) must be positive, "
                               f"got {self.widths()}")
@@ -419,9 +424,9 @@ class AdaptedModel:
 
     def batch(self, X, y=None) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """``X`` as :meth:`_rows`, at least one, and its targets ``y`` if given: a regressor's
-        ``(n, d_out)``, or ``(n,)`` if ``d_out`` is 1, as ``(n, d_out)`` float64, a classifier's
-        ``n`` :func:`class_labels`. Bad rows or shapes raise :class:`ShapeError`, bad labels
-        :class:`DomainError`; every batch of rows and targets is checked here, before any work."""
+        ``(n, d_out)`` real numbers, or ``(n,)`` if ``d_out`` is 1, as ``(n, d_out)`` float64,
+        a classifier's ``n`` :func:`class_labels`. Bad rows or shapes raise :class:`ShapeError`,
+        bad targets :class:`DomainError`; every batch is checked here, before any work."""
         X = self._rows(X)
         n, d = X.shape[0], self.backbone.spec.d_out
         if n == 0:
@@ -435,11 +440,14 @@ class AdaptedModel:
             return X, class_labels(y, d)
         if y.shape[1:] != (d,) and not (d == 1 and y.ndim == 1):
             raise ShapeError(f"y of shape {y.shape} needs {d} target columns")
+        if y.dtype.kind not in "iuf":
+            raise DomainError(f"regression targets must be real numbers, got dtype {y.dtype}")
         return X, y.reshape(n, d).astype(np.float64, copy=False)
 
-    def _rows(self, X: np.ndarray) -> np.ndarray:
-        """``X`` as a float64 batch copy that fits the model's input."""
-        h = np.array(X, dtype=np.float64, ndmin=2, order="C")
+    def _rows(self, X) -> np.ndarray:
+        """``X`` as a float64, C-contiguous batch matrix that fits the model's input:
+        ``X`` itself if it is one, a ``(1, d)`` view of a single row, else a copy."""
+        h = np.atleast_2d(np.asarray(X, dtype=np.float64, order="C"))
         if h.ndim != 2 or h.shape[1] != self.backbone.spec.d_in:
             raise ShapeError(f"model forward expects a batch matrix of width "
                              f"{self.backbone.spec.d_in}, got {h.shape}")
@@ -472,8 +480,8 @@ class AdaptedModel:
 def attach_adapters(backbone: ToyBackbone, aspec: AdapterSpec, kind: str,
                     rng: Rng) -> AdaptedModel:
     """Freeze the backbone and wire adapters onto it, and an AlphaNet if ``kind`` is
-    "balora"; a ``kind`` other than "balora" or "lora" raises :class:`DomainError`."""
-    if kind not in ("balora", "lora"):
+    "balora"; a ``kind`` not in ``ADAPTER_KINDS`` raises :class:`DomainError`."""
+    if kind not in ADAPTER_KINDS:
         raise DomainError(f"unknown adapter kind: {kind}")
     if not backbone.frozen:
         backbone.freeze()

@@ -37,6 +37,7 @@ from .rng import Rng
 from .tensor import DomainError, NonFiniteError, Tensor
 
 _LOG_2PI = math.log(2.0 * math.pi)
+NLL_KINDS = ("gaussian", "l1")  # the regression losses; classification uses cross-entropy
 
 
 def _mean(a):
@@ -74,7 +75,7 @@ class TrainConfig:
     warmup_fraction: float = 0.0
     weight_decay: float = 0.0
     grad_clip_norm: float = 1.0
-    nll: str = "gaussian"  # regression: "gaussian" or "l1"; classification uses CE
+    nll: str = "gaussian"  # one of NLL_KINDS
 
     def __post_init__(self):
         if self.lr <= 0 or self.epochs <= 0 or self.batch_size <= 0:
@@ -85,7 +86,7 @@ class TrainConfig:
             raise DomainError("kl_weight and weight_decay must be non-negative")
         if self.grad_clip_norm <= 0:
             raise DomainError("grad_clip_norm must be positive")
-        if self.nll not in ("gaussian", "l1"):
+        if self.nll not in NLL_KINDS:
             raise DomainError(f"unknown nll kind: {self.nll}")
 
 

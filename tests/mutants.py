@@ -151,6 +151,17 @@ MUTANTS = (
     Mutant("class-labels-no-dtype-check", "model.py",
            "    if labels.dtype.kind not in \"iuf\":\n", "    if False:\n",
            ("test_uncertainty.py::TestEce::test_label_out_of_range",)),
+    Mutant("batch-no-target-dtype-check", "model.py",
+           "        if y.dtype.kind not in \"iuf\":\n", "        if False:\n",
+           ("test_model.py::TestBatch::test_regression_targets_must_be_real_numbers",)),
+    Mutant("backbone-spec-no-head-check", "model.py",
+           "        if self.head not in HEADS:\n", "        if False:\n",
+           ("test_model.py::TestBackboneSpec::test_unknown_head_rejected",)),
+    Mutant("config-schema-floats-parsed-as-int", "config.py",
+           "_NUMBER_PARSERS = {int: int, float: _float}\n",
+           "_NUMBER_PARSERS = {int: int, float: int}\n",
+           ("test_cli.py::TestConfig::test_defaults_and_overrides",
+            "test_variational.py::TestTapeSize::test_one_node_per_elbo_step")),
 )
 
 

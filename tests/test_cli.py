@@ -571,8 +571,23 @@ class TestOptionSurface:
         "verify": ["--filter", "--seed", "--out"],
     }
 
+    DEFAULTS = {
+        "task": "heteroscedastic-regression", "d_in": 6, "d_out": 1, "n_train": 512,
+        "n_val": 128, "n_test": 256, "n_classes": 3, "noise_std": 0.1, "noise_base": 0.05,
+        "noise_slope": 0.4, "shift_rank": 2, "shift_scale": 1.0, "seed": 0,
+        "hidden": (32, 32), "adapter": "balora", "adapt_layers": None, "rank": 4,
+        "lora_alpha": 8.0, "init_std": 0.02, "init_alpha": 0.05, "alphanet_hidden": (16, 16),
+        "alpha_min": 1e-6, "alpha_max": 1000.0, "prior_p": 0.5, "kl_weight": 1.0,
+        "nll": "gaussian", "lr": 0.01, "epochs": 10, "batch_size": 64, "warmup_fraction": 0.1,
+        "weight_decay": 0.0, "grad_clip_norm": 1.0, "pretrain_lr": 0.01, "pretrain_epochs": 30,
+        "pretrain_batch_size": 64, "mc_steps": 100}
+
     def test_config_keys_are_pinned(self):
+        # Most defaults are read off the dataclass fields, so this pin, types
+        # included, is what makes moving one a deliberate change.
         assert len(C.SCHEMA) == 36
+        typed = lambda cfg: {key: (type(value), value) for key, value in cfg.items()}
+        assert typed(parse_config("")) == typed(self.DEFAULTS)
 
     def test_subcommand_flags_are_pinned(self):
         parser = cli.build_parser()

@@ -396,6 +396,49 @@ class TestBatch:
         assert labels.dtype == np.int64 and labels.tolist() == [2]
         assert one.batch(X)[1] is None
 
+    @pytest.mark.parametrize("y", [np.full((4, 2), "a"), np.ones((4, 2)) * 1j,
+                                   np.array([[None, 1.0]] * 4), np.ones((4, 2), dtype=bool)],
+                             ids=["str", "complex", "object", "bool"])
+    def test_regression_targets_must_be_real_numbers(self, y):
+        model, X, _ = _tiny_model(3)
+        with pytest.raises(DomainError, match="must be real numbers"):
+            model.batch(X, y)
+
+    def test_rows_that_fit_are_not_copied(self):
+        # A float64, C-contiguous batch of the model's width comes back as
+        # itself and a row as a (1, d) view of it; other rows are converted.
+        model, X, _ = _tiny_model(3)
+        assert model.batch(X)[0] is X
+        row = model.batch(X[1])[0]
+        assert row.shape == (1, 3) and np.shares_memory(row, X)
+        for rows in (X.tolist(), np.asfortranarray(X), np.arange(12).reshape(4, 3)):
+            got = model.batch(rows)[0]
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert not np.shares_memory(got, rows)
+            np.testing.assert_array_equal(got, np.asarray(rows, dtype=np.float64))
+
+    @pytest.mark.parametrize("head", ["regression", "classification"])
+    def test_training_and_evaluation_leave_the_rows_alone(self, head):
+        # Rows the model does not copy are read-only here: a write raises.
+        model = _adapted(13, (6,), (1,), head, d_out=2)
+        X = Rng(14).normal((8, 5))
+        y = Rng(15).normal((8, 2)) if head == "regression" else np.arange(8) % 2
+        before = X.tobytes(), y.tobytes()
+        X.flags.writeable = y.flags.writeable = False
+        V.train_model(model, (X, y), V.PriorConfig(), V.TrainConfig(epochs=2, batch_size=4),
+                      Rng(16))
+        U.uq_report(model, X, y, 4, Rng(17))
+        assert (X.tobytes(), y.tobytes()) == before
+
+
+class TestBackboneSpec:
+    @pytest.mark.parametrize("head", ["Regression", "", "lora"])
+    def test_unknown_head_rejected(self, head):
+        # An unknown head would give a model with no log_sigma whose AlphaNet
+        # reads hidden features, as for classification.
+        with pytest.raises(DomainError, match=r"head must be one of \('regression', "):
+            BackboneSpec(d_in=3, d_out=1, hidden=(4,), head=head)
+
 
 class TestPredict:
     """``predict`` is the posterior-mean ``forward`` in plain numpy."""
