@@ -4,7 +4,8 @@ Unknown keys are rejected by name so config drift fails loudly. Blank
 lines and ``#`` comments are allowed. Most keys are fields of the task,
 adapter, training or prior dataclasses: the schema reads their parsers and
 defaults off the fields (:func:`_numeric_fields`), and :func:`_build` fills
-the fields from the keys by name.
+the fields from the keys by name. A removed option's key (:data:`RETIRED`)
+is accepted and dropped only at the value that every run now has.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 from .model import ADAPTER_KINDS, AdapterSpec, BackboneSpec
 from .tasks import KINDS, SyntheticTask, _backbone_spec
 from .tensor import DomainError
-from .variational import MAX_STEPS, NLL_KINDS, PriorConfig, TrainConfig, total_steps
+from .variational import MAX_STEPS, PriorConfig, TrainConfig, total_steps
 
 
 class ConfigError(Exception):
@@ -68,7 +69,6 @@ SCHEMA = {
     "adapt_layers": (_layers, AdapterSpec.adapt_layers),
     "alphanet_hidden": (_int_list, AdapterSpec.alphanet_hidden),
     **_numeric_fields(AdapterSpec),
-    "nll": (_choice(*NLL_KINDS), TrainConfig.nll),
     **_numeric_fields(TrainConfig),
     **_numeric_fields(PriorConfig, "prior_"),
     # The CLI's own defaults: these two replace TrainConfig's 32 and 0.0 for
@@ -81,6 +81,39 @@ SCHEMA = {
     "mc_steps": (int, 100),
 }
 
+# Removed options and the value every earlier run stored, the behaviour that
+# stayed: a config may give it, and the key is dropped.
+RETIRED = {"nll": (str, "gaussian"), "weight_decay": (_float, 0.0)}
+_KEYS = {**SCHEMA, **RETIRED}
+
+# JSON types each value parser accepts; the choice parsers take strings.
+_JSON_TYPES = {int: (int,), _float: (int, float), _int_list: (list,),
+               _layers: (list, type(None))}
+
+
+def _assign(cfg: dict, key: str, value, stored: bool = False) -> None:
+    """Set ``cfg[key]`` from ``value``: a config file's text or, if
+    ``stored``, a stored config's JSON value. A retired key must give its
+    kept value, and is dropped."""
+    if key not in _KEYS:
+        raise ConfigError(f"unknown config key: {key}", key=key)
+    parser, kept = _KEYS[key]
+    why = f" ({key} was retired and takes only {kept!r})" if key in RETIRED else ""
+    if stored and (type(value) not in _JSON_TYPES.get(parser, (str,)) or (
+            type(value) is list and any(type(v) is not int for v in value))):
+        raise ConfigError(f"invalid value for {key}: {value!r}{why}", key=key)
+    text = "all" if value is None else \
+        ",".join(map(str, value)) if type(value) is list else str(value)
+    try:
+        parsed = parser(text)
+    except ValueError as err:
+        raise ConfigError(f"invalid value for {key}: {value!r}{why or f' ({err})'}",
+                          key=key) from err
+    if key in SCHEMA:
+        cfg[key] = parsed
+    elif parsed != kept:
+        raise ConfigError(f"invalid value for {key}: {value!r}{why}", key=key)
+
 
 def parse_config(text: str) -> dict:
     cfg = {key: default for key, (_, default) in SCHEMA.items()}
@@ -91,13 +124,7 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key: {key}", key=key)
-        parser, _ = SCHEMA[key]
-        try:
-            cfg[key] = parser(value)
-        except ValueError as err:
-            raise ConfigError(f"invalid value for {key}: {value!r} ({err})", key=key) from err
+        _assign(cfg, key, value)
     return cfg
 
 
@@ -113,11 +140,6 @@ def config_to_json(cfg: dict) -> dict:
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()}
 
 
-# JSON types each value parser accepts; the choice parsers take strings.
-_JSON_TYPES = {int: (int,), _float: (int, float), _int_list: (list,),
-               _layers: (list, type(None))}
-
-
 def config_from_json(stored) -> dict:
     """Inverse of :func:`config_to_json`, as strict as :func:`parse_config`:
     unknown keys and values of the wrong JSON type raise ``ConfigError``."""
@@ -125,18 +147,7 @@ def config_from_json(stored) -> dict:
         raise ConfigError(f"config must be a JSON object, got {type(stored).__name__}")
     cfg = parse_config("")
     for key, value in stored.items():
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key: {key}", key=key)
-        parser, _ = SCHEMA[key]
-        if type(value) not in _JSON_TYPES.get(parser, (str,)) or (
-                type(value) is list and any(type(v) is not int for v in value)):
-            raise ConfigError(f"invalid value for {key}: {value!r}", key=key)
-        text = "all" if value is None else \
-            ",".join(map(str, value)) if type(value) is list else str(value)
-        try:
-            cfg[key] = parser(text)
-        except ValueError as err:
-            raise ConfigError(f"invalid value for {key}: {value!r} ({err})", key=key) from err
+        _assign(cfg, key, value, stored=True)
     return cfg
 
 
@@ -189,9 +200,8 @@ def train_configs_from_config(cfg: dict):
         if not cfg[key] > 0:
             raise ConfigError(f"out-of-range config value: {key} must be positive, "
                               f"got {cfg[key]}", key=key)
-    # No key is pretrain_grad_clip_norm or pretrain_nll: both phases share them.
-    pretrain = _build(TrainConfig, cfg, "pretrain_", kl_weight=0.0, warmup_fraction=0.0,
-                      weight_decay=0.0)
+    # No key is pretrain_grad_clip_norm: both phases share it.
+    pretrain = _build(TrainConfig, cfg, "pretrain_", kl_weight=0.0, warmup_fraction=0.0)
     adapt = _build(TrainConfig, cfg)
     # Both phases train on the n_train rows of their split.
     for prefix, phase in (("pretrain_", pretrain), ("", adapt)):

@@ -1,5 +1,7 @@
-"""Training objective: closed-form KL, normalized KL, single-sample ELBO,
-and the AdamW optimizer with linear warmup/decay and global-norm clipping.
+"""Training objective: closed-form KL, normalized KL, the single-sample ELBO
+(a regression head's likelihood is Gaussian, with a learned sigma), and the
+AdamW optimizer, without weight decay, with linear warmup/decay and
+global-norm clipping.
 
 The per-entry KL is the Gaussian divergence between the posterior
 ``N(W, alpha * W**2)`` and the scaled dropout prior
@@ -37,7 +39,6 @@ from .rng import Rng
 from .tensor import DomainError, NonFiniteError, Tensor
 
 _LOG_2PI = math.log(2.0 * math.pi)
-NLL_KINDS = ("gaussian", "l1")  # the regression losses; classification uses cross-entropy
 
 
 def _mean(a):
@@ -73,21 +74,17 @@ class TrainConfig:
     batch_size: int = 32
     kl_weight: float = 1.0
     warmup_fraction: float = 0.0
-    weight_decay: float = 0.0
     grad_clip_norm: float = 1.0
-    nll: str = "gaussian"  # one of NLL_KINDS
 
     def __post_init__(self):
         if self.lr <= 0 or self.epochs <= 0 or self.batch_size <= 0:
             raise DomainError("lr, epochs, and batch_size must be positive")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise DomainError("warmup_fraction must lie in [0, 1]")
-        if self.kl_weight < 0 or self.weight_decay < 0:
-            raise DomainError("kl_weight and weight_decay must be non-negative")
+        if self.kl_weight < 0:
+            raise DomainError("kl_weight must be non-negative")
         if self.grad_clip_norm <= 0:
             raise DomainError("grad_clip_norm must be positive")
-        if self.nll not in NLL_KINDS:
-            raise DomainError(f"unknown nll kind: {self.nll}")
 
 
 # -- closed-form KL ---------------------------------------------------------
@@ -197,16 +194,6 @@ def _gaussian_nll(pred: np.ndarray, target, log_sigma: np.ndarray):
     return np.asarray(out), vjp
 
 
-def _l1(pred: np.ndarray, target):
-    """Mean absolute error and its VJP."""
-    resid = np.asarray(target, dtype=np.float64).reshape(pred.shape) - pred
-
-    def vjp(g):
-        return ((-g / resid.size) * np.sign(resid),)
-
-    return np.asarray(np.abs(resid).mean()), vjp
-
-
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean negative log-softmax of the labelled class and its VJP; ``labels``
     holds one checked class index per row (:func:`~balora.model.class_labels`)."""
@@ -243,8 +230,8 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
     the tape, the AlphaNet (:func:`~balora.adapter.alpha_scales`) and noise
     for balora only, :meth:`~balora.model.AdaptedModel.network`, the NLL
     and the KL. The node's parents are the tensors the step reads, in
-    cotangent order: ``log_sigma`` under the Gaussian NLL, the network's,
-    the AlphaNet's; ``backward`` skips those that do not require grad. Its
+    cotangent order: a regressor's ``log_sigma``, the network's, the
+    AlphaNet's; ``backward`` skips those that do not require grad. Its
     VJP runs the NLL's, the network's, then the AlphaNet's from the noise
     scales' cotangent, the KL's plus the network's.
     """
@@ -263,8 +250,6 @@ def elbo_step(model: AdaptedModel, batch, prior: PriorConfig, cfg: TrainConfig,
         sigma = []
         if model.head == "classification":
             nll, nll_vjp = _cross_entropy(pred, y)
-        elif cfg.nll == "l1":
-            nll, nll_vjp = _l1(pred, y)
         else:
             sigma = [model.log_sigma]
             nll, nll_vjp = _gaussian_nll(pred, y, model.log_sigma.data)
@@ -313,24 +298,24 @@ def zero_grad(params) -> None:
 
 
 class AdamW:
-    """Adaptive-moment optimizer with decoupled weight decay.
+    """Adaptive-moment optimizer. AdamW's decoupled weight decay was
+    removed, because no caller set it.
 
     Uses beta1=0.9, beta2=0.999, eps=1e-8, gradient clipping at
     ``cfg.grad_clip_norm`` on the global norm, and a linear
-    warmup-then-decay learning-rate schedule over ``total_steps``.
-    Parameters without gradients (frozen or unused) are left untouched,
-    moments included. A non-finite gradient norm raises
-    :class:`TrainingDivergence` and leaves every parameter and moment as it
-    was.
+    warmup-then-decay learning-rate schedule over ``total_steps``. A
+    parameter without a gradient raises :class:`DomainError`, and a
+    non-finite gradient norm :class:`TrainingDivergence`, before any
+    parameter, moment or the step count is written.
 
     The state is four flat float64 buffers: the moments ``m`` and ``v``, a
     gradient buffer and a scratch buffer. Each parameter owns a fixed span
     of them, so one step is one multi-tensor update over every parameter
     with the per-element arithmetic of the textbook per-tensor loop. Each
-    updated parameter gets a read-only view of that step's fresh result
-    array, which is never written again. So when the last step updated every
-    parameter and each still holds its view, that array is the current
-    values; else they are gathered from the parameters.
+    parameter gets a read-only view of that step's fresh result array, which
+    is never written again. So when each parameter still holds its view of
+    the last step's array, that array is the current values; else they are
+    gathered from the parameters.
     """
 
     BETA1 = 0.9
@@ -351,7 +336,7 @@ class AdamW:
         self._g_views = [self._g[a:b].reshape(p.shape)
                          for p, (a, b) in zip(self.params, self._spans)]
         self._s_views = [self._s[a:b] for a, b in self._spans]
-        # The last step's result array and its views, if it updated every parameter.
+        # The last step's result array and the views of it handed out.
         self._last, self._handed = None, []
 
     def lr_at(self, step: int) -> float:
@@ -363,23 +348,16 @@ class AdamW:
     def step(self) -> dict:
         lr = self.lr_at(self.t)
         m, v, g, s = self._m, self._v, self._g, self._s
-        live = [i for i, p in enumerate(self.params) if p.grad is not None]
-        # Spans of parameters without a gradient are masked out of every
-        # update, so their moments stay as they were.
-        if len(live) == len(self.params):
-            where = True
-        else:
-            where = np.zeros(g.size, dtype=bool)
-            for i in live:
-                where[slice(*self._spans[i])] = True
-        for i in live:
-            np.copyto(self._g_views[i], self.params[i].grad)
+        for i, (view, p) in enumerate(zip(self._g_views, self.params)):
+            if p.grad is None:
+                raise DomainError(f"parameter {i} has no gradient at optimizer step {self.t}")
+            np.copyto(view, p.grad)
         # Span by span in parameter order, the summation order of the per-tensor
         # loop of tests/reference.py::ReferenceAdamW: bit-identical norms.
-        np.multiply(g, g, out=s, where=where)
+        np.multiply(g, g, out=s)
         total = 0.0
-        for i in live:
-            total += float(np.add.reduce(self._s_views[i]))
+        for view in self._s_views:
+            total += float(np.add.reduce(view))
         raw_norm = math.sqrt(total)
         if not math.isfinite(raw_norm):
             # Checked before any state is written, so the parameters, the
@@ -391,40 +369,32 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
-        np.multiply(g, scale, out=g, where=where)
-        np.multiply(m, self.BETA1, out=m, where=where)
-        np.multiply(g, 1.0 - self.BETA1, out=s, where=where)
-        np.add(m, s, out=m, where=where)
-        np.multiply(g, g, out=s, where=where)
-        np.multiply(s, 1.0 - self.BETA2, out=s, where=where)
-        np.multiply(v, self.BETA2, out=v, where=where)
-        np.add(v, s, out=v, where=where)
+        np.multiply(g, scale, out=g)
+        np.multiply(m, self.BETA1, out=m)
+        np.multiply(g, 1.0 - self.BETA1, out=s)
+        np.add(m, s, out=m)
+        np.multiply(g, g, out=s)
+        np.multiply(s, 1.0 - self.BETA2, out=s)
+        np.multiply(v, self.BETA2, out=v)
+        np.add(v, s, out=v)
         cur = self._last
         if cur is None or any(p.data is not view
                               for p, view in zip(self.params, self._handed)):
             # The gradients are spent: g now holds the current parameter values.
             cur = g
-            for i in live:
-                np.copyto(self._g_views[i], self.params[i].data)
-        np.divide(v, bc2, out=s, where=where)
-        np.sqrt(s, out=s, where=where)
-        np.add(s, self.EPS, out=s, where=where)
-        new = np.empty(g.size)
-        np.divide(m, bc1, out=new, where=where)
-        np.multiply(new, lr, out=new, where=where)
-        np.divide(new, s, out=new, where=where)
-        np.subtract(cur, new, out=new, where=where)
-        if self.cfg.weight_decay > 0:
-            np.multiply(cur, lr * self.cfg.weight_decay, out=s, where=where)
-            np.subtract(new, s, out=new, where=where)
+            for view, p in zip(self._g_views, self.params):
+                np.copyto(view, p.data)
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        np.add(s, self.EPS, out=s)
+        new = np.divide(m, bc1)
+        np.multiply(new, lr, out=new)
+        np.divide(new, s, out=new)
+        np.subtract(cur, new, out=new)
         new.flags.writeable = False
-        for i in live:
-            a, b = self._spans[i]
-            self.params[i].data = new[a:b].reshape(self.params[i].shape)
-        if where is True:
-            self._last, self._handed = new, [p.data for p in self.params]
-        else:
-            self._last = None
+        for p, (a, b) in zip(self.params, self._spans):
+            p.data = new[a:b].reshape(p.shape)
+        self._last, self._handed = new, [p.data for p in self.params]
         return {"lr": lr, "grad_norm": raw_norm, "applied_norm": min(raw_norm, clip),
                 "clipped": raw_norm > clip}
 

@@ -11,8 +11,9 @@ update or drop its entry. Running this file does the rest::
 It first runs every killer on a temporary copy of ``src/``, where all must
 pass. Then, for each mutant (or the ones named), it applies the mutant to a
 fresh copy, runs its killers with ``PYTHONPATH`` set to that copy and prints
-``killed`` (a killer failed) or ``survived``, then ``killed/total``. It
-exits 1 unless every mutant was killed. It writes nothing in the
+``killed`` (a killer failed) or ``survived``, then ``killed/total``. Two
+mutants run at a time, each in its own copy; the lines print in catalogue
+order. It exits 1 unless every mutant was killed. It writes nothing in the
 repository: pytest runs from the temporary directory, with no cache and no
 bytecode. Standard library only.
 """
@@ -24,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -162,6 +164,20 @@ MUTANTS = (
            "_NUMBER_PARSERS = {int: int, float: int}\n",
            ("test_cli.py::TestConfig::test_defaults_and_overrides",
             "test_variational.py::TestTapeSize::test_one_node_per_elbo_step")),
+    Mutant("adamw-missing-grad-unchecked", "variational.py",
+           "            if p.grad is None:\n"
+           "                raise DomainError(f\"parameter {i} has no gradient at optimizer step "
+           "{self.t}\")\n", "",
+           ("test_variational.py::TestAdamW::"
+            "test_missing_gradient_leaves_data_and_moments_untouched",)),
+    Mutant("config-retired-key-any-value-accepted", "config.py",
+           "    elif parsed != kept:\n", "    elif False:\n",
+           ("test_cli.py::TestConfig::test_retired_keys_take_only_the_value_every_run_stored",
+            "test_cli.py::TestTrain::test_retired_option_exits_2")),
+    Mutant("stored-l1-config-accepted", "config.py",
+           "        _assign(cfg, key, value, stored=True)\n",
+           "        if key not in RETIRED:\n            _assign(cfg, key, value, stored=True)\n",
+           ("test_cli.py::TestEval::test_stored_retired_option_exits_3",)),
 )
 
 
@@ -190,12 +206,13 @@ def main(ids) -> int:
         print(f"the killers do not pass on the unchanged source (pytest exit {code})")
         return 1
     killed = 0
-    for mutant in chosen:
-        code = pytest_exit(mutant.killers, mutant)
-        # pytest exits 1 when a test failed and 0 when all passed.
-        outcome = {0: "survived", 1: "killed"}.get(code, f"error (exit {code})")
-        killed += code == 1
-        print(f"{outcome:9} {mutant.id}", flush=True)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        codes = pool.map(lambda m: pytest_exit(m.killers, m), chosen)
+        for mutant, code in zip(chosen, codes):
+            # pytest exits 1 when a test failed and 0 when all passed.
+            outcome = {0: "survived", 1: "killed"}.get(code, f"error (exit {code})")
+            killed += code == 1
+            print(f"{outcome:9} {mutant.id}", flush=True)
     print(f"{killed}/{len(chosen)} killed")
     return 0 if killed == len(chosen) else 1
 

@@ -174,8 +174,7 @@ class ReferenceAdamW:
         lr = self.schedule.lr_at(self.t)
         total = 0.0
         for p in self.params:
-            if p.grad is not None:
-                total += float(np.sum(p.grad * p.grad))
+            total += float(np.sum(p.grad * p.grad))
         raw_norm = math.sqrt(total)
         clip = self.cfg.grad_clip_norm
         scale = clip / raw_norm if raw_norm > clip else 1.0
@@ -183,16 +182,12 @@ class ReferenceAdamW:
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
             g = p.grad * scale
             self._m[i] = b1 * self._m[i] + (1.0 - b1) * g
             self._v[i] = b2 * self._v[i] + (1.0 - b2) * (g * g)
             m_hat = self._m[i] / bc1
             v_hat = self._v[i] / bc2
             new = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
-            if self.cfg.weight_decay > 0:
-                new = new - lr * self.cfg.weight_decay * p.data
             p.data = np.array(new, dtype=np.float64)
         return {"lr": lr, "grad_norm": raw_norm, "applied_norm": min(raw_norm, clip),
                 "clipped": raw_norm > clip}
@@ -210,8 +205,6 @@ def reference_step(model, batch, prior, cfg, rng):
         alphas, pred = None, model.forward(X)
     if model.head == "classification":
         nll = loss_node(V._cross_entropy(pred.data, y), (pred,))
-    elif cfg.nll == "l1":
-        nll = loss_node(V._l1(pred.data, y), (pred,))
     else:
         nll = loss_node(V._gaussian_nll(pred.data, y, model.log_sigma.data),
                         (pred, model.log_sigma))

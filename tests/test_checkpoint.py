@@ -217,7 +217,7 @@ seed = 5
 
 # Every string a valid header or stored config may hold in a choice field.
 VALID_STRINGS = {"model", "layer", "balora", "lora", "regression", "classification",
-                 "gaussian", "l1", *TK.KINDS}
+                 *TK.KINDS}
 
 
 @pytest.fixture(scope="module")

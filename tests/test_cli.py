@@ -61,8 +61,7 @@ def _fuzz_values(key: str) -> list:
     default, and the choices of a choice key), the boundary -1, 0 and 1, and
     malformed ones."""
     default = parse_config(FAST_CONFIG)[key]
-    choices = {"task": list(tasks.KINDS), "adapter": ["balora", "lora"],
-               "nll": ["gaussian", "l1"]}
+    choices = {"task": list(tasks.KINDS), "adapter": ["balora", "lora"]}
     if key in choices:
         return choices[key] + ["", "Balora", "1"]
     valid = ["all" if default is None else ",".join(map(str, default))
@@ -149,6 +148,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.cfg")
 
+    def test_retired_keys_take_only_the_value_every_run_stored(self):
+        # nll and weight_decay were removed. Earlier runs stored "gaussian"
+        # and 0.0, the behaviour that stayed: both parsers accept and drop
+        # them, and reject any other value as retired.
+        base = parse_config("")
+        for text in ("nll = gaussian", "weight_decay = 0", "weight_decay = 0.0\nnll = gaussian"):
+            assert parse_config(text) == base
+        for stored in ({"nll": "gaussian", "weight_decay": 0.0}, {"weight_decay": 0}):
+            assert C.config_from_json(stored) == base
+        for key, text in (("nll", "l1"), ("nll", ""), ("weight_decay", "0.1"),
+                          ("weight_decay", "x"), ("weight_decay", "nan")):
+            with pytest.raises(ConfigError, match=f"{key} was retired") as err:
+                parse_config(f"{key} = {text}")
+            assert err.value.key == key
+        for key, value in (("nll", "l1"), ("nll", None), ("weight_decay", 0.5),
+                           ("weight_decay", False), ("weight_decay", "0")):
+            with pytest.raises(ConfigError, match=f"{key} was retired") as err:
+                C.config_from_json({key: value})
+            assert err.value.key == key
+
     def test_every_key_feeds_a_field_or_is_read_by_name(self):
         # config._build fills fields from keys by name, so a key that is no
         # field under its dataclass's prefix would feed nothing.
@@ -188,6 +207,15 @@ class TestTrain:
         code = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "learning_rate" in capsys.readouterr().err
+
+    def test_retired_option_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "l1.cfg"
+        cfg.write_text(FAST_CONFIG + "nll = l1\n")
+        code, out = _train(tmp_path, cfg)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: invalid value for nll: 'l1' (nll was retired")
+        assert not (out / "checkpoint.bin").exists()
 
     def test_outputs_and_manifest(self, tmp_path, fast_config):
         _, out = _train(tmp_path, fast_config)
@@ -386,8 +414,8 @@ class TestTrain:
             "non-finite values produced by the AlphaNet"]
 
     @pytest.mark.parametrize("lines", [
-        "", "kl_weight = 0.3", "nll = l1",
-        "task = two-moons-classification\nd_in = 2"], ids=["gaussian", "weighted", "l1", "moons"])
+        "", "kl_weight = 0.3",
+        "task = two-moons-classification\nd_in = 2"], ids=["gaussian", "weighted", "moons"])
     def test_logged_terms_add_up_to_the_loss(self, tmp_path, lines):
         # metrics.jsonl logs the KL term that enters the loss, not a KL at
         # some other alpha.
@@ -518,6 +546,34 @@ class TestEval:
         manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
         assert "lr" in manifest["error"]
 
+    def test_stored_retired_keys_at_their_kept_values_change_nothing(self, tmp_path,
+                                                                      fast_config):
+        # Checkpoints written before nll and weight_decay were removed store
+        # "gaussian" and 0.0; they evaluate as if the keys were absent.
+        _, out = _train(tmp_path, fast_config)
+        old = tmp_path / "old.bin"
+        old.write_bytes((out / "checkpoint.bin").read_bytes())
+        _set_stored_config(old, "nll", "gaussian")
+        _set_stored_config(old, "weight_decay", 0.0)
+        reports = []
+        for ckpt in (out / "checkpoint.bin", old):
+            dest = tmp_path / ckpt.stem
+            for mode in ("mc", "deterministic"):
+                assert main(["eval", "--checkpoint", str(ckpt), "--mode", mode,
+                             "--out", str(dest / mode)]) == 0
+                reports.append((dest / mode / "eval.json").read_bytes())
+        assert reports[:2] == reports[2:]
+
+    def test_stored_retired_option_exits_3(self, tmp_path, fast_config):
+        # A run trained with the L1 loss never fit sigma, so its aleatoric
+        # variance would be the initial one: a checkpoint that says so is refused.
+        _, out = _train(tmp_path, fast_config)
+        _set_stored_config(out / "checkpoint.bin", "nll", "l1")
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--out", str(tmp_path / "x")]) == 3
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and "nll was retired" in manifest["error"]
+
     def test_merge_gap_keeps_error_manifest(self, tmp_path, fast_config, monkeypatch):
         _, out = _train(tmp_path, fast_config)
         merged_forward = AdaptedModel.merged_forward
@@ -578,14 +634,14 @@ class TestOptionSurface:
         "hidden": (32, 32), "adapter": "balora", "adapt_layers": None, "rank": 4,
         "lora_alpha": 8.0, "init_std": 0.02, "init_alpha": 0.05, "alphanet_hidden": (16, 16),
         "alpha_min": 1e-6, "alpha_max": 1000.0, "prior_p": 0.5, "kl_weight": 1.0,
-        "nll": "gaussian", "lr": 0.01, "epochs": 10, "batch_size": 64, "warmup_fraction": 0.1,
-        "weight_decay": 0.0, "grad_clip_norm": 1.0, "pretrain_lr": 0.01, "pretrain_epochs": 30,
+        "lr": 0.01, "epochs": 10, "batch_size": 64, "warmup_fraction": 0.1,
+        "grad_clip_norm": 1.0, "pretrain_lr": 0.01, "pretrain_epochs": 30,
         "pretrain_batch_size": 64, "mc_steps": 100}
 
     def test_config_keys_are_pinned(self):
         # Most defaults are read off the dataclass fields, so this pin, types
         # included, is what makes moving one a deliberate change.
-        assert len(C.SCHEMA) == 36
+        assert len(C.SCHEMA) == 34
         typed = lambda cfg: {key: (type(value), value) for key, value in cfg.items()}
         assert typed(parse_config("")) == typed(self.DEFAULTS)
 
